@@ -15,7 +15,6 @@ from .gf import (
 )
 from .sse import (
     CombinedD,
-    LayoutTag,
     LoopResult,
     SseVariant,
     preprocess_D,
@@ -25,7 +24,7 @@ from .sse import (
     sse_sigma_reference,
 )
 from .distsim import MessageLedger, RankState, run_omen_scheme, run_tiled_scheme
-from .flops import FlopCounter, FlopReport, flop_report, sse_flops_dace, sse_flops_omen
+from .flops import FlopCounter, FlopReport, flop_report, sse_flops_dace, sse_flops_fully_hoisted, sse_flops_omen
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,6 @@ __all__ = [
     "FlopCounter",
     "FlopReport",
     "GreensTensor",
-    "LayoutTag",
     "LoopResult",
     "MessageLedger",
     "NeighborMap",
@@ -60,6 +58,7 @@ __all__ = [
     "solve_point_dense",
     "solve_point_rgf",
     "sse_flops_dace",
+    "sse_flops_fully_hoisted",
     "sse_flops_omen",
     "sse_pi",
     "sse_sigma",

@@ -130,7 +130,7 @@ def cmd_simulate(args) -> int:
     result = self_consistent_loop(
         dev, nmap, params,
         max_iter=args.max_iter, tol=args.tol,
-        variant=SseVariant(args.variant), solver=args.solver, threads=args.threads,
+        variant=SseVariant(args.variant), solver=args.solver,
         initial_sigma=initial[0], initial_pi=initial[1],
     )
     digest = hashlib.sha256()
@@ -322,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--max-iter", type=int, default=20)
     p_sim.add_argument("--tol", type=float, default=1e-8)
     p_sim.add_argument("--solver", choices=["dense", "rgf"], default="dense")
-    p_sim.add_argument("--variant", choices=[v.value for v in SseVariant], default="reference")
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--variant", choices=[v.value for v in SseVariant], default=SseVariant.BATCHED_FUSED.value)
     p_sim.add_argument("--output-dir", default="out")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -1,7 +1,7 @@
 """Closed-form flop models for the scattering self-energy phase.
 
-The two analytic forms count the orb^3-bearing small matrix multiplications
-of one full SSE evaluation (electron and phonon self-energies, lesser and
+The analytic forms count the orb^3-bearing small matrix multiplications of
+one full SSE evaluation (electron and phonon self-energies, lesser and
 greater), at 8 real flop per complex multiply-add.  The instrumented counter
 tallies exactly those GEMM contractions, so on any grid the counted value of
 the matching kernel arrangement reproduces the closed form.
@@ -60,6 +60,16 @@ def sse_flops_dace(params: SimParams) -> int:
     """Flop count after redundancy removal of the momentum/frequency-invariant stage."""
     common = params.n_A * params.n_B * params.n_3D * params.n_kz * params.n_E * params.n_orb**3
     return 32 * common * params.n_qz * params.n_w + 32 * common
+
+
+def sse_flops_fully_hoisted(params: SimParams) -> int:
+    """Flop count with both of Pi's dH G factors hoisted out of the (q, omega) loop.
+
+    Batched-fused Sigma plus the default Pi form: only Sigma's accumulation
+    still scales with N_qz N_w.
+    """
+    common = params.n_A * params.n_B * params.n_3D * params.n_kz * params.n_E * params.n_orb**3
+    return 16 * common * params.n_qz * params.n_w + 48 * common
 
 
 @dataclass(frozen=True)

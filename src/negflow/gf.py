@@ -9,7 +9,6 @@ blocks of the dense solve by a forward/backward pass over ``bnum`` blocks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,14 +369,12 @@ def gf_phase(
     grid: EnergyGrid,
     nmap: NeighborMap,
     solver: str = "dense",
-    threads: int = 1,
 ) -> tuple[GreensTensor, GreensTensor]:
     """Fill the electron and phonon Green's tensors point by point.
 
     Points are independent: each (k_z, E) and (q_z, omega) solve writes a
-    disjoint tensor slice, so evaluation order (and threading) cannot change
-    the result.  Retarded self-energies are always derived from the
-    lesser/greater pair.
+    disjoint tensor slice, so evaluation order cannot change the result.
+    Retarded self-energies are always derived from the lesser/greater pair.
     """
     if solver not in ("dense", "rgf"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -387,44 +384,27 @@ def gf_phase(
     g_e = GreensTensor.zeros_electron(params)
     g_ph = GreensTensor.zeros_phonon(params)
 
-    def electron_task(point):
-        kz, i_e = point
-        energy = grid.values[i_e]
-        try:
-            less, grt = _electron_point(
-                dev, sig_r[kz, i_e], sigma.lesser[kz, i_e], sigma.greater[kz, i_e],
-                energy, kz, params.eta, solver, params.bnum, params.n_A, params.n_orb,
-            )
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"electron point (kz={kz}, iE={i_e}): {exc}") from exc
-        g_e.lesser[kz, i_e] = less
-        g_e.greater[kz, i_e] = grt
+    for kz in range(params.n_kz):
+        for i_e in range(params.n_E):
+            try:
+                g_e.lesser[kz, i_e], g_e.greater[kz, i_e] = _electron_point(
+                    dev, sig_r[kz, i_e], sigma.lesser[kz, i_e], sigma.greater[kz, i_e],
+                    grid.values[i_e], kz, params.eta, solver, params.bnum, params.n_A, params.n_orb,
+                )
+            except SingularSystemError as exc:
+                raise SingularSystemError(f"electron point (kz={kz}, iE={i_e}): {exc}") from exc
 
-    def phonon_task(point):
-        qz, i_w = point
-        omega = grid.frequency_value(i_w)
-        try:
-            _, d_less, d_grt = solve_phonon_point(
-                dev,
-                assemble_phonon_matrix(pi_r[qz, i_w], nmap),
-                assemble_phonon_matrix(pi.lesser[qz, i_w], nmap),
-                assemble_phonon_matrix(pi.greater[qz, i_w], nmap),
-                omega, qz, params.eta, nmap,
-            )
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"phonon point (qz={qz}, iw={i_w}): {exc}") from exc
-        g_ph.lesser[qz, i_w] = d_less
-        g_ph.greater[qz, i_w] = d_grt
-
-    e_points = [(k, i) for k in range(params.n_kz) for i in range(params.n_E)]
-    ph_points = [(q, w) for q in range(params.n_qz) for w in range(params.n_w)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(electron_task, e_points))
-            list(pool.map(phonon_task, ph_points))
-    else:
-        for point in e_points:
-            electron_task(point)
-        for point in ph_points:
-            phonon_task(point)
+    for qz in range(params.n_qz):
+        for i_w in range(params.n_w):
+            try:
+                # the retarded solution is dropped at once rather than held into the next solve
+                g_ph.lesser[qz, i_w], g_ph.greater[qz, i_w] = solve_phonon_point(
+                    dev,
+                    assemble_phonon_matrix(pi_r[qz, i_w], nmap),
+                    assemble_phonon_matrix(pi.lesser[qz, i_w], nmap),
+                    assemble_phonon_matrix(pi.greater[qz, i_w], nmap),
+                    grid.frequency_value(i_w), qz, params.eta, nmap,
+                )[1:]
+            except SingularSystemError as exc:
+                raise SingularSystemError(f"phonon point (qz={qz}, iw={i_w}): {exc}") from exc
     return g_e, g_ph

@@ -10,15 +10,18 @@ scaled by the imaginary prefactor and the frequency weight, where Dc is the
 preprocessed four-term phonon combination.  The phonon self-energy reduces
 trace chains of the same blocks over (k_z, E).  Five algorithmically
 equivalent arrangements of the Sigma kernel trace the optimization chain
-from the straightforward map to the batched, fused form; all of them share
-a single boundary-handling helper, so they agree by construction on how
-momentum wraps and how off-grid energy offsets drop out.
+from the straightforward map to the batched, fused form, and Pi comes in
+three forms that differ in which dH G factors are hoisted.  All of them
+share a single boundary-handling helper, :class:`ShiftGather`, so they agree
+by construction on how momentum wraps and how off-grid energy offsets drop
+out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -40,11 +43,6 @@ class SseVariant(Enum):
     BATCHED_FUSED = "batched-fused"
 
 
-class LayoutTag(Enum):
-    GRID_MAJOR = "grid-major"  # [k_z, E, a, ...]
-    ATOM_MAJOR = "atom-major"  # [a, k_z, E, ...]
-
-
 def to_atom_major(arr: Array) -> Array:
     """[k, E, a, ...] -> [a, k, E, ...]; a lossless permutation."""
     return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
@@ -55,25 +53,64 @@ def to_grid_major(arr: Array) -> Array:
     return np.ascontiguousarray(np.moveaxis(arr, 0, 2))
 
 
-def shifted_grid(arr: Array, q_shift: int, e_shift: int) -> Array:
-    """Array indexed at ``[(k - q_shift) mod n_kz, E - e_shift, ...]``.
+@lru_cache(maxsize=512)
+def _shift_plan(n_kz: int, n_e: int, e_shifts: tuple[int, ...], q_shift: int, window_last: bool):
+    """Zero padding of the energy axis and the gather index of :class:`ShiftGather`, cached."""
+    shifts = np.clip(np.array(e_shifts, dtype=np.int64), -n_e, n_e)
+    before = max(int(shifts.max(initial=0)), 0)
+    n_pad = before + n_e + max(-int(shifts.min(initial=0)), 0)
+    k_index = (np.arange(n_kz) - q_shift) % n_kz
+    e_index = np.arange(n_e)[None, :] - shifts[:, None] + before
+    index = k_index[:, None, None] * n_pad + e_index[None]  # [k, w, E] into the merged (k, padded E) axis
+    index = np.ascontiguousarray(index.transpose((0, 2, 1) if window_last else (1, 0, 2)))
+    index.setflags(write=False)
+    return before, n_pad, index
+
+
+class ShiftGather:
+    """Every energy window of a ``[..., k, E, ...]`` array, gathered by index.
 
     The single boundary-handling site shared by every kernel and both use
     sites (E - omega for Sigma, E + omega for Pi via negated shifts):
     momentum wraps periodically, while entries whose shifted energy falls off
     the grid are zero, which is arithmetically identical to dropping those
     terms from the accumulation.
+
+    The momentum and energy axes sit at ``axis`` and ``axis + 1`` of
+    ``shape``.  :meth:`load` copies an array into a buffer zero-padded along
+    E, once; :meth:`windows` then returns, in one indexed copy, every window
+    for one momentum shift ``q``: window ``w`` holds the loaded array at
+    ``[(k - q) mod n_kz, E - e_shifts[w]]``.  The window axis goes right
+    before the momentum axis, or right after the energy axis with
+    ``window_last``.  Both buffers are reused: a returned window stack is
+    valid until the next :meth:`windows` call.
     """
-    n_e = arr.shape[1]
-    rolled = np.roll(arr, q_shift, axis=0)
-    out = np.zeros_like(arr)
-    if e_shift >= n_e or e_shift <= -n_e:
-        return out
-    if e_shift >= 0:
-        out[:, e_shift:] = rolled[:, : n_e - e_shift]
-    else:
-        out[:, : n_e + e_shift] = rolled[:, -e_shift:]
-    return out
+
+    def __init__(self, shape: tuple[int, ...], e_shifts: Iterable[int], axis: int = 0, window_last: bool = False):
+        self.shape = tuple(shape)
+        self._e_shifts = tuple(int(e) for e in e_shifts)
+        self.n_windows = len(self._e_shifts)
+        self._n_kz, self._n_e = shape[axis], shape[axis + 1]
+        self._axis, self._window_last = axis, window_last
+        before, n_pad, _ = _shift_plan(self._n_kz, self._n_e, self._e_shifts, 0, window_last)
+        self._padded = np.zeros(shape[:axis] + (self._n_kz, n_pad) + shape[axis + 2 :], dtype=np.complex128)
+        self._interior = (slice(None),) * (axis + 1) + (slice(before, before + self._n_e),)
+        self._merged = self._padded.reshape(shape[:axis] + (-1,) + shape[axis + 2 :])
+        self._out: Array | None = None
+
+    def load(self, arr: Array) -> "ShiftGather":
+        self._padded[self._interior] = arr
+        return self
+
+    def windows(self, q_shift: int) -> Array:
+        index = _shift_plan(self._n_kz, self._n_e, self._e_shifts, q_shift % self._n_kz, self._window_last)[2]
+        self._out = np.take(self._merged, index, axis=self._axis, out=self._out, mode="clip")
+        return self._out
+
+
+def shifted_grid(arr: Array, q_shift: int, e_shift: int) -> Array:
+    """Array indexed at ``[(k - q_shift) mod n_kz, E - e_shift, ...]``: one window of :class:`ShiftGather`."""
+    return ShiftGather(arr.shape, (e_shift,)).load(arr).windows(q_shift)[0]
 
 
 @dataclass(frozen=True)
@@ -265,41 +302,41 @@ def _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1: bool
 def _sigma_batched_fused(g, dc, dh, nmap, grid, counter) -> SelfEnergyTensor:
     """Final form: per-(a,b) transients, fused GEMMs for both stages.
 
-    Stage 1 computes dHG once per (a,b) as a single (n_kz n_E n_orb)-tall
-    GEMM; stage 2 realizes the omega-window accumulation as one
-    n_orb x (n_w n_orb) x n_orb GEMM per (k_z, E, q_z, i), gathering the
-    shifted dHG rows (zero rows stand in for off-grid energies).
+    Stage 1 computes dHG once per (a,b) as one (n_orb n_kz n_E)-tall GEMM
+    against the three dH_i side by side, in the row order [M, k, E].
+    Stage 2 gathers every omega window of dHG for one q_z at once
+    (:class:`ShiftGather`; zero rows stand in for off-grid energies) and
+    realizes the accumulation as one
+    (n_orb n_kz n_E) x (n_w 3 n_orb) x n_orb GEMM per (a, b, q_z).
     """
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
-    offsets = [grid.frequency_map[w][0] for w in range(n_w)]
-    weights = [grid.frequency_map[w][1] for w in range(n_w)]
-    out_l = np.zeros_like(g.lesser)
-    out_g = np.zeros_like(g.greater)
-    for a in range(n_a):
-        for s in range(nmap.n_B):
-            b = int(nmap.idx[a, s])
-            dh_ab = dh[a, s]
-            for g_arr, dc_arr, out in ((g.lesser, dc.lesser, out_l), (g.greater, dc.greater, out_g)):
-                flat = g_arr[:, :, b].reshape(n_kz * n_e * n_orb, n_orb)
-                dhg = np.empty((3, n_kz, n_e, n_orb, n_orb), dtype=np.complex128)
-                for i in range(3):
-                    dhg[i] = (flat @ dh_ab[i]).reshape(n_kz, n_e, n_orb, n_orb)
-                    if counter is not None:
-                        counter.add_matmul(n_kz * n_e * n_orb, n_orb, n_orb, stage="sigma.dhg")
-                xi = np.stack(
-                    [_xi_block(dc_arr[q, w, a, s], dh_ab, weights[w]) for q in range(n_qz) for w in range(n_w)]
-                ).reshape(n_qz, n_w, 3, n_orb, n_orb)
+    rows, depth = n_orb * n_kz * n_e, n_w * 3 * n_orb
+    weights = np.asarray(grid.weights)[:, None, None, None]
+    gather = ShiftGather((n_orb, n_kz, n_e, 3 * n_orb), grid.offsets, axis=1, window_last=True)
+    acc = np.empty((rows, n_orb), dtype=np.complex128)
+    outs = []
+    for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
+        out = np.empty_like(g_arr)
+        for a in range(n_a):
+            acc.fill(0)
+            for s in range(nmap.n_B):
+                b = int(nmap.idx[a, s])
+                dh_ab = dh[a, s]
+                # dHG[M, k, E, (i, P)] = G[k, E, b][M, Q] dH_i[Q, P]
+                g_rows = g_arr[:, :, b].transpose(2, 0, 1, 3).reshape(rows, n_orb)
+                gather.load((g_rows @ dh_ab.transpose(1, 0, 2).reshape(n_orb, 3 * n_orb)).reshape(gather.shape))
+                xi = weights * np.einsum("qwij,jPN->qwiPN", dc_arr[:, :, a, s], dh_ab)
+                if counter is not None:
+                    counter.add_matmul(rows, n_orb, n_orb, repeat=3, stage="sigma.dhg")
                 for q in range(n_qz):
-                    for i in range(3):
-                        window = np.concatenate(
-                            [shifted_grid(dhg[i], q, offsets[w]) for w in range(n_w)], axis=-1
-                        )
-                        stacked_xi = xi[q, :, i].reshape(n_w * n_orb, n_orb)
-                        out[:, :, a] += window @ stacked_xi
-                        if counter is not None:
-                            counter.add_matmul(n_orb, n_w * n_orb, n_orb, repeat=n_kz * n_e, stage="sigma.accumulate")
-    return SelfEnergyTensor(lesser=1j * out_l, greater=1j * out_g)
+                    acc += gather.windows(q).reshape(rows, depth) @ xi[q].reshape(depth, n_orb)
+                    if counter is not None:
+                        counter.add_matmul(rows, depth, n_orb, stage="sigma.accumulate")
+            out[:, :, a] = acc.reshape(n_orb, n_kz, n_e, n_orb).transpose(1, 2, 0, 3)
+        out *= 1j
+        outs.append(out)
+    return SelfEnergyTensor(lesser=outs[0], greater=outs[1])
 
 
 def sse_sigma(
@@ -329,6 +366,37 @@ def sse_sigma(
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _fully_hoisted_chains(
+    g1: Array, g2: Array, dh_ab: Array, gather: ShiftGather, n_qz: int, counter: FlopCounter | None
+) -> Array:
+    """[q, w, i, j] trace chains of one (a,b) pair, both dH G factors computed once.
+
+    The (k, E) shift commutes with left multiplication, so dH_i G1 is
+    shifted after the product: m1 and m2 take one tall GEMM each, and each
+    q contracts the gathered windows of m1 against m2 in one
+    (n_w 3) x (n_kz n_E n_orb^2) x 3 GEMM, an orb^2-class trace that is not
+    tallied.
+    """
+    n_kz, n_e, n_orb, _ = g1.shape
+    rows = n_kz * n_e * n_orb
+    dh_cols = dh_ab.transpose(2, 0, 1).reshape(n_orb, 3 * n_orb)  # [Q, (i, P)] = dH_i[P, Q]
+    # [k, E, M, i, P] = (dH_i G1)[P, M], loaded as [i, k, E, M, P]
+    m1 = g1.transpose(0, 1, 3, 2).reshape(rows, n_orb) @ dh_cols
+    gather.load(m1.reshape(n_kz, n_e, n_orb, 3, n_orb).transpose(3, 0, 1, 2, 4))
+    # [k, E, P, j, M] = (dH_j G2)[M, P], laid out as [(k, E, M, P), j]
+    m2 = g2.transpose(0, 1, 3, 2).reshape(rows, n_orb) @ dh_cols
+    m2 = m2.reshape(n_kz, n_e, n_orb, 3, n_orb).transpose(0, 1, 4, 2, 3).reshape(-1, 3)
+    if counter is not None:
+        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m1")
+        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
+    n_w = gather.n_windows
+    chains = np.empty((n_qz, n_w, 3, 3), dtype=np.complex128)
+    for q in range(n_qz):
+        # windows [i, w, k, E, M, P] hold m1 at [k + q, E + off(w)]
+        chains[q] = (gather.windows(-q).reshape(3 * n_w, -1) @ m2).reshape(3, n_w, 3).transpose(1, 0, 2)
+    return chains
+
+
 def sse_pi_chains(
     g: GreensTensor,
     dh: Array,
@@ -336,7 +404,7 @@ def sse_pi_chains(
     grid: EnergyGrid,
     n_qz: int,
     counter: FlopCounter | None = None,
-    hoist_invariant: bool = True,
+    hoist_invariant: bool | None = None,
     point_mask: Array | None = None,
     atom_range: tuple[int, int] | None = None,
 ) -> tuple[Array, Array]:
@@ -346,10 +414,15 @@ def sse_pi_chains(
     dH_j G^{<>}[k,E,b] ); the first factor of the greater chain comes from
     the greater tensor and the trailing one from the lesser tensor, and vice
     versa.  ``point_mask`` restricts the (k,E) reduction and ``atom_range``
-    the produced atoms (both used by the distributed schemes).  With
-    ``hoist_invariant`` the momentum/frequency-independent dH_j G factor is
-    computed once per (a,b) instead of once per point, which is the
-    arrangement the reduced flop model describes.
+    the produced atoms (both used by the distributed schemes).
+
+    ``hoist_invariant`` picks one of three arrangements with equal values.
+    ``False`` recomputes both dH G factors for every (q, omega), the
+    arrangement of the straightforward flop model.  ``True`` computes the
+    momentum/frequency-independent dH_j G factor once per (a,b), the
+    arrangement of the reduced model.  The default ``None`` hoists the first
+    factor as well (:func:`_fully_hoisted_chains`), the arrangement of
+    :func:`negflow.flops.sse_flops_fully_hoisted`.
     """
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_w = grid.n_w
@@ -362,6 +435,9 @@ def sse_pi_chains(
         mask = np.asarray(point_mask, dtype=bool)
         if mask.shape != (n_kz, n_e):
             raise ValueError(f"point mask must have shape ({n_kz}, {n_e})")
+    gather = None
+    if hoist_invariant is None:
+        gather = ShiftGather((3, n_kz, n_e, n_orb, n_orb), [-off for off in grid.offsets], axis=1)
     for a in range(a_lo, a_hi):
         for s in range(nmap.n_B):
             b = int(nmap.idx[a, s])
@@ -370,6 +446,9 @@ def sse_pi_chains(
                 g2 = g2_arr[:, :, b]
                 if mask is not None:
                     g2 = g2 * mask[:, :, None, None]
+                if gather is not None:
+                    chains[:, :, a, s] = w_e * _fully_hoisted_chains(g1_arr[:, :, a], g2, dh_ab, gather, n_qz, counter)
+                    continue
                 m2 = None
                 if hoist_invariant:
                     m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)
@@ -413,7 +492,7 @@ def sse_pi(
     grid: EnergyGrid,
     n_qz: int,
     counter: FlopCounter | None = None,
-    hoist_invariant: bool = True,
+    hoist_invariant: bool | None = None,
     point_mask: Array | None = None,
     atom_range: tuple[int, int] | None = None,
 ) -> SelfEnergyTensor:
@@ -499,9 +578,8 @@ def self_consistent_loop(
     grid: EnergyGrid | None = None,
     max_iter: int = 20,
     tol: float = 1e-8,
-    variant: SseVariant = SseVariant.REFERENCE,
+    variant: SseVariant = SseVariant.BATCHED_FUSED,
     solver: str = "dense",
-    threads: int = 1,
     initial_sigma: SelfEnergyTensor | None = None,
     initial_pi: SelfEnergyTensor | None = None,
 ) -> LoopResult:
@@ -511,7 +589,9 @@ def self_consistent_loop(
     max relative change of G^<> between consecutive GF passes is within
     ``tol``, or after ``max_iter`` iterations (reported as non-converged,
     distinct from solver failures which raise).  The retarded inputs of
-    every GF pass are derived from the lesser/greater pair.
+    every GF pass are derived from the lesser/greater pair.  Sigma runs in
+    ``variant`` (by default the batched-fused arrangement, the fastest that
+    passes the equivalence tests) and Pi in its default, fully hoisted form.
     """
     grid = grid if grid is not None else default_grid(params)
     sigma = initial_sigma if initial_sigma is not None else SelfEnergyTensor.zeros_electron(params)
@@ -521,7 +601,7 @@ def self_consistent_loop(
     deltas: list[float] = []
     abs_deltas: list[float] = []
     for iteration in range(1, max_iter + 1):
-        g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap, solver=solver, threads=threads)
+        g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap, solver=solver)
         if prev is not None:
             diff, delta = _gf_change(prev, g_e)
             deltas.append(delta)

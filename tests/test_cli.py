@@ -1,11 +1,13 @@
 """CLI subcommands: determinism, artifacts, exit codes."""
 
 import csv
+import inspect
 import json
 
 import pytest
 
-from negflow.cli import main
+from negflow.cli import build_parser, main
+from negflow.sse import SseVariant, self_consistent_loop
 
 
 def run(args):
@@ -19,6 +21,11 @@ def test_simulate_is_deterministic(tmp_path):
     assert (out1 / "tensors.sha256").read_text() == (out2 / "tensors.sha256").read_text()
     config = json.loads((out1 / "simulate_config.json").read_text())
     assert config["params"]["n_A"] == 8
+
+
+def test_simulate_variant_default_is_the_loop_default():
+    args = build_parser().parse_args(["simulate"])
+    assert SseVariant(args.variant) is inspect.signature(self_consistent_loop).parameters["variant"].default
 
 
 def test_simulate_iteration_cap(tmp_path):

@@ -1,15 +1,23 @@
 """Flop models: closed forms, instrumented counters, and their agreement."""
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from negflow.device import synthesize
-from negflow.flops import FLOPS_PER_CMULADD, FlopCounter, flop_report, sse_flops_dace, sse_flops_omen
+from negflow.flops import (
+    FLOPS_PER_CMULADD,
+    FlopCounter,
+    flop_report,
+    sse_flops_dace,
+    sse_flops_fully_hoisted,
+    sse_flops_omen,
+)
 from negflow.gf import GreensTensor
 from negflow.params import SimParams, default_grid
-from negflow.sse import SseVariant, count_sse_phase, preprocess_D
+from negflow.sse import SseVariant, count_sse_phase, preprocess_D, self_consistent_loop, sse_pi, sse_sigma
 
 FULLSCALE = SimParams(n_kz=3, n_qz=3, n_E=706, n_w=70, n_A=4864, n_B=34, n_orb=12, bnum=19)
 
@@ -110,6 +118,24 @@ def test_counted_batched_matches_reduced_form(params):
     grid, nmap, g, dc, dh = _tiny_instance(1, params)
     counter = count_sse_phase(g, dc, dh, nmap, grid, params.n_qz, variant=SseVariant.BATCHED_FUSED)
     assert counter.flops() == sse_flops_dace(params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SimParams(n_kz=2, n_qz=2, n_E=4, n_w=2, n_A=4, n_B=2, n_orb=2, bnum=2),
+        SimParams(n_kz=3, n_qz=3, n_E=5, n_w=3, n_A=4, n_B=2, n_orb=3, bnum=1),
+    ],
+)
+def test_counted_defaults_match_fully_hoisted_form(params):
+    # the loop's Sigma arrangement with Pi in its default form
+    grid, nmap, g, dc, dh = _tiny_instance(4, params)
+    counter = FlopCounter()
+    sse_sigma(inspect.signature(self_consistent_loop).parameters["variant"].default, g, dc, dh, nmap, grid,
+              counter=counter)
+    sse_pi(g, dh, nmap, grid, params.n_qz, counter=counter)
+    assert counter.flops() == sse_flops_fully_hoisted(params)
+    assert counter.flops() < sse_flops_dace(params)
 
 
 @pytest.mark.parametrize("n_qz, n_w", [(2, 1), (1, 2), (2, 2), (3, 2)])

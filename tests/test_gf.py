@@ -209,24 +209,6 @@ def test_gf_phase_singleton_grid_matches_point_solve():
     assert np.array_equal(g_e.greater[0, 0], extract_atom_diag(g_g, params.n_A, params.n_orb))
 
 
-def test_gf_phase_order_independent():
-    params = TINY.replace(n_kz=2, n_E=2, n_A=4, bnum=2)
-    dev, nmap = synthesize(params, seed=7)
-    grid = default_grid(params)
-    rng = np.random.default_rng(8)
-    shape = params.electron_shape
-    sigma = SelfEnergyTensor(
-        lesser=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        greater=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-    )
-    pi = SelfEnergyTensor.zeros_phonon(params)
-    serial = gf_phase(dev, sigma, pi, params, grid, nmap, threads=1)
-    threaded = gf_phase(dev, sigma, pi, params, grid, nmap, threads=3)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.lesser, b.lesser)
-        assert np.array_equal(a.greater, b.greater)
-
-
 def test_gf_phase_reports_failing_point():
     params = TINY.replace(n_A=4, bnum=2)
     dev = _free_device(params)

@@ -11,6 +11,7 @@ from negflow.gf import GreensTensor
 from negflow.params import EnergyGrid, SimParams, default_grid
 from negflow.sse import (
     CombinedD,
+    ShiftGather,
     SseVariant,
     _fissioned_stage1,
     _redundancy_removed_stage1,
@@ -20,6 +21,7 @@ from negflow.sse import (
     self_consistent_loop,
     shifted_grid,
     sse_pi,
+    sse_pi_chains,
     sse_sigma,
     sse_sigma_reference,
     to_atom_major,
@@ -110,6 +112,21 @@ def test_shifted_grid_semantics():
     assert np.all(shifted_grid(arr, 0, -4) == 0)
     neg = shifted_grid(arr, -1, -1)
     assert neg[0, 0] == arr[1, 1]
+
+
+@pytest.mark.parametrize("window_last", [False, True])
+def test_shift_gather_matches_shifted_grid(window_last):
+    rng = np.random.default_rng(15)
+    n_kz, n_e = 3, 5
+    arr = _rand(rng, (2, n_kz, n_e, 2))  # momentum/energy axes at 1 and 2
+    shifts = list(range(-(n_e - 1), n_e))
+    gather = ShiftGather(arr.shape, shifts, axis=1, window_last=window_last).load(arr)
+    for q in range(-n_kz, 2 * n_kz):
+        windows = gather.windows(q)
+        for w, e_shift in enumerate(shifts):
+            expected = np.moveaxis(shifted_grid(np.moveaxis(arr, 0, 2), q, e_shift), 2, 0)
+            got = windows[:, :, :, w] if window_last else windows[:, w]
+            assert np.array_equal(got, expected), (q, e_shift)
 
 
 def test_preprocess_cancellation_and_selection():
@@ -218,6 +235,20 @@ def test_variant_equivalence(variant):
         assert np.max(np.abs(getattr(out, side) - getattr(ref, side))) <= 1e-10 * scale
 
 
+def test_batched_fused_matches_reference_at_wide_offsets():
+    # several q_z and omega, and the largest offset one short of the grid
+    params = SimParams(n_kz=3, n_qz=3, n_E=5, n_w=3, n_A=4, n_B=2, n_orb=2, bnum=2)
+    _, _, nmap, g, d, dh = _instance(16, params)
+    grid = EnergyGrid(values=tuple(np.linspace(-1.0, 1.0, 5)), frequency_map=((1, 0.3), (3, 0.2), (4, 0.1)),
+                      energy_weight=0.5)
+    dc = preprocess_D(d, nmap)
+    ref = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid)
+    out = sse_sigma(SseVariant.BATCHED_FUSED, g, dc, dh, nmap, grid)
+    for side in ("lesser", "greater"):
+        scale = np.max(np.abs(getattr(ref, side)))
+        assert np.max(np.abs(getattr(out, side) - getattr(ref, side))) <= 1e-12 * scale
+
+
 def test_fissioned_intermediate_matches_redundancy_removed():
     params, grid, nmap, g, d, dh = _instance(5)
     fissioned = _fissioned_stage1(g.lesser, dh, nmap, params.n_qz, params.n_w, None)
@@ -316,6 +347,18 @@ def test_pi_hoisting_is_value_neutral():
     plain = sse_pi(g, dh, nmap, grid, params.n_qz, hoist_invariant=False)
     assert np.array_equal(hoisted.lesser, plain.lesser)
     assert np.array_equal(hoisted.greater, plain.greater)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_default_pi_matches_unhoisted(seed):
+    params, grid, nmap, g, _, dh = _instance(20 + seed, TINY.replace(n_qz=3, n_E=5, n_w=3))
+    rng = np.random.default_rng(seed)
+    mask = rng.random((params.n_kz, params.n_E)) < 0.6
+    for kwargs in ({}, {"point_mask": mask}, {"atom_range": (1, 3)}, {"point_mask": mask, "atom_range": (2, 4)}):
+        plain = sse_pi_chains(g, dh, nmap, grid, params.n_qz, hoist_invariant=False, **kwargs)
+        default = sse_pi_chains(g, dh, nmap, grid, params.n_qz, **kwargs)
+        for want, got in zip(plain, default):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kwargs
 
 
 def test_reference_dhg_counter_is_qw_multiple_of_batched():
