@@ -4,8 +4,6 @@ from .params import EnergyGrid, SimParams, ValidationReport, default_grid, valid
 from .device import DeviceMatrices, NeighborMap, hermitian_check, synthesize
 from .gf import (
     GreensTensor,
-    RetardedBlocks,
-    SelfEnergyTensor,
     SingularSystemError,
     gf_phase,
     retarded_from_lesser_greater,
@@ -39,8 +37,6 @@ __all__ = [
     "MessageLedger",
     "NeighborMap",
     "RankState",
-    "RetardedBlocks",
-    "SelfEnergyTensor",
     "SimParams",
     "SingularSystemError",
     "SseVariant",

@@ -239,7 +239,7 @@ def cmd_distsim(args) -> int:
         dev_sigma = rel_dev(s, ref_sigma)
         dev_pi = rel_dev(pi, ref_pi)
         worst = max(worst, dev_sigma, dev_pi)
-        rows = distsim.compare_ledger_with_model(ledger, params, "omen", processes)
+        rows = distsim.compare_ledger_with_model(ledger, comm.omen_volume(params, processes))
         (out / "ledger_omen.csv").write_text(ledger.to_csv(), encoding="utf-8")
         summary["schemes"]["omen"] = {
             "processes": processes,
@@ -253,7 +253,7 @@ def cmd_distsim(args) -> int:
         dev_sigma = rel_dev(s, ref_sigma)
         dev_pi = rel_dev(pi, ref_pi)
         worst = max(worst, dev_sigma, dev_pi)
-        rows = distsim.compare_ledger_with_model(ledger, params, "tiled", t_e * t_a, t_e, t_a)
+        rows = distsim.compare_ledger_with_model(ledger, comm.dace_volume(params, t_e, t_a))
         (out / "ledger_tiled.csv").write_text(ledger.to_csv(), encoding="utf-8")
         summary["schemes"]["tiled"] = {
             "t_e": t_e,
@@ -264,12 +264,13 @@ def cmd_distsim(args) -> int:
             "model_max_rel_delta": max(r["rel_delta"] for r in rows),
         }
     summary["verdict"] = "EQUIVALENT" if worst <= 1e-10 else "DIVERGED"
+    summary["model_max_rel_delta"] = max(info["model_max_rel_delta"] for info in summary["schemes"].values())
     if len(summary["schemes"]) == 2:
         omen_total = summary["schemes"]["omen"]["ledger"]["total_bytes"]
         tiled_total = summary["schemes"]["tiled"]["ledger"]["total_bytes"]
         summary["tiled_less_than_omen"] = tiled_total < omen_total
     (out / "distsim_summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
-    print(f"verdict: {summary['verdict']}")
+    print(f"verdict: {summary['verdict']}, worst model delta {summary['model_max_rel_delta']:.2%}")
     for name, info in summary["schemes"].items():
         print(
             f"{name}: sigma dev {info['sigma_rel_dev']:.2e}, pi dev {info['pi_rel_dev']:.2e}, "

@@ -2,7 +2,7 @@
 
 Ranks are plain loop iterations over an in-memory exchange table: no real
 transport, bitwise reproducibility, and a ledger recording every simulated
-message.  Byte accounting mirrors the closed-form volume models exactly:
+message.  Byte accounting mirrors ``comm``'s closed-form volume models exactly:
 transfers carry both the lesser and greater tensors (2 x 16-byte complex),
 shifted or halo entries that fall off the grid travel as zero blocks rather
 than being clipped, and rank-local copies are ledgered like any other
@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import InfeasiblePartitionError
+from .comm import ELECTRON_G, ELECTRON_SIGMA, PHONON_D_PI, CommPlan, InfeasiblePartitionError
 from .device import NeighborMap
-from .gf import GreensTensor, SelfEnergyTensor
+from .gf import GreensTensor
 from .params import EnergyGrid, SimParams
 from .sse import CombinedD, SseVariant, pi_from_chains, preprocess_D, sse_pi_chains, sse_sigma
 
@@ -27,8 +28,7 @@ Array = np.ndarray
 
 PAIR_BYTES = 32  # lesser + greater, 16-byte complex each
 
-ELECTRON_G = "electron_G"
-ELECTRON_SIGMA = "electron_Sigma"
+# The ledger splits comm's phonon pair term into its two directions.
 PHONON_D = "phonon_D"
 PHONON_PI = "phonon_Pi"
 
@@ -131,7 +131,6 @@ class _PointLayout:
     """Momentum-energy ownership: flattened (k_z, E) split into P chunks."""
 
     def __init__(self, n_kz: int, n_e: int, processes: int):
-        self.n_kz = n_kz
         self.n_e = n_e
         self.chunks = _chunks(n_kz * n_e, processes)
 
@@ -140,12 +139,6 @@ class _PointLayout:
 
     def points(self, rank: int) -> list[tuple[int, int]]:
         return [divmod(flat, self.n_e) for flat in self.chunks[rank]]
-
-    def mask(self, rank: int) -> Array:
-        out = np.zeros((self.n_kz, self.n_e), dtype=bool)
-        for k, i_e in self.points(rank):
-            out[k, i_e] = True
-        return out
 
 
 class _PhononLayout:
@@ -171,7 +164,7 @@ def run_omen_scheme(
     grid: EnergyGrid,
     params: SimParams,
     processes: int,
-) -> tuple[SelfEnergyTensor, SelfEnergyTensor, MessageLedger]:
+) -> tuple[GreensTensor, GreensTensor, MessageLedger]:
     """Momentum-energy decomposition with one exchange round per (q_z, omega).
 
     Each round broadcasts the preprocessed phonon slice to every rank, moves
@@ -228,26 +221,9 @@ def run_omen_scheme(
         chains_l += part_l
         chains_g += part_g
 
-    sigma = SelfEnergyTensor(lesser=sigma_l, greater=sigma_g)
+    sigma = GreensTensor(lesser=sigma_l, greater=sigma_g)
     pi = pi_from_chains(chains_l, chains_g)
     return sigma, pi, ledger
-
-
-def omen_model_bytes(params: SimParams, processes: int) -> dict[str, float]:
-    """Closed-form per-rank byte expectations for the ledger comparison."""
-    return {
-        ELECTRON_G: 64 * (params.n_kz * params.n_E / processes) * params.n_qz * params.n_w
-        * params.n_A * params.n_orb**2,
-        PHONON_D: 32 * params.n_qz * params.n_w * params.n_A * params.n_B * params.n_3D**2,
-        PHONON_PI: 32 * params.n_qz * params.n_w * params.n_A * params.n_B * params.n_3D**2,
-    }
-
-
-def tiled_model_bytes(params: SimParams, t_e: int, t_a: int) -> dict[str, float]:
-    atoms = params.n_A / t_a + params.n_B
-    g_half = 32 * params.n_kz * (params.n_E / t_e + 2 * params.n_w) * atoms * params.n_orb**2
-    d_half = 32 * params.n_qz * params.n_w * atoms * params.n_B * params.n_3D**2
-    return {ELECTRON_G: g_half, ELECTRON_SIGMA: g_half, PHONON_D: d_half, PHONON_PI: d_half}
 
 
 def run_tiled_scheme(
@@ -259,7 +235,7 @@ def run_tiled_scheme(
     params: SimParams,
     t_e: int,
     t_a: int,
-) -> tuple[SelfEnergyTensor, SelfEnergyTensor, MessageLedger]:
+) -> tuple[GreensTensor, GreensTensor, MessageLedger]:
     """Energy-atom tiling with one all-to-all halo exchange.
 
     Rank (tE, tA) materializes the halo'd electron slice (energies extended
@@ -348,41 +324,31 @@ def run_tiled_scheme(
         chains_l += part_l
         chains_g += part_g
 
-    sigma = SelfEnergyTensor(lesser=sigma_l, greater=sigma_g)
+    sigma = GreensTensor(lesser=sigma_l, greater=sigma_g)
     pi = pi_from_chains(chains_l, chains_g)
     return sigma, pi, ledger
 
 
-def compare_ledger_with_model(
-    ledger: MessageLedger, params: SimParams, scheme: str, processes: int,
-    t_e: int | None = None, t_a: int | None = None,
-) -> list[dict]:
-    """Per-tag, per-rank comparison of the ledger against the closed forms.
+def compare_ledger_with_model(ledger: MessageLedger, plan: CommPlan) -> list[dict]:
+    """Per-rank comparison of the ledger against a comm plan, in the plan's terms.
 
-    The electron and phonon-D tags compare received bytes, the self-energy
-    tags sent bytes, matching how the models attribute each term.
+    The plan counts electron G received, electron Sigma sent, and the phonon
+    pair as D received plus Pi sent.  Bytes the plan puts at zero give an
+    infinite delta.
     """
     rows = []
-    if scheme == "omen":
-        model = omen_model_bytes(params, processes)
-        directions = {ELECTRON_G: "received", PHONON_D: "received", PHONON_PI: "sent"}
-    elif scheme == "tiled":
-        model = tiled_model_bytes(params, t_e, t_a)
-        directions = {
-            ELECTRON_G: "received",
-            ELECTRON_SIGMA: "sent",
-            PHONON_D: "received",
-            PHONON_PI: "sent",
+    for rank in range(plan.processes):
+        got = {
+            ELECTRON_G: ledger.bytes_received(rank, ELECTRON_G),
+            ELECTRON_SIGMA: ledger.bytes_sent(rank, ELECTRON_SIGMA),
+            PHONON_D_PI: ledger.bytes_received(rank, PHONON_D) + ledger.bytes_sent(rank, PHONON_PI),
         }
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    for tag, direction in directions.items():
-        expected = model[tag]
-        for rank in range(processes):
-            got = ledger.bytes_received(rank, tag) if direction == "received" else ledger.bytes_sent(rank, tag)
-            delta = abs(got - expected) / expected if expected else 0.0
+        for tag, expected in plan.per_process_bytes.items():
+            if expected:
+                delta = abs(got[tag] - expected) / expected
+            else:
+                delta = math.inf if got[tag] else 0.0
             rows.append(
-                {"tag": tag, "rank": rank, "direction": direction,
-                 "ledger_bytes": got, "model_bytes": expected, "rel_delta": delta}
+                {"tag": tag, "rank": rank, "ledger_bytes": got[tag], "model_bytes": expected, "rel_delta": delta}
             )
     return rows

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .device import DeviceMatrices, NeighborMap
 from .params import EnergyGrid, SimParams
@@ -26,17 +25,11 @@ class SingularSystemError(RuntimeError):
     """Raised when a Green's function system cannot be solved reliably."""
 
 
-def _check_pair(lesser: Array, greater: Array, ndim: int, kind: str) -> None:
-    if lesser.shape != greater.shape:
-        raise ValueError(f"lesser/greater shape mismatch: {lesser.shape} vs {greater.shape}")
-    if lesser.ndim != ndim:
-        raise ValueError(f"{kind} tensor must be {ndim}-D, got {lesser.ndim}-D")
-
-
 @dataclass(frozen=True)
 class GreensTensor:
-    """Lesser/greater Green's function pair.
+    """Lesser/greater pair of Green's functions or of self-energies.
 
+    Both share one layout, so one type holds G, D, Sigma and Pi alike.
     Electron: ``[n_kz, n_E, n_A, n_orb, n_orb]`` (per-atom diagonal blocks).
     Phonon: ``[n_qz, n_w, n_A, n_B+1, n_3D, n_3D]`` with slot 0 the self block
     and slots 1..n_B the neighbor blocks in neighbor-map order.
@@ -48,7 +41,8 @@ class GreensTensor:
     def __post_init__(self):
         if self.lesser.ndim not in (5, 6):
             raise ValueError("expected a 5-D electron or 6-D phonon tensor")
-        _check_pair(self.lesser, self.greater, self.lesser.ndim, self.kind)
+        if self.lesser.shape != self.greater.shape:
+            raise ValueError(f"lesser/greater shape mismatch: {self.lesser.shape} vs {self.greater.shape}")
 
     @property
     def kind(self) -> str:
@@ -68,67 +62,7 @@ class GreensTensor:
         return cls(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
 
-@dataclass(frozen=True)
-class SelfEnergyTensor:
-    """Scattering self-energy pair, same layouts as :class:`GreensTensor`.
-
-    Electron tensors retain only the per-atom diagonal blocks; phonon tensors
-    keep the self block plus the n_B neighbor connections per atom.
-    """
-
-    lesser: Array
-    greater: Array
-
-    def __post_init__(self):
-        if self.lesser.ndim not in (5, 6):
-            raise ValueError("expected a 5-D electron or 6-D phonon tensor")
-        _check_pair(self.lesser, self.greater, self.lesser.ndim, self.kind)
-
-    @property
-    def kind(self) -> str:
-        return "electron" if self.lesser.ndim == 5 else "phonon"
-
-    @classmethod
-    def zeros_electron(cls, params: SimParams) -> "SelfEnergyTensor":
-        shape = params.electron_shape
-        return cls(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
-
-    @classmethod
-    def zeros_phonon(cls, params: SimParams) -> "SelfEnergyTensor":
-        shape = params.phonon_shape
-        return cls(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
-
-
-@dataclass(frozen=True)
-class RetardedBlocks:
-    """Per-point retarded Green's function, full or block-diagonal form.
-
-    The dense oracle path stores the full matrix; the block-tridiagonal path
-    stores only the diagonal blocks.  The advanced function is never stored:
-    it is the plain transpose of the retarded one.
-    """
-
-    full: Array | None = None
-    blocks: tuple[Array, ...] | None = None
-
-    def __post_init__(self):
-        if (self.full is None) == (self.blocks is None):
-            raise ValueError("exactly one of full or blocks must be given")
-
-    @property
-    def advanced_full(self) -> Array:
-        if self.full is None:
-            raise ValueError("full matrix not stored on the block path")
-        return self.full.T
-
-    @property
-    def advanced_blocks(self) -> tuple[Array, ...]:
-        if self.blocks is None:
-            raise ValueError("diagonal blocks not stored on the dense path")
-        return tuple(b.T for b in self.blocks)
-
-
-def retarded_from_lesser_greater(se: SelfEnergyTensor) -> Array:
+def retarded_from_lesser_greater(se: GreensTensor) -> Array:
     """Elementwise (greater - lesser) / 2."""
     return (se.greater - se.lesser) / 2.0
 
@@ -245,23 +179,6 @@ def _partition(a: Array, bnum: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step) for i in range(bnum)]
 
 
-def _triple_product(left: Array, mid: Array, right: Array, strategy: str) -> Array:
-    """Coupling-Green-coupling product under the selected storage strategy.
-
-    The coupling blocks of the block-tridiagonal system are sparse; the
-    strategies differ only in which operands are kept compressed.  All three
-    must agree numerically (they are never timed here).
-    """
-    if strategy == "dense":
-        return left @ mid @ right
-    if strategy == "csrmm":
-        return np.asarray(sparse.csr_array(left) @ mid) @ sparse.csr_array(right)
-    if strategy == "csrgemm":
-        out = sparse.csr_array(left) @ sparse.csr_array(mid) @ sparse.csr_array(right)
-        return out.toarray()
-    raise ValueError(f"unknown evaluation strategy {strategy!r}")
-
-
 def solve_point_rgf(
     dev: DeviceMatrices,
     sigma_r: Array,
@@ -271,17 +188,13 @@ def solve_point_rgf(
     kz: int,
     eta: float,
     bnum: int,
-    strategy: str = "dense",
 ) -> tuple[list[Array], list[Array], list[Array]]:
     """Recursive Green's function pass over ``bnum`` blocks.
 
     Forward sweep builds left-connected retarded and lesser/greater blocks by
     Schur complements; the backward sweep assembles the diagonal blocks of
     the full G^R and G^<>.  Valid only for block-tridiagonal systems (the
-    self-energy must be block diagonal).  ``strategy`` selects how the
-    coupling-Green-coupling triple products are evaluated (dense, csrmm, or
-    csrgemm); the choice cannot change the result.  Returns the diagonal
-    blocks.
+    self-energy must be block diagonal).  Returns the diagonal blocks.
     """
     n = dev.H.shape[1]
     a = energy * dev.S[kz] - dev.H[kz] - sigma_r + 1j * eta * np.eye(n)
@@ -290,9 +203,6 @@ def solve_point_rgf(
     def blk(mat, i, j):
         (r0, r1), (c0, c1) = spans[i], spans[j]
         return mat[r0:r1, c0:c1]
-
-    def triple(left, mid, right):
-        return _triple_product(left, mid, right, strategy)
 
     m = spans[0][1] - spans[0][0]
     ident = np.eye(m, dtype=np.complex128)
@@ -308,7 +218,7 @@ def solve_point_rgf(
             eff = a_ii
         else:
             down = blk(a, i, i - 1)
-            eff = a_ii - triple(down, g_r[i - 1], blk(a, i - 1, i))
+            eff = a_ii - down @ g_r[i - 1] @ blk(a, i - 1, i)
         try:
             g_r[i] = np.linalg.solve(eff, ident)
         except np.linalg.LinAlgError as exc:
@@ -318,8 +228,8 @@ def solve_point_rgf(
             g_g[i] = g_r[i] @ bg_i @ g_r[i].T
         else:
             down = blk(a, i, i - 1)
-            g_l[i] = g_r[i] @ (bl_i + triple(down, g_l[i - 1], down.T)) @ g_r[i].T
-            g_g[i] = g_r[i] @ (bg_i + triple(down, g_g[i - 1], down.T)) @ g_r[i].T
+            g_l[i] = g_r[i] @ (bl_i + down @ g_l[i - 1] @ down.T) @ g_r[i].T
+            g_g[i] = g_r[i] @ (bg_i + down @ g_g[i - 1] @ down.T) @ g_r[i].T
 
     big_r: list[Array] = [None] * bnum
     big_l: list[Array] = [None] * bnum
@@ -330,14 +240,14 @@ def solve_point_rgf(
     for i in range(bnum - 2, -1, -1):
         up = blk(a, i, i + 1)
         down = blk(a, i + 1, i)
-        big_r[i] = g_r[i] + g_r[i] @ triple(up, big_r[i + 1], down) @ g_r[i]
+        big_r[i] = g_r[i] + g_r[i] @ (up @ big_r[i + 1] @ down) @ g_r[i]
         for g_small, big in ((g_l, big_l), (g_g, big_g)):
-            mixed = g_r[i] @ triple(up, big_r[i + 1], down) @ g_small[i]
+            mixed = g_r[i] @ (up @ big_r[i + 1] @ down) @ g_small[i]
             big[i] = (
                 g_small[i]
-                + g_r[i] @ triple(up, big[i + 1], up.T) @ g_r[i].T
+                + g_r[i] @ (up @ big[i + 1] @ up.T) @ g_r[i].T
                 + mixed
-                + g_small[i] @ triple(down.T, big_r[i + 1].T, up.T) @ g_r[i].T
+                + g_small[i] @ (down.T @ big_r[i + 1].T @ up.T) @ g_r[i].T
             )
     return big_r, big_l, big_g
 
@@ -363,8 +273,8 @@ def _electron_point(dev, sig_r, sig_l, sig_g, energy, kz, eta, solver, bnum, n_a
 
 def gf_phase(
     dev: DeviceMatrices,
-    sigma: SelfEnergyTensor,
-    pi: SelfEnergyTensor,
+    sigma: GreensTensor,
+    pi: GreensTensor,
     params: SimParams,
     grid: EnergyGrid,
     nmap: NeighborMap,

@@ -49,10 +49,6 @@ class SimParams:
     def phonon_shape(self) -> tuple[int, int, int, int, int, int]:
         return (self.n_qz, self.n_w, self.n_A, self.n_B + 1, self.n_3D, self.n_3D)
 
-    @property
-    def atoms_per_block(self) -> int:
-        return self.n_A // self.bnum
-
     def replace(self, **kwargs) -> "SimParams":
         return replace(self, **kwargs)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .device import DeviceMatrices, NeighborMap
 from .flops import FlopCounter
-from .gf import GreensTensor, SelfEnergyTensor, gf_phase
+from .gf import GreensTensor, gf_phase
 from .params import EnergyGrid, SimParams, default_grid
 
 Array = np.ndarray
@@ -169,7 +169,7 @@ def sse_sigma_reference(
     grid: EnergyGrid,
     counter: FlopCounter | None = None,
     qws_order: Iterable[tuple[int, int, int]] | None = None,
-) -> SelfEnergyTensor:
+) -> GreensTensor:
     """Straightforward kernel: one conceptual map over the full 8-D space.
 
     Loops run over (q_z, omega, b) in ascending order (the documented
@@ -195,7 +195,7 @@ def sse_sigma_reference(
                 if counter is not None:
                     counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
                     counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
-    return SelfEnergyTensor(lesser=1j * out_l, greater=1j * out_g)
+    return GreensTensor(lesser=1j * out_l, greater=1j * out_g)
 
 
 def _fissioned_stage1(
@@ -221,7 +221,7 @@ def _fissioned_stage1(
     return dhg
 
 
-def _sigma_fissioned(g, dc, dh, nmap, grid, counter) -> SelfEnergyTensor:
+def _sigma_fissioned(g, dc, dh, nmap, grid, counter) -> GreensTensor:
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
     outs = []
@@ -249,7 +249,7 @@ def _sigma_fissioned(g, dc, dh, nmap, grid, counter) -> SelfEnergyTensor:
                         if counter is not None:
                             counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
         outs.append(1j * out)
-    return SelfEnergyTensor(lesser=outs[0], greater=outs[1])
+    return GreensTensor(lesser=outs[0], greater=outs[1])
 
 
 def _redundancy_removed_stage1(g_arr: Array, dh: Array, nmap: NeighborMap, counter, fused: bool) -> Array:
@@ -273,7 +273,7 @@ def _redundancy_removed_stage1(g_arr: Array, dh: Array, nmap: NeighborMap, count
     return dhg
 
 
-def _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1: bool, atom_major: bool) -> SelfEnergyTensor:
+def _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1: bool, atom_major: bool) -> GreensTensor:
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
     outs = []
@@ -296,10 +296,10 @@ def _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1: bool
                         if counter is not None:
                             counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
         outs.append(1j * (to_grid_major(out) if atom_major else out))
-    return SelfEnergyTensor(lesser=outs[0], greater=outs[1])
+    return GreensTensor(lesser=outs[0], greater=outs[1])
 
 
-def _sigma_batched_fused(g, dc, dh, nmap, grid, counter) -> SelfEnergyTensor:
+def _sigma_batched_fused(g, dc, dh, nmap, grid, counter) -> GreensTensor:
     """Final form: per-(a,b) transients, fused GEMMs for both stages.
 
     Stage 1 computes dHG once per (a,b) as one (n_orb n_kz n_E)-tall GEMM
@@ -336,7 +336,7 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter) -> SelfEnergyTensor:
             out[:, :, a] = acc.reshape(n_orb, n_kz, n_e, n_orb).transpose(1, 2, 0, 3)
         out *= 1j
         outs.append(out)
-    return SelfEnergyTensor(lesser=outs[0], greater=outs[1])
+    return GreensTensor(lesser=outs[0], greater=outs[1])
 
 
 def sse_sigma(
@@ -347,7 +347,7 @@ def sse_sigma(
     nmap: NeighborMap,
     grid: EnergyGrid,
     counter: FlopCounter | None = None,
-) -> SelfEnergyTensor:
+) -> GreensTensor:
     """Electron self-energy in the requested kernel arrangement."""
     if g.kind != "electron":
         raise ValueError("sse_sigma expects an electron tensor")
@@ -469,7 +469,7 @@ def sse_pi_chains(
     return chains_l, chains_g
 
 
-def pi_from_chains(chains_lesser: Array, chains_greater: Array) -> SelfEnergyTensor:
+def pi_from_chains(chains_lesser: Array, chains_greater: Array) -> GreensTensor:
     """Assemble the slot-layout phonon self-energy from trace chains.
 
     The diagonal (self) slot carries -i times the neighbor sum; each
@@ -482,7 +482,7 @@ def pi_from_chains(chains_lesser: Array, chains_greater: Array) -> SelfEnergyTen
     for chains, out in ((chains_lesser, out_l), (chains_greater, out_g)):
         out[:, :, :, 0] = -1j * chains.sum(axis=3)
         out[:, :, :, 1:] = 1j * chains
-    return SelfEnergyTensor(lesser=out_l, greater=out_g)
+    return GreensTensor(lesser=out_l, greater=out_g)
 
 
 def sse_pi(
@@ -495,7 +495,7 @@ def sse_pi(
     hoist_invariant: bool | None = None,
     point_mask: Array | None = None,
     atom_range: tuple[int, int] | None = None,
-) -> SelfEnergyTensor:
+) -> GreensTensor:
     """Phonon self-energy: diagonal slot per the -i trace sum, neighbor slots per +i."""
     if g.kind != "electron":
         raise ValueError("sse_pi expects the electron Green's tensor")
@@ -536,8 +536,8 @@ class LoopResult:
 
     g_electron: GreensTensor
     g_phonon: GreensTensor
-    sigma: SelfEnergyTensor
-    pi: SelfEnergyTensor
+    sigma: GreensTensor
+    pi: GreensTensor
     iterations: int
     converged: bool
     deltas: list[float]
@@ -554,15 +554,15 @@ def _gf_change(old: GreensTensor, new: GreensTensor) -> tuple[float, float]:
     return diff, diff / scale
 
 
-def seeded_self_energies(params: SimParams, scale: float) -> tuple[SelfEnergyTensor, SelfEnergyTensor]:
+def seeded_self_energies(params: SimParams, scale: float) -> tuple[GreensTensor, GreensTensor]:
     """Deterministic nonzero starting self-energies.
 
     The plain algorithm starts from zero, whose fixed point under the
     absorbing boundary is the all-zero lesser/greater sector; seeding the
     diagonal with +-i*scale produces a relaxation trajectory worth logging.
     """
-    sigma = SelfEnergyTensor.zeros_electron(params)
-    pi = SelfEnergyTensor.zeros_phonon(params)
+    sigma = GreensTensor.zeros_electron(params)
+    pi = GreensTensor.zeros_phonon(params)
     eye_orb = np.eye(params.n_orb)
     sigma.lesser[:] = 1j * scale * eye_orb
     sigma.greater[:] = -1j * scale * eye_orb
@@ -580,8 +580,8 @@ def self_consistent_loop(
     tol: float = 1e-8,
     variant: SseVariant = SseVariant.BATCHED_FUSED,
     solver: str = "dense",
-    initial_sigma: SelfEnergyTensor | None = None,
-    initial_pi: SelfEnergyTensor | None = None,
+    initial_sigma: GreensTensor | None = None,
+    initial_pi: GreensTensor | None = None,
 ) -> LoopResult:
     """Alternate GF and SSE phases until the electron GF stops moving.
 
@@ -594,8 +594,8 @@ def self_consistent_loop(
     passes the equivalence tests) and Pi in its default, fully hoisted form.
     """
     grid = grid if grid is not None else default_grid(params)
-    sigma = initial_sigma if initial_sigma is not None else SelfEnergyTensor.zeros_electron(params)
-    pi = initial_pi if initial_pi is not None else SelfEnergyTensor.zeros_phonon(params)
+    sigma = initial_sigma if initial_sigma is not None else GreensTensor.zeros_electron(params)
+    pi = initial_pi if initial_pi is not None else GreensTensor.zeros_phonon(params)
     g_e = g_ph = None
     prev: GreensTensor | None = None
     deltas: list[float] = []

@@ -248,13 +248,13 @@ def test_criterion_7_distributed_equivalence_and_ledgers():
         sigma, pi, ledger = run_omen_scheme(g, d, dev.dH, nmap, grid, params, processes)
         worst = max(worst, dev_of(sigma, ref_sigma), dev_of(pi, ref_pi))
         assert worst <= 1e-10
-        rows = compare_ledger_with_model(ledger, params, "omen", processes)
+        rows = compare_ledger_with_model(ledger, omen_volume(params, processes))
         assert max(r["rel_delta"] for r in rows) == 0.0
     for t_e, t_a in ((1, 1), (2, 2), (1, 4), (2, 1)):
         sigma, pi, ledger = run_tiled_scheme(g, d, dev.dH, nmap, grid, params, t_e, t_a)
         worst = max(worst, dev_of(sigma, ref_sigma), dev_of(pi, ref_pi))
         assert worst <= 1e-10
-        rows = compare_ledger_with_model(ledger, params, "tiled", t_e * t_a, t_e, t_a)
+        rows = compare_ledger_with_model(ledger, dace_volume(params, t_e, t_a))
         assert max(r["rel_delta"] for r in rows) == 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -116,6 +116,20 @@ def test_distsim_tiny_equivalent(tmp_path):
     assert (out / "ledger_tiled.csv").exists()
 
 
+def test_distsim_verdict_reports_the_worst_model_delta(tmp_path, capsys):
+    out = tmp_path / "dist"
+    # omen: 24 (k_z, E) points over 5 ranks, 4 or 5 per rank against the model's 4.8;
+    # tiled 1 x 5 over 8 atoms is uneven too, with a smaller delta
+    assert run(["distsim", "--preset", "tiny", "--p", "5",
+                "--output-dir", str(out)]) == 0  # the exit code follows equivalence alone
+    summary = json.loads((out / "distsim_summary.json").read_text())
+    assert summary["verdict"] == "EQUIVALENT"
+    schemes = summary["schemes"]
+    assert 0 < schemes["tiled"]["model_max_rel_delta"] < schemes["omen"]["model_max_rel_delta"]
+    assert summary["model_max_rel_delta"] == schemes["omen"]["model_max_rel_delta"] == pytest.approx(1 / 6)
+    assert "verdict: EQUIVALENT, worst model delta 16.67%" in capsys.readouterr().out
+
+
 def test_distsim_zero_te_is_usage_error(tmp_path):
     assert run(["distsim", "--preset", "tiny", "--te", "0", "--output-dir", str(tmp_path)]) == 2
 

@@ -1,15 +1,18 @@
 """Simulated distributed SSE: equivalence, ledger exactness, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
-from negflow.comm import InfeasiblePartitionError
+from negflow.comm import InfeasiblePartitionError, dace_volume, omen_volume
 from negflow.device import synthesize
 from negflow.distsim import (
     ELECTRON_G,
     ELECTRON_SIGMA,
     PHONON_D,
     PHONON_PI,
+    MessageLedger,
     _chunks,
     compare_ledger_with_model,
     run_omen_scheme,
@@ -75,7 +78,7 @@ def test_omen_matches_reference_and_closed_form():
     expected = 64 * (EVEN.n_kz * EVEN.n_E / 4) * EVEN.n_qz * EVEN.n_w * EVEN.n_A * EVEN.n_orb**2
     for rank in range(4):
         assert ledger.bytes_received(rank, ELECTRON_G) == expected
-    rows = compare_ledger_with_model(ledger, EVEN, "omen", 4)
+    rows = compare_ledger_with_model(ledger, omen_volume(EVEN, 4))
     assert max(r["rel_delta"] for r in rows) == 0.0
 
 
@@ -94,7 +97,7 @@ def test_tiled_matches_reference_and_closed_form():
     sigma, pi, ledger = run_tiled_scheme(g, d, dev.dH, nmap, grid, EVEN, 2, 2)
     assert _rel_dev(sigma, ref_sigma) <= 1e-10
     assert _rel_dev(pi, ref_pi) <= 1e-10
-    rows = compare_ledger_with_model(ledger, EVEN, "tiled", 4, 2, 2)
+    rows = compare_ledger_with_model(ledger, dace_volume(EVEN, 2, 2))
     assert max(r["rel_delta"] for r in rows) == 0.0
 
 
@@ -162,7 +165,7 @@ def test_uneven_division_stays_close_to_model():
     sigma, pi, ledger = run_tiled_scheme(g, d, dev.dH, nmap, grid, params, 2, 2)
     assert _rel_dev(sigma, ref_sigma) <= 1e-10
     assert _rel_dev(pi, ref_pi) <= 1e-10
-    rows = compare_ledger_with_model(ledger, params, "tiled", 4, 2, 2)
+    rows = compare_ledger_with_model(ledger, dace_volume(params, 2, 2))
     assert max(r["rel_delta"] for r in rows) <= 0.05
 
 
@@ -176,6 +179,15 @@ def test_omen_uneven_points_still_reference():
     # aggregate electron bytes stay exact even when per-rank counts differ
     total = ledger.total_bytes(ELECTRON_G)
     assert total == 64 * params.n_kz * params.n_E * params.n_qz * params.n_w * params.n_A * params.n_orb**2
+
+
+def test_bytes_the_model_puts_at_zero_read_an_infinite_delta():
+    plan = omen_volume(EVEN, 2)  # the omen scheme never returns Sigma
+    ledger = MessageLedger()
+    ledger.add(0, 1, 0, ELECTRON_SIGMA, 32)
+    rows = {(r["rank"], r["tag"]): r["rel_delta"] for r in compare_ledger_with_model(ledger, plan)}
+    assert rows[(1, ELECTRON_SIGMA)] == math.inf
+    assert rows[(0, ELECTRON_SIGMA)] == 0.0  # received Sigma is not what the model counts
 
 
 def test_infeasible_tiling_raises():

@@ -5,7 +5,7 @@ import pytest
 
 from negflow.device import DeviceMatrices, synthesize
 from negflow.gf import (
-    SelfEnergyTensor,
+    GreensTensor,
     SingularSystemError,
     block_diag_from_atoms,
     extract_atom_diag,
@@ -78,15 +78,15 @@ def test_retarded_from_lesser_greater():
     shape = (1, 1, 2, 2, 2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    same = SelfEnergyTensor(lesser=x.copy(), greater=x.copy())
+    same = GreensTensor(lesser=x.copy(), greater=x.copy())
     assert np.all(retarded_from_lesser_greater(same) == 0)
-    doubled = SelfEnergyTensor(lesser=np.zeros(shape, complex), greater=2 * x)
+    doubled = GreensTensor(lesser=np.zeros(shape, complex), greater=2 * x)
     assert np.allclose(retarded_from_lesser_greater(doubled), x)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    se = SelfEnergyTensor(lesser=y, greater=x)
+    se = GreensTensor(lesser=y, greater=x)
     assert np.array_equal(retarded_from_lesser_greater(se), (x - y) / 2.0)
     with pytest.raises(ValueError, match="mismatch"):
-        SelfEnergyTensor(lesser=x, greater=x[:, :, :1])
+        GreensTensor(lesser=x, greater=x[:, :, :1])
 
 
 def test_rgf_single_block_equals_dense():
@@ -177,8 +177,8 @@ def test_gf_phase_zero_self_energies():
     params = TINY.replace(n_A=4, bnum=2)
     dev, nmap = synthesize(params, seed=6)
     grid = default_grid(params)
-    sigma = SelfEnergyTensor.zeros_electron(params)
-    pi = SelfEnergyTensor.zeros_phonon(params)
+    sigma = GreensTensor.zeros_electron(params)
+    pi = GreensTensor.zeros_phonon(params)
     g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap)
     assert np.all(g_e.lesser == 0) and np.all(g_e.greater == 0)
     assert np.all(g_ph.lesser == 0) and np.all(g_ph.greater == 0)
@@ -191,11 +191,11 @@ def test_gf_phase_singleton_grid_matches_point_solve():
     grid = default_grid(params)
     rng = np.random.default_rng(5)
     shape = params.electron_shape
-    sigma = SelfEnergyTensor(
+    sigma = GreensTensor(
         lesser=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
         greater=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
     )
-    pi = SelfEnergyTensor.zeros_phonon(params)
+    pi = GreensTensor.zeros_phonon(params)
     g_e, _ = gf_phase(dev, sigma, pi, params, grid, nmap)
     sig_r = block_diag_from_atoms(retarded_from_lesser_greater(sigma)[0, 0])
     _, g_l, g_g = solve_point_dense(
@@ -220,9 +220,9 @@ def test_gf_phase_reports_failing_point():
     blocks = np.zeros(shape, complex)
     for i_e, e_val in enumerate(grid.values):
         blocks[:, i_e] = (e_val + 1j * params.eta) * np.eye(params.n_orb)
-    sigma = SelfEnergyTensor(lesser=np.zeros(shape, complex), greater=2 * blocks)
+    sigma = GreensTensor(lesser=np.zeros(shape, complex), greater=2 * blocks)
     with pytest.raises(SingularSystemError, match=r"electron point \(kz=0, iE=0\)"):
-        gf_phase(dev, sigma, SelfEnergyTensor.zeros_phonon(params), params, grid, nmap)
+        gf_phase(dev, sigma, GreensTensor.zeros_phonon(params), params, grid, nmap)
 
 
 def test_rgf_singular_leading_block():
@@ -241,54 +241,17 @@ def test_rgf_singular_leading_block():
         solve_point_rgf(dev, sr, zero, zero, 0.5, 0, 1e-3, 2)
 
 
-@pytest.mark.parametrize("strategy", ["dense", "csrmm", "csrgemm"])
-def test_rgf_evaluation_strategies_agree(strategy):
-    params = TINY.replace(n_A=8, n_B=2, bnum=4)
-    dev, _ = synthesize(params, seed=21)
-    n = params.n_A * params.n_orb
-    rng = np.random.default_rng(21)
-    sr = np.zeros((n, n), complex)
-    sl, sg = _rand_sigma(rng, n), _rand_sigma(rng, n)
-    base_r, base_l, base_g = solve_point_rgf(dev, sr, sl, sg, 0.25, 0, params.eta, params.bnum)
-    got_r, got_l, got_g = solve_point_rgf(
-        dev, sr, sl, sg, 0.25, 0, params.eta, params.bnum, strategy=strategy
-    )
-    for base, got in ((base_r, got_r), (base_l, got_l), (base_g, got_g)):
-        for b, g in zip(base, got):
-            assert np.linalg.norm(g - b) <= 1e-10 * max(np.linalg.norm(b), 1e-300)
-    with pytest.raises(ValueError, match="unknown evaluation strategy"):
-        solve_point_rgf(dev, sr, sl, sg, 0.25, 0, params.eta, params.bnum, strategy="magma")
-
-
-def test_retarded_blocks_wrapper():
-    from negflow.gf import RetardedBlocks
-
-    rng = np.random.default_rng(22)
-    full = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    dense = RetardedBlocks(full=full)
-    assert np.array_equal(dense.advanced_full, full.T)
-    assert np.all(dense.advanced_full - full.T == 0)
-    blocks = RetardedBlocks(blocks=(full[:2, :2], full[2:, 2:]))
-    assert np.array_equal(blocks.advanced_blocks[1], full[2:, 2:].T)
-    with pytest.raises(ValueError, match="exactly one"):
-        RetardedBlocks(full=full, blocks=(full,))
-    with pytest.raises(ValueError, match="not stored"):
-        dense.advanced_blocks
-    with pytest.raises(ValueError, match="not stored"):
-        blocks.advanced_full
-
-
 def test_gf_phase_rgf_solver_matches_dense():
     params = TINY.replace(n_kz=2, n_E=3, n_A=8, bnum=4)
     dev, nmap = synthesize(params, seed=13)
     grid = default_grid(params)
     rng = np.random.default_rng(13)
     shape = params.electron_shape
-    sigma = SelfEnergyTensor(
+    sigma = GreensTensor(
         lesser=0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
         greater=0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
     )
-    pi = SelfEnergyTensor.zeros_phonon(params)
+    pi = GreensTensor.zeros_phonon(params)
     dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
     rgf = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
     for a, b in zip(dense, rgf):

@@ -62,7 +62,7 @@ def test_validated_params_accepted_downstream():
     # Any parameter set that validates cleanly must be accepted by every
     # downstream constructor.
     from negflow.device import synthesize
-    from negflow.gf import GreensTensor, SelfEnergyTensor
+    from negflow.gf import GreensTensor
 
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -81,7 +81,7 @@ def test_validated_params_accepted_downstream():
         synthesize(p, seed=1)
         default_grid(p)
         GreensTensor.zeros_electron(p)
-        SelfEnergyTensor.zeros_phonon(p)
+        GreensTensor.zeros_phonon(p)
 
 
 def test_grid_monotone_and_uniform():
