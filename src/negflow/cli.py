@@ -22,6 +22,7 @@ from .device import synthesize
 from .gf import GreensTensor, SingularSystemError
 from .params import SimParams, default_grid, load_params, validate
 from .sse import (
+    DEFAULT_VARIANT,
     SseVariant,
     preprocess_D,
     seeded_self_energies,
@@ -219,8 +220,9 @@ def cmd_distsim(args) -> int:
     g = GreensTensor(rand(params.electron_shape), rand(params.electron_shape))
     d = GreensTensor(rand(params.phonon_shape), rand(params.phonon_shape))
     dc = preprocess_D(d, nmap)
+    # The oracle runs other code than the ranks: the straightforward Sigma and the unhoisted Pi.
     ref_sigma = sse_sigma(SseVariant.REFERENCE, g, dc, dev.dH, nmap, grid)
-    ref_pi = sse_pi(g, dev.dH, nmap, grid, params.n_qz)
+    ref_pi = sse_pi(g, dev.dH, nmap, grid, params.n_qz, hoist_invariant=False)
 
     processes = args.p
     t_e = args.te if args.te is not None else min(2, params.n_E)
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--max-iter", type=int, default=20)
     p_sim.add_argument("--tol", type=float, default=1e-8)
     p_sim.add_argument("--solver", choices=["dense", "rgf"], default="dense")
-    p_sim.add_argument("--variant", choices=[v.value for v in SseVariant], default=SseVariant.BATCHED_FUSED.value)
+    p_sim.add_argument("--variant", choices=[v.value for v in SseVariant], default=DEFAULT_VARIANT.value)
     p_sim.add_argument("--output-dir", default="out")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -2,7 +2,14 @@
 
 Ranks are plain loop iterations over an in-memory exchange table: no real
 transport, bitwise reproducibility, and a ledger recording every simulated
-message.  Byte accounting mirrors ``comm``'s closed-form volume models exactly:
+message.  Each rank computes on its own halo'd slice of the electron tensor
+with the loop's default kernels (``sse.DEFAULT_VARIANT`` Sigma and the
+default Pi), restricted to what it owns, so a rank does its share of the
+single-node work rather than all of it, and a slice that misses part of the
+halo a rank reads fails loudly instead of reading zeros.  A rank that owns
+nothing runs no kernel.
+
+Byte accounting mirrors ``comm``'s closed-form volume models exactly:
 transfers carry both the lesser and greater tensors (2 x 16-byte complex),
 shifted or halo entries that fall off the grid travel as zero blocks rather
 than being clipped, and rank-local copies are ledgered like any other
@@ -22,7 +29,7 @@ from .comm import ELECTRON_G, ELECTRON_SIGMA, PHONON_D_PI, CommPlan, InfeasibleP
 from .device import NeighborMap
 from .gf import GreensTensor
 from .params import EnergyGrid, SimParams
-from .sse import CombinedD, SseVariant, pi_from_chains, preprocess_D, sse_pi_chains, sse_sigma
+from .sse import DEFAULT_VARIANT, CombinedD, pi_from_chains, preprocess_D, sse_pi_chains, sse_sigma
 
 Array = np.ndarray
 
@@ -150,10 +157,61 @@ class _PhononLayout:
         return _flat_owner(self.chunks, q * self.n_w + w)
 
 
-def _windowed(g: GreensTensor, needed: Array) -> GreensTensor:
-    """Full-shape copy holding only the needed (k,E) rows, zeros elsewhere."""
-    sel = needed[:, :, None, None, None]
-    return GreensTensor(lesser=np.where(sel, g.lesser, 0), greater=np.where(sel, g.greater, 0))
+def _omen_rank(
+    g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
+    owned: Array, needed: Array,
+) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
+    """One momentum-energy rank on the energy hull of the (k,E) points it receives.
+
+    ``owned`` and ``needed`` are (k,E) masks; momentum wraps, so the hull
+    spans every k.  Points of the hull outside ``needed`` are zero.  Returns
+    the lesser/greater Sigma at the owned points, in ``g.lesser[owned]``
+    order, and the partial Pi chains reduced over them.
+    """
+    needed_e = np.flatnonzero(needed.any(axis=0))
+    e_lo, e_hi = int(needed_e[0]), int(needed_e[-1]) + 1
+    hull = needed[:, e_lo:e_hi]
+    local = []
+    for arr in (g.lesser, g.greater):
+        out = np.zeros((arr.shape[0], e_hi - e_lo) + arr.shape[2:], dtype=arr.dtype)
+        out[hull] = arr[:, e_lo:e_hi][hull]
+        local.append(out)
+    g_rank = GreensTensor(lesser=local[0], greater=local[1])
+    own = owned[:, e_lo:e_hi]
+    sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc, dh, nmap, grid)
+    chains = sse_pi_chains(g_rank, dh, nmap, grid, n_qz, point_mask=own)
+    return (sigma.lesser[own], sigma.greater[own]), chains
+
+
+def _tiled_rank(
+    g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
+    e_range: tuple[int, int], a_range: tuple[int, int], halo_e: int, halo_a: int,
+) -> tuple[GreensTensor, tuple[Array, Array]]:
+    """One energy-atom rank on its halo'd slice: its Sigma tile and its partial Pi chains.
+
+    The rank copies ``g[:, e_lo - halo_e : e_hi + halo_e, a_lo - halo_a :
+    a_hi + halo_a]`` (clipped to the grid) with ``dc``/``dh`` of the same
+    atoms and the neighbor map re-indexed into the slice.  Returns Sigma on
+    the owned block ``[:, e_lo:e_hi, a_lo:a_hi]`` and the chains of the owned
+    atoms, reduced over the owned energies.
+    """
+    n_e, n_a = g.lesser.shape[1:3]
+    (e_lo, e_hi), (a_lo, a_hi) = e_range, a_range
+    we_lo, we_hi = max(0, e_lo - halo_e), min(n_e, e_hi + halo_e)
+    wa_lo, wa_hi = max(0, a_lo - halo_a), min(n_a, a_hi + halo_a)
+    window = (slice(None), slice(we_lo, we_hi), slice(wa_lo, wa_hi))
+    g_rank = GreensTensor(lesser=g.lesser[window].copy(), greater=g.greater[window].copy())
+    dc_rank = CombinedD(lesser=dc.lesser[:, :, wa_lo:wa_hi].copy(), greater=dc.greater[:, :, wa_lo:wa_hi].copy())
+    dh_rank = dh[wa_lo:wa_hi].copy()
+    nmap_rank = NeighborMap(idx=nmap.idx[wa_lo:wa_hi] - wa_lo)
+    owned_a = (a_lo - wa_lo, a_hi - wa_lo)
+    owned_e = np.zeros((g.lesser.shape[0], we_hi - we_lo), dtype=bool)
+    owned_e[:, e_lo - we_lo : e_hi - we_lo] = True
+    sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc_rank, dh_rank, nmap_rank, grid, atom_range=owned_a)
+    chains = sse_pi_chains(g_rank, dh_rank, nmap_rank, grid, n_qz, point_mask=owned_e, atom_range=owned_a)
+    block = (slice(None), slice(e_lo - we_lo, e_hi - we_lo), slice(*owned_a))
+    sigma_block = GreensTensor(lesser=sigma.lesser[block], greater=sigma.greater[block])
+    return sigma_block, tuple(c[:, :, slice(*owned_a)] for c in chains)
 
 
 def run_omen_scheme(
@@ -170,7 +228,9 @@ def run_omen_scheme(
     Each round broadcasts the preprocessed phonon slice to every rank, moves
     the two shifted electron blocks (E -+ offset, k -+ q) for every owned
     point, and reduces the partial phonon trace chains to the round's owner.
-    Messages are simulated in ascending (round, src, dst) order.
+    Messages are simulated in ascending (round, src, dst) order.  Each rank
+    then computes, with the loop's default kernels, on the energy hull of
+    the points it received (see :func:`_omen_rank`) and keeps its own points.
     """
     if processes < 1:
         raise ValueError("process count must be >= 1")
@@ -211,13 +271,11 @@ def run_omen_scheme(
     chains_l = np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), np.complex128)
     chains_g = np.zeros_like(chains_l)
     for state in states:
-        window = _windowed(g, needed[state.rank])
+        if not state.points:
+            continue
         owned = state.point_mask(params.n_kz, params.n_E)
-        local = sse_sigma(SseVariant.REFERENCE, window, dc, dh, nmap, grid)
-        sel = owned[:, :, None, None, None]
-        sigma_l += np.where(sel, local.lesser, 0)
-        sigma_g += np.where(sel, local.greater, 0)
-        part_l, part_g = sse_pi_chains(window, dh, nmap, grid, params.n_qz, point_mask=owned)
+        points, (part_l, part_g) = _omen_rank(g, dc, dh, nmap, grid, params.n_qz, owned, needed[state.rank])
+        sigma_l[owned], sigma_g[owned] = points
         chains_l += part_l
         chains_g += part_g
 
@@ -239,10 +297,11 @@ def run_tiled_scheme(
     """Energy-atom tiling with one all-to-all halo exchange.
 
     Rank (tE, tA) materializes the halo'd electron slice (energies extended
-    by the largest frequency offset on both sides, atoms by half the
-    neighbor count), computes its self-energy tile and partial phonon
-    chains, then returns them over the mirrored footprint.  Round 0 is the
-    forward exchange, round 1 the return.
+    by the largest frequency offset on both sides, atoms by the farthest
+    neighbor reach, at least half the neighbor count), computes its
+    self-energy tile and partial phonon chains on that slice with the loop's
+    default kernels (see :func:`_tiled_rank`), then returns them over the
+    mirrored footprint.  Round 0 is the forward exchange, round 1 the return.
     """
     if t_e < 1 or t_a < 1:
         raise ValueError("partition counts must be >= 1")
@@ -295,34 +354,16 @@ def run_tiled_scheme(
     chains_l = np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), np.complex128)
     chains_g = np.zeros_like(chains_l)
     for state in states:
-        e_lo, e_hi = state.e_range
-        we_lo, we_hi = max(0, e_lo - halo_e), min(params.n_E, e_hi + halo_e)
-        owned_e = state.point_mask(params.n_kz, params.n_E)
-        a_lo, a_hi = state.a_range
-        wa_lo, wa_hi = max(0, a_lo - halo_a), min(params.n_A, a_hi + halo_a)
-
-        wg_l = np.zeros(params.electron_shape, np.complex128)
-        wg_g = np.zeros_like(wg_l)
-        wg_l[:, we_lo:we_hi, wa_lo:wa_hi] = g.lesser[:, we_lo:we_hi, wa_lo:wa_hi]
-        wg_g[:, we_lo:we_hi, wa_lo:wa_hi] = g.greater[:, we_lo:we_hi, wa_lo:wa_hi]
-        window = GreensTensor(lesser=wg_l, greater=wg_g)
-
-        wdc_l = np.zeros_like(dc.lesser)
-        wdc_g = np.zeros_like(dc.greater)
-        wdc_l[:, :, wa_lo:wa_hi] = dc.lesser[:, :, wa_lo:wa_hi]
-        wdc_g[:, :, wa_lo:wa_hi] = dc.greater[:, :, wa_lo:wa_hi]
-        wdc = CombinedD(lesser=wdc_l, greater=wdc_g)
-
-        local = sse_sigma(SseVariant.REFERENCE, window, wdc, dh, nmap, grid)
-        sigma_l[:, e_lo:e_hi, a_lo:a_hi] += local.lesser[:, e_lo:e_hi, a_lo:a_hi]
-        sigma_g[:, e_lo:e_hi, a_lo:a_hi] += local.greater[:, e_lo:e_hi, a_lo:a_hi]
-
-        part_l, part_g = sse_pi_chains(
-            window, dh, nmap, grid, params.n_qz,
-            point_mask=owned_e, atom_range=(a_lo, a_hi),
+        (e_lo, e_hi), (a_lo, a_hi) = state.e_range, state.a_range
+        if e_lo == e_hi or a_lo == a_hi:
+            continue
+        local, (part_l, part_g) = _tiled_rank(
+            g, dc, dh, nmap, grid, params.n_qz, state.e_range, state.a_range, halo_e, halo_a
         )
-        chains_l += part_l
-        chains_g += part_g
+        sigma_l[:, e_lo:e_hi, a_lo:a_hi] = local.lesser
+        sigma_g[:, e_lo:e_hi, a_lo:a_hi] = local.greater
+        chains_l[:, :, a_lo:a_hi] += part_l
+        chains_g[:, :, a_lo:a_hi] += part_g
 
     sigma = GreensTensor(lesser=sigma_l, greater=sigma_g)
     pi = pi_from_chains(chains_l, chains_g)

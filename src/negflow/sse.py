@@ -43,6 +43,11 @@ class SseVariant(Enum):
     BATCHED_FUSED = "batched-fused"
 
 
+# The fastest arrangement that passes the equivalence tests: the one the loop,
+# ``negflow simulate`` and the simulated ranks run unless told otherwise.
+DEFAULT_VARIANT = SseVariant.BATCHED_FUSED
+
+
 def to_atom_major(arr: Array) -> Array:
     """[k, E, a, ...] -> [a, k, E, ...]; a lossless permutation."""
     return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
@@ -156,6 +161,22 @@ def _default_qws_order(n_qz: int, n_w: int, n_b: int) -> list[tuple[int, int, in
     return list(product(range(n_qz), range(n_w), range(n_b)))
 
 
+def _atom_range(atom_range: tuple[int, int] | None, nmap: NeighborMap, n_atoms: int) -> range:
+    """The produced atoms, checked: each one and all its neighbors must index G's atom axis.
+
+    A neighbor outside ``[0, n_atoms)`` means G is a slice that misses part
+    of the halo the range needs; a negative index must not wrap around.
+    """
+    lo, hi = atom_range if atom_range is not None else (0, nmap.n_A)
+    if not 0 <= lo <= hi <= min(nmap.n_A, n_atoms):
+        raise ValueError(f"atom range [{lo}, {hi}) outside the {n_atoms} atoms of G")
+    idx = nmap.idx[lo:hi]
+    if idx.size and (idx.min() < 0 or idx.max() >= n_atoms):
+        bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
+        raise ValueError(f"neighbor index {bad} of atoms [{lo}, {hi}) outside the {n_atoms} atoms of G")
+    return range(lo, hi)
+
+
 def _xi_block(dc_block: Array, dh_ab: Array, weight: float) -> Array:
     # Xi_i = weight * sum_j Dc[i,j] * dH_j; orb^2-class work, not tallied.
     return weight * np.einsum("ij,jMN->iMN", dc_block, dh_ab)
@@ -169,22 +190,24 @@ def sse_sigma_reference(
     grid: EnergyGrid,
     counter: FlopCounter | None = None,
     qws_order: Iterable[tuple[int, int, int]] | None = None,
+    atom_range: tuple[int, int] | None = None,
 ) -> GreensTensor:
     """Straightforward kernel: one conceptual map over the full 8-D space.
 
     Loops run over (q_z, omega, b) in ascending order (the documented
     deterministic reduction chunking) with the (k_z, E) sub-space batched;
     per point, the j-contraction is folded into one matrix per i before the
-    two GEMMs.
+    two GEMMs.  ``atom_range`` as in :func:`sse_sigma`.
     """
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
+    atoms = _atom_range(atom_range, nmap, n_a)
     order = list(qws_order) if qws_order is not None else _default_qws_order(n_qz, n_w, nmap.n_B)
     out_l = np.zeros_like(g.lesser)
     out_g = np.zeros_like(g.greater)
     for q, w, s in order:
         off, weight = grid.frequency_map[w]
-        for a in range(n_a):
+        for a in atoms:
             b = int(nmap.idx[a, s])
             dh_ab = dh[a, s]
             for g_arr, dc_arr, out in ((g.lesser, dc.lesser, out_l), (g.greater, dc.greater, out_g)):
@@ -199,52 +222,54 @@ def sse_sigma_reference(
 
 
 def _fissioned_stage1(
-    g_arr: Array, dh: Array, nmap: NeighborMap, n_qz: int, n_w: int, counter: FlopCounter | None
+    g_arr: Array, dh: Array, nmap: NeighborMap, n_qz: int, n_w: int, counter: FlopCounter | None,
+    atoms: range | None = None,
 ) -> Array:
-    """Map-fission transient: dHG with the (q,w) dimensions kept.
+    """Map-fission transient: dHG with the (q,w) dimensions kept, for ``atoms`` (default: all).
 
     The removed-later dimensions hold literally identical copies, since the
     momentum/frequency offsets are applied at the consumption site; that is
     exactly the redundancy the next transformation eliminates.
     """
     n_kz, n_e, _, n_orb, _ = g_arr.shape
-    n_a, n_b = nmap.n_A, nmap.n_B
-    dhg = np.empty((n_qz, n_w, n_a, n_b, n_kz, n_e, 3, n_orb, n_orb), dtype=np.complex128)
+    n_b = nmap.n_B
+    atoms = atoms if atoms is not None else range(nmap.n_A)
+    dhg = np.empty((n_qz, n_w, len(atoms), n_b, n_kz, n_e, 3, n_orb, n_orb), dtype=np.complex128)
     for q in range(n_qz):
         for w in range(n_w):
-            for a in range(n_a):
+            for i_a, a in enumerate(atoms):
                 for s in range(n_b):
                     b = int(nmap.idx[a, s])
-                    dhg[q, w, a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
+                    dhg[q, w, i_a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
                     if counter is not None:
                         counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
     return dhg
 
 
-def _sigma_fissioned(g, dc, dh, nmap, grid, counter) -> GreensTensor:
-    n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
+def _sigma_fissioned(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
+    n_kz, n_e, _, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
     outs = []
     for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
         # Map 1: dHG transient (with redundant q,w dims).  Map 2: dHD scalars.
-        dhg = _fissioned_stage1(g_arr, dh, nmap, n_qz, n_w, counter)
-        dhd = np.empty((n_qz, n_w, n_a, nmap.n_B, 3, 3, n_orb, n_orb), dtype=np.complex128)
+        dhg = _fissioned_stage1(g_arr, dh, nmap, n_qz, n_w, counter, atoms)
+        dhd = np.empty((n_qz, n_w, len(atoms), nmap.n_B, 3, 3, n_orb, n_orb), dtype=np.complex128)
         for q in range(n_qz):
             for w in range(n_w):
                 weight = grid.frequency_map[w][1]
-                for a in range(n_a):
+                for i_a, a in enumerate(atoms):
                     for s in range(nmap.n_B):
-                        dhd[q, w, a, s] = weight * np.einsum("ij,jMN->ijMN", dc_arr[q, w, a, s], dh[a, s])
+                        dhd[q, w, i_a, s] = weight * np.einsum("ij,jMN->ijMN", dc_arr[q, w, a, s], dh[a, s])
         # Map 3: fold j, shift the transient, accumulate.
         out = np.zeros_like(g_arr)
         for q in range(n_qz):
             for w in range(n_w):
                 off = grid.frequency_map[w][0]
-                for a in range(n_a):
+                for i_a, a in enumerate(atoms):
                     for s in range(nmap.n_B):
-                        xi = dhd[q, w, a, s].sum(axis=1)
+                        xi = dhd[q, w, i_a, s].sum(axis=1)
                         out[:, :, a] += np.einsum(
-                            "keiMP,iPN->keMN", shifted_grid(dhg[q, w, a, s], q, off), xi
+                            "keiMP,iPN->keMN", shifted_grid(dhg[q, w, i_a, s], q, off), xi
                         )
                         if counter is not None:
                             counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
@@ -252,43 +277,48 @@ def _sigma_fissioned(g, dc, dh, nmap, grid, counter) -> GreensTensor:
     return GreensTensor(lesser=outs[0], greater=outs[1])
 
 
-def _redundancy_removed_stage1(g_arr: Array, dh: Array, nmap: NeighborMap, counter, fused: bool) -> Array:
-    """dHG without the (q,w) dimensions; optionally one fused GEMM per (a,b,i)."""
+def _redundancy_removed_stage1(
+    g_arr: Array, dh: Array, nmap: NeighborMap, counter, fused: bool, atoms: range | None = None
+) -> Array:
+    """dHG for ``atoms`` (default: all) without the (q,w) dimensions; optionally one fused GEMM per (a,b,i)."""
     n_kz, n_e, _, n_orb, _ = g_arr.shape
-    n_a, n_b = nmap.n_A, nmap.n_B
-    dhg = np.empty((n_a, n_b, n_kz, n_e, 3, n_orb, n_orb), dtype=np.complex128)
-    for a in range(n_a):
+    n_b = nmap.n_B
+    atoms = atoms if atoms is not None else range(nmap.n_A)
+    dhg = np.empty((len(atoms), n_b, n_kz, n_e, 3, n_orb, n_orb), dtype=np.complex128)
+    for i_a, a in enumerate(atoms):
         for s in range(n_b):
             b = int(nmap.idx[a, s])
             if fused:
                 flat = g_arr[:, :, b].reshape(n_kz * n_e * n_orb, n_orb)
                 for i in range(3):
-                    dhg[a, s, :, :, i] = (flat @ dh[a, s, i]).reshape(n_kz, n_e, n_orb, n_orb)
+                    dhg[i_a, s, :, :, i] = (flat @ dh[a, s, i]).reshape(n_kz, n_e, n_orb, n_orb)
                     if counter is not None:
                         counter.add_matmul(n_kz * n_e * n_orb, n_orb, n_orb, stage="sigma.dhg")
             else:
-                dhg[a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
+                dhg[i_a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
                 if counter is not None:
                     counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
     return dhg
 
 
-def _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1: bool, atom_major: bool) -> GreensTensor:
+def _sigma_redundancy_removed(
+    g, dc, dh, nmap, grid, counter, atoms: range, fused_stage1: bool, atom_major: bool
+) -> GreensTensor:
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
     outs = []
     for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
         src = to_grid_major(to_atom_major(g_arr)) if atom_major else g_arr
-        dhg = _redundancy_removed_stage1(src, dh, nmap, counter, fused=fused_stage1)
+        dhg = _redundancy_removed_stage1(src, dh, nmap, counter, fused=fused_stage1, atoms=atoms)
         acc_shape = (n_a, n_kz, n_e, n_orb, n_orb) if atom_major else g_arr.shape
         out = np.zeros(acc_shape, dtype=np.complex128)
         for q in range(n_qz):
             for w in range(n_w):
                 off, weight = grid.frequency_map[w]
-                for a in range(n_a):
+                for i_a, a in enumerate(atoms):
                     for s in range(nmap.n_B):
                         xi = _xi_block(dc_arr[q, w, a, s], dh[a, s], weight)
-                        update = np.einsum("keiMP,iPN->keMN", shifted_grid(dhg[a, s], q, off), xi)
+                        update = np.einsum("keiMP,iPN->keMN", shifted_grid(dhg[i_a, s], q, off), xi)
                         if atom_major:
                             out[a] += update
                         else:
@@ -299,7 +329,7 @@ def _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1: bool
     return GreensTensor(lesser=outs[0], greater=outs[1])
 
 
-def _sigma_batched_fused(g, dc, dh, nmap, grid, counter) -> GreensTensor:
+def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
     """Final form: per-(a,b) transients, fused GEMMs for both stages.
 
     Stage 1 computes dHG once per (a,b) as one (n_orb n_kz n_E)-tall GEMM
@@ -309,7 +339,7 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter) -> GreensTensor:
     realizes the accumulation as one
     (n_orb n_kz n_E) x (n_w 3 n_orb) x n_orb GEMM per (a, b, q_z).
     """
-    n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
+    n_kz, n_e, _, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
     rows, depth = n_orb * n_kz * n_e, n_w * 3 * n_orb
     weights = np.asarray(grid.weights)[:, None, None, None]
@@ -318,7 +348,9 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter) -> GreensTensor:
     outs = []
     for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
         out = np.empty_like(g_arr)
-        for a in range(n_a):
+        out[:, :, : atoms.start] = 0
+        out[:, :, atoms.stop :] = 0
+        for a in atoms:
             acc.fill(0)
             for s in range(nmap.n_B):
                 b = int(nmap.idx[a, s])
@@ -347,22 +379,30 @@ def sse_sigma(
     nmap: NeighborMap,
     grid: EnergyGrid,
     counter: FlopCounter | None = None,
+    atom_range: tuple[int, int] | None = None,
 ) -> GreensTensor:
-    """Electron self-energy in the requested kernel arrangement."""
+    """Electron self-energy in the requested kernel arrangement.
+
+    ``atom_range`` restricts the produced atoms, as in :func:`sse_pi_chains`:
+    Sigma is computed for those atoms only and is zero elsewhere.  G may
+    then be a slice of the device, as long as it holds every neighbor of
+    the range (a neighbor index outside G's atom axis raises ``ValueError``).
+    """
     if g.kind != "electron":
         raise ValueError("sse_sigma expects an electron tensor")
     if dc.lesser.shape[2:4] != (nmap.n_A, nmap.n_B):
         raise ValueError("combined phonon tensor does not match the neighbor map")
     if variant is SseVariant.REFERENCE:
-        return sse_sigma_reference(g, dc, dh, nmap, grid, counter=counter)
+        return sse_sigma_reference(g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range)
+    atoms = _atom_range(atom_range, nmap, g.lesser.shape[2])
     if variant is SseVariant.FISSIONED:
-        return _sigma_fissioned(g, dc, dh, nmap, grid, counter)
+        return _sigma_fissioned(g, dc, dh, nmap, grid, counter, atoms)
     if variant is SseVariant.REDUNDANCY_REMOVED:
-        return _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1=False, atom_major=False)
+        return _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, atoms, fused_stage1=False, atom_major=False)
     if variant is SseVariant.LAYOUT_TRANSFORMED:
-        return _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, fused_stage1=True, atom_major=True)
+        return _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, atoms, fused_stage1=True, atom_major=True)
     if variant is SseVariant.BATCHED_FUSED:
-        return _sigma_batched_fused(g, dc, dh, nmap, grid, counter)
+        return _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -414,7 +454,8 @@ def sse_pi_chains(
     dH_j G^{<>}[k,E,b] ); the first factor of the greater chain comes from
     the greater tensor and the trailing one from the lesser tensor, and vice
     versa.  ``point_mask`` restricts the (k,E) reduction and ``atom_range``
-    the produced atoms (both used by the distributed schemes).
+    the produced atoms (both used by the distributed schemes); as in
+    :func:`sse_sigma`, G may be a slice holding every neighbor of the range.
 
     ``hoist_invariant`` picks one of three arrangements with equal values.
     ``False`` recomputes both dH G factors for every (q, omega), the
@@ -427,7 +468,7 @@ def sse_pi_chains(
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_w = grid.n_w
     w_e = grid.energy_weight
-    a_lo, a_hi = atom_range if atom_range is not None else (0, n_a)
+    atoms = _atom_range(atom_range, nmap, n_a)
     chains_l = np.zeros((n_qz, n_w, n_a, nmap.n_B, 3, 3), dtype=np.complex128)
     chains_g = np.zeros_like(chains_l)
     mask = None
@@ -438,7 +479,7 @@ def sse_pi_chains(
     gather = None
     if hoist_invariant is None:
         gather = ShiftGather((3, n_kz, n_e, n_orb, n_orb), [-off for off in grid.offsets], axis=1)
-    for a in range(a_lo, a_hi):
+    for a in atoms:
         for s in range(nmap.n_B):
             b = int(nmap.idx[a, s])
             dh_ab = dh[a, s]
@@ -578,7 +619,7 @@ def self_consistent_loop(
     grid: EnergyGrid | None = None,
     max_iter: int = 20,
     tol: float = 1e-8,
-    variant: SseVariant = SseVariant.BATCHED_FUSED,
+    variant: SseVariant = DEFAULT_VARIANT,
     solver: str = "dense",
     initial_sigma: GreensTensor | None = None,
     initial_pi: GreensTensor | None = None,

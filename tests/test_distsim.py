@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from negflow import distsim
 from negflow.comm import InfeasiblePartitionError, dace_volume, omen_volume
 from negflow.device import synthesize
 from negflow.distsim import (
@@ -14,13 +15,14 @@ from negflow.distsim import (
     PHONON_PI,
     MessageLedger,
     _chunks,
+    _tiled_rank,
     compare_ledger_with_model,
     run_omen_scheme,
     run_tiled_scheme,
 )
 from negflow.gf import GreensTensor
 from negflow.params import SimParams, default_grid
-from negflow.sse import SseVariant, preprocess_D, sse_pi, sse_sigma
+from negflow.sse import DEFAULT_VARIANT, SseVariant, preprocess_D, sse_pi, sse_sigma
 
 EVEN = SimParams(n_kz=2, n_qz=2, n_E=4, n_w=1, n_A=4, n_B=2, n_orb=2, bnum=2)
 RICH = SimParams(n_kz=2, n_qz=2, n_E=16, n_w=2, n_A=8, n_B=2, n_orb=2, bnum=4)
@@ -40,8 +42,17 @@ def _instance(seed, params):
 
 
 def _reference(params, grid, dev, nmap, g, d):
+    """Single-node oracle from other code than the ranks run: straightforward Sigma, unhoisted Pi."""
     dc = preprocess_D(d, nmap)
     sigma = sse_sigma(SseVariant.REFERENCE, g, dc, dev.dH, nmap, grid)
+    pi = sse_pi(g, dev.dH, nmap, grid, params.n_qz, hoist_invariant=False)
+    return sigma, pi
+
+
+def _single_node(params, grid, dev, nmap, g, d):
+    """The ranks' own arrangement on the full arrays: default Sigma, default Pi."""
+    dc = preprocess_D(d, nmap)
+    sigma = sse_sigma(DEFAULT_VARIANT, g, dc, dev.dH, nmap, grid)
     pi = sse_pi(g, dev.dH, nmap, grid, params.n_qz)
     return sigma, pi
 
@@ -60,11 +71,15 @@ def test_chunks_partition_totals():
 
 def test_omen_single_rank_is_bitwise_reference():
     grid, dev, nmap, g, d = _instance(0, EVEN)
-    ref_sigma, ref_pi = _reference(EVEN, grid, dev, nmap, g, d)
+    own_sigma, own_pi = _single_node(EVEN, grid, dev, nmap, g, d)
     sigma, pi, ledger = run_omen_scheme(g, d, dev.dH, nmap, grid, EVEN, 1)
-    assert np.array_equal(sigma.lesser, ref_sigma.lesser)
-    assert np.array_equal(sigma.greater, ref_sigma.greater)
-    assert np.array_equal(pi.lesser, ref_pi.lesser)
+    assert np.array_equal(sigma.lesser, own_sigma.lesser)
+    assert np.array_equal(sigma.greater, own_sigma.greater)
+    assert np.array_equal(pi.lesser, own_pi.lesser)
+    assert np.array_equal(pi.greater, own_pi.greater)
+    ref_sigma, ref_pi = _reference(EVEN, grid, dev, nmap, g, d)
+    assert _rel_dev(sigma, ref_sigma) <= 1e-10
+    assert _rel_dev(pi, ref_pi) <= 1e-10
     # broadcast/reduce degenerate to self-messages
     assert all(e.src == e.dst for e in ledger.entries)
 
@@ -84,10 +99,15 @@ def test_omen_matches_reference_and_closed_form():
 
 def test_tiled_single_tile_is_bitwise_reference():
     grid, dev, nmap, g, d = _instance(2, EVEN)
-    ref_sigma, ref_pi = _reference(EVEN, grid, dev, nmap, g, d)
+    own_sigma, own_pi = _single_node(EVEN, grid, dev, nmap, g, d)
     sigma, pi, ledger = run_tiled_scheme(g, d, dev.dH, nmap, grid, EVEN, 1, 1)
-    assert np.array_equal(sigma.lesser, ref_sigma.lesser)
-    assert np.array_equal(pi.lesser, ref_pi.lesser)
+    assert np.array_equal(sigma.lesser, own_sigma.lesser)
+    assert np.array_equal(sigma.greater, own_sigma.greater)
+    assert np.array_equal(pi.lesser, own_pi.lesser)
+    assert np.array_equal(pi.greater, own_pi.greater)
+    ref_sigma, ref_pi = _reference(EVEN, grid, dev, nmap, g, d)
+    assert _rel_dev(sigma, ref_sigma) <= 1e-10
+    assert _rel_dev(pi, ref_pi) <= 1e-10
     assert sum(e.bytes for e in ledger.entries if e.src != e.dst) == 0
 
 
@@ -99,6 +119,110 @@ def test_tiled_matches_reference_and_closed_form():
     assert _rel_dev(pi, ref_pi) <= 1e-10
     rows = compare_ledger_with_model(ledger, dace_volume(EVEN, 2, 2))
     assert max(r["rel_delta"] for r in rows) == 0.0
+
+
+_SWEEP = [(RICH, "omen", (p,)) for p in range(1, 9)]
+_SWEEP += [(RICH, "tiled", (t_e, t_a)) for t_e in range(1, 9) for t_a in range(1, 9) if t_e * t_a <= 8]
+_SWEEP += [(EVEN.replace(n_E=5), "omen", (8,)), (EVEN.replace(n_E=5), "tiled", (4, 2))]
+
+
+@pytest.mark.parametrize("params, scheme, partition", _SWEEP)
+def test_every_partition_reproduces_the_reference(params, scheme, partition):
+    # EVEN with n_E=5 at P=8: 10 points in ceil chunks of 2 leave omen ranks 5-7 idle
+    grid, dev, nmap, g, d = _instance(13, params)
+    ref_sigma, ref_pi = _reference(params, grid, dev, nmap, g, d)
+    run = run_omen_scheme if scheme == "omen" else run_tiled_scheme
+    sigma, pi, _ = run(g, d, dev.dH, nmap, grid, params, *partition)
+    assert _rel_dev(sigma, ref_sigma) <= 1e-10
+    assert _rel_dev(pi, ref_pi) <= 1e-10
+
+
+def _record_rank_inputs(monkeypatch):
+    """Replace distsim's kernels by wrappers that record each call's G shape and nonzero (k,E) points."""
+    calls = []
+
+    def recording(kernel, name):
+        def wrapper(*args, **kwargs):
+            g = args[1] if name == "sigma" else args[0]
+            calls.append((name, g.lesser.shape, np.any(g.lesser != 0, axis=(2, 3, 4))))
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(distsim, "sse_sigma", recording(distsim.sse_sigma, "sigma"))
+    monkeypatch.setattr(distsim, "sse_pi_chains", recording(distsim.sse_pi_chains, "pi"))
+    return calls
+
+
+@pytest.mark.parametrize("t_e, t_a", [(2, 2), (4, 2)])
+def test_tiled_ranks_see_only_their_halo_slice(monkeypatch, t_e, t_a):
+    grid, dev, nmap, g, d = _instance(14, RICH)
+    calls = _record_rank_inputs(monkeypatch)
+    run_tiled_scheme(g, d, dev.dH, nmap, grid, RICH, t_e, t_a)
+    s_e, s_a = -(-RICH.n_E // t_e), -(-RICH.n_A // t_a)
+    halo_a = max(RICH.n_B // 2, nmap.max_reach)
+    assert [name for name, _, _ in calls] == ["sigma", "pi"] * (t_e * t_a)
+    for _, (n_kz, n_e, n_a, _, _), _ in calls:
+        assert n_kz == RICH.n_kz
+        assert n_e <= s_e + 2 * grid.max_offset
+        assert n_a <= s_a + 2 * halo_a
+        assert (n_e, n_a) != (RICH.n_E, RICH.n_A)
+
+
+def _received_points(params, grid, owned):
+    """(k,E) points an omen rank owning the flat points ``owned`` reads: its own and every in-grid shift."""
+    out = np.zeros((params.n_kz, params.n_E), dtype=bool)
+    for k, i_e in (divmod(flat, params.n_E) for flat in owned):
+        out[k, i_e] = True
+        for q in range(params.n_qz):
+            for off in grid.offsets:
+                for k_s, e_s in (((k - q) % params.n_kz, i_e - off), ((k + q) % params.n_kz, i_e + off)):
+                    if 0 <= e_s < params.n_E:
+                        out[k_s, e_s] = True
+    return out
+
+
+@pytest.mark.parametrize("processes", [3, 4, 8])
+def test_omen_ranks_see_only_the_energy_hull_of_their_points(monkeypatch, processes):
+    # Each rank holds nonzero G exactly at the points it receives, on their
+    # energy hull.  P=3 chunks span two k rows, which leaves a gap (E=8) in
+    # a hull as wide as the grid; at P=4 and 8 a rank owns part of one k row
+    # and its hull (owned energies plus the largest offset each side) is
+    # narrower than the grid.
+    grid, dev, nmap, g, d = _instance(15, RICH)
+    calls = _record_rank_inputs(monkeypatch)
+    run_omen_scheme(g, d, dev.dH, nmap, grid, RICH, processes)
+    assert [name for name, _, _ in calls] == ["sigma", "pi"] * processes
+    total = RICH.n_kz * RICH.n_E
+    share = -(-total // processes)
+    for i, (_, (n_kz, n_e, n_a, _, _), nonzero) in enumerate(calls):
+        assert (n_kz, n_a) == (RICH.n_kz, RICH.n_A)
+        rank = i // 2
+        received = _received_points(RICH, grid, range(rank * share, min((rank + 1) * share, total)))
+        hull = np.flatnonzero(received.any(axis=0))
+        assert np.array_equal(nonzero, received[:, hull[0] : hull[-1] + 1])
+        if RICH.n_E % share == 0:
+            assert n_e <= share + 2 * grid.max_offset < RICH.n_E
+
+
+def test_idle_ranks_run_no_kernel(monkeypatch):
+    params = EVEN.replace(n_E=5)  # 10 points in ceil chunks of 2: omen ranks 5-7 own nothing
+    grid, dev, nmap, g, d = _instance(16, params)
+    calls = _record_rank_inputs(monkeypatch)
+    _, _, ledger = run_omen_scheme(g, d, dev.dH, nmap, grid, params, 8)
+    assert [name for name, _, _ in calls] == ["sigma", "pi"] * 5
+    assert [ledger.bytes_received(rank, ELECTRON_G) for rank in range(5, 8)] == [0, 0, 0]
+
+
+def test_tiled_slice_one_atom_short_of_the_halo_raises():
+    grid, dev, nmap, g, d = _instance(17, RICH)
+    dc = preprocess_D(d, nmap)
+    halo_e, halo_a = grid.max_offset, max(RICH.n_B // 2, nmap.max_reach)
+    assert halo_a == nmap.max_reach  # one atom fewer drops a neighbor the tile reads
+    tile = ((0, RICH.n_E // 2), (RICH.n_A // 4, RICH.n_A // 2))
+    _tiled_rank(g, dc, dev.dH, nmap, grid, RICH.n_qz, *tile, halo_e, halo_a)
+    with pytest.raises(ValueError, match="neighbor index"):
+        _tiled_rank(g, dc, dev.dH, nmap, grid, RICH.n_qz, *tile, halo_e, halo_a - 1)
 
 
 def test_tiled_halo_extent_matches_propagation_model():

@@ -235,6 +235,67 @@ def test_variant_equivalence(variant):
         assert np.max(np.abs(getattr(out, side) - getattr(ref, side))) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("variant", list(SseVariant))
+def test_sigma_atom_range_restricts_the_produced_atoms(variant):
+    params, grid, nmap, g, d, dh = _instance(30, TINY.replace(n_A=6))
+    dc = preprocess_D(d, nmap)
+    lo, hi = 2, 5
+    c_full, c_part = FlopCounter(), FlopCounter()
+    full = sse_sigma(variant, g, dc, dh, nmap, grid, counter=c_full)
+    part = sse_sigma(variant, g, dc, dh, nmap, grid, counter=c_part, atom_range=(lo, hi))
+    for side in ("lesser", "greater"):
+        assert np.array_equal(getattr(part, side)[:, :, lo:hi], getattr(full, side)[:, :, lo:hi])
+        assert not np.any(getattr(part, side)[:, :, :lo]) and not np.any(getattr(part, side)[:, :, hi:])
+    assert set(c_part.stages) == set(c_full.stages)
+    for stage, full_count in c_full.stages.items():
+        assert c_part.stages[stage] * params.n_A == full_count * (hi - lo), stage
+
+
+def _atom_slice(g, dc, dh, nmap, lo, hi):
+    """G, Dc and dH of atoms [lo, hi) with the neighbor map re-indexed into the slice."""
+    sl = slice(lo, hi)
+    return (
+        GreensTensor(g.lesser[:, :, sl], g.greater[:, :, sl]),
+        CombinedD(dc.lesser[:, :, sl], dc.greater[:, :, sl]),
+        dh[sl],
+        NeighborMap(idx=nmap.idx[sl] - lo),
+    )
+
+
+@pytest.mark.parametrize("variant", list(SseVariant))
+def test_sigma_neighbor_outside_g_raises(variant):
+    # TINY's chain: atom a neighbors a +- 1, so in the slice [1, 4) local atom 0
+    # (atom 1) reads local -1 (atom 0), and in [0, 3) local atom 2 reads local 3
+    params, grid, nmap, g, d, dh = _instance(31)
+    dc = preprocess_D(d, nmap)
+    g_s, dc_s, dh_s, nmap_s = _atom_slice(g, dc, dh, nmap, 1, 4)
+    with pytest.raises(ValueError, match="neighbor index -1"):
+        sse_sigma(variant, g_s, dc_s, dh_s, nmap_s, grid, atom_range=(0, 2))
+    inside = sse_sigma(variant, g_s, dc_s, dh_s, nmap_s, grid, atom_range=(1, 3))
+    full = sse_sigma(variant, g, dc, dh, nmap, grid)
+    assert np.array_equal(inside.lesser[:, :, 1:3], full.lesser[:, :, 2:4])
+    g_s, dc_s, dh_s, nmap_s = _atom_slice(g, dc, dh, nmap, 0, 3)
+    with pytest.raises(ValueError, match="neighbor index 3"):
+        sse_sigma(variant, g_s, dc_s, dh_s, nmap_s, grid, atom_range=(2, 3))
+    with pytest.raises(ValueError, match="atom range"):
+        sse_sigma(variant, g_s, dc_s, dh_s, nmap_s, grid, atom_range=(0, 4))
+
+
+@pytest.mark.parametrize("hoist", [None, True, False])
+def test_pi_neighbor_outside_g_raises(hoist):
+    params, grid, nmap, g, d, dh = _instance(32)
+    dc = preprocess_D(d, nmap)
+    g_s, _, dh_s, nmap_s = _atom_slice(g, dc, dh, nmap, 1, 4)
+    with pytest.raises(ValueError, match="neighbor index -1"):
+        sse_pi_chains(g_s, dh_s, nmap_s, grid, params.n_qz, hoist_invariant=hoist, atom_range=(0, 2))
+    inside = sse_pi_chains(g_s, dh_s, nmap_s, grid, params.n_qz, hoist_invariant=hoist, atom_range=(1, 3))
+    full = sse_pi_chains(g, dh, nmap, grid, params.n_qz, hoist_invariant=hoist)
+    assert np.array_equal(inside[0][:, :, 1:3], full[0][:, :, 2:4])
+    g_s, _, dh_s, nmap_s = _atom_slice(g, dc, dh, nmap, 0, 3)
+    with pytest.raises(ValueError, match="neighbor index 3"):
+        sse_pi_chains(g_s, dh_s, nmap_s, grid, params.n_qz, hoist_invariant=hoist, atom_range=(2, 3))
+
+
 def test_batched_fused_matches_reference_at_wide_offsets():
     # several q_z and omega, and the largest offset one short of the grid
     params = SimParams(n_kz=3, n_qz=3, n_E=5, n_w=3, n_A=4, n_B=2, n_orb=2, bnum=2)
