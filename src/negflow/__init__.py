@@ -9,6 +9,7 @@ from .gf import (
     retarded_from_lesser_greater,
     solve_phonon_point,
     solve_point_dense,
+    solve_point_dense_diag,
     solve_point_rgf,
 )
 from .sse import (
@@ -52,6 +53,7 @@ __all__ = [
     "self_consistent_loop",
     "solve_phonon_point",
     "solve_point_dense",
+    "solve_point_dense_diag",
     "solve_point_rgf",
     "sse_flops_dace",
     "sse_flops_fully_hoisted",

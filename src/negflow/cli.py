@@ -3,7 +3,7 @@
 Subcommands: simulate (self-consistent GF/SSE loop on a synthetic device),
 plan (communication-volume tables), flops (analytic flop tables), distsim
 (simulated distributed SSE with ledgers), propagate (dataflow-IR demo).
-Exit codes: 0 ok, 1 domain error, 2 usage error.
+Exit codes: 0 ok, 1 domain error (a diverged simulate run included), 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sympy
 
 from . import comm, dataflow, distsim, flops
 from .device import synthesize
-from .gf import GreensTensor, SingularSystemError
+from .gf import DEFAULT_SOLVER, SOLVERS, GreensTensor, SingularSystemError
 from .params import SimParams, default_grid, load_params, validate
 from .sse import (
     DEFAULT_VARIANT,
@@ -141,17 +141,18 @@ def cmd_simulate(args) -> int:
     log = {
         "iterations": result.iterations,
         "converged": result.converged,
+        "diverged": result.diverged,
         "gf_deltas": result.deltas,
         "gf_abs_deltas": result.abs_deltas,
         "digest_sha256": digest.hexdigest(),
     }
     (out / "simulate_log.json").write_text(json.dumps(log, indent=2), encoding="utf-8")
     (out / "tensors.sha256").write_text(digest.hexdigest() + "\n", encoding="utf-8")
-    status = "converged" if result.converged else "non-converged"
+    status = "converged" if result.converged else "diverged" if result.diverged else "non-converged"
     print(f"{status} after {result.iterations} iterations; digest {digest.hexdigest()[:16]}...")
     for line in report.warnings:
         print(f"warning: {line}")
-    return 0
+    return 1 if result.diverged else 0
 
 
 def cmd_plan(args) -> int:
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed the starting self-energies (0 = plain zero start)")
     p_sim.add_argument("--max-iter", type=int, default=20)
     p_sim.add_argument("--tol", type=float, default=1e-8)
-    p_sim.add_argument("--solver", choices=["dense", "rgf"], default="dense")
+    p_sim.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER)
     p_sim.add_argument("--variant", choices=[v.value for v in SseVariant], default=DEFAULT_VARIANT.value)
     p_sim.add_argument("--output-dir", default="out")
     p_sim.set_defaults(func=cmd_simulate)

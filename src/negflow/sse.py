@@ -29,7 +29,7 @@ import numpy as np
 
 from .device import DeviceMatrices, NeighborMap
 from .flops import FlopCounter
-from .gf import GreensTensor, gf_phase
+from .gf import DEFAULT_SOLVER, GreensTensor, gf_phase
 from .params import EnergyGrid, SimParams, default_grid
 
 Array = np.ndarray
@@ -46,6 +46,10 @@ class SseVariant(Enum):
 # The fastest arrangement that passes the equivalence tests: the one the loop,
 # ``negflow simulate`` and the simulated ranks run unless told otherwise.
 DEFAULT_VARIANT = SseVariant.BATCHED_FUSED
+
+# The loop stops as diverged after this many consecutive GF passes whose
+# absolute change grows while their relative change exceeds 1.
+DIVERGENCE_PASSES = 3
 
 
 def to_atom_major(arr: Array) -> Array:
@@ -583,6 +587,7 @@ class LoopResult:
     converged: bool
     deltas: list[float]
     abs_deltas: list[float]
+    diverged: bool = False
 
 
 def _gf_change(old: GreensTensor, new: GreensTensor) -> tuple[float, float]:
@@ -620,7 +625,7 @@ def self_consistent_loop(
     max_iter: int = 20,
     tol: float = 1e-8,
     variant: SseVariant = DEFAULT_VARIANT,
-    solver: str = "dense",
+    solver: str = DEFAULT_SOLVER,
     initial_sigma: GreensTensor | None = None,
     initial_pi: GreensTensor | None = None,
 ) -> LoopResult:
@@ -629,7 +634,9 @@ def self_consistent_loop(
     Starts from zero self-energies unless seeds are given; stops once the
     max relative change of G^<> between consecutive GF passes is within
     ``tol``, or after ``max_iter`` iterations (reported as non-converged,
-    distinct from solver failures which raise).  The retarded inputs of
+    distinct from solver failures which raise).  An iterate with non-finite
+    entries, or ``DIVERGENCE_PASSES`` growing passes in a row, stops the
+    loop as non-converged and ``diverged``.  The retarded inputs of
     every GF pass are derived from the lesser/greater pair.  Sigma runs in
     ``variant`` (by default the batched-fused arrangement, the fastest that
     passes the equivalence tests) and Pi in its default, fully hoisted form.
@@ -641,14 +648,20 @@ def self_consistent_loop(
     prev: GreensTensor | None = None
     deltas: list[float] = []
     abs_deltas: list[float] = []
+    growing = 0
     for iteration in range(1, max_iter + 1):
         g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap, solver=solver)
+        if not (g_e.all_finite() and g_ph.all_finite()):
+            return LoopResult(g_e, g_ph, sigma, pi, iteration, False, deltas, abs_deltas, diverged=True)
         if prev is not None:
             diff, delta = _gf_change(prev, g_e)
             deltas.append(delta)
             abs_deltas.append(diff)
             if delta <= tol:
                 return LoopResult(g_e, g_ph, sigma, pi, iteration, True, deltas, abs_deltas)
+            growing = growing + 1 if len(abs_deltas) > 1 and diff > abs_deltas[-2] and delta > 1 else 0
+            if growing >= DIVERGENCE_PASSES:
+                return LoopResult(g_e, g_ph, sigma, pi, iteration, False, deltas, abs_deltas, diverged=True)
         prev = g_e
         dc = preprocess_D(g_ph, nmap)
         sigma = sse_sigma(SseVariant(variant), g_e, dc, dev.dH, nmap, grid)

@@ -17,7 +17,7 @@ from negflow.comm import dace_volume, omen_volume, optimize_tiles
 from negflow.device import build_neighbor_map, synthesize
 from negflow.distsim import compare_ledger_with_model, run_omen_scheme, run_tiled_scheme
 from negflow.flops import sse_flops_dace, sse_flops_omen
-from negflow.gf import GreensTensor, solve_point_dense, solve_point_rgf
+from negflow.gf import GreensTensor, block_diag_from_atoms, solve_point_dense, solve_point_rgf
 from negflow.params import SimParams, default_grid
 from negflow.sse import SseVariant, preprocess_D, sse_pi, sse_sigma
 
@@ -206,11 +206,16 @@ def test_criterion_6_rgf_against_dense_oracle():
         dev, _ = synthesize(params, seed=seed)
         rng = np.random.default_rng(1000 + seed)
         n = params.n_A * params.n_orb
-        sigma_r = np.zeros((n, n), complex)
-        sigma_l = np.diag(_rand(rng, (n,)))
-        sigma_g = np.diag(_rand(rng, (n,)))
+        atom_diag = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
+        sigma_r = atom_diag.copy()
+        sigma_l, sigma_g = atom_diag.copy(), atom_diag.copy()
+        orb = np.arange(params.n_orb)
+        sigma_l[:, orb, orb] = _rand(rng, (n,)).reshape(params.n_A, params.n_orb)
+        sigma_g[:, orb, orb] = _rand(rng, (n,)).reshape(params.n_A, params.n_orb)
         energy = float(rng.uniform(-0.9, 0.9))
-        g_r, g_l, g_g = solve_point_dense(dev, sigma_r, sigma_l, sigma_g, energy, 0, params.eta)
+        g_r, g_l, g_g = solve_point_dense(
+            dev, *(block_diag_from_atoms(x) for x in (sigma_r, sigma_l, sigma_g)), energy, 0, params.eta
+        )
         b_r, b_l, b_g = solve_point_rgf(dev, sigma_r, sigma_l, sigma_g, energy, 0, params.eta, params.bnum)
         step = n // params.bnum
         for i in range(params.bnum):

@@ -28,6 +28,22 @@ def test_simulate_variant_default_is_the_loop_default():
     assert SseVariant(args.variant) is inspect.signature(self_consistent_loop).parameters["variant"].default
 
 
+def test_simulate_solver_default_is_the_loop_default():
+    args = build_parser().parse_args(["simulate"])
+    assert args.solver == inspect.signature(self_consistent_loop).parameters["solver"].default
+
+
+def test_simulate_divergence_exits_1_and_is_logged(tmp_path, capsys):
+    out = tmp_path / "div"
+    args = ["simulate", "--preset", "tiny", "--seed", "1", "--init-scale", "0.1", "--max-iter", "10"]
+    assert run(args + ["--output-dir", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("diverged after")
+    log = json.loads((out / "simulate_log.json").read_text())
+    assert log["diverged"] is True and log["converged"] is False
+    assert log["iterations"] < 10
+    assert all(x < 1e12 for x in log["gf_abs_deltas"])
+
+
 def test_simulate_iteration_cap(tmp_path):
     out = tmp_path / "cap"
     assert run(["simulate", "--preset", "tiny", "--max-iter", "1", "--output-dir", str(out)]) == 0

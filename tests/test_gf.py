@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
-from negflow.device import DeviceMatrices, synthesize
+from negflow.device import DeviceMatrices, build_neighbor_map, synthesize
 from negflow.gf import (
+    SOLVERS,
     GreensTensor,
     SingularSystemError,
+    assemble_phonon_matrix,
     block_diag_from_atoms,
     extract_atom_diag,
+    extract_phonon_slots,
     gf_phase,
     retarded_from_lesser_greater,
     solve_phonon_point,
     solve_point_dense,
+    solve_point_dense_diag,
     solve_point_rgf,
 )
 from negflow.params import SimParams, default_grid
@@ -34,6 +38,22 @@ def _free_device(params, n=None):
 
 def _rand_sigma(rng, n):
     return np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _rand_diag_atom_blocks(rng, n_a, m):
+    """Atom blocks [n_A, m, m] whose block-diagonal matrix is ``_rand_sigma``'s."""
+    blocks = np.zeros((n_a, m, m), complex)
+    diag = np.arange(m)
+    blocks[:, diag, diag] = (rng.standard_normal(n_a * m) + 1j * rng.standard_normal(n_a * m)).reshape(n_a, m)
+    return blocks
+
+
+def _rand_atom_blocks(rng, n_a, m, scale=1.0):
+    return scale * (rng.standard_normal((n_a, m, m)) + 1j * rng.standard_normal((n_a, m, m)))
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
 
 def test_free_particle_point():
@@ -92,11 +112,12 @@ def test_retarded_from_lesser_greater():
 def test_rgf_single_block_equals_dense():
     params = TINY.replace(n_A=4, bnum=1)
     dev, _ = synthesize(params, seed=5)
-    n = params.n_A * params.n_orb
     rng = np.random.default_rng(2)
-    sr = np.zeros((n, n), complex)
-    sl, sg = _rand_sigma(rng, n), _rand_sigma(rng, n)
-    g_r, g_l, g_g = solve_point_dense(dev, sr, sl, sg, 0.1, 0, params.eta)
+    sr = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
+    sl, sg = (_rand_diag_atom_blocks(rng, params.n_A, params.n_orb) for _ in range(2))
+    g_r, g_l, g_g = solve_point_dense(
+        dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), 0.1, 0, params.eta
+    )
     b_r, b_l, b_g = solve_point_rgf(dev, sr, sl, sg, 0.1, 0, params.eta, bnum=1)
     assert np.allclose(b_r[0], g_r, atol=1e-12)
     assert np.allclose(b_l[0], g_l, atol=1e-12)
@@ -109,12 +130,12 @@ def test_rgf_matches_dense_blocks(seed):
     dev, _ = synthesize(params, seed=seed)
     n = params.n_A * params.n_orb
     rng = np.random.default_rng(100 + seed)
-    sr = block_diag_from_atoms(
-        0.1 * (rng.standard_normal((params.n_A, 2, 2)) + 1j * rng.standard_normal((params.n_A, 2, 2)))
-    )
-    sl, sg = _rand_sigma(rng, n), _rand_sigma(rng, n)
+    sr = _rand_atom_blocks(rng, params.n_A, 2, scale=0.1)
+    sl, sg = (_rand_diag_atom_blocks(rng, params.n_A, params.n_orb) for _ in range(2))
     energy = float(rng.uniform(-0.9, 0.9))
-    g_r, g_l, g_g = solve_point_dense(dev, sr, sl, sg, energy, 0, params.eta)
+    g_r, g_l, g_g = solve_point_dense(
+        dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), energy, 0, params.eta
+    )
     b_r, b_l, b_g = solve_point_rgf(dev, sr, sl, sg, energy, 0, params.eta, params.bnum)
     step = n // params.bnum
     for i in range(params.bnum):
@@ -134,7 +155,7 @@ def test_rgf_decoupled_blocks_are_local_inverses():
     h[:, half:, :half] = 0.0
     dev = DeviceMatrices(H=h, S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
                          Phi=dev.Phi, dH=dev.dH, bnum=2)
-    zero = np.zeros((n, n), complex)
+    zero = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
     b_r, _, _ = solve_point_rgf(dev, zero, zero, zero, 0.4, 0, params.eta, 2)
     for i, sl_ in enumerate((slice(0, half), slice(half, n))):
         local = np.linalg.inv(0.4 * np.eye(half) - h[0][sl_, sl_] + 1e-3j * np.eye(half))
@@ -183,6 +204,12 @@ def test_gf_phase_zero_self_energies():
     assert np.all(g_e.lesser == 0) and np.all(g_e.greater == 0)
     assert np.all(g_ph.lesser == 0) and np.all(g_ph.greater == 0)
     assert g_e.all_finite() and g_ph.all_finite()
+    # every exact zero is +0.0 on both solvers, so a zero state has one digest
+    zero = GreensTensor.zeros_electron(params).lesser.tobytes(), GreensTensor.zeros_phonon(params).lesser.tobytes()
+    for solver in SOLVERS:
+        g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap, solver=solver)
+        assert (g_e.lesser.tobytes(), g_ph.lesser.tobytes()) == zero
+        assert (g_e.greater.tobytes(), g_ph.greater.tobytes()) == zero
 
 
 def test_gf_phase_singleton_grid_matches_point_solve():
@@ -196,7 +223,7 @@ def test_gf_phase_singleton_grid_matches_point_solve():
         greater=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
     )
     pi = GreensTensor.zeros_phonon(params)
-    g_e, _ = gf_phase(dev, sigma, pi, params, grid, nmap)
+    g_e, _ = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
     sig_r = block_diag_from_atoms(retarded_from_lesser_greater(sigma)[0, 0])
     _, g_l, g_g = solve_point_dense(
         dev,
@@ -205,8 +232,9 @@ def test_gf_phase_singleton_grid_matches_point_solve():
         block_diag_from_atoms(sigma.greater[0, 0]),
         grid.values[0], 0, params.eta,
     )
-    assert np.array_equal(g_e.lesser[0, 0], extract_atom_diag(g_l, params.n_A, params.n_orb))
-    assert np.array_equal(g_e.greater[0, 0], extract_atom_diag(g_g, params.n_A, params.n_orb))
+    # the loop's dense path forms only the diagonal blocks, so the full-matrix oracle agrees to round-off
+    assert _rel(g_e.lesser[0, 0], extract_atom_diag(g_l, params.n_A, params.n_orb)) <= 1e-12
+    assert _rel(g_e.greater[0, 0], extract_atom_diag(g_g, params.n_A, params.n_orb)) <= 1e-12
 
 
 def test_gf_phase_reports_failing_point():
@@ -235,8 +263,8 @@ def test_rgf_singular_leading_block():
         dH=np.zeros((4, 2, 3, 1, 1), complex),
         bnum=2,
     )
-    zero = np.zeros((n, n), complex)
-    sr = np.diag([0.5 + 1e-3j] * 2 + [0.0] * 2)  # cancels block 0 of E*S + i*eta exactly
+    zero = np.zeros((4, 1, 1), complex)
+    sr = np.array([0.5 + 1e-3j] * 2 + [0.0] * 2).reshape(4, 1, 1)  # cancels block 0 of E*S + i*eta exactly
     with pytest.raises(SingularSystemError, match="forward pass"):
         solve_point_rgf(dev, sr, zero, zero, 0.5, 0, 1e-3, 2)
 
@@ -260,3 +288,78 @@ def test_gf_phase_rgf_solver_matches_dense():
         assert np.max(np.abs(a.greater - b.greater)) <= 1e-10 * scale
     with pytest.raises(ValueError, match="unknown solver"):
         gf_phase(dev, sigma, pi, params, grid, nmap, solver="magma")
+
+
+def test_rgf_near_singular_leading_block_fails_the_residual_check():
+    # cond ~ 1e15: np.linalg.solve returns a wrong inverse without raising,
+    # so only the block's solve residual can catch it
+    rng = np.random.default_rng(0)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        return q
+
+    params = TINY.replace(n_kz=1, n_A=4, bnum=2)
+    dev = _free_device(params)
+    energy, eta = 0.5, 1e-3
+    sr = np.zeros((params.n_A, 2, 2), complex)
+    sr[0] = (energy + 1j * eta) * np.eye(2) - unitary() @ np.diag([1.0, 1e-15]) @ unitary().conj().T
+    leading = (energy + 1j * eta) * np.eye(4) - block_diag_from_atoms(sr[:2])
+    assert np.linalg.cond(leading) > 1e14
+    wrong = np.linalg.solve(leading, np.eye(4))
+    assert np.linalg.norm(leading @ wrong - np.eye(4)) / 2 > 1e-8
+    zero = np.zeros_like(sr)
+    with pytest.raises(SingularSystemError, match=r"block 0 \(kz=0, E=0\.5\): solve residual"):
+        solve_point_rgf(dev, sr, zero, zero, energy, 0, eta, params.bnum)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "n_a, n_orb, bnum", [(8, 2, 4), (4, 2, 1), (8, 1, 2), (4, 4, 2)], ids=["base", "bnum1", "orb1", "orb4"]
+)
+def test_dense_diagonal_blocks_match_the_full_oracle(seed, n_a, n_orb, bnum):
+    params = TINY.replace(n_kz=1, n_A=n_a, n_orb=n_orb, bnum=bnum)
+    dev, _ = synthesize(params, seed=seed)
+    rng = np.random.default_rng(200 + seed)
+    sr, sl, sg = (_rand_atom_blocks(rng, n_a, n_orb, scale=0.1) for _ in range(3))
+    energy = float(rng.uniform(-0.9, 0.9))
+    _, g_l, g_g = solve_point_dense(dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), energy, 0, params.eta)
+    less, grt = solve_point_dense_diag(dev, sr, sl, sg, energy, 0, params.eta)
+    assert _rel(less, extract_atom_diag(g_l, n_a, n_orb)) <= 1e-12
+    assert _rel(grt, extract_atom_diag(g_g, n_a, n_orb)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_phonon_slot_products_match_the_full_formula(seed):
+    params = TINY.replace(n_A=8, n_B=4, bnum=2)
+    dev, nmap = synthesize(params, seed=seed)
+    rng = np.random.default_rng(300 + seed)
+    slots = (params.n_A, params.n_B + 1, params.n_3D, params.n_3D)
+    pr, pl, pg = (assemble_phonon_matrix(0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)), nmap)
+                  for _ in range(3))
+    d_r, d_l, d_g = solve_phonon_point(dev, pr, pl, pg, 0.7, 0, params.eta, nmap)
+    assert _rel(d_l, extract_phonon_slots(d_r @ pl @ d_r.T, nmap, params.n_3D)) <= 1e-12
+    assert _rel(d_g, extract_phonon_slots(d_r @ pg @ d_r.T, nmap, params.n_3D)) <= 1e-12
+
+
+def test_block_helpers_match_explicit_block_loops():
+    n_a, m = 6, 3
+    nmap = build_neighbor_map(n_a, 3)
+    rng = np.random.default_rng(9)
+    blocks = _rand_atom_blocks(rng, n_a, m)
+    matrix = _rand_atom_blocks(rng, 1, n_a * m)[0]
+    full = np.zeros((n_a * m, n_a * m), complex)
+    for a in range(n_a):
+        full[a * m:(a + 1) * m, a * m:(a + 1) * m] = blocks[a]
+    assert np.array_equal(block_diag_from_atoms(blocks), full)
+    assert np.array_equal(extract_atom_diag(matrix, n_a, m),
+                          np.stack([matrix[a * m:(a + 1) * m, a * m:(a + 1) * m] for a in range(n_a)]))
+    # leading dimensions are batched over
+    assert np.array_equal(extract_atom_diag(np.stack((matrix, full)), n_a, m)[1], blocks)
+    slots = extract_phonon_slots(matrix, nmap, m)
+    banded = np.zeros_like(matrix)
+    for a in range(n_a):
+        for s, b in enumerate([a, *nmap.idx[a]]):
+            assert np.array_equal(slots[a, s], matrix[a * m:(a + 1) * m, b * m:(b + 1) * m])
+            banded[a * m:(a + 1) * m, b * m:(b + 1) * m] = slots[a, s]
+    assert np.array_equal(assemble_phonon_matrix(slots, nmap), banded)

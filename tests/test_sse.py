@@ -7,9 +7,11 @@ import pytest
 
 from negflow.device import NeighborMap, build_neighbor_map, synthesize
 from negflow.flops import FlopCounter
-from negflow.gf import GreensTensor
+from negflow.gf import SOLVERS, GreensTensor
 from negflow.params import EnergyGrid, SimParams, default_grid
+from negflow import sse
 from negflow.sse import (
+    DIVERGENCE_PASSES,
     CombinedD,
     ShiftGather,
     SseVariant,
@@ -449,6 +451,37 @@ def test_self_consistent_iteration_cap():
     assert not result.converged
     assert result.iterations == 1
     assert result.deltas == []
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_self_consistent_growth_stops_as_diverged(solver):
+    # the tiny preset at seed 1 with a 0.1 seed blows up at eta=1e-3
+    params = SimParams(n_kz=3, n_qz=2, n_E=8, n_w=2, n_A=8, n_B=2, n_orb=2, bnum=4)
+    dev, nmap = synthesize(params, seed=1, coupling=0.05)
+    sigma0, pi0 = seeded_self_energies(params, 0.1)
+    result = self_consistent_loop(
+        dev, nmap, params, max_iter=10, tol=1e-8, solver=solver, initial_sigma=sigma0, initial_pi=pi0
+    )
+    assert result.diverged and not result.converged
+    assert result.iterations == DIVERGENCE_PASSES + 2
+    tail = result.abs_deltas[-DIVERGENCE_PASSES - 1:]
+    assert all(a < b for a, b in zip(tail, tail[1:]))
+    assert all(d > 1 for d in result.deltas[-DIVERGENCE_PASSES:])
+
+
+def test_self_consistent_non_finite_iterate_stops_as_diverged(monkeypatch):
+    params = TINY.replace(n_E=3, n_w=1)
+    dev, nmap = synthesize(params, seed=1)
+
+    def overflowed(*args, **kwargs):
+        g_e, g_ph = GreensTensor.zeros_electron(params), GreensTensor.zeros_phonon(params)
+        g_e.lesser[0, 0, 0, 0, 0] = np.inf
+        return g_e, g_ph
+
+    monkeypatch.setattr(sse, "gf_phase", overflowed)
+    result = self_consistent_loop(dev, nmap, params, max_iter=10, tol=1e-12)
+    assert result.diverged and not result.converged
+    assert result.iterations == 1
 
 
 def test_self_consistent_monotone_relaxation_fixture():
