@@ -374,10 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, comm.InfeasiblePartitionError, dataflow.CannotPropagateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SingularSystemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,15 +4,17 @@ Covers exactly what the communication analysis needs: map scopes over
 symbolic ranges, memlets whose per-dimension indices are affine expressions,
 explicit window subsets, or engineer-supplied indirection models, a tiling
 transformation, and the outward propagation of memlet ranges through a
-scope.  Symbolic arithmetic is delegated to sympy; simplification is best
-effort and correctness is pinned by concrete-instantiation tests.
+scope.  Symbolic arithmetic is delegated to sympy, and the IR never
+simplifies: it builds sums, products and clamps as sympy constructs them.
+Tests compare forms by ``simplify(a - b) == 0`` or by values at points, and
+pin correctness by concrete instantiation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 import sympy
@@ -40,8 +42,7 @@ class SymRange:
 
     @property
     def length(self) -> Expr:
-        diff = self.upper - self.lower
-        return diff if diff.is_number else sympy.simplify(diff)
+        return self.upper - self.lower
 
     def instantiate(self, subs: dict) -> tuple[int, int]:
         lo = self.lower if self.lower.is_Integer else self.lower.xreplace(subs)
@@ -65,13 +66,10 @@ class IndirectionModel:
     range: SymRange
     total_accesses: Expr
     unique_accesses: Expr
-    approximation: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "total_accesses", _expr(self.total_accesses))
         object.__setattr__(self, "unique_accesses", _expr(self.unique_accesses))
-        if not self.approximation:
-            raise ValueError("indirection models must be marked as approximations")
         length = self.range.length
         if length.is_number and length < 1:
             raise ValueError(f"indirection model {self.name!r} has empty range {self.range}")
@@ -265,23 +263,18 @@ class MemletPropagation:
             raise ValueError("range is single-dimension shorthand; use .dims")
         return self.dims[0].range
 
-    # Cached: the result is immutable and sympy.simplify dominates the cost
-    # of a read.  cached_property writes the instance __dict__ directly, so
-    # it works on this frozen dataclass.
-    @cached_property
+    @property
     def total_accesses(self) -> Expr:
         return _product([d.total_accesses for d in self.dims])
 
-    @cached_property
+    @property
     def unique_accesses(self) -> Expr:
         return _product([d.unique_accesses for d in self.dims])
 
 
 def _product(factors: list[Expr]) -> Expr:
-    """Simplified product of per-dimension counts; a lone factor is returned as is."""
-    if len(factors) == 1:
-        return factors[0]
-    return sympy.simplify(sympy.Mul(*factors))
+    """Product of per-dimension counts as sympy builds it, not simplified."""
+    return sympy.Mul(*factors)
 
 
 def _propagate_affine(expr: Expr, scope: MapScope, extent: Expr) -> DimPropagation:
@@ -408,7 +401,7 @@ def volume_between_maps(outer: MapScope, graph: DataflowGraph) -> dict[str, Expr
             decl = graph.array(memlet.array)
             prop = propagate_memlet(inner, memlet, decl)
             contribution = prop.unique_accesses * decl.element_bytes
-            volumes[memlet.array] = sympy.simplify(volumes.get(memlet.array, sympy.Integer(0)) + contribution)
+            volumes[memlet.array] = volumes.get(memlet.array, sympy.Integer(0)) + contribution
     return volumes
 
 

@@ -127,34 +127,25 @@ def _chunks(total: int, parts: int) -> list[range]:
     return [range(min(i * size, total), min((i + 1) * size, total)) for i in range(parts)]
 
 
-def _flat_owner(chunks: list[range], index: int) -> int:
-    for rank, chunk in enumerate(chunks):
-        if index in chunk:
-            return rank
-    raise IndexError(f"index {index} outside every chunk")
+class _ChunkLayout:
+    """Ownership of a flattened (outer, inner) grid split into P ceil chunks.
 
+    Momentum-energy points are (k_z, E); phonon rounds are (q_z, omega).
+    """
 
-class _PointLayout:
-    """Momentum-energy ownership: flattened (k_z, E) split into P chunks."""
+    def __init__(self, n_outer: int, n_inner: int, processes: int):
+        self.n_inner = n_inner
+        self.chunks = _chunks(n_outer * n_inner, processes)
 
-    def __init__(self, n_kz: int, n_e: int, processes: int):
-        self.n_e = n_e
-        self.chunks = _chunks(n_kz * n_e, processes)
-
-    def owner(self, k: int, i_e: int) -> int:
-        return _flat_owner(self.chunks, k * self.n_e + i_e)
+    def owner(self, outer: int, inner: int) -> int:
+        flat = outer * self.n_inner + inner
+        for rank, chunk in enumerate(self.chunks):
+            if flat in chunk:
+                return rank
+        raise IndexError(f"index {flat} outside every chunk")
 
     def points(self, rank: int) -> list[tuple[int, int]]:
-        return [divmod(flat, self.n_e) for flat in self.chunks[rank]]
-
-
-class _PhononLayout:
-    def __init__(self, n_qz: int, n_w: int, processes: int):
-        self.n_w = n_w
-        self.chunks = _chunks(n_qz * n_w, processes)
-
-    def owner(self, q: int, w: int) -> int:
-        return _flat_owner(self.chunks, q * self.n_w + w)
+        return [divmod(flat, self.n_inner) for flat in self.chunks[rank]]
 
 
 def _omen_rank(
@@ -234,8 +225,8 @@ def run_omen_scheme(
     """
     if processes < 1:
         raise ValueError("process count must be >= 1")
-    layout = _PointLayout(params.n_kz, params.n_E, processes)
-    ph_layout = _PhononLayout(params.n_qz, params.n_w, processes)
+    layout = _ChunkLayout(params.n_kz, params.n_E, processes)
+    ph_layout = _ChunkLayout(params.n_qz, params.n_w, processes)
     states = [RankState(rank=r, points=tuple(layout.points(r))) for r in range(processes)]
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
@@ -323,8 +314,8 @@ def run_tiled_scheme(
     ]
     halo_e = grid.max_offset
     halo_a = max(params.n_B // 2, nmap.max_reach)
-    layout = _PointLayout(params.n_kz, params.n_E, processes)
-    ph_layout = _PhononLayout(params.n_qz, params.n_w, processes)
+    layout = _ChunkLayout(params.n_kz, params.n_E, processes)
+    ph_layout = _ChunkLayout(params.n_qz, params.n_w, processes)
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
 

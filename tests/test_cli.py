@@ -7,6 +7,7 @@ import json
 import pytest
 
 from negflow.cli import build_parser, main
+from negflow.gf import SingularSystemError
 from negflow.sse import SseVariant, self_consistent_loop
 
 
@@ -42,6 +43,15 @@ def test_simulate_divergence_exits_1_and_is_logged(tmp_path, capsys):
     assert log["diverged"] is True and log["converged"] is False
     assert log["iterations"] < 10
     assert all(x < 1e12 for x in log["gf_abs_deltas"])
+
+
+def test_simulate_singular_system_exits_1(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise SingularSystemError("singular block 0")
+
+    monkeypatch.setattr("negflow.cli.self_consistent_loop", singular)
+    assert run(["simulate", "--preset", "tiny", "--output-dir", str(tmp_path / "s")]) == 1
+    assert "error: singular block 0" in capsys.readouterr().err
 
 
 def test_simulate_iteration_cap(tmp_path):

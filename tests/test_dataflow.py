@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy import Max, Min, Rational, Symbol
 
-from negflow import comm
+from negflow import comm, dataflow
 from negflow.dataflow import (
     ArrayDecl,
     CannotPropagateError,
@@ -181,8 +181,6 @@ def test_indirection_model_is_returned_verbatim():
     assert prop.dims[0].approximation
     assert prop.dims[0].unique_accesses == 8
     assert prop.dims[0].total_accesses == 20
-    with pytest.raises(ValueError, match="approximation"):
-        IndirectionModel("f", SymRange(0, 10), 20, 8, approximation=False)
     with pytest.raises(ValueError, match="empty range"):
         IndirectionModel("f", SymRange(5, 5), 1, 1)
 
@@ -286,6 +284,29 @@ def test_sse_graph_volume_matches_comm_model():
         model_e = plan.per_process_bytes["electron_G"] + plan.per_process_bytes["electron_Sigma"]
         assert float(electron) == pytest.approx(model_e, rel=1e-12)
         assert float(phonon) == pytest.approx(plan.per_process_bytes["phonon_D_Pi"], rel=1e-12)
+
+
+def test_the_ir_never_simplifies_and_prints_the_pinned_volumes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dataflow IR called sympy.simplify")
+
+    monkeypatch.setattr(dataflow.sympy, "simplify", refuse)
+    sg = build_sse_graph()
+    volumes = {name: str(v) for name, v in volume_between_maps(sg.outer, sg.graph).items()}
+    electron = "16*N_kz*N_orb**2*Min(N_A, N_B + s_A)*Min(N_E, 2*N_w + s_E)"
+    phonon = "16*N_3D**2*N_B*N_qz*N_w*Min(N_A, N_B + s_A)"
+    assert volumes == {
+        **dict.fromkeys(("G_lesser", "G_greater", "Sigma_lesser", "Sigma_greater"), electron),
+        **dict.fromkeys(("D_lesser", "D_greater", "Pi_lesser", "Pi_greater"), phonon),
+        "dH": "16*N_3D*N_B*N_orb**2*Min(N_A, N_B + s_A)",
+    }
+    n_kz = Symbol("N_kz", integer=True, positive=True)
+    s_k = Symbol("s_kz", integer=True, positive=True)
+    s_q = Symbol("s_qz", integer=True, positive=True)
+    scope, k, q, _, _ = _tiled_pattern_scope(s_k, s_q)
+    prop = propagate_memlet(scope, Memlet("G", (k - q,)), ArrayDecl("G", (n_kz,)))
+    assert str(prop.total_accesses) == "s_kz + s_qz - 1"
+    assert str(prop.unique_accesses) == "Min(N_kz, s_kz + s_qz - 1)"
 
 
 def test_graph_json_serialization():

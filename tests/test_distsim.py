@@ -333,9 +333,9 @@ def test_ledger_csv_and_summary():
 
 
 def test_rank_state_ownership_partition():
-    from negflow.distsim import RankState, _PointLayout
+    from negflow.distsim import RankState, _ChunkLayout
 
-    layout = _PointLayout(3, 5, 4)
+    layout = _ChunkLayout(3, 5, 4)
     states = [RankState(rank=r, points=tuple(layout.points(r))) for r in range(4)]
     union = np.zeros((3, 5), dtype=int)
     for state in states:
