@@ -15,9 +15,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import sympy
 
-from . import comm, dataflow, distsim, flops
+from . import comm, distsim, flops
 from .device import synthesize
 from .gf import DEFAULT_SOLVER, SOLVERS, GreensTensor, SingularSystemError
 from .params import SimParams, default_grid, load_params, validate
@@ -283,6 +282,11 @@ def cmd_distsim(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    # the symbolic modules load only here, keeping the other commands off sympy
+    import sympy
+
+    from . import dataflow
+
     out = _out_dir(args)
     _echo_config(out, "propagate", args, None)
     graph = dataflow.build_sse_graph(tile_e=args.tile_e, tile_a=args.tile_a)

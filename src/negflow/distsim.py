@@ -136,13 +136,17 @@ class _ChunkLayout:
     def __init__(self, n_outer: int, n_inner: int, processes: int):
         self.n_inner = n_inner
         self.chunks = _chunks(n_outer * n_inner, processes)
+        self._owners = [-1] * (n_outer * n_inner)  # flat index -> rank, -1 outside every chunk
+        for rank, chunk in enumerate(self.chunks):
+            for flat in chunk:
+                self._owners[flat] = rank
 
     def owner(self, outer: int, inner: int) -> int:
         flat = outer * self.n_inner + inner
-        for rank, chunk in enumerate(self.chunks):
-            if flat in chunk:
-                return rank
-        raise IndexError(f"index {flat} outside every chunk")
+        rank = self._owners[flat] if 0 <= flat < len(self._owners) else -1
+        if rank < 0:
+            raise IndexError(f"index {flat} outside every chunk")
+        return rank
 
     def points(self, rank: int) -> list[tuple[int, int]]:
         return [divmod(flat, self.n_inner) for flat in self.chunks[rank]]

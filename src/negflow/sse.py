@@ -11,14 +11,18 @@ preprocessed four-term phonon combination.  The phonon self-energy reduces
 trace chains of the same blocks over (k_z, E).  Five algorithmically
 equivalent arrangements of the Sigma kernel trace the optimization chain
 from the straightforward map to the batched, fused form, and Pi comes in
-three forms that differ in which dH G factors are hoisted.  All of them
-share a single boundary-handling helper, :class:`ShiftGather`, so they agree
-by construction on how momentum wraps and how off-grid energy offsets drop
-out.
+three forms that differ in which dH G factors are hoisted.  The default
+forms work per atom over all of its neighbors at once and apply the
+momentum/energy shift to a product rather than to G: batched-fused Sigma
+shifts dHG Xi, the default Pi rolls its trailing factor in momentum.  All of
+them share a single boundary rule, :func:`_shift_plan` (applied to inputs
+by :class:`ShiftGather`), so they agree by construction on how momentum
+wraps and how off-grid energy offsets drop out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -52,6 +56,11 @@ DEFAULT_VARIANT = SseVariant.BATCHED_FUSED
 DIVERGENCE_PASSES = 3
 
 
+def _carve(buffer: Array, offset: int, shape: tuple[int, ...]) -> Array:
+    """A C-ordered ``shape`` view into the flat scratch ``buffer``, starting at ``offset``."""
+    return buffer[offset : offset + math.prod(shape)].reshape(shape)
+
+
 def to_atom_major(arr: Array) -> Array:
     """[k, E, a, ...] -> [a, k, E, ...]; a lossless permutation."""
     return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
@@ -63,45 +72,79 @@ def to_grid_major(arr: Array) -> Array:
 
 
 @lru_cache(maxsize=512)
-def _shift_plan(n_kz: int, n_e: int, e_shifts: tuple[int, ...], q_shift: int, window_last: bool):
-    """Zero padding of the energy axis and the gather index of :class:`ShiftGather`, cached."""
+def _shift_plan(n_kz: int, n_e: int, e_shifts: tuple[int, ...], q_shift: int):
+    """Zero padding of the energy axis and the ``[w, k, E]`` gather index of :class:`ShiftGather`, cached."""
     shifts = np.clip(np.array(e_shifts, dtype=np.int64), -n_e, n_e)
     before = max(int(shifts.max(initial=0)), 0)
     n_pad = before + n_e + max(-int(shifts.min(initial=0)), 0)
     k_index = (np.arange(n_kz) - q_shift) % n_kz
     e_index = np.arange(n_e)[None, :] - shifts[:, None] + before
     index = k_index[:, None, None] * n_pad + e_index[None]  # [k, w, E] into the merged (k, padded E) axis
-    index = np.ascontiguousarray(index.transpose((0, 2, 1) if window_last else (1, 0, 2)))
+    index = np.ascontiguousarray(index.transpose(1, 0, 2))
     index.setflags(write=False)
     return before, n_pad, index
+
+
+@lru_cache(maxsize=64)
+def _shift_add_plan(n_kz: int, n_e: int, e_shifts: tuple[int, ...], n_qz: int, n_orb: int):
+    """Padding and gather index of the Sigma shift-add, built from :func:`_shift_plan`.
+
+    The product Y is laid out as rows ``[k, padded E, M, (q, w)]`` of n_orb
+    columns.  ``index[(q, w), k, E, M]`` is the row holding Y at
+    ``[(k - q) mod n_kz, E - e_shifts[w], M, (q, w)]``; off-grid energies land
+    in the zero padding, as in :class:`ShiftGather`.
+    """
+    before, n_pad, _ = _shift_plan(n_kz, n_e, e_shifts, 0)
+    n_qw = n_qz * len(e_shifts)
+    # [(q, w), k, E] into the merged (k, padded E) axis
+    k_e = np.concatenate([_shift_plan(n_kz, n_e, e_shifts, q % n_kz)[2] for q in range(n_qz)])
+    index = (k_e[..., None] * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None, None]
+    index.setflags(write=False)
+    return before, n_pad, index
+
+
+@lru_cache(maxsize=64)
+def _roll_plan(n_kz: int, n_e: int, n_orb: int, n_qz: int):
+    """Gather index of the k-rolled copies of Pi's m2 factor, built from :func:`_shift_plan`.
+
+    ``index[(k, E, P, M), q]`` is the row of m2, laid out as rows
+    ``[k, E, P, M]``, at ``[(k - q) mod n_kz, E, P, M]``.
+    """
+    # [(k, E), q] into the merged (k, E) axis; a zero energy shift needs no padding
+    k_e = np.stack([_shift_plan(n_kz, n_e, (0,), q % n_kz)[2][0].ravel() for q in range(n_qz)], axis=1)
+    index = (k_e[:, None] * n_orb**2 + np.arange(n_orb**2)[:, None]).reshape(-1, n_qz)
+    index.setflags(write=False)
+    return index
 
 
 class ShiftGather:
     """Every energy window of a ``[..., k, E, ...]`` array, gathered by index.
 
-    The single boundary-handling site shared by every kernel and both use
-    sites (E - omega for Sigma, E + omega for Pi via negated shifts):
-    momentum wraps periodically, while entries whose shifted energy falls off
-    the grid are zero, which is arithmetically identical to dropping those
-    terms from the accumulation.
+    :func:`_shift_plan` is the single boundary rule of every kernel, for
+    both use sites (E - omega for Sigma, E + omega for Pi via negated
+    shifts): momentum wraps periodically, while entries whose shifted energy
+    falls off the grid are zero, which is arithmetically identical to
+    dropping those terms from the accumulation.  This class applies it to
+    an input; the default kernels also derive from it the index that shifts
+    Sigma's product (:func:`_shift_add_plan`) and the momentum roll of Pi's
+    trailing factor (:func:`_roll_plan`).
 
     The momentum and energy axes sit at ``axis`` and ``axis + 1`` of
     ``shape``.  :meth:`load` copies an array into a buffer zero-padded along
     E, once; :meth:`windows` then returns, in one indexed copy, every window
     for one momentum shift ``q``: window ``w`` holds the loaded array at
-    ``[(k - q) mod n_kz, E - e_shifts[w]]``.  The window axis goes right
-    before the momentum axis, or right after the energy axis with
-    ``window_last``.  Both buffers are reused: a returned window stack is
-    valid until the next :meth:`windows` call.
+    ``[(k - q) mod n_kz, E - e_shifts[w]]``, with the window axis right
+    before the momentum axis.  Both buffers are reused: a returned window
+    stack is valid until the next :meth:`windows` call.
     """
 
-    def __init__(self, shape: tuple[int, ...], e_shifts: Iterable[int], axis: int = 0, window_last: bool = False):
+    def __init__(self, shape: tuple[int, ...], e_shifts: Iterable[int], axis: int = 0):
         self.shape = tuple(shape)
         self._e_shifts = tuple(int(e) for e in e_shifts)
         self.n_windows = len(self._e_shifts)
         self._n_kz, self._n_e = shape[axis], shape[axis + 1]
-        self._axis, self._window_last = axis, window_last
-        before, n_pad, _ = _shift_plan(self._n_kz, self._n_e, self._e_shifts, 0, window_last)
+        self._axis = axis
+        before, n_pad, _ = _shift_plan(self._n_kz, self._n_e, self._e_shifts, 0)
         self._padded = np.zeros(shape[:axis] + (self._n_kz, n_pad) + shape[axis + 2 :], dtype=np.complex128)
         self._interior = (slice(None),) * (axis + 1) + (slice(before, before + self._n_e),)
         self._merged = self._padded.reshape(shape[:axis] + (-1,) + shape[axis + 2 :])
@@ -112,7 +155,7 @@ class ShiftGather:
         return self
 
     def windows(self, q_shift: int) -> Array:
-        index = _shift_plan(self._n_kz, self._n_e, self._e_shifts, q_shift % self._n_kz, self._window_last)[2]
+        index = _shift_plan(self._n_kz, self._n_e, self._e_shifts, q_shift % self._n_kz)[2]
         self._out = np.take(self._merged, index, axis=self._axis, out=self._out, mode="clip")
         return self._out
 
@@ -334,42 +377,57 @@ def _sigma_redundancy_removed(
 
 
 def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
-    """Final form: per-(a,b) transients, fused GEMMs for both stages.
+    """Final form: per-atom transients, one GEMM per stage, the shift applied to the product.
 
-    Stage 1 computes dHG once per (a,b) as one (n_orb n_kz n_E)-tall GEMM
-    against the three dH_i side by side, in the row order [M, k, E].
-    Stage 2 gathers every omega window of dHG for one q_z at once
-    (:class:`ShiftGather`; zero rows stand in for off-grid energies) and
-    realizes the accumulation as one
-    (n_orb n_kz n_E) x (n_w 3 n_orb) x n_orb GEMM per (a, b, q_z).
+    Stage 1 computes dHG of all n_B neighbors of atom a in one batched GEMM
+    (rows [k, E, M], columns (i, P)).  Stage 2 is reassociated: since the
+    (k, E) shift commutes with right multiplication, one
+    (n_kz n_E n_orb) x (n_B 3 n_orb) x (n_qz n_w n_orb) GEMM forms
+    Y = dHG Xi for every neighbor and (q_z, omega) at once, and the shift
+    then gathers n_orb columns of Y per (q_z, omega) in one indexed copy
+    (:func:`_shift_add_plan`; zero rows stand in for off-grid energies)
+    before the (q_z, omega) sum.
     """
     n_kz, n_e, _, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
-    rows, depth = n_orb * n_kz * n_e, n_w * 3 * n_orb
-    weights = np.asarray(grid.weights)[:, None, None, None]
-    gather = ShiftGather((n_orb, n_kz, n_e, 3 * n_orb), grid.offsets, axis=1, window_last=True)
-    acc = np.empty((rows, n_orb), dtype=np.complex128)
+    n_b, n_qw = nmap.n_B, n_qz * n_w
+    rows, depth = n_kz * n_e * n_orb, n_b * 3 * n_orb
+    before, n_pad, index = _shift_add_plan(n_kz, n_e, grid.offsets, n_qz, n_orb)
+    weights = np.asarray(grid.weights)[:, None]
+    dh_cols = dh.transpose(0, 1, 3, 2, 4).reshape(dh.shape[0], n_b, n_orb, 3 * n_orb)  # [a, s, Q, (i, P)]
+    # per-atom buffers, reused across atoms and both tensors; the neighbors' G (as taken, then as
+    # GEMM rows), dHG and the shifted product share one: dHG is written past the rows it is formed
+    # from, and the shift-add gathers once Y has consumed dHG
+    stack = n_b * rows * n_orb
+    scratch = np.empty(max(2 * stack, stack + rows * depth, index.size * n_orb), dtype=np.complex128)
+    g_rows = _carve(scratch, 0, (n_b, n_kz, n_e, n_orb, n_orb))
+    g_nb = _carve(scratch, stack, (n_kz, n_e, n_b, n_orb, n_orb))
+    dhg = _carve(scratch, stack, (rows, n_b, 3 * n_orb))
+    shifted = _carve(scratch, 0, index.shape + (n_orb,))
+    dcdh = np.empty((n_b, 3, n_qz, n_w, n_orb, n_orb), dtype=np.complex128)
+    xi = np.empty((n_b, 3, n_orb, n_qz, n_w, n_orb), dtype=np.complex128)
+    y = np.zeros((n_kz, n_pad * n_orb, n_qw * n_orb), dtype=np.complex128)
+    y_grid = y[:, before * n_orb : (before + n_e) * n_orb]
     outs = []
     for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
         out = np.empty_like(g_arr)
         out[:, :, : atoms.start] = 0
         out[:, :, atoms.stop :] = 0
         for a in atoms:
-            acc.fill(0)
-            for s in range(nmap.n_B):
-                b = int(nmap.idx[a, s])
-                dh_ab = dh[a, s]
-                # dHG[M, k, E, (i, P)] = G[k, E, b][M, Q] dH_i[Q, P]
-                g_rows = g_arr[:, :, b].transpose(2, 0, 1, 3).reshape(rows, n_orb)
-                gather.load((g_rows @ dh_ab.transpose(1, 0, 2).reshape(n_orb, 3 * n_orb)).reshape(gather.shape))
-                xi = weights * np.einsum("qwij,jPN->qwiPN", dc_arr[:, :, a, s], dh_ab)
-                if counter is not None:
-                    counter.add_matmul(rows, n_orb, n_orb, repeat=3, stage="sigma.dhg")
-                for q in range(n_qz):
-                    acc += gather.windows(q).reshape(rows, depth) @ xi[q].reshape(depth, n_orb)
-                    if counter is not None:
-                        counter.add_matmul(rows, depth, n_orb, stage="sigma.accumulate")
-            out[:, :, a] = acc.reshape(n_orb, n_kz, n_e, n_orb).transpose(1, 2, 0, 3)
+            # dHG[k, E, M, s, (i, P)] = G[k, E, f(a, s)][M, Q] dH[a, s, i][Q, P]
+            np.take(g_arr, nmap.idx[a], axis=2, out=g_nb, mode="clip")
+            np.copyto(g_rows, g_nb.transpose(2, 0, 1, 3, 4))
+            np.matmul(g_rows.reshape(n_b, rows, n_orb), dh_cols[a], out=dhg.transpose(1, 0, 2))
+            # Xi[(s, i, P), (q, w, N)] = weight_w sum_j Dc[q, w, a, s, i, j] dH[a, s, j][P, N]
+            dc_a = dc_arr[:, :, a].reshape(n_qw, n_b, 3, 3).transpose(1, 2, 0, 3)  # [s, i, (q, w), j]
+            np.matmul(dc_a, dh[a].reshape(n_b, 1, 3, -1), out=dcdh.reshape(n_b, 3, n_qw, -1))
+            np.multiply(dcdh.transpose(0, 1, 4, 2, 3, 5), weights, out=xi)
+            np.matmul(dhg.reshape(n_kz, n_e * n_orb, depth), xi.reshape(depth, n_qw * n_orb), out=y_grid)
+            np.take(y.reshape(-1, n_orb), index, axis=0, out=shifted, mode="clip")
+            np.add.reduce(shifted, axis=0, out=out[:, :, a])
+            if counter is not None:
+                counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b, stage="sigma.dhg")
+                counter.add_matmul(rows, depth, n_qw * n_orb, stage="sigma.accumulate")
         out *= 1j
         outs.append(out)
     return GreensTensor(lesser=outs[0], greater=outs[1])
@@ -411,34 +469,61 @@ def sse_sigma(
 
 
 def _fully_hoisted_chains(
-    g1: Array, g2: Array, dh_ab: Array, gather: ShiftGather, n_qz: int, counter: FlopCounter | None
-) -> Array:
-    """[q, w, i, j] trace chains of one (a,b) pair, both dH G factors computed once.
+    g: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int, counter: FlopCounter | None,
+    mask: Array | None, atoms: range,
+) -> tuple[Array, Array]:
+    """Lesser/greater [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per atom.
 
-    The (k, E) shift commutes with left multiplication, so dH_i G1 is
-    shifted after the product: m1 and m2 take one tall GEMM each, and each
-    q contracts the gathered windows of m1 against m2 in one
-    (n_w 3) x (n_kz n_E n_orb^2) x 3 GEMM, an orb^2-class trace that is not
-    tallied.
+    m1 = dH_i G1[a] takes one GEMM for all n_B neighbors and m2 = dH_j G2[b]
+    one batched GEMM.  Substituting k -> k - q moves the momentum shift onto
+    m2, whose n_qz k-rolled copies stand side by side as GEMM columns; the
+    energy shift stays on m1, since it commutes with left multiplication.
+    Each neighbor then needs one gather of m1's omega windows and one
+    (3 n_w) x (n_kz n_E n_orb^2) x (n_qz 3) GEMM, an orb^2-class trace that
+    is not tallied.
     """
-    n_kz, n_e, n_orb, _ = g1.shape
-    rows = n_kz * n_e * n_orb
-    dh_cols = dh_ab.transpose(2, 0, 1).reshape(n_orb, 3 * n_orb)  # [Q, (i, P)] = dH_i[P, Q]
-    # [k, E, M, i, P] = (dH_i G1)[P, M], loaded as [i, k, E, M, P]
-    m1 = g1.transpose(0, 1, 3, 2).reshape(rows, n_orb) @ dh_cols
-    gather.load(m1.reshape(n_kz, n_e, n_orb, 3, n_orb).transpose(3, 0, 1, 2, 4))
-    # [k, E, P, j, M] = (dH_j G2)[M, P], laid out as [(k, E, M, P), j]
-    m2 = g2.transpose(0, 1, 3, 2).reshape(rows, n_orb) @ dh_cols
-    m2 = m2.reshape(n_kz, n_e, n_orb, 3, n_orb).transpose(0, 1, 4, 2, 3).reshape(-1, 3)
-    if counter is not None:
-        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m1")
-        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
-    n_w = gather.n_windows
-    chains = np.empty((n_qz, n_w, 3, 3), dtype=np.complex128)
-    for q in range(n_qz):
-        # windows [i, w, k, E, M, P] hold m1 at [k + q, E + off(w)]
-        chains[q] = (gather.windows(-q).reshape(3 * n_w, -1) @ m2).reshape(3, n_w, 3).transpose(1, 0, 2)
-    return chains
+    n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
+    n_b, n_w = nmap.n_B, grid.n_w
+    rows, cols = n_kz * n_e * n_orb, 3 * n_orb
+    roll = _roll_plan(n_kz, n_e, n_orb, n_qz)
+    chains_l = np.zeros((n_qz, n_w, n_a, n_b, 3, 3), dtype=np.complex128)
+    chains_g = np.zeros_like(chains_l)
+    gather = ShiftGather((3, n_kz, n_e, n_orb, n_orb), [-off for off in grid.offsets], axis=1)
+    # per-atom buffers, reused across atoms and both chains
+    m1 = np.empty((n_kz, n_e, n_orb, n_b, 3, n_orb), dtype=np.complex128)
+    m2 = np.empty((n_b, rows * n_orb, 3), dtype=np.complex128)
+    traces = np.empty((n_b, 3, n_w, n_qz, 3), dtype=np.complex128)
+    # the G1 rows, then the neighbors' G2 (as taken, and as GEMM rows), then the rolled m2
+    # share one buffer: each is dead before the next is written
+    stack = n_b * rows * n_orb
+    scratch = np.empty(max(2 * stack, roll.size * 3), dtype=np.complex128)
+    g1_rows = _carve(scratch, 0, (n_kz, n_e, n_orb, n_orb))
+    g_nb = _carve(scratch, 0, (n_kz, n_e, n_b, n_orb, n_orb))
+    g2_rows = _carve(scratch, stack, (n_b, n_kz, n_e, n_orb, n_orb))
+    rolled = _carve(scratch, 0, roll.shape + (3,))
+    for a in atoms:
+        m1_cols = dh[a].transpose(3, 0, 1, 2).reshape(n_orb, n_b * cols)  # [Q, (s, i, P)] = dH[a, s, i][P, Q]
+        m2_cols = dh[a].transpose(0, 3, 2, 1).reshape(n_b, n_orb, cols)  # [s, Q, (M, j)] = dH[a, s, j][M, Q]
+        for g1_arr, g2_arr, chains in ((g.greater, g.lesser, chains_g), (g.lesser, g.greater, chains_l)):
+            # m1[k, E, M, s, i, P] = (dH[a, s, i] G1[k, E, a])[P, M]
+            np.copyto(g1_rows, g1_arr[:, :, a].transpose(0, 1, 3, 2))
+            np.matmul(g1_rows.reshape(rows, n_orb), m1_cols, out=m1.reshape(rows, -1))
+            # m2[s, k, E, P, M, j] = (dH[a, s, j] G2[k, E, f(a, s)])[M, P]
+            np.take(g2_arr, nmap.idx[a], axis=2, out=g_nb, mode="clip")
+            np.copyto(g2_rows, g_nb.transpose(2, 0, 1, 4, 3))
+            if mask is not None:
+                g2_rows *= mask[:, :, None, None]
+            np.matmul(g2_rows.reshape(n_b, rows, n_orb), m2_cols, out=m2.reshape(n_b, rows, cols))
+            if counter is not None:
+                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * n_b, stage="pi.m1")
+                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * n_b, stage="pi.m2")
+            for s in range(n_b):
+                # windows [i, w, (k, E, P, M)] hold m1 at [k, E + off(w)]; rolled [(k, E, P, M), q, j] holds m2 at k - q
+                windows = gather.load(m1[:, :, :, s].transpose(3, 0, 1, 4, 2)).windows(0)
+                np.take(m2[s], roll, axis=0, out=rolled, mode="clip")
+                np.matmul(windows.reshape(3 * n_w, -1), rolled.reshape(-1, n_qz * 3), out=traces[s].reshape(3 * n_w, -1))
+            np.multiply(traces.transpose(3, 2, 0, 1, 4), grid.energy_weight, out=chains[:, :, a])
+    return chains_l, chains_g
 
 
 def sse_pi_chains(
@@ -473,16 +558,15 @@ def sse_pi_chains(
     n_w = grid.n_w
     w_e = grid.energy_weight
     atoms = _atom_range(atom_range, nmap, n_a)
-    chains_l = np.zeros((n_qz, n_w, n_a, nmap.n_B, 3, 3), dtype=np.complex128)
-    chains_g = np.zeros_like(chains_l)
     mask = None
     if point_mask is not None:
         mask = np.asarray(point_mask, dtype=bool)
         if mask.shape != (n_kz, n_e):
             raise ValueError(f"point mask must have shape ({n_kz}, {n_e})")
-    gather = None
     if hoist_invariant is None:
-        gather = ShiftGather((3, n_kz, n_e, n_orb, n_orb), [-off for off in grid.offsets], axis=1)
+        return _fully_hoisted_chains(g, dh, nmap, grid, n_qz, counter, mask, atoms)
+    chains_l = np.zeros((n_qz, n_w, n_a, nmap.n_B, 3, 3), dtype=np.complex128)
+    chains_g = np.zeros_like(chains_l)
     for a in atoms:
         for s in range(nmap.n_B):
             b = int(nmap.idx[a, s])
@@ -491,9 +575,6 @@ def sse_pi_chains(
                 g2 = g2_arr[:, :, b]
                 if mask is not None:
                     g2 = g2 * mask[:, :, None, None]
-                if gather is not None:
-                    chains[:, :, a, s] = w_e * _fully_hoisted_chains(g1_arr[:, :, a], g2, dh_ab, gather, n_qz, counter)
-                    continue
                 m2 = None
                 if hoist_invariant:
                     m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)
@@ -664,6 +745,7 @@ def self_consistent_loop(
                 return LoopResult(g_e, g_ph, sigma, pi, iteration, False, deltas, abs_deltas, diverged=True)
         prev = g_e
         dc = preprocess_D(g_ph, nmap)
-        sigma = sse_sigma(SseVariant(variant), g_e, dc, dev.dH, nmap, grid)
+        # Pi first: its small output, not Sigma's, is then held through the other phase's transients
         pi = sse_pi(g_e, dev.dH, nmap, grid, params.n_qz)
+        sigma = sse_sigma(SseVariant(variant), g_e, dc, dev.dH, nmap, grid)
     return LoopResult(g_e, g_ph, sigma, pi, max_iter, False, deltas, abs_deltas)

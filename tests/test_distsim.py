@@ -14,6 +14,7 @@ from negflow.distsim import (
     PHONON_D,
     PHONON_PI,
     MessageLedger,
+    _ChunkLayout,
     _chunks,
     _tiled_rank,
     compare_ledger_with_model,
@@ -67,6 +68,16 @@ def test_chunks_partition_totals():
         chunks = _chunks(total, parts)
         covered = [i for c in chunks for i in c]
         assert covered == list(range(total))  # disjoint union in order
+    # the owner table agrees with chunk membership at every (outer, inner) index
+    for n_outer, n_inner, parts in [(2, 4, 4), (2, 5, 3), (1, 5, 7), (5, 1, 7), (1, 1, 1)]:
+        layout = _ChunkLayout(n_outer, n_inner, parts)
+        chunks = _chunks(n_outer * n_inner, parts)
+        for flat in range(n_outer * n_inner):
+            rank = next(r for r, chunk in enumerate(chunks) if flat in chunk)
+            assert layout.owner(*divmod(flat, n_inner)) == rank
+        for outer, inner in ((n_outer, 0), (0, -1)):
+            with pytest.raises(IndexError, match="outside every chunk"):
+                layout.owner(outer, inner)
 
 
 def test_omen_single_rank_is_bitwise_reference():

@@ -19,8 +19,10 @@ SRC = str(Path(negflow.__file__).resolve().parents[1])
         ("negflow, negflow.cli, negflow.distsim", "scipy"),
         # the loop modules leave sympy to the symbolic ones, out of the loop's memory
         ("negflow, negflow.gf, negflow.sse, negflow.distsim", "sympy"),
+        # only the propagate command loads the symbolic modules, when it runs
+        ("negflow, negflow.cli", "sympy"),
     ],
-    ids=["cli-scipy", "loop-sympy"],
+    ids=["cli-scipy", "loop-sympy", "cli-sympy"],
 )
 def test_no_scipy_module_is_loaded(modules, prefix):
     code = (

@@ -1,6 +1,7 @@
 """Scattering self-energy kernels: oracles, variant equivalence, properties."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,19 +117,17 @@ def test_shifted_grid_semantics():
     assert neg[0, 0] == arr[1, 1]
 
 
-@pytest.mark.parametrize("window_last", [False, True])
-def test_shift_gather_matches_shifted_grid(window_last):
+def test_shift_gather_matches_shifted_grid():
     rng = np.random.default_rng(15)
     n_kz, n_e = 3, 5
     arr = _rand(rng, (2, n_kz, n_e, 2))  # momentum/energy axes at 1 and 2
     shifts = list(range(-(n_e - 1), n_e))
-    gather = ShiftGather(arr.shape, shifts, axis=1, window_last=window_last).load(arr)
+    gather = ShiftGather(arr.shape, shifts, axis=1).load(arr)
     for q in range(-n_kz, 2 * n_kz):
         windows = gather.windows(q)
         for w, e_shift in enumerate(shifts):
             expected = np.moveaxis(shifted_grid(np.moveaxis(arr, 0, 2), q, e_shift), 2, 0)
-            got = windows[:, :, :, w] if window_last else windows[:, w]
-            assert np.array_equal(got, expected), (q, e_shift)
+            assert np.array_equal(windows[:, w], expected), (q, e_shift)
 
 
 def test_preprocess_cancellation_and_selection():
@@ -298,18 +297,77 @@ def test_pi_neighbor_outside_g_raises(hoist):
         sse_pi_chains(g_s, dh_s, nmap_s, grid, params.n_qz, hoist_invariant=hoist, atom_range=(2, 3))
 
 
-def test_batched_fused_matches_reference_at_wide_offsets():
+# Edge shapes of the default kernels: parameters, frequency offsets (None: the
+# default grid) and a hand-built neighbor table (None: the synthesized chain).
+EDGE_SHAPES = {
     # several q_z and omega, and the largest offset one short of the grid
-    params = SimParams(n_kz=3, n_qz=3, n_E=5, n_w=3, n_A=4, n_B=2, n_orb=2, bnum=2)
-    _, _, nmap, g, d, dh = _instance(16, params)
-    grid = EnergyGrid(values=tuple(np.linspace(-1.0, 1.0, 5)), frequency_map=((1, 0.3), (3, 0.2), (4, 0.1)),
-                      energy_weight=0.5)
+    "wide-offsets": (SimParams(n_kz=3, n_qz=3, n_E=5, n_w=3, n_A=4, n_B=2, n_orb=2, bnum=2), (1, 3, 4), None),
+    "offsets-0-and-last": (SimParams(n_kz=3, n_qz=2, n_E=5, n_w=2, n_A=4, n_B=2, n_orb=2, bnum=2), (0, 4), None),
+    "single-momentum": (TINY.replace(n_kz=1, n_qz=1), None, None),
+    "one-orbital": (TINY.replace(n_orb=1), None, None),
+    "one-neighbor": (TINY.replace(n_B=1), None, None),
+    "repeated-neighbor": (TINY, None, [[1, 1], [0, 0], [3, 3], [2, 2]]),
+}
+
+
+def _edge_instance(shape):
+    params, offsets, table = EDGE_SHAPES[shape]
+    _, grid, nmap, g, d, dh = _instance(16, params)
+    if offsets is not None:
+        grid = EnergyGrid(values=tuple(np.linspace(-1.0, 1.0, params.n_E)),
+                          frequency_map=tuple((off, 0.3 - 0.1 * w) for w, off in enumerate(offsets)), energy_weight=0.5)
+    if table is not None:
+        nmap = NeighborMap(idx=np.array(table, dtype=np.int64))
+    return params, grid, nmap, g, d, dh
+
+
+def _stage_cmuladds(params, n_atoms):
+    """Closed form of one dH G stage over ``n_atoms`` atoms and one tensor: n_atoms n_B 3 n_kz n_E n_orb^3."""
+    return n_atoms * params.n_B * 3 * params.n_kz * params.n_E * params.n_orb**3
+
+
+@pytest.mark.parametrize("shape", list(EDGE_SHAPES))
+def test_batched_fused_matches_reference_at_wide_offsets(shape):
+    params, grid, nmap, g, d, dh = _edge_instance(shape)
     dc = preprocess_D(d, nmap)
-    ref = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid)
-    out = sse_sigma(SseVariant.BATCHED_FUSED, g, dc, dh, nmap, grid)
-    for side in ("lesser", "greater"):
-        scale = np.max(np.abs(getattr(ref, side)))
-        assert np.max(np.abs(getattr(out, side) - getattr(ref, side))) <= 1e-12 * scale
+    for atom_range in (None, (1, 3)):
+        ref = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid, atom_range=atom_range)
+        counter = FlopCounter()
+        out = sse_sigma(SseVariant.BATCHED_FUSED, g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range)
+        for side in ("lesser", "greater"):
+            scale = np.max(np.abs(getattr(ref, side)))
+            assert np.max(np.abs(getattr(out, side) - getattr(ref, side))) <= 1e-12 * scale, (atom_range, side)
+        common = _stage_cmuladds(params, params.n_A if atom_range is None else atom_range[1] - atom_range[0])
+        assert counter.stages == {"sigma.dhg": 2 * common, "sigma.accumulate": 2 * common * params.n_qz * params.n_w}
+
+
+def test_default_kernels_transient_memory_is_bounded():
+    # One default Sigma call and one default Pi call each hold at most
+    #     2 W + 3 A  bytes
+    # above their outputs (tracemalloc peak less what the call still holds), with
+    #     W = 3 n_w n_kz n_E n_orb^2 complex: one neighbor's omega-window stack of a dH G factor,
+    #     A = 3 n_B n_kz n_E n_orb^2 complex: one atom's dH G factor over all its neighbors.
+    # Per-atom buffers over the neighbors fit; batching over atoms (n_A A), over
+    # every neighbor's windows (n_B W) or over every neighbor's k-rolled Pi
+    # factor (n_qz A) does not.
+    params = SimParams(n_kz=3, n_qz=2, n_E=32, n_w=4, n_A=8, n_B=4, n_orb=4, bnum=2)
+    _, grid, nmap, g, d, dh = _instance(40, params)
+    dc = preprocess_D(d, nmap)
+    slab = params.n_kz * params.n_E * params.n_orb**2 * np.dtype(np.complex128).itemsize
+    bound = 2 * 3 * params.n_w * slab + 3 * 3 * params.n_B * slab
+    calls = {
+        "sigma": lambda: sse_sigma(sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid),
+        "pi": lambda: sse_pi_chains(g, dh, nmap, grid, params.n_qz),
+    }
+    for name, call in calls.items():
+        call()  # fills the cached gather plans
+        tracemalloc.start()
+        try:
+            out = call()  # noqa: F841 -- the outputs stay held while the memory is read
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= bound, (name, peak - held, bound)
 
 
 def test_fissioned_intermediate_matches_redundancy_removed():
@@ -412,16 +470,27 @@ def test_pi_hoisting_is_value_neutral():
     assert np.array_equal(hoisted.greater, plain.greater)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_default_pi_matches_unhoisted(seed):
-    params, grid, nmap, g, _, dh = _instance(20 + seed, TINY.replace(n_qz=3, n_E=5, n_w=3))
+@pytest.mark.parametrize(
+    "seed, shape",
+    [pytest.param(seed, None, id=str(seed)) for seed in range(4)]
+    + [pytest.param(4, shape, id=shape) for shape in EDGE_SHAPES],
+)
+def test_default_pi_matches_unhoisted(seed, shape):
+    if shape is None:
+        params, grid, nmap, g, _, dh = _instance(20 + seed, TINY.replace(n_qz=3, n_E=5, n_w=3))
+    else:
+        params, grid, nmap, g, _, dh = _edge_instance(shape)
     rng = np.random.default_rng(seed)
     mask = rng.random((params.n_kz, params.n_E)) < 0.6
     for kwargs in ({}, {"point_mask": mask}, {"atom_range": (1, 3)}, {"point_mask": mask, "atom_range": (2, 4)}):
         plain = sse_pi_chains(g, dh, nmap, grid, params.n_qz, hoist_invariant=False, **kwargs)
-        default = sse_pi_chains(g, dh, nmap, grid, params.n_qz, **kwargs)
+        counter = FlopCounter()
+        default = sse_pi_chains(g, dh, nmap, grid, params.n_qz, counter=counter, **kwargs)
         for want, got in zip(plain, default):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kwargs
+        lo, hi = kwargs.get("atom_range", (0, params.n_A))
+        common = _stage_cmuladds(params, hi - lo)
+        assert counter.stages == {"pi.m1": 2 * common, "pi.m2": 2 * common}, kwargs
 
 
 def test_reference_dhg_counter_is_qw_multiple_of_batched():
