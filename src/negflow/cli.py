@@ -236,30 +236,21 @@ def cmd_distsim(args) -> int:
 
     summary = {"schemes": {}}
     worst = 0.0
-    if args.scheme in ("omen", "both"):
-        s, pi, ledger = distsim.run_omen_scheme(g, d, dev.dH, nmap, grid, params, processes)
+    schemes = {
+        "omen": (distsim.run_omen_scheme, comm.omen_volume, {"processes": processes}),
+        "tiled": (distsim.run_tiled_scheme, comm.dace_volume, {"t_e": t_e, "t_a": t_a}),
+    }
+    for name, (run, volume, partition) in schemes.items():
+        if args.scheme not in (name, "both"):
+            continue
+        s, pi, ledger = run(g, d, dev.dH, nmap, grid, params, *partition.values())
         dev_sigma = rel_dev(s, ref_sigma)
         dev_pi = rel_dev(pi, ref_pi)
         worst = max(worst, dev_sigma, dev_pi)
-        rows = distsim.compare_ledger_with_model(ledger, comm.omen_volume(params, processes))
-        (out / "ledger_omen.csv").write_text(ledger.to_csv(), encoding="utf-8")
-        summary["schemes"]["omen"] = {
-            "processes": processes,
-            "sigma_rel_dev": dev_sigma,
-            "pi_rel_dev": dev_pi,
-            "ledger": ledger.summary(),
-            "model_max_rel_delta": max(r["rel_delta"] for r in rows),
-        }
-    if args.scheme in ("tiled", "both"):
-        s, pi, ledger = distsim.run_tiled_scheme(g, d, dev.dH, nmap, grid, params, t_e, t_a)
-        dev_sigma = rel_dev(s, ref_sigma)
-        dev_pi = rel_dev(pi, ref_pi)
-        worst = max(worst, dev_sigma, dev_pi)
-        rows = distsim.compare_ledger_with_model(ledger, comm.dace_volume(params, t_e, t_a))
-        (out / "ledger_tiled.csv").write_text(ledger.to_csv(), encoding="utf-8")
-        summary["schemes"]["tiled"] = {
-            "t_e": t_e,
-            "t_a": t_a,
+        rows = distsim.compare_ledger_with_model(ledger, volume(params, *partition.values()))
+        (out / f"ledger_{name}.csv").write_text(ledger.to_csv(), encoding="utf-8")
+        summary["schemes"][name] = {
+            **partition,
             "sigma_rel_dev": dev_sigma,
             "pi_rel_dev": dev_pi,
             "ledger": ledger.summary(),

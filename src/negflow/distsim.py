@@ -2,12 +2,14 @@
 
 Ranks are plain loop iterations over an in-memory exchange table: no real
 transport, bitwise reproducibility, and a ledger recording every simulated
-message.  Each rank computes on its own halo'd slice of the electron tensor
-with the loop's default kernels (``sse.DEFAULT_VARIANT`` Sigma and the
-default Pi), restricted to what it owns, so a rank does its share of the
-single-node work rather than all of it, and a slice that misses part of the
-halo a rank reads fails loudly instead of reading zeros.  A rank that owns
-nothing runs no kernel.
+message.  Both schemes record, while they ledger, the (k_z, E) points each
+rank receives, and every rank then runs one path (:func:`_rank`): it computes
+on the energy hull of what it received x its atoms plus a halo, with the
+loop's default kernels (``sse.DEFAULT_VARIANT`` Sigma and the default Pi),
+restricted to what it owns.  So a rank does its share of the single-node
+work rather than all of it, and a slice that misses part of the halo a rank
+reads fails loudly instead of reading zeros.  A rank that owns nothing runs
+no kernel.
 
 Byte accounting mirrors ``comm``'s closed-form volume models exactly:
 transfers carry both the lesser and greater tensors (2 x 16-byte complex),
@@ -44,9 +46,9 @@ PHONON_PI = "phonon_Pi"
 class RankState:
     """Ownership of one simulated rank.
 
-    The momentum-energy scheme owns flattened (k_z, E) points; the tiled
-    scheme owns an energy-range/atom-range tile.  Across ranks the owned
-    slices are pairwise disjoint and cover the full tensors.
+    The momentum-energy scheme owns flattened (k_z, E) points of every
+    atom; the tiled scheme owns an energy-range/atom-range tile.  Across
+    ranks the owned slices are pairwise disjoint and cover the full tensors.
     """
 
     rank: int
@@ -152,61 +154,62 @@ class _ChunkLayout:
         return [divmod(flat, self.n_inner) for flat in self.chunks[rank]]
 
 
-def _omen_rank(
+def _rank(
     g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
-    owned: Array, needed: Array,
+    owned: Array, received: Array, a_range: tuple[int, int], halo_a: int,
 ) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
-    """One momentum-energy rank on the energy hull of the (k,E) points it receives.
+    """One rank on the energy hull of the (k,E) points it received x its atoms +- ``halo_a``.
 
-    ``owned`` and ``needed`` are (k,E) masks; momentum wraps, so the hull
-    spans every k.  Points of the hull outside ``needed`` are zero.  Returns
-    the lesser/greater Sigma at the owned points, in ``g.lesser[owned]``
-    order, and the partial Pi chains reduced over them.
+    ``owned`` and ``received`` are (k,E) masks; momentum wraps, so the hull
+    spans every k.  The rank copies that slice of G (clipped to the grid),
+    zeroed at the points of the hull outside ``received``, and reads
+    ``dc``/``dh`` of the same atoms with the neighbor map re-indexed into
+    the slice.  Returns the lesser/greater Sigma at the owned points x atoms
+    ``a_range``, in ``g.lesser[owned]`` point order, and the partial Pi
+    chains of those atoms reduced over the owned points.
     """
-    needed_e = np.flatnonzero(needed.any(axis=0))
-    e_lo, e_hi = int(needed_e[0]), int(needed_e[-1]) + 1
-    hull = needed[:, e_lo:e_hi]
+    received_e = np.flatnonzero(received.any(axis=0))
+    e_lo, e_hi = int(received_e[0]), int(received_e[-1]) + 1
+    a_lo, a_hi = a_range
+    wa_lo, wa_hi = max(0, a_lo - halo_a), min(g.lesser.shape[2], a_hi + halo_a)
+    window = (slice(None), slice(e_lo, e_hi), slice(wa_lo, wa_hi))
     local = []
     for arr in (g.lesser, g.greater):
-        out = np.zeros((arr.shape[0], e_hi - e_lo) + arr.shape[2:], dtype=arr.dtype)
-        out[hull] = arr[:, e_lo:e_hi][hull]
+        out = arr[window].copy()
+        out[~received[:, e_lo:e_hi]] = 0
         local.append(out)
     g_rank = GreensTensor(lesser=local[0], greater=local[1])
-    own = owned[:, e_lo:e_hi]
-    sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc, dh, nmap, grid)
-    chains = sse_pi_chains(g_rank, dh, nmap, grid, n_qz, point_mask=own)
-    return (sigma.lesser[own], sigma.greater[own]), chains
-
-
-def _tiled_rank(
-    g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
-    e_range: tuple[int, int], a_range: tuple[int, int], halo_e: int, halo_a: int,
-) -> tuple[GreensTensor, tuple[Array, Array]]:
-    """One energy-atom rank on its halo'd slice: its Sigma tile and its partial Pi chains.
-
-    The rank copies ``g[:, e_lo - halo_e : e_hi + halo_e, a_lo - halo_a :
-    a_hi + halo_a]`` (clipped to the grid) with ``dc``/``dh`` of the same
-    atoms and the neighbor map re-indexed into the slice.  Returns Sigma on
-    the owned block ``[:, e_lo:e_hi, a_lo:a_hi]`` and the chains of the owned
-    atoms, reduced over the owned energies.
-    """
-    n_e, n_a = g.lesser.shape[1:3]
-    (e_lo, e_hi), (a_lo, a_hi) = e_range, a_range
-    we_lo, we_hi = max(0, e_lo - halo_e), min(n_e, e_hi + halo_e)
-    wa_lo, wa_hi = max(0, a_lo - halo_a), min(n_a, a_hi + halo_a)
-    window = (slice(None), slice(we_lo, we_hi), slice(wa_lo, wa_hi))
-    g_rank = GreensTensor(lesser=g.lesser[window].copy(), greater=g.greater[window].copy())
-    dc_rank = CombinedD(lesser=dc.lesser[:, :, wa_lo:wa_hi].copy(), greater=dc.greater[:, :, wa_lo:wa_hi].copy())
-    dh_rank = dh[wa_lo:wa_hi].copy()
+    dc_rank = CombinedD(lesser=dc.lesser[:, :, wa_lo:wa_hi], greater=dc.greater[:, :, wa_lo:wa_hi])
     nmap_rank = NeighborMap(idx=nmap.idx[wa_lo:wa_hi] - wa_lo)
-    owned_a = (a_lo - wa_lo, a_hi - wa_lo)
-    owned_e = np.zeros((g.lesser.shape[0], we_hi - we_lo), dtype=bool)
-    owned_e[:, e_lo - we_lo : e_hi - we_lo] = True
-    sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc_rank, dh_rank, nmap_rank, grid, atom_range=owned_a)
-    chains = sse_pi_chains(g_rank, dh_rank, nmap_rank, grid, n_qz, point_mask=owned_e, atom_range=owned_a)
-    block = (slice(None), slice(e_lo - we_lo, e_hi - we_lo), slice(*owned_a))
-    sigma_block = GreensTensor(lesser=sigma.lesser[block], greater=sigma.greater[block])
-    return sigma_block, tuple(c[:, :, slice(*owned_a)] for c in chains)
+    own_a = (a_lo - wa_lo, a_hi - wa_lo)
+    own = owned[:, e_lo:e_hi]
+    sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc_rank, dh[wa_lo:wa_hi], nmap_rank, grid, atom_range=own_a)
+    chains = sse_pi_chains(g_rank, dh[wa_lo:wa_hi], nmap_rank, grid, n_qz, point_mask=own, atom_range=own_a)
+    atoms = slice(*own_a)
+    return (sigma.lesser[own, atoms], sigma.greater[own, atoms]), tuple(c[:, :, atoms] for c in chains)
+
+
+def _run_ranks(
+    g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, params: SimParams,
+    states: list[RankState], received: list[Array], halo_a: int,
+) -> tuple[GreensTensor, GreensTensor]:
+    """Every rank that owns something runs :func:`_rank` on what it received; Sigma and Pi from their owned parts."""
+    sigma_l = np.zeros(params.electron_shape, np.complex128)
+    sigma_g = np.zeros_like(sigma_l)
+    chains_l = np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), np.complex128)
+    chains_g = np.zeros_like(chains_l)
+    for state in states:
+        owned = state.point_mask(params.n_kz, params.n_E)
+        a_lo, a_hi = state.a_range
+        if a_lo == a_hi or not owned.any():
+            continue
+        sigma, (part_l, part_g) = _rank(
+            g, dc, dh, nmap, grid, params.n_qz, owned, received[state.rank], state.a_range, halo_a
+        )
+        sigma_l[owned, a_lo:a_hi], sigma_g[owned, a_lo:a_hi] = sigma
+        chains_l[:, :, a_lo:a_hi] += part_l
+        chains_g[:, :, a_lo:a_hi] += part_g
+    return GreensTensor(lesser=sigma_l, greater=sigma_g), pi_from_chains(chains_l, chains_g)
 
 
 def run_omen_scheme(
@@ -225,20 +228,21 @@ def run_omen_scheme(
     point, and reduces the partial phonon trace chains to the round's owner.
     Messages are simulated in ascending (round, src, dst) order.  Each rank
     then computes, with the loop's default kernels, on the energy hull of
-    the points it received (see :func:`_omen_rank`) and keeps its own points.
+    the points it received, over every atom (see :func:`_rank`), and keeps
+    its own points.
     """
     if processes < 1:
         raise ValueError("process count must be >= 1")
     layout = _ChunkLayout(params.n_kz, params.n_E, processes)
     ph_layout = _ChunkLayout(params.n_qz, params.n_w, processes)
-    states = [RankState(rank=r, points=tuple(layout.points(r))) for r in range(processes)]
+    states = [RankState(rank=r, points=tuple(layout.points(r)), a_range=(0, params.n_A)) for r in range(processes)]
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
 
     d_bytes = PAIR_BYTES * params.n_A * params.n_B * params.n_3D**2
     g_bytes = PAIR_BYTES * params.n_A * params.n_orb**2
 
-    needed = [state.point_mask(params.n_kz, params.n_E) for state in states]
+    received = [state.point_mask(params.n_kz, params.n_E) for state in states]
     for q in range(params.n_qz):
         for w in range(params.n_w):
             round_ = q * params.n_w + w
@@ -254,28 +258,14 @@ def run_omen_scheme(
                     ):
                         if 0 <= e_s < params.n_E:
                             src = layout.owner(k_s, e_s)
-                            needed[dst][k_s, e_s] = True
+                            received[dst][k_s, e_s] = True
                         else:
                             src = dst  # off-grid shift travels as a zero block
                         ledger.add(round_, src, dst, ELECTRON_G, g_bytes)
             for src in range(processes):
                 ledger.add(round_, src, root, PHONON_PI, d_bytes)
 
-    sigma_l = np.zeros(params.electron_shape, np.complex128)
-    sigma_g = np.zeros_like(sigma_l)
-    chains_l = np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), np.complex128)
-    chains_g = np.zeros_like(chains_l)
-    for state in states:
-        if not state.points:
-            continue
-        owned = state.point_mask(params.n_kz, params.n_E)
-        points, (part_l, part_g) = _omen_rank(g, dc, dh, nmap, grid, params.n_qz, owned, needed[state.rank])
-        sigma_l[owned], sigma_g[owned] = points
-        chains_l += part_l
-        chains_g += part_g
-
-    sigma = GreensTensor(lesser=sigma_l, greater=sigma_g)
-    pi = pi_from_chains(chains_l, chains_g)
+    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, states, received, halo_a=0)
     return sigma, pi, ledger
 
 
@@ -295,7 +285,7 @@ def run_tiled_scheme(
     by the largest frequency offset on both sides, atoms by the farthest
     neighbor reach, at least half the neighbor count), computes its
     self-energy tile and partial phonon chains on that slice with the loop's
-    default kernels (see :func:`_tiled_rank`), then returns them over the
+    default kernels (see :func:`_rank`), then returns them over the
     mirrored footprint.  Round 0 is the forward exchange, round 1 the return.
     """
     if t_e < 1 or t_a < 1:
@@ -327,6 +317,7 @@ def run_tiled_scheme(
     g_col_bytes = PAIR_BYTES * col_atoms * params.n_orb**2
     d_slice_bytes = PAIR_BYTES * col_atoms * params.n_B * params.n_3D**2
 
+    received = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in states]
     for state in states:
         rank = state.rank
         e_lo, e_hi = state.e_range
@@ -334,6 +325,7 @@ def run_tiled_scheme(
             for e_s in range(e_lo - halo_e, e_hi + halo_e):
                 if 0 <= e_s < params.n_E:
                     src = layout.owner(k, e_s)
+                    received[rank][k, e_s] = True
                 else:
                     src = rank  # zero-padded halo mirrors the model rectangle
                 ledger.add(0, src, rank, ELECTRON_G, g_col_bytes)
@@ -344,24 +336,7 @@ def run_tiled_scheme(
                 ledger.add(0, root, rank, PHONON_D, d_slice_bytes)
                 ledger.add(1, rank, root, PHONON_PI, d_slice_bytes)
 
-    sigma_l = np.zeros(params.electron_shape, np.complex128)
-    sigma_g = np.zeros_like(sigma_l)
-    chains_l = np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), np.complex128)
-    chains_g = np.zeros_like(chains_l)
-    for state in states:
-        (e_lo, e_hi), (a_lo, a_hi) = state.e_range, state.a_range
-        if e_lo == e_hi or a_lo == a_hi:
-            continue
-        local, (part_l, part_g) = _tiled_rank(
-            g, dc, dh, nmap, grid, params.n_qz, state.e_range, state.a_range, halo_e, halo_a
-        )
-        sigma_l[:, e_lo:e_hi, a_lo:a_hi] = local.lesser
-        sigma_g[:, e_lo:e_hi, a_lo:a_hi] = local.greater
-        chains_l[:, :, a_lo:a_hi] += part_l
-        chains_g[:, :, a_lo:a_hi] += part_g
-
-    sigma = GreensTensor(lesser=sigma_l, greater=sigma_g)
-    pi = pi_from_chains(chains_l, chains_g)
+    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, states, received, halo_a)
     return sigma, pi, ledger
 
 

@@ -10,7 +10,8 @@ scaled by the imaginary prefactor and the frequency weight, where Dc is the
 preprocessed four-term phonon combination.  The phonon self-energy reduces
 trace chains of the same blocks over (k_z, E).  Five algorithmically
 equivalent arrangements of the Sigma kernel trace the optimization chain
-from the straightforward map to the batched, fused form, and Pi comes in
+from the straightforward map to the batched, fused form (the three middle
+ones share one staged kernel, :func:`_sigma_staged`), and Pi comes in
 three forms that differ in which dH G factors are hoisted.  The default
 forms work per atom over all of its neighbors at once and apply the
 momentum/energy shift to a product rather than to G: batched-fused Sigma
@@ -204,10 +205,6 @@ def preprocess_D(d: GreensTensor, nmap: NeighborMap) -> CombinedD:
     return CombinedD(lesser=combine(d.lesser), greater=combine(d.greater))
 
 
-def _default_qws_order(n_qz: int, n_w: int, n_b: int) -> list[tuple[int, int, int]]:
-    return list(product(range(n_qz), range(n_w), range(n_b)))
-
-
 def _atom_range(atom_range: tuple[int, int] | None, nmap: NeighborMap, n_atoms: int) -> range:
     """The produced atoms, checked: each one and all its neighbors must index G's atom axis.
 
@@ -236,7 +233,6 @@ def sse_sigma_reference(
     nmap: NeighborMap,
     grid: EnergyGrid,
     counter: FlopCounter | None = None,
-    qws_order: Iterable[tuple[int, int, int]] | None = None,
     atom_range: tuple[int, int] | None = None,
 ) -> GreensTensor:
     """Straightforward kernel: one conceptual map over the full 8-D space.
@@ -249,10 +245,9 @@ def sse_sigma_reference(
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
     atoms = _atom_range(atom_range, nmap, n_a)
-    order = list(qws_order) if qws_order is not None else _default_qws_order(n_qz, n_w, nmap.n_B)
     out_l = np.zeros_like(g.lesser)
     out_g = np.zeros_like(g.greater)
-    for q, w, s in order:
+    for q, w, s in product(range(n_qz), range(n_w), range(nmap.n_B)):
         off, weight = grid.frequency_map[w]
         for a in atoms:
             b = int(nmap.idx[a, s])
@@ -268,110 +263,61 @@ def sse_sigma_reference(
     return GreensTensor(lesser=1j * out_l, greater=1j * out_g)
 
 
-def _fissioned_stage1(
-    g_arr: Array, dh: Array, nmap: NeighborMap, n_qz: int, n_w: int, counter: FlopCounter | None,
-    atoms: range | None = None,
+def _dhg_transient(
+    variant: SseVariant, g_arr: Array, dh: Array, nmap: NeighborMap, atoms: range, n_qw: int,
+    counter: FlopCounter | None,
 ) -> Array:
-    """Map-fission transient: dHG with the (q,w) dimensions kept, for ``atoms`` (default: all).
+    """Stage 1 of the staged Sigma: dHG[c, a, s, k, E, i, M, N] of ``atoms``.
 
-    The removed-later dimensions hold literally identical copies, since the
-    momentum/frequency offsets are applied at the consumption site; that is
-    exactly the redundancy the next transformation eliminates.
+    FISSIONED keeps the (q_z, omega) dimensions of the fissioned map: its
+    n_qw copies c are literally identical, since the momentum/frequency
+    offsets are applied at the consumption site, which is exactly the
+    redundancy the next step removes.  The other arrangements compute one
+    copy.  LAYOUT_TRANSFORMED reads the atom-major G ``[a, k, E, M, N]``, so
+    each (a, b, i) takes one tall GEMM on a contiguous per-atom block; the
+    others contract the grid-major G per (k, E) point.
     """
-    n_kz, n_e, _, n_orb, _ = g_arr.shape
-    n_b = nmap.n_B
-    atoms = atoms if atoms is not None else range(nmap.n_A)
-    dhg = np.empty((n_qz, n_w, len(atoms), n_b, n_kz, n_e, 3, n_orb, n_orb), dtype=np.complex128)
-    for q in range(n_qz):
-        for w in range(n_w):
-            for i_a, a in enumerate(atoms):
-                for s in range(n_b):
-                    b = int(nmap.idx[a, s])
-                    dhg[q, w, i_a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
-                    if counter is not None:
-                        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
+    atom_major = variant is SseVariant.LAYOUT_TRANSFORMED
+    n_kz, n_e = g_arr.shape[1:3] if atom_major else g_arr.shape[:2]
+    n_orb = g_arr.shape[-1]
+    copies = n_qw if variant is SseVariant.FISSIONED else 1
+    dhg = np.empty((copies, len(atoms), nmap.n_B, n_kz, n_e, 3, n_orb, n_orb), dtype=np.complex128)
+    for c, (i_a, a), s in product(range(copies), enumerate(atoms), range(nmap.n_B)):
+        b = int(nmap.idx[a, s])
+        if atom_major:
+            rows = g_arr[b].reshape(-1, n_orb)
+            for i in range(3):
+                dhg[c, i_a, s, :, :, i] = (rows @ dh[a, s, i]).reshape(n_kz, n_e, n_orb, n_orb)
+        else:
+            dhg[c, i_a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
+        if counter is not None:
+            counter.add_matmul(n_kz * n_e * n_orb, n_orb, n_orb, repeat=3, stage="sigma.dhg")
     return dhg
 
 
-def _sigma_fissioned(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
+def _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
+    """The chain's middle steps: the stage-1 dHG transient, then one shifted GEMM per (q_z, omega, a, b).
+
+    LAYOUT_TRANSFORMED works on the atom-major layout throughout: it reads
+    the atom-major G and accumulates into an atom-major Sigma.
+    """
     n_kz, n_e, _, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
+    atom_major = variant is SseVariant.LAYOUT_TRANSFORMED
     outs = []
     for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
-        # Map 1: dHG transient (with redundant q,w dims).  Map 2: dHD scalars.
-        dhg = _fissioned_stage1(g_arr, dh, nmap, n_qz, n_w, counter, atoms)
-        dhd = np.empty((n_qz, n_w, len(atoms), nmap.n_B, 3, 3, n_orb, n_orb), dtype=np.complex128)
-        for q in range(n_qz):
-            for w in range(n_w):
-                weight = grid.frequency_map[w][1]
-                for i_a, a in enumerate(atoms):
-                    for s in range(nmap.n_B):
-                        dhd[q, w, i_a, s] = weight * np.einsum("ij,jMN->ijMN", dc_arr[q, w, a, s], dh[a, s])
-        # Map 3: fold j, shift the transient, accumulate.
-        out = np.zeros_like(g_arr)
-        for q in range(n_qz):
-            for w in range(n_w):
-                off = grid.frequency_map[w][0]
-                for i_a, a in enumerate(atoms):
-                    for s in range(nmap.n_B):
-                        xi = dhd[q, w, i_a, s].sum(axis=1)
-                        out[:, :, a] += np.einsum(
-                            "keiMP,iPN->keMN", shifted_grid(dhg[q, w, i_a, s], q, off), xi
-                        )
-                        if counter is not None:
-                            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
-        outs.append(1j * out)
-    return GreensTensor(lesser=outs[0], greater=outs[1])
-
-
-def _redundancy_removed_stage1(
-    g_arr: Array, dh: Array, nmap: NeighborMap, counter, fused: bool, atoms: range | None = None
-) -> Array:
-    """dHG for ``atoms`` (default: all) without the (q,w) dimensions; optionally one fused GEMM per (a,b,i)."""
-    n_kz, n_e, _, n_orb, _ = g_arr.shape
-    n_b = nmap.n_B
-    atoms = atoms if atoms is not None else range(nmap.n_A)
-    dhg = np.empty((len(atoms), n_b, n_kz, n_e, 3, n_orb, n_orb), dtype=np.complex128)
-    for i_a, a in enumerate(atoms):
-        for s in range(n_b):
-            b = int(nmap.idx[a, s])
-            if fused:
-                flat = g_arr[:, :, b].reshape(n_kz * n_e * n_orb, n_orb)
-                for i in range(3):
-                    dhg[i_a, s, :, :, i] = (flat @ dh[a, s, i]).reshape(n_kz, n_e, n_orb, n_orb)
-                    if counter is not None:
-                        counter.add_matmul(n_kz * n_e * n_orb, n_orb, n_orb, stage="sigma.dhg")
-            else:
-                dhg[i_a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
+        src = to_atom_major(g_arr) if atom_major else g_arr
+        dhg = _dhg_transient(variant, src, dh, nmap, atoms, n_qz * n_w, counter)
+        out = np.zeros_like(src)
+        for q, w in product(range(n_qz), range(n_w)):
+            off, weight = grid.frequency_map[w]
+            copy = dhg[(q * n_w + w) % len(dhg)]
+            for (i_a, a), s in product(enumerate(atoms), range(nmap.n_B)):
+                xi = _xi_block(dc_arr[q, w, a, s], dh[a, s], weight)
+                acc = out[a] if atom_major else out[:, :, a]
+                acc += np.einsum("keiMP,iPN->keMN", shifted_grid(copy[i_a, s], q, off), xi)
                 if counter is not None:
-                    counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
-    return dhg
-
-
-def _sigma_redundancy_removed(
-    g, dc, dh, nmap, grid, counter, atoms: range, fused_stage1: bool, atom_major: bool
-) -> GreensTensor:
-    n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
-    n_qz, n_w = dc.lesser.shape[:2]
-    outs = []
-    for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
-        src = to_grid_major(to_atom_major(g_arr)) if atom_major else g_arr
-        dhg = _redundancy_removed_stage1(src, dh, nmap, counter, fused=fused_stage1, atoms=atoms)
-        acc_shape = (n_a, n_kz, n_e, n_orb, n_orb) if atom_major else g_arr.shape
-        out = np.zeros(acc_shape, dtype=np.complex128)
-        for q in range(n_qz):
-            for w in range(n_w):
-                off, weight = grid.frequency_map[w]
-                for i_a, a in enumerate(atoms):
-                    for s in range(nmap.n_B):
-                        xi = _xi_block(dc_arr[q, w, a, s], dh[a, s], weight)
-                        update = np.einsum("keiMP,iPN->keMN", shifted_grid(dhg[i_a, s], q, off), xi)
-                        if atom_major:
-                            out[a] += update
-                        else:
-                            out[:, :, a] += update
-                        if counter is not None:
-                            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
+                    counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
         outs.append(1j * (to_grid_major(out) if atom_major else out))
     return GreensTensor(lesser=outs[0], greater=outs[1])
 
@@ -457,14 +403,10 @@ def sse_sigma(
     if variant is SseVariant.REFERENCE:
         return sse_sigma_reference(g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range)
     atoms = _atom_range(atom_range, nmap, g.lesser.shape[2])
-    if variant is SseVariant.FISSIONED:
-        return _sigma_fissioned(g, dc, dh, nmap, grid, counter, atoms)
-    if variant is SseVariant.REDUNDANCY_REMOVED:
-        return _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, atoms, fused_stage1=False, atom_major=False)
-    if variant is SseVariant.LAYOUT_TRANSFORMED:
-        return _sigma_redundancy_removed(g, dc, dh, nmap, grid, counter, atoms, fused_stage1=True, atom_major=True)
     if variant is SseVariant.BATCHED_FUSED:
         return _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms)
+    if variant in (SseVariant.FISSIONED, SseVariant.REDUNDANCY_REMOVED, SseVariant.LAYOUT_TRANSFORMED):
+        return _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from negflow import distsim
+from negflow.cli import PRESETS
 from negflow.comm import InfeasiblePartitionError, dace_volume, omen_volume
 from negflow.device import synthesize
 from negflow.distsim import (
@@ -14,9 +15,10 @@ from negflow.distsim import (
     PHONON_D,
     PHONON_PI,
     MessageLedger,
+    RankState,
     _ChunkLayout,
     _chunks,
-    _tiled_rank,
+    _rank,
     compare_ledger_with_model,
     run_omen_scheme,
     run_tiled_scheme,
@@ -165,6 +167,21 @@ def _record_rank_inputs(monkeypatch):
     return calls
 
 
+def _tiled_received(params, grid, e_range):
+    """(k,E) points a tiled rank owning the energies ``e_range`` reads: every k, its energies +- the largest offset."""
+    out = np.zeros((params.n_kz, params.n_E), dtype=bool)
+    out[:, max(0, e_range[0] - grid.max_offset) : e_range[1] + grid.max_offset] = True
+    return out
+
+
+def _assert_g_nonzero_exactly_where_received(calls, received):
+    """Each rank's recorded (Sigma, Pi) calls hold nonzero G exactly at its ``received`` points, on their hull."""
+    for i, (_, _, nonzero) in enumerate(calls):
+        got = received[i // 2]
+        hull = np.flatnonzero(got.any(axis=0))
+        assert np.array_equal(nonzero, got[:, hull[0] : hull[-1] + 1])
+
+
 @pytest.mark.parametrize("t_e, t_a", [(2, 2), (4, 2)])
 def test_tiled_ranks_see_only_their_halo_slice(monkeypatch, t_e, t_a):
     grid, dev, nmap, g, d = _instance(14, RICH)
@@ -178,6 +195,9 @@ def test_tiled_ranks_see_only_their_halo_slice(monkeypatch, t_e, t_a):
         assert n_e <= s_e + 2 * grid.max_offset
         assert n_a <= s_a + 2 * halo_a
         assert (n_e, n_a) != (RICH.n_E, RICH.n_A)
+    e_tiles = _chunks(RICH.n_E, t_e)
+    received = [_tiled_received(RICH, grid, (tile.start, tile.stop)) for tile in e_tiles for _ in range(t_a)]
+    _assert_g_nonzero_exactly_where_received(calls, received)
 
 
 def _received_points(params, grid, owned):
@@ -206,12 +226,10 @@ def test_omen_ranks_see_only_the_energy_hull_of_their_points(monkeypatch, proces
     assert [name for name, _, _ in calls] == ["sigma", "pi"] * processes
     total = RICH.n_kz * RICH.n_E
     share = -(-total // processes)
-    for i, (_, (n_kz, n_e, n_a, _, _), nonzero) in enumerate(calls):
+    received = [_received_points(RICH, grid, range(r * share, min((r + 1) * share, total))) for r in range(processes)]
+    _assert_g_nonzero_exactly_where_received(calls, received)
+    for _, (n_kz, n_e, n_a, _, _), _ in calls:
         assert (n_kz, n_a) == (RICH.n_kz, RICH.n_A)
-        rank = i // 2
-        received = _received_points(RICH, grid, range(rank * share, min((rank + 1) * share, total)))
-        hull = np.flatnonzero(received.any(axis=0))
-        assert np.array_equal(nonzero, received[:, hull[0] : hull[-1] + 1])
         if RICH.n_E % share == 0:
             assert n_e <= share + 2 * grid.max_offset < RICH.n_E
 
@@ -223,17 +241,25 @@ def test_idle_ranks_run_no_kernel(monkeypatch):
     _, _, ledger = run_omen_scheme(g, d, dev.dH, nmap, grid, params, 8)
     assert [name for name, _, _ in calls] == ["sigma", "pi"] * 5
     assert [ledger.bytes_received(rank, ELECTRON_G) for rank in range(5, 8)] == [0, 0, 0]
+    # tiny at 1 x 5: 8 atoms in ceil tiles of 2 leave the trailing atom tile empty
+    params = PRESETS["tiny"]
+    grid, dev, nmap, g, d = _instance(16, params)
+    calls.clear()
+    run_tiled_scheme(g, d, dev.dH, nmap, grid, params, 1, 5)
+    assert [name for name, _, _ in calls] == ["sigma", "pi"] * 4
 
 
 def test_tiled_slice_one_atom_short_of_the_halo_raises():
     grid, dev, nmap, g, d = _instance(17, RICH)
     dc = preprocess_D(d, nmap)
-    halo_e, halo_a = grid.max_offset, max(RICH.n_B // 2, nmap.max_reach)
+    halo_a = max(RICH.n_B // 2, nmap.max_reach)
     assert halo_a == nmap.max_reach  # one atom fewer drops a neighbor the tile reads
-    tile = ((0, RICH.n_E // 2), (RICH.n_A // 4, RICH.n_A // 2))
-    _tiled_rank(g, dc, dev.dH, nmap, grid, RICH.n_qz, *tile, halo_e, halo_a)
+    e_range, a_range = (0, RICH.n_E // 2), (RICH.n_A // 4, RICH.n_A // 2)
+    owned = RankState(rank=0, e_range=e_range, a_range=a_range).point_mask(RICH.n_kz, RICH.n_E)
+    args = (g, dc, dev.dH, nmap, grid, RICH.n_qz, owned, _tiled_received(RICH, grid, e_range), a_range)
+    _rank(*args, halo_a)
     with pytest.raises(ValueError, match="neighbor index"):
-        _tiled_rank(g, dc, dev.dH, nmap, grid, RICH.n_qz, *tile, halo_e, halo_a - 1)
+        _rank(*args, halo_a - 1)
 
 
 def test_tiled_halo_extent_matches_propagation_model():
@@ -344,8 +370,6 @@ def test_ledger_csv_and_summary():
 
 
 def test_rank_state_ownership_partition():
-    from negflow.distsim import RankState, _ChunkLayout
-
     layout = _ChunkLayout(3, 5, 4)
     states = [RankState(rank=r, points=tuple(layout.points(r))) for r in range(4)]
     union = np.zeros((3, 5), dtype=int)

@@ -93,30 +93,50 @@ def _tiny_instance(seed, params):
     return grid, nmap, g, preprocess_D(d, nmap), dh
 
 
+def _variant_cases(params_list, pinned, *others):
+    """(variant, params) cases: ``pinned`` under the plain ``params<i>`` ids, then each of ``others``."""
+    return [
+        pytest.param(variant, params, id=f"params{i}" if variant is pinned else f"params{i}-{variant.value}")
+        for variant in (pinned, *others)
+        for i, params in enumerate(params_list)
+    ]
+
+
 @pytest.mark.parametrize(
-    "params",
-    [
-        SimParams(n_kz=2, n_qz=2, n_E=4, n_w=2, n_A=4, n_B=2, n_orb=2, bnum=2),
-        SimParams(n_kz=3, n_qz=1, n_E=3, n_w=1, n_A=4, n_B=2, n_orb=3, bnum=1),
-    ],
+    "variant, params",
+    _variant_cases(
+        [
+            SimParams(n_kz=2, n_qz=2, n_E=4, n_w=2, n_A=4, n_B=2, n_orb=2, bnum=2),
+            SimParams(n_kz=3, n_qz=1, n_E=3, n_w=1, n_A=4, n_B=2, n_orb=3, bnum=1),
+        ],
+        SseVariant.REFERENCE,
+        SseVariant.FISSIONED,
+    ),
 )
-def test_counted_reference_matches_straightforward_form(params):
+def test_counted_reference_matches_straightforward_form(variant, params):
+    # the arrangements that keep the redundant (q_z, omega) work, with the unhoisted Pi
     grid, nmap, g, dc, dh = _tiny_instance(0, params)
-    counter = count_sse_phase(g, dc, dh, nmap, grid, params.n_qz, variant=SseVariant.REFERENCE)
+    counter = count_sse_phase(g, dc, dh, nmap, grid, params.n_qz, variant=variant)
     # within 5 percent on instrumentable sizes; the tally is in fact exact
     assert counter.flops() == sse_flops_omen(params)
 
 
 @pytest.mark.parametrize(
-    "params",
-    [
-        SimParams(n_kz=2, n_qz=2, n_E=4, n_w=2, n_A=4, n_B=2, n_orb=2, bnum=2),
-        SimParams(n_kz=3, n_qz=1, n_E=3, n_w=2, n_A=4, n_B=2, n_orb=3, bnum=1),
-    ],
+    "variant, params",
+    _variant_cases(
+        [
+            SimParams(n_kz=2, n_qz=2, n_E=4, n_w=2, n_A=4, n_B=2, n_orb=2, bnum=2),
+            SimParams(n_kz=3, n_qz=1, n_E=3, n_w=2, n_A=4, n_B=2, n_orb=3, bnum=1),
+        ],
+        SseVariant.BATCHED_FUSED,
+        SseVariant.REDUNDANCY_REMOVED,
+        SseVariant.LAYOUT_TRANSFORMED,
+    ),
 )
-def test_counted_batched_matches_reduced_form(params):
+def test_counted_batched_matches_reduced_form(variant, params):
+    # the redundancy-free arrangements, with the hoisted Pi
     grid, nmap, g, dc, dh = _tiny_instance(1, params)
-    counter = count_sse_phase(g, dc, dh, nmap, grid, params.n_qz, variant=SseVariant.BATCHED_FUSED)
+    counter = count_sse_phase(g, dc, dh, nmap, grid, params.n_qz, variant=variant)
     assert counter.flops() == sse_flops_dace(params)
 
 

@@ -16,8 +16,7 @@ from negflow.sse import (
     CombinedD,
     ShiftGather,
     SseVariant,
-    _fissioned_stage1,
-    _redundancy_removed_stage1,
+    _dhg_transient,
     pi_from_chains,
     preprocess_D,
     seeded_self_energies,
@@ -372,12 +371,21 @@ def test_default_kernels_transient_memory_is_bounded():
 
 def test_fissioned_intermediate_matches_redundancy_removed():
     params, grid, nmap, g, d, dh = _instance(5)
-    fissioned = _fissioned_stage1(g.lesser, dh, nmap, params.n_qz, params.n_w, None)
-    removed = _redundancy_removed_stage1(g.lesser, dh, nmap, None, fused=False)
+    atoms, n_qw = range(params.n_A), params.n_qz * params.n_w
+
+    def transient(variant, g_arr):
+        return _dhg_transient(variant, g_arr, dh, nmap, atoms, n_qw, None)
+
+    fissioned = transient(SseVariant.FISSIONED, g.lesser)
+    removed = transient(SseVariant.REDUNDANCY_REMOVED, g.lesser)
+    assert (len(fissioned), len(removed)) == (n_qw, 1)
     # the dims removed by the transformation were constant copies
-    for q in range(params.n_qz):
-        for w in range(params.n_w):
-            assert np.array_equal(fissioned[q, w], removed)
+    for copy in fissioned:
+        assert np.array_equal(copy, removed[0])
+    # the copy built by tall GEMMs on the atom-major G matches the one contracted per point
+    transformed = transient(SseVariant.LAYOUT_TRANSFORMED, to_atom_major(g.lesser))
+    assert transformed.shape == removed.shape
+    assert np.max(np.abs(transformed - removed)) <= 1e-14 * np.max(np.abs(removed))
 
 
 def test_layout_roundtrip_bitwise():
@@ -386,20 +394,6 @@ def test_layout_roundtrip_bitwise():
     am = to_atom_major(g.lesser)
     assert am.shape == (params.n_A, params.n_kz, params.n_E, params.n_orb, params.n_orb)
     assert np.array_equal(am[2], g.lesser[:, :, 2])
-
-
-def test_accumulation_order_permutation():
-    params, grid, nmap, g, d, dh = _instance(7)
-    dc = preprocess_D(d, nmap)
-    base = sse_sigma_reference(g, dc, dh, nmap, grid)
-    order = list(itertools.product(range(params.n_qz), range(params.n_w), range(params.n_B)))
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        rng.shuffle(order)
-        out = sse_sigma_reference(g, dc, dh, nmap, grid, qws_order=list(order))
-        for side in ("lesser", "greater"):
-            scale = np.max(np.abs(getattr(base, side)))
-            assert np.max(np.abs(getattr(out, side) - getattr(base, side))) <= 1e-12 * scale
 
 
 def test_sigma_linearity_superposition():
