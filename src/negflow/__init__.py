@@ -20,7 +20,6 @@ from .sse import (
     self_consistent_loop,
     sse_pi,
     sse_sigma,
-    sse_sigma_reference,
 )
 from .distsim import MessageLedger, RankState, run_omen_scheme, run_tiled_scheme
 from .flops import FlopCounter, FlopReport, flop_report, sse_flops_dace, sse_flops_fully_hoisted, sse_flops_omen
@@ -60,7 +59,6 @@ __all__ = [
     "sse_flops_omen",
     "sse_pi",
     "sse_sigma",
-    "sse_sigma_reference",
     "synthesize",
     "validate",
 ]

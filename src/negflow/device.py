@@ -7,7 +7,6 @@ derivative blocks, and the atom neighbor indirection table.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +14,6 @@ import numpy as np
 from .params import SimParams
 
 Array = np.ndarray
-
-_MAGIC = b"NEGFLOW\x00"
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -238,49 +234,3 @@ def hermitian_check(dev: DeviceMatrices) -> float:
         for m in stack:
             worst = max(worst, float(np.max(np.abs(m - m.conj().T))))
     return worst
-
-
-def _write_array(fh, arr: Array) -> None:
-    kind = {"c": 0, "f": 1, "i": 2}[arr.dtype.kind]
-    fh.write(struct.pack("<BB", kind, arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-    if kind == 0:
-        fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
-    elif kind == 1:
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    else:
-        fh.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
-
-
-def _read_array(fh) -> Array:
-    kind, ndim = struct.unpack("<BB", fh.read(2))
-    shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-    dtype = {0: "<c16", 1: "<f8", 2: "<i8"}[kind]
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(count * np.dtype(dtype).itemsize), dtype=dtype)
-    return data.reshape(shape).copy()
-
-
-def dump_device(dev: DeviceMatrices, nmap: NeighborMap, path: str) -> None:
-    """Versioned binary dump: header, then H, S, Phi, dH, neighbor indices."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", _FORMAT_VERSION, dev.bnum))
-        for arr in (dev.H, dev.S, dev.Phi, dev.dH, np.asarray(nmap.idx, dtype=np.int64)):
-            _write_array(fh, arr)
-
-
-def load_device(path: str) -> tuple[DeviceMatrices, NeighborMap]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a device dump: bad magic {magic!r}")
-        version, bnum = struct.unpack("<IQ", fh.read(12))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported device dump version {version}")
-        h = _read_array(fh)
-        s = _read_array(fh)
-        phi = _read_array(fh)
-        dh = _read_array(fh)
-        idx = _read_array(fh)
-    return DeviceMatrices(H=h, S=s, Phi=phi, dH=dh, bnum=int(bnum)), NeighborMap(idx=idx)

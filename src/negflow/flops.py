@@ -74,29 +74,19 @@ def sse_flops_fully_hoisted(params: SimParams) -> int:
 
 @dataclass(frozen=True)
 class FlopReport:
-    """Analytic and instrumented flop numbers for one parameter set."""
+    """Analytic flop numbers for one parameter set."""
 
     sse_omen: int
     sse_dace: int
-    counted_sse: int | None
-    per_kernel: dict[str, int]
 
     def rows(self) -> list[dict]:
-        out = [
+        return [
             {"kernel": "Contour Integral", "flops": None, "note": "n/a (empirical in paper)"},
             {"kernel": "RGF", "flops": None, "note": "n/a (empirical in paper)"},
             {"kernel": "SSE (OMEN)", "flops": self.sse_omen, "note": ""},
             {"kernel": "SSE (DaCe)", "flops": self.sse_dace, "note": ""},
         ]
-        if self.counted_sse is not None:
-            out.append({"kernel": "SSE (counted)", "flops": self.counted_sse, "note": "instrumented"})
-        return out
 
 
-def flop_report(params: SimParams, counted: FlopCounter | None = None) -> FlopReport:
-    return FlopReport(
-        sse_omen=sse_flops_omen(params),
-        sse_dace=sse_flops_dace(params),
-        counted_sse=counted.flops() if counted is not None else None,
-        per_kernel=dict(counted.stages) if counted is not None else {},
-    )
+def flop_report(params: SimParams) -> FlopReport:
+    return FlopReport(sse_omen=sse_flops_omen(params), sse_dace=sse_flops_dace(params))

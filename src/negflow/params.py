@@ -188,8 +188,8 @@ class EnergyGrid:
         return self.frequency_map[w][0] * self.spacing
 
 
-def default_grid(params: SimParams, e_min: float = -1.0, e_max: float = 1.0) -> EnergyGrid:
-    """Uniform grid on [e_min, e_max] with frequency offsets 1..n_w.
+def default_grid(params: SimParams) -> EnergyGrid:
+    """Uniform grid on [-1, 1] with frequency offsets 1..n_w.
 
     Offsets are clamped into the grid (a single-point grid degenerates to
     offset 0) and weighted uniformly by 1/(2*pi*n_w); the energy integral
@@ -198,7 +198,7 @@ def default_grid(params: SimParams, e_min: float = -1.0, e_max: float = 1.0) -> 
     if params.n_E == 1:
         values = (0.0,)
     else:
-        values = tuple(np.linspace(e_min, e_max, params.n_E))
+        values = tuple(np.linspace(-1.0, 1.0, params.n_E))
     weight = 1.0 / (2.0 * math.pi * params.n_w)
     freq_map = tuple((min(w + 1, params.n_E - 1), weight) for w in range(params.n_w))
     return EnergyGrid(values=values, frequency_map=freq_map, energy_weight=1.0 / (2.0 * math.pi * params.n_E))
@@ -209,9 +209,3 @@ def load_params(path: str) -> SimParams:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return SimParams.from_dict(data)
-
-
-def save_params(params: SimParams, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

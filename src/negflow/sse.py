@@ -16,9 +16,9 @@ three forms that differ in which dH G factors are hoisted.  The default
 forms work per atom over all of its neighbors at once and apply the
 momentum/energy shift to a product rather than to G: batched-fused Sigma
 shifts dHG Xi, the default Pi rolls its trailing factor in momentum.  All of
-them share a single boundary rule, :func:`_shift_plan` (applied to inputs
-by :class:`ShiftGather`), so they agree by construction on how momentum
-wraps and how off-grid energy offsets drop out.
+them take every shift from one cached plan, :func:`_shift_plan`, so they
+agree by construction on how momentum wraps and how off-grid energy
+offsets drop out.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
 
 import numpy as np
 
@@ -73,97 +72,40 @@ def to_grid_major(arr: Array) -> Array:
 
 
 @lru_cache(maxsize=512)
-def _shift_plan(n_kz: int, n_e: int, e_shifts: tuple[int, ...], q_shift: int):
-    """Zero padding of the energy axis and the ``[w, k, E]`` gather index of :class:`ShiftGather`, cached."""
+def _shift_plan(n_kz: int, n_e: int, e_shifts: tuple[int, ...], q_shifts: tuple[int, ...] | range):
+    """The single boundary rule of every kernel: energy padding and a ``[q, w, k, E]`` gather index, cached.
+
+    It serves both use sites (E - omega for Sigma, E + omega for Pi via
+    negated shifts): momentum wraps periodically, while entries whose shifted
+    energy falls off the grid are zero, which is arithmetically identical to
+    dropping those terms from the accumulation.  Returns ``(before, n_pad,
+    index)``: an array whose energy axis is zero-padded to ``n_pad`` entries,
+    the grid starting at ``before`` (:func:`_pad_energy`), holds its entry at
+    ``[(k - q_shifts[q]) mod n_kz, E - e_shifts[w]]`` at position
+    ``index[q, w, k, E]`` of its merged (k, padded E) axis.
+    """
     shifts = np.clip(np.array(e_shifts, dtype=np.int64), -n_e, n_e)
     before = max(int(shifts.max(initial=0)), 0)
     n_pad = before + n_e + max(-int(shifts.min(initial=0)), 0)
-    k_index = (np.arange(n_kz) - q_shift) % n_kz
-    e_index = np.arange(n_e)[None, :] - shifts[:, None] + before
-    index = k_index[:, None, None] * n_pad + e_index[None]  # [k, w, E] into the merged (k, padded E) axis
-    index = np.ascontiguousarray(index.transpose(1, 0, 2))
+    k_index = (np.arange(n_kz) - np.array(q_shifts, dtype=np.int64)[:, None]) % n_kz  # [q, k]
+    e_index = np.arange(n_e) - shifts[:, None] + before  # [w, E]
+    index = k_index[:, None, :, None] * n_pad + e_index[None, :, None, :]
     index.setflags(write=False)
     return before, n_pad, index
 
 
-@lru_cache(maxsize=64)
-def _shift_add_plan(n_kz: int, n_e: int, e_shifts: tuple[int, ...], n_qz: int, n_orb: int):
-    """Padding and gather index of the Sigma shift-add, built from :func:`_shift_plan`.
-
-    The product Y is laid out as rows ``[k, padded E, M, (q, w)]`` of n_orb
-    columns.  ``index[(q, w), k, E, M]`` is the row holding Y at
-    ``[(k - q) mod n_kz, E - e_shifts[w], M, (q, w)]``; off-grid energies land
-    in the zero padding, as in :class:`ShiftGather`.
-    """
-    before, n_pad, _ = _shift_plan(n_kz, n_e, e_shifts, 0)
-    n_qw = n_qz * len(e_shifts)
-    # [(q, w), k, E] into the merged (k, padded E) axis
-    k_e = np.concatenate([_shift_plan(n_kz, n_e, e_shifts, q % n_kz)[2] for q in range(n_qz)])
-    index = (k_e[..., None] * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None, None]
-    index.setflags(write=False)
-    return before, n_pad, index
-
-
-@lru_cache(maxsize=64)
-def _roll_plan(n_kz: int, n_e: int, n_orb: int, n_qz: int):
-    """Gather index of the k-rolled copies of Pi's m2 factor, built from :func:`_shift_plan`.
-
-    ``index[(k, E, P, M), q]`` is the row of m2, laid out as rows
-    ``[k, E, P, M]``, at ``[(k - q) mod n_kz, E, P, M]``.
-    """
-    # [(k, E), q] into the merged (k, E) axis; a zero energy shift needs no padding
-    k_e = np.stack([_shift_plan(n_kz, n_e, (0,), q % n_kz)[2][0].ravel() for q in range(n_qz)], axis=1)
-    index = (k_e[:, None] * n_orb**2 + np.arange(n_orb**2)[:, None]).reshape(-1, n_qz)
-    index.setflags(write=False)
-    return index
-
-
-class ShiftGather:
-    """Every energy window of a ``[..., k, E, ...]`` array, gathered by index.
-
-    :func:`_shift_plan` is the single boundary rule of every kernel, for
-    both use sites (E - omega for Sigma, E + omega for Pi via negated
-    shifts): momentum wraps periodically, while entries whose shifted energy
-    falls off the grid are zero, which is arithmetically identical to
-    dropping those terms from the accumulation.  This class applies it to
-    an input; the default kernels also derive from it the index that shifts
-    Sigma's product (:func:`_shift_add_plan`) and the momentum roll of Pi's
-    trailing factor (:func:`_roll_plan`).
-
-    The momentum and energy axes sit at ``axis`` and ``axis + 1`` of
-    ``shape``.  :meth:`load` copies an array into a buffer zero-padded along
-    E, once; :meth:`windows` then returns, in one indexed copy, every window
-    for one momentum shift ``q``: window ``w`` holds the loaded array at
-    ``[(k - q) mod n_kz, E - e_shifts[w]]``, with the window axis right
-    before the momentum axis.  Both buffers are reused: a returned window
-    stack is valid until the next :meth:`windows` call.
-    """
-
-    def __init__(self, shape: tuple[int, ...], e_shifts: Iterable[int], axis: int = 0):
-        self.shape = tuple(shape)
-        self._e_shifts = tuple(int(e) for e in e_shifts)
-        self.n_windows = len(self._e_shifts)
-        self._n_kz, self._n_e = shape[axis], shape[axis + 1]
-        self._axis = axis
-        before, n_pad, _ = _shift_plan(self._n_kz, self._n_e, self._e_shifts, 0)
-        self._padded = np.zeros(shape[:axis] + (self._n_kz, n_pad) + shape[axis + 2 :], dtype=np.complex128)
-        self._interior = (slice(None),) * (axis + 1) + (slice(before, before + self._n_e),)
-        self._merged = self._padded.reshape(shape[:axis] + (-1,) + shape[axis + 2 :])
-        self._out: Array | None = None
-
-    def load(self, arr: Array) -> "ShiftGather":
-        self._padded[self._interior] = arr
-        return self
-
-    def windows(self, q_shift: int) -> Array:
-        index = _shift_plan(self._n_kz, self._n_e, self._e_shifts, q_shift % self._n_kz)[2]
-        self._out = np.take(self._merged, index, axis=self._axis, out=self._out, mode="clip")
-        return self._out
+def _pad_energy(arr: Array, before: int, n_pad: int) -> Array:
+    """``arr[k, E, ...]`` with its energy axis zero-padded to ``n_pad`` entries, the grid starting at ``before``."""
+    padded = np.zeros((arr.shape[0], n_pad) + arr.shape[2:], dtype=arr.dtype)
+    padded[:, before : before + arr.shape[1]] = arr
+    return padded
 
 
 def shifted_grid(arr: Array, q_shift: int, e_shift: int) -> Array:
-    """Array indexed at ``[(k - q_shift) mod n_kz, E - e_shift, ...]``: one window of :class:`ShiftGather`."""
-    return ShiftGather(arr.shape, (e_shift,)).load(arr).windows(q_shift)[0]
+    """Array indexed at ``[(k - q_shift) mod n_kz, E - e_shift, ...]``, zero where E - e_shift is off the grid."""
+    n_kz, n_e = arr.shape[:2]
+    before, n_pad, index = _shift_plan(n_kz, n_e, (e_shift,), (q_shift,))
+    return np.take(_pad_energy(arr, before, n_pad).reshape((-1,) + arr.shape[2:]), index[0, 0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -226,25 +168,16 @@ def _xi_block(dc_block: Array, dh_ab: Array, weight: float) -> Array:
     return weight * np.einsum("ij,jMN->iMN", dc_block, dh_ab)
 
 
-def sse_sigma_reference(
-    g: GreensTensor,
-    dc: CombinedD,
-    dh: Array,
-    nmap: NeighborMap,
-    grid: EnergyGrid,
-    counter: FlopCounter | None = None,
-    atom_range: tuple[int, int] | None = None,
-) -> GreensTensor:
+def _sigma_reference(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
     """Straightforward kernel: one conceptual map over the full 8-D space.
 
     Loops run over (q_z, omega, b) in ascending order (the documented
     deterministic reduction chunking) with the (k_z, E) sub-space batched;
     per point, the j-contraction is folded into one matrix per i before the
-    two GEMMs.  ``atom_range`` as in :func:`sse_sigma`.
+    two GEMMs.
     """
-    n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
+    n_kz, n_e, _, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
-    atoms = _atom_range(atom_range, nmap, n_a)
     out_l = np.zeros_like(g.lesser)
     out_g = np.zeros_like(g.greater)
     for q, w, s in product(range(n_qz), range(n_w), range(nmap.n_B)):
@@ -311,13 +244,14 @@ def _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms: range) -> Gree
         out = np.zeros_like(src)
         for q, w in product(range(n_qz), range(n_w)):
             off, weight = grid.frequency_map[w]
-            copy = dhg[(q * n_w + w) % len(dhg)]
+            c = (q * n_w + w) % len(dhg)
             for (i_a, a), s in product(enumerate(atoms), range(nmap.n_B)):
                 xi = _xi_block(dc_arr[q, w, a, s], dh[a, s], weight)
                 acc = out[a] if atom_major else out[:, :, a]
-                acc += np.einsum("keiMP,iPN->keMN", shifted_grid(copy[i_a, s], q, off), xi)
+                acc += np.einsum("keiMP,iPN->keMN", shifted_grid(dhg[c, i_a, s], q, off), xi)
                 if counter is not None:
                     counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
+        del dhg  # released before the next tensor's transient is built, so at most one is held
         outs.append(1j * (to_grid_major(out) if atom_major else out))
     return GreensTensor(lesser=outs[0], greater=outs[1])
 
@@ -331,14 +265,17 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
     (n_kz n_E n_orb) x (n_B 3 n_orb) x (n_qz n_w n_orb) GEMM forms
     Y = dHG Xi for every neighbor and (q_z, omega) at once, and the shift
     then gathers n_orb columns of Y per (q_z, omega) in one indexed copy
-    (:func:`_shift_add_plan`; zero rows stand in for off-grid energies)
-    before the (q_z, omega) sum.
+    (rows from :func:`_shift_plan`; zero rows stand in for off-grid
+    energies) before the (q_z, omega) sum.
     """
     n_kz, n_e, _, n_orb, _ = g.lesser.shape
     n_qz, n_w = dc.lesser.shape[:2]
     n_b, n_qw = nmap.n_B, n_qz * n_w
     rows, depth = n_kz * n_e * n_orb, n_b * 3 * n_orb
-    before, n_pad, index = _shift_add_plan(n_kz, n_e, grid.offsets, n_qz, n_orb)
+    # Y is laid out as rows [k, padded E, M, (q, w)] of n_orb columns; index[(q, w), k, E, M] is the
+    # row holding Y at [(k - q) mod n_kz, E - off(w), M, (q, w)]
+    before, n_pad, k_e = _shift_plan(n_kz, n_e, grid.offsets, range(n_qz))
+    index = (k_e.reshape(n_qw, n_kz, n_e, 1) * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None, None]
     weights = np.asarray(grid.weights)[:, None]
     dh_cols = dh.transpose(0, 1, 3, 2, 4).reshape(dh.shape[0], n_b, n_orb, 3 * n_orb)  # [a, s, Q, (i, P)]
     # per-atom buffers, reused across atoms and both tensors; the neighbors' G (as taken, then as
@@ -400,9 +337,9 @@ def sse_sigma(
         raise ValueError("sse_sigma expects an electron tensor")
     if dc.lesser.shape[2:4] != (nmap.n_A, nmap.n_B):
         raise ValueError("combined phonon tensor does not match the neighbor map")
-    if variant is SseVariant.REFERENCE:
-        return sse_sigma_reference(g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range)
     atoms = _atom_range(atom_range, nmap, g.lesser.shape[2])
+    if variant is SseVariant.REFERENCE:
+        return _sigma_reference(g, dc, dh, nmap, grid, counter, atoms)
     if variant is SseVariant.BATCHED_FUSED:
         return _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms)
     if variant in (SseVariant.FISSIONED, SseVariant.REDUNDANCY_REMOVED, SseVariant.LAYOUT_TRANSFORMED):
@@ -427,11 +364,15 @@ def _fully_hoisted_chains(
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_b, n_w = nmap.n_B, grid.n_w
     rows, cols = n_kz * n_e * n_orb, 3 * n_orb
-    roll = _roll_plan(n_kz, n_e, n_orb, n_qz)
+    # roll[(k, E, P, M), q] is the row of m2, laid out as rows [k, E, P, M], at [(k - q) mod n_kz, E, P, M]
+    k_e = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1).T
+    roll = (k_e[:, None] * n_orb**2 + np.arange(n_orb**2)[:, None]).reshape(-1, n_qz)
+    before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), (0,))
     chains_l = np.zeros((n_qz, n_w, n_a, n_b, 3, 3), dtype=np.complex128)
     chains_g = np.zeros_like(chains_l)
-    gather = ShiftGather((3, n_kz, n_e, n_orb, n_orb), [-off for off in grid.offsets], axis=1)
     # per-atom buffers, reused across atoms and both chains
+    padded = np.zeros((3, n_kz, n_pad, n_orb, n_orb), dtype=np.complex128)  # one neighbor's m1, zero off the grid
+    windows = np.empty((3,) + shift.shape[1:] + (n_orb, n_orb), dtype=np.complex128)
     m1 = np.empty((n_kz, n_e, n_orb, n_b, 3, n_orb), dtype=np.complex128)
     m2 = np.empty((n_b, rows * n_orb, 3), dtype=np.complex128)
     traces = np.empty((n_b, 3, n_w, n_qz, 3), dtype=np.complex128)
@@ -461,7 +402,8 @@ def _fully_hoisted_chains(
                 counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * n_b, stage="pi.m2")
             for s in range(n_b):
                 # windows [i, w, (k, E, P, M)] hold m1 at [k, E + off(w)]; rolled [(k, E, P, M), q, j] holds m2 at k - q
-                windows = gather.load(m1[:, :, :, s].transpose(3, 0, 1, 4, 2)).windows(0)
+                np.copyto(padded[:, :, before : before + n_e], m1[:, :, :, s].transpose(3, 0, 1, 4, 2))
+                np.take(padded.reshape(3, -1, n_orb, n_orb), shift[0], axis=1, out=windows, mode="clip")
                 np.take(m2[s], roll, axis=0, out=rolled, mode="clip")
                 np.matmul(windows.reshape(3 * n_w, -1), rolled.reshape(-1, n_qz * 3), out=traces[s].reshape(3 * n_w, -1))
             np.multiply(traces.transpose(3, 2, 0, 1, 4), grid.energy_weight, out=chains[:, :, a])

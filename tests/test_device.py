@@ -1,4 +1,4 @@
-"""Synthetic device generation: invariants, determinism, binary round trip."""
+"""Synthetic device generation: invariants and determinism."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from negflow.device import (
     atom_block_index,
     build_neighbor_map,
     coupling_mask,
-    dump_device,
     hermitian_check,
-    load_device,
     synthesize,
 )
 from negflow.params import SimParams
@@ -117,18 +115,3 @@ def test_hermitian_check_identity_is_zero():
 def test_zero_coupling_scale():
     dev, _ = synthesize(TINY, seed=4, coupling=0.0)
     assert np.all(dev.dH == 0)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    dev, nmap = synthesize(TINY, seed=9)
-    path = tmp_path / "device.bin"
-    dump_device(dev, nmap, str(path))
-    dev2, nmap2 = load_device(str(path))
-    assert dev2.bnum == dev.bnum
-    assert np.array_equal(nmap2.idx, nmap.idx)
-    for a, b in ((dev.H, dev2.H), (dev.S, dev2.S), (dev.Phi, dev2.Phi), (dev.dH, dev2.dH)):
-        assert np.array_equal(a, b)
-    with pytest.raises(ValueError, match="bad magic"):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTADEVICEDUMP")
-        load_device(str(bad))

@@ -10,7 +10,6 @@ from negflow.params import (
     SimParams,
     default_grid,
     load_params,
-    save_params,
     validate,
 )
 
@@ -115,7 +114,7 @@ def test_default_grid_layout():
 
 def test_params_json_roundtrip(tmp_path):
     path = tmp_path / "params.json"
-    save_params(FULLSCALE, str(path))
+    path.write_text(json.dumps(FULLSCALE.to_dict()), encoding="utf-8")
     loaded = load_params(str(path))
     assert loaded == FULLSCALE
     data = json.loads(path.read_text())

@@ -14,9 +14,10 @@ from negflow import sse
 from negflow.sse import (
     DIVERGENCE_PASSES,
     CombinedD,
-    ShiftGather,
     SseVariant,
     _dhg_transient,
+    _pad_energy,
+    _shift_plan,
     pi_from_chains,
     preprocess_D,
     seeded_self_energies,
@@ -25,7 +26,6 @@ from negflow.sse import (
     sse_pi,
     sse_pi_chains,
     sse_sigma,
-    sse_sigma_reference,
     to_atom_major,
     to_grid_major,
 )
@@ -116,17 +116,16 @@ def test_shifted_grid_semantics():
     assert neg[0, 0] == arr[1, 1]
 
 
-def test_shift_gather_matches_shifted_grid():
+def test_shift_plan_matches_shifted_grid():
     rng = np.random.default_rng(15)
     n_kz, n_e = 3, 5
-    arr = _rand(rng, (2, n_kz, n_e, 2))  # momentum/energy axes at 1 and 2
-    shifts = list(range(-(n_e - 1), n_e))
-    gather = ShiftGather(arr.shape, shifts, axis=1).load(arr)
-    for q in range(-n_kz, 2 * n_kz):
-        windows = gather.windows(q)
-        for w, e_shift in enumerate(shifts):
-            expected = np.moveaxis(shifted_grid(np.moveaxis(arr, 0, 2), q, e_shift), 2, 0)
-            assert np.array_equal(windows[:, w], expected), (q, e_shift)
+    arr = _rand(rng, (n_kz, n_e, 2, 2))
+    q_shifts = tuple(range(-n_kz, 2 * n_kz))
+    e_shifts = tuple(range(-(n_e - 1), n_e))
+    before, n_pad, index = _shift_plan(n_kz, n_e, e_shifts, q_shifts)
+    windows = np.take(_pad_energy(arr, before, n_pad).reshape(-1, 2, 2), index, axis=0)
+    for (i_q, q), (w, e_shift) in itertools.product(enumerate(q_shifts), enumerate(e_shifts)):
+        assert np.array_equal(windows[i_q, w], shifted_grid(arr, q, e_shift)), (q, e_shift)
 
 
 def test_preprocess_cancellation_and_selection():
@@ -185,7 +184,7 @@ def test_sigma_zero_phonon_input():
         np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), complex),
         np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), complex),
     )
-    out = sse_sigma_reference(g, zero, dh, nmap, grid)
+    out = sse_sigma(SseVariant.REFERENCE, g, zero, dh, nmap, grid)
     assert np.all(out.lesser == 0) and np.all(out.greater == 0)
 
 
@@ -198,7 +197,7 @@ def test_sigma_scalar_instance_hand_oracle():
     g = GreensTensor(_rand(rng, params.electron_shape), _rand(rng, params.electron_shape))
     dh = _rand(rng, (2, 1, 3, 1, 1))
     dc = CombinedD(_rand(rng, (1, 1, 2, 1, 3, 3)), _rand(rng, (1, 1, 2, 1, 3, 3)))
-    out = sse_sigma_reference(g, dc, dh, nmap, grid)
+    out = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid)
     for a in range(2):
         b = int(nmap.idx[a, 0])
         expected = 0.0
@@ -217,7 +216,7 @@ def test_sigma_scalar_instance_hand_oracle():
 def test_sigma_reference_matches_loop_oracle():
     params, grid, nmap, g, d, dh = _instance(3)
     dc = preprocess_D(d, nmap)
-    out = sse_sigma_reference(g, dc, dh, nmap, grid)
+    out = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid)
     for side, g_arr, dc_arr in (("lesser", g.lesser, dc.lesser), ("greater", g.greater, dc.greater)):
         oracle = _oracle_sigma(params, grid, nmap, g_arr, dc_arr, dh)
         got = getattr(out, side)
@@ -369,6 +368,24 @@ def test_default_kernels_transient_memory_is_bounded():
         assert peak - held <= bound, (name, peak - held, bound)
 
 
+def test_fissioned_holds_one_dhg_transient_at_a_time():
+    # FISSIONED's largest allocation is its stage-1 transient, n_qz n_w copies of dH G for every
+    # (atom, neighbor); one tensor's transient is released before the other tensor's is built.
+    params = SimParams(n_kz=3, n_qz=2, n_E=8, n_w=4, n_A=4, n_B=2, n_orb=2, bnum=2)
+    _, grid, nmap, g, d, dh = _instance(41, params)
+    dc = preprocess_D(d, nmap)
+    transient = (params.n_qz * params.n_w * params.n_A * params.n_B * 3 * params.n_kz * params.n_E
+                 * params.n_orb**2 * np.dtype(np.complex128).itemsize)
+    sse_sigma(SseVariant.FISSIONED, g, dc, dh, nmap, grid)  # fills the cached shift plans
+    tracemalloc.start()
+    try:
+        out = sse_sigma(SseVariant.FISSIONED, g, dc, dh, nmap, grid)  # noqa: F841 -- held while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 1.5 * transient, (peak - held, transient)
+
+
 def test_fissioned_intermediate_matches_redundancy_removed():
     params, grid, nmap, g, d, dh = _instance(5)
     atoms, n_qw = range(params.n_A), params.n_qz * params.n_w
@@ -404,7 +421,7 @@ def test_sigma_linearity_superposition():
     d2 = CombinedD(_rand(rng, d1.lesser.shape), _rand(rng, d1.greater.shape))
 
     def run(gg, dd):
-        return sse_sigma_reference(gg, dd, dh, nmap, grid)
+        return sse_sigma(SseVariant.REFERENCE, gg, dd, dh, nmap, grid)
 
     # linear in G
     g_sum = GreensTensor(g.lesser + g2.lesser, g.greater + g2.greater)
