@@ -21,7 +21,7 @@ from .sse import (
     sse_pi,
     sse_sigma,
 )
-from .distsim import MessageLedger, RankState, run_omen_scheme, run_tiled_scheme
+from .distsim import MessageLedger, run_omen_scheme, run_tiled_scheme
 from .flops import FlopCounter, FlopReport, flop_report, sse_flops_dace, sse_flops_fully_hoisted, sse_flops_omen
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "LoopResult",
     "MessageLedger",
     "NeighborMap",
-    "RankState",
     "SimParams",
     "SingularSystemError",
     "SseVariant",

@@ -230,10 +230,6 @@ def cmd_distsim(args) -> int:
     if args.te is None and args.ta is None and t_e * t_a != processes:
         t_e, t_a = 1, processes
 
-    def rel_dev(a, b):
-        scale = max(np.max(np.abs(b.lesser)), np.max(np.abs(b.greater)), 1e-300)
-        return max(np.max(np.abs(a.lesser - b.lesser)), np.max(np.abs(a.greater - b.greater))) / scale
-
     summary = {"schemes": {}}
     worst = 0.0
     schemes = {
@@ -244,8 +240,8 @@ def cmd_distsim(args) -> int:
         if args.scheme not in (name, "both"):
             continue
         s, pi, ledger = run(g, d, dev.dH, nmap, grid, params, *partition.values())
-        dev_sigma = rel_dev(s, ref_sigma)
-        dev_pi = rel_dev(pi, ref_pi)
+        dev_sigma = s.change_from(ref_sigma)[1]
+        dev_pi = pi.change_from(ref_pi)[1]
         worst = max(worst, dev_sigma, dev_pi)
         rows = distsim.compare_ledger_with_model(ledger, volume(params, *partition.values()))
         (out / f"ledger_{name}.csv").write_text(ledger.to_csv(), encoding="utf-8")

@@ -489,7 +489,6 @@ class SseGraph:
 
     graph: DataflowGraph
     outer: MapScope
-    inner: MapScope
     symbols: dict[str, Symbol]
 
 
@@ -584,4 +583,4 @@ def build_sse_graph(tile_e="s_E", tile_a="s_A") -> SseGraph:
         if isinstance(sym, Symbol):
             symbols[name] = sym
     graph.validate()
-    return SseGraph(graph=graph, outer=outer, inner=inner, symbols=symbols)
+    return SseGraph(graph=graph, outer=outer, symbols=symbols)

@@ -78,22 +78,6 @@ class DeviceMatrices:
     bnum: int
 
     @property
-    def n_kz(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def n_qz(self) -> int:
-        return self.Phi.shape[0]
-
-    @property
-    def n_A(self) -> int:
-        return self.dH.shape[0]
-
-    @property
-    def n_orb(self) -> int:
-        return self.dH.shape[3]
-
-    @property
     def n_3D(self) -> int:
         return self.dH.shape[2]
 

@@ -2,14 +2,19 @@
 
 Ranks are plain loop iterations over an in-memory exchange table: no real
 transport, bitwise reproducibility, and a ledger recording every simulated
-message.  Both schemes record, while they ledger, the (k_z, E) points each
-rank receives, and every rank then runs one path (:func:`_rank`): it computes
-on the energy hull of what it received x its atoms plus a halo, with the
-loop's default kernels (``sse.DEFAULT_VARIANT`` Sigma and the default Pi),
-restricted to what it owns.  So a rank does its share of the single-node
-work rather than all of it, and a slice that misses part of the halo a rank
-reads fails loudly instead of reading zeros.  A rank that owns nothing runs
-no kernel.
+message.  A rank is what it owns.  Every partition is an integer owner grid
+built from ceil chunks (:func:`_owners`): over (k_z, E) it names the source
+of each electron block, over (q_z, omega) the root of each phonon round.  A
+rank's share is a (k_z, E) mask plus an atom range: an omen rank owns one
+chunk of the flattened (k_z, E) points and every atom, a tiled rank one
+energy tile at every k_z and one atom tile.  Both schemes record, while they
+ledger, the (k_z, E) mask each rank receives, and every rank then runs one
+path (:func:`_rank`): it computes on the energy hull of what it received x
+its atoms plus a halo, with the loop's default kernels
+(``sse.DEFAULT_VARIANT`` Sigma and the default Pi), restricted to what it
+owns.  So a rank does its share of the single-node work rather than all of
+it, and a slice that misses part of the halo a rank reads fails loudly
+instead of reading zeros.  A rank that owns nothing runs no kernel.
 
 Byte accounting mirrors ``comm``'s closed-form volume models exactly:
 transfers carry both the lesser and greater tensors (2 x 16-byte complex),
@@ -40,30 +45,6 @@ PAIR_BYTES = 32  # lesser + greater, 16-byte complex each
 # The ledger splits comm's phonon pair term into its two directions.
 PHONON_D = "phonon_D"
 PHONON_PI = "phonon_Pi"
-
-
-@dataclass(frozen=True)
-class RankState:
-    """Ownership of one simulated rank.
-
-    The momentum-energy scheme owns flattened (k_z, E) points of every
-    atom; the tiled scheme owns an energy-range/atom-range tile.  Across
-    ranks the owned slices are pairwise disjoint and cover the full tensors.
-    """
-
-    rank: int
-    points: tuple[tuple[int, int], ...] | None = None
-    e_range: tuple[int, int] | None = None
-    a_range: tuple[int, int] | None = None
-
-    def point_mask(self, n_kz: int, n_e: int) -> Array:
-        out = np.zeros((n_kz, n_e), dtype=bool)
-        if self.points is not None:
-            for k, i_e in self.points:
-                out[k, i_e] = True
-        elif self.e_range is not None:
-            out[:, self.e_range[0] : self.e_range[1]] = True
-        return out
 
 
 @dataclass(frozen=True)
@@ -104,9 +85,6 @@ class MessageLedger:
     def tags(self) -> list[str]:
         return sorted({e.tag for e in self.entries})
 
-    def rounds(self) -> list[int]:
-        return sorted({e.round for e in self.entries})
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -129,29 +107,13 @@ def _chunks(total: int, parts: int) -> list[range]:
     return [range(min(i * size, total), min((i + 1) * size, total)) for i in range(parts)]
 
 
-class _ChunkLayout:
-    """Ownership of a flattened (outer, inner) grid split into P ceil chunks.
+def _owners(n_outer: int, n_inner: int, parts: int) -> Array:
+    """Owner rank of every point of an (outer, inner) grid whose row-major flattening is split into ceil chunks.
 
     Momentum-energy points are (k_z, E); phonon rounds are (q_z, omega).
     """
-
-    def __init__(self, n_outer: int, n_inner: int, processes: int):
-        self.n_inner = n_inner
-        self.chunks = _chunks(n_outer * n_inner, processes)
-        self._owners = [-1] * (n_outer * n_inner)  # flat index -> rank, -1 outside every chunk
-        for rank, chunk in enumerate(self.chunks):
-            for flat in chunk:
-                self._owners[flat] = rank
-
-    def owner(self, outer: int, inner: int) -> int:
-        flat = outer * self.n_inner + inner
-        rank = self._owners[flat] if 0 <= flat < len(self._owners) else -1
-        if rank < 0:
-            raise IndexError(f"index {flat} outside every chunk")
-        return rank
-
-    def points(self, rank: int) -> list[tuple[int, int]]:
-        return [divmod(flat, self.n_inner) for flat in self.chunks[rank]]
+    lengths = [len(chunk) for chunk in _chunks(n_outer * n_inner, parts)]
+    return np.repeat(np.arange(parts), lengths).reshape(n_outer, n_inner)
 
 
 def _rank(
@@ -191,22 +153,18 @@ def _rank(
 
 def _run_ranks(
     g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, params: SimParams,
-    states: list[RankState], received: list[Array], halo_a: int,
+    owned: list[Array], a_ranges: list[tuple[int, int]], received: list[Array], halo_a: int,
 ) -> tuple[GreensTensor, GreensTensor]:
     """Every rank that owns something runs :func:`_rank` on what it received; Sigma and Pi from their owned parts."""
     sigma_l = np.zeros(params.electron_shape, np.complex128)
     sigma_g = np.zeros_like(sigma_l)
     chains_l = np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), np.complex128)
     chains_g = np.zeros_like(chains_l)
-    for state in states:
-        owned = state.point_mask(params.n_kz, params.n_E)
-        a_lo, a_hi = state.a_range
-        if a_lo == a_hi or not owned.any():
+    for mask, (a_lo, a_hi), got in zip(owned, a_ranges, received):
+        if a_lo == a_hi or not mask.any():
             continue
-        sigma, (part_l, part_g) = _rank(
-            g, dc, dh, nmap, grid, params.n_qz, owned, received[state.rank], state.a_range, halo_a
-        )
-        sigma_l[owned, a_lo:a_hi], sigma_g[owned, a_lo:a_hi] = sigma
+        sigma, (part_l, part_g) = _rank(g, dc, dh, nmap, grid, params.n_qz, mask, got, (a_lo, a_hi), halo_a)
+        sigma_l[mask, a_lo:a_hi], sigma_g[mask, a_lo:a_hi] = sigma
         chains_l[:, :, a_lo:a_hi] += part_l
         chains_g[:, :, a_lo:a_hi] += part_g
     return GreensTensor(lesser=sigma_l, greater=sigma_g), pi_from_chains(chains_l, chains_g)
@@ -233,31 +191,31 @@ def run_omen_scheme(
     """
     if processes < 1:
         raise ValueError("process count must be >= 1")
-    layout = _ChunkLayout(params.n_kz, params.n_E, processes)
-    ph_layout = _ChunkLayout(params.n_qz, params.n_w, processes)
-    states = [RankState(rank=r, points=tuple(layout.points(r)), a_range=(0, params.n_A)) for r in range(processes)]
+    owner = _owners(params.n_kz, params.n_E, processes)
+    roots = _owners(params.n_qz, params.n_w, processes)
+    owned = [owner == r for r in range(processes)]
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
 
     d_bytes = PAIR_BYTES * params.n_A * params.n_B * params.n_3D**2
     g_bytes = PAIR_BYTES * params.n_A * params.n_orb**2
 
-    received = [state.point_mask(params.n_kz, params.n_E) for state in states]
+    received = [mask.copy() for mask in owned]
     for q in range(params.n_qz):
         for w in range(params.n_w):
             round_ = q * params.n_w + w
             off = grid.frequency_map[w][0]
-            root = ph_layout.owner(q, w)
+            root = int(roots[q, w])
             for dst in range(processes):
                 ledger.add(round_, root, dst, PHONON_D, d_bytes)
             for dst in range(processes):
-                for k, i_e in states[dst].points:
+                for k, i_e in np.argwhere(owned[dst]):
                     for k_s, e_s in (
                         ((k - q) % params.n_kz, i_e - off),
                         ((k + q) % params.n_kz, i_e + off),
                     ):
                         if 0 <= e_s < params.n_E:
-                            src = layout.owner(k_s, e_s)
+                            src = int(owner[k_s, e_s])
                             received[dst][k_s, e_s] = True
                         else:
                             src = dst  # off-grid shift travels as a zero block
@@ -265,7 +223,8 @@ def run_omen_scheme(
             for src in range(processes):
                 ledger.add(round_, src, root, PHONON_PI, d_bytes)
 
-    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, states, received, halo_a=0)
+    a_ranges = [(0, params.n_A)] * processes
+    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, owned, a_ranges, received, halo_a=0)
     return sigma, pi, ledger
 
 
@@ -281,12 +240,13 @@ def run_tiled_scheme(
 ) -> tuple[GreensTensor, GreensTensor, MessageLedger]:
     """Energy-atom tiling with one all-to-all halo exchange.
 
-    Rank (tE, tA) materializes the halo'd electron slice (energies extended
-    by the largest frequency offset on both sides, atoms by the farthest
-    neighbor reach, at least half the neighbor count), computes its
-    self-energy tile and partial phonon chains on that slice with the loop's
-    default kernels (see :func:`_rank`), then returns them over the
-    mirrored footprint.  Round 0 is the forward exchange, round 1 the return.
+    Rank tE * T_A + tA owns energy tile tE at every k_z and atom tile tA.  It
+    materializes the halo'd electron slice (energies extended by the largest
+    frequency offset on both sides, atoms by the farthest neighbor reach, at
+    least half the neighbor count), computes its self-energy tile and
+    partial phonon chains on that slice with the loop's default kernels (see
+    :func:`_rank`), then returns them over the mirrored footprint.  Round 0
+    is the forward exchange, round 1 the return.
     """
     if t_e < 1 or t_a < 1:
         raise ValueError("partition counts must be >= 1")
@@ -297,19 +257,10 @@ def run_tiled_scheme(
     processes = t_e * t_a
     e_tiles = _chunks(params.n_E, t_e)
     a_tiles = _chunks(params.n_A, t_a)
-    states = [
-        RankState(
-            rank=i_te * t_a + i_ta,
-            e_range=(e_tiles[i_te].start, e_tiles[i_te].stop),
-            a_range=(a_tiles[i_ta].start, a_tiles[i_ta].stop),
-        )
-        for i_te in range(t_e)
-        for i_ta in range(t_a)
-    ]
     halo_e = grid.max_offset
     halo_a = max(params.n_B // 2, nmap.max_reach)
-    layout = _ChunkLayout(params.n_kz, params.n_E, processes)
-    ph_layout = _ChunkLayout(params.n_qz, params.n_w, processes)
+    owner = _owners(params.n_kz, params.n_E, processes)
+    roots = _owners(params.n_qz, params.n_w, processes)
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
 
@@ -317,14 +268,16 @@ def run_tiled_scheme(
     g_col_bytes = PAIR_BYTES * col_atoms * params.n_orb**2
     d_slice_bytes = PAIR_BYTES * col_atoms * params.n_B * params.n_3D**2
 
-    received = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in states]
-    for state in states:
-        rank = state.rank
-        e_lo, e_hi = state.e_range
+    owned = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in range(processes)]
+    received = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in range(processes)]
+    a_ranges = [(tile.start, tile.stop) for _ in e_tiles for tile in a_tiles]
+    for rank in range(processes):
+        e_tile = e_tiles[rank // t_a]
+        owned[rank][:, e_tile.start : e_tile.stop] = True
         for k in range(params.n_kz):
-            for e_s in range(e_lo - halo_e, e_hi + halo_e):
+            for e_s in range(e_tile.start - halo_e, e_tile.stop + halo_e):
                 if 0 <= e_s < params.n_E:
-                    src = layout.owner(k, e_s)
+                    src = int(owner[k, e_s])
                     received[rank][k, e_s] = True
                 else:
                     src = rank  # zero-padded halo mirrors the model rectangle
@@ -332,11 +285,11 @@ def run_tiled_scheme(
                 ledger.add(1, rank, src, ELECTRON_SIGMA, g_col_bytes)
         for q in range(params.n_qz):
             for w in range(params.n_w):
-                root = ph_layout.owner(q, w)
+                root = int(roots[q, w])
                 ledger.add(0, root, rank, PHONON_D, d_slice_bytes)
                 ledger.add(1, rank, root, PHONON_PI, d_slice_bytes)
 
-    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, states, received, halo_a)
+    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, owned, a_ranges, received, halo_a)
     return sigma, pi, ledger
 
 

@@ -73,6 +73,15 @@ class GreensTensor:
     def all_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.lesser)) and np.all(np.isfinite(self.greater)))
 
+    def change_from(self, old: "GreensTensor") -> tuple[float, float]:
+        """(absolute, relative) max change of the lesser/greater pair from ``old``, relative to old's largest entry."""
+        scale = max(float(np.max(np.abs(old.lesser))), float(np.max(np.abs(old.greater))), 1e-300)
+        diff = max(
+            float(np.max(np.abs(self.lesser - old.lesser))),
+            float(np.max(np.abs(self.greater - old.greater))),
+        )
+        return diff, diff / scale
+
     @classmethod
     def zeros_electron(cls, params: SimParams) -> "GreensTensor":
         shape = params.electron_shape

@@ -555,16 +555,6 @@ class LoopResult:
     diverged: bool = False
 
 
-def _gf_change(old: GreensTensor, new: GreensTensor) -> tuple[float, float]:
-    """(absolute, relative) max change of the lesser/greater pair."""
-    scale = max(float(np.max(np.abs(old.lesser))), float(np.max(np.abs(old.greater))), 1e-300)
-    diff = max(
-        float(np.max(np.abs(new.lesser - old.lesser))),
-        float(np.max(np.abs(new.greater - old.greater))),
-    )
-    return diff, diff / scale
-
-
 def seeded_self_energies(params: SimParams, scale: float) -> tuple[GreensTensor, GreensTensor]:
     """Deterministic nonzero starting self-energies.
 
@@ -619,7 +609,7 @@ def self_consistent_loop(
         if not (g_e.all_finite() and g_ph.all_finite()):
             return LoopResult(g_e, g_ph, sigma, pi, iteration, False, deltas, abs_deltas, diverged=True)
         if prev is not None:
-            diff, delta = _gf_change(prev, g_e)
+            diff, delta = g_e.change_from(prev)
             deltas.append(delta)
             abs_deltas.append(diff)
             if delta <= tol:

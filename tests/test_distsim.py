@@ -15,9 +15,8 @@ from negflow.distsim import (
     PHONON_D,
     PHONON_PI,
     MessageLedger,
-    RankState,
-    _ChunkLayout,
     _chunks,
+    _owners,
     _rank,
     compare_ledger_with_model,
     run_omen_scheme,
@@ -70,16 +69,14 @@ def test_chunks_partition_totals():
         chunks = _chunks(total, parts)
         covered = [i for c in chunks for i in c]
         assert covered == list(range(total))  # disjoint union in order
-    # the owner table agrees with chunk membership at every (outer, inner) index
+    # the owner grid agrees with chunk membership at every (outer, inner) point
     for n_outer, n_inner, parts in [(2, 4, 4), (2, 5, 3), (1, 5, 7), (5, 1, 7), (1, 1, 1)]:
-        layout = _ChunkLayout(n_outer, n_inner, parts)
+        owner = _owners(n_outer, n_inner, parts)
         chunks = _chunks(n_outer * n_inner, parts)
+        assert owner.shape == (n_outer, n_inner)
         for flat in range(n_outer * n_inner):
             rank = next(r for r, chunk in enumerate(chunks) if flat in chunk)
-            assert layout.owner(*divmod(flat, n_inner)) == rank
-        for outer, inner in ((n_outer, 0), (0, -1)):
-            with pytest.raises(IndexError, match="outside every chunk"):
-                layout.owner(outer, inner)
+            assert owner[divmod(flat, n_inner)] == rank
 
 
 def test_omen_single_rank_is_bitwise_reference():
@@ -200,6 +197,11 @@ def test_tiled_ranks_see_only_their_halo_slice(monkeypatch, t_e, t_a):
     _assert_g_nonzero_exactly_where_received(calls, received)
 
 
+def _shifted(params, k, i_e, q, off):
+    """The two (k,E) points an omen point reads in round (q, offset): E -+ offset at k -+ q, k wrapping."""
+    return ((k - q) % params.n_kz, i_e - off), ((k + q) % params.n_kz, i_e + off)
+
+
 def _received_points(params, grid, owned):
     """(k,E) points an omen rank owning the flat points ``owned`` reads: its own and every in-grid shift."""
     out = np.zeros((params.n_kz, params.n_E), dtype=bool)
@@ -207,7 +209,7 @@ def _received_points(params, grid, owned):
         out[k, i_e] = True
         for q in range(params.n_qz):
             for off in grid.offsets:
-                for k_s, e_s in (((k - q) % params.n_kz, i_e - off), ((k + q) % params.n_kz, i_e + off)):
+                for k_s, e_s in _shifted(params, k, i_e, q, off):
                     if 0 <= e_s < params.n_E:
                         out[k_s, e_s] = True
     return out
@@ -255,7 +257,8 @@ def test_tiled_slice_one_atom_short_of_the_halo_raises():
     halo_a = max(RICH.n_B // 2, nmap.max_reach)
     assert halo_a == nmap.max_reach  # one atom fewer drops a neighbor the tile reads
     e_range, a_range = (0, RICH.n_E // 2), (RICH.n_A // 4, RICH.n_A // 2)
-    owned = RankState(rank=0, e_range=e_range, a_range=a_range).point_mask(RICH.n_kz, RICH.n_E)
+    owned = np.zeros((RICH.n_kz, RICH.n_E), dtype=bool)
+    owned[:, slice(*e_range)] = True
     args = (g, dc, dev.dH, nmap, grid, RICH.n_qz, owned, _tiled_received(RICH, grid, e_range), a_range)
     _rank(*args, halo_a)
     with pytest.raises(ValueError, match="neighbor index"):
@@ -298,15 +301,60 @@ def test_determinism_bitwise():
     assert np.array_equal(t1[0].lesser, t2[0].lesser)
 
 
-def test_conservation_per_round_and_tag():
-    grid, dev, nmap, g, d = _instance(7, EVEN)
-    _, _, ledger = run_omen_scheme(g, d, dev.dH, nmap, grid, EVEN, 4)
-    for round_ in ledger.rounds():
-        for tag in ledger.tags():
-            entries = [e for e in ledger.entries if e.round == round_ and e.tag == tag]
-            sent = sum(e.bytes for e in entries)
-            received = sum(e.bytes for e in entries)
-            assert sent == received  # every message has exactly one src and one dst
+@pytest.mark.parametrize(
+    "scheme, partition",
+    [("omen", (3,)), ("omen", (4,)), ("omen", (8,)), ("tiled", (2, 2)), ("tiled", (4, 2))],
+    ids=["omen-3", "omen-4", "omen-8", "tiled-2x2", "tiled-4x2"],
+)
+def test_messages_come_from_and_go_to_the_owners(scheme, partition):
+    # Owners are recomputed here from ceil chunks of the flattened grids: point
+    # ``flat`` of ``total`` belongs to rank flat // ceil(total / P).
+    grid, dev, nmap, g, d = _instance(7, RICH)
+    processes = math.prod(partition)
+    run = run_omen_scheme if scheme == "omen" else run_tiled_scheme
+    _, _, ledger = run(g, d, dev.dH, nmap, grid, RICH, *partition)
+
+    def owner(outer, inner, n_outer, n_inner):
+        return (outer * n_inner + inner) // -(-(n_outer * n_inner) // processes)
+
+    def electron_source(dst, k_s, e_s):
+        # an off-grid point travels as a zero block from the receiver itself
+        return owner(k_s, e_s, RICH.n_kz, RICH.n_E) if 0 <= e_s < RICH.n_E else dst
+
+    def pairs(tag):
+        return [(e.src, e.dst) for e in ledger.entries if e.tag == tag]
+
+    roots = [owner(q, w, RICH.n_qz, RICH.n_w) for q in range(RICH.n_qz) for w in range(RICH.n_w)]
+    assert len(set(roots)) > 1  # a single root would not tell the rounds apart
+    ranks = range(processes)
+    if scheme == "omen":
+        # round by round: D broadcast from the round's root, Pi reduced to it
+        assert pairs(PHONON_D) == [(root, dst) for root in roots for dst in ranks]
+        assert pairs(PHONON_PI) == [(src, root) for root in roots for src in ranks]
+        total = RICH.n_kz * RICH.n_E
+        share = -(-total // processes)
+        for dst in ranks:
+            points = [divmod(flat, RICH.n_E) for flat in range(dst * share, min((dst + 1) * share, total))]
+            sources = [
+                electron_source(dst, k_s, e_s)
+                for q in range(RICH.n_qz)
+                for off in grid.offsets
+                for k, i_e in points
+                for k_s, e_s in _shifted(RICH, k, i_e, q, off)
+            ]
+            assert [e.src for e in ledger.entries if e.tag == ELECTRON_G and e.dst == dst] == sources
+    else:
+        # rank by rank over every round: D from the round's root, Pi back to it
+        assert pairs(PHONON_D) == [(root, dst) for dst in ranks for root in roots]
+        assert pairs(PHONON_PI) == [(src, root) for src in ranks for root in roots]
+        t_a = partition[1]
+        e_tiles = _chunks(RICH.n_E, partition[0])
+        for dst in ranks:
+            tile = e_tiles[dst // t_a]
+            halo = range(tile.start - grid.max_offset, tile.stop + grid.max_offset)
+            sources = [electron_source(dst, k, e_s) for k in range(RICH.n_kz) for e_s in halo]
+            assert [e.src for e in ledger.entries if e.tag == ELECTRON_G and e.dst == dst] == sources
+            assert [e.dst for e in ledger.entries if e.tag == ELECTRON_SIGMA and e.src == dst] == sources
 
 
 def test_entry_bytes_are_pair_multiples():
@@ -367,20 +415,3 @@ def test_ledger_csv_and_summary():
     assert summary["messages"] == len(ledger.entries)
     assert summary["total_bytes"] == ledger.total_bytes()
     assert set(summary["by_tag"]) == set(ledger.tags())
-
-
-def test_rank_state_ownership_partition():
-    layout = _ChunkLayout(3, 5, 4)
-    states = [RankState(rank=r, points=tuple(layout.points(r))) for r in range(4)]
-    union = np.zeros((3, 5), dtype=int)
-    for state in states:
-        union += state.point_mask(3, 5).astype(int)
-    assert np.all(union == 1)  # full cover, pairwise disjoint
-    tiles = [
-        RankState(rank=r, e_range=(lo, hi), a_range=(0, 4))
-        for r, (lo, hi) in enumerate([(0, 3), (3, 5)])
-    ]
-    union = np.zeros((3, 5), dtype=int)
-    for state in tiles:
-        union += state.point_mask(3, 5).astype(int)
-    assert np.all(union == 1)

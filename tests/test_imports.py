@@ -13,6 +13,12 @@ import negflow
 SRC = str(Path(negflow.__file__).resolve().parents[1])
 
 
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports negflow from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+
+
 @pytest.mark.parametrize(
     "modules, prefix",
     [
@@ -30,6 +36,17 @@ def test_no_scipy_module_is_loaded(modules, prefix):
         f"import {modules}\n"
         f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == []
+    assert json.loads(_fresh(code)) == []
+
+
+def test_every_exported_name_resolves():
+    # a fresh interpreter, so that no earlier import fills in a missing name
+    code = (
+        "import negflow\n"
+        "missing = [name for name in negflow.__all__ if not hasattr(negflow, name)]\n"
+        "assert not missing, missing\n"
+        "namespace = {}\n"
+        "exec('from negflow import *', namespace)\n"
+        "assert set(negflow.__all__) <= set(namespace), sorted(set(negflow.__all__) - set(namespace))\n"
+    )
+    _fresh(code)
