@@ -37,9 +37,11 @@ _RESIDUAL_LIMIT = 1e-8
 
 SOLVERS = ("dense", "rgf")
 # Shared by gf_phase, sse.self_consistent_loop and `negflow simulate --solver`.
-# RGF measures faster on every benchmarked shape (CHANGES.md), but the
-# benchmark's harness self-check reads this default to pick the tolerance it
-# breaks on purpose, so the switch waits for the next benchmark change.
+# Neither solver is faster everywhere (gf_phase, best of 7, one BLAS thread;
+# CHANGES.md): RGF wins on desk-32 and gf-long, dense on the tiny and small
+# presets.  The benchmark's harness self-check reads this default to pick the
+# tolerance it breaks on purpose, so any switch waits for the next benchmark
+# change.
 DEFAULT_SOLVER = "dense"
 
 

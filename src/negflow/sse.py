@@ -13,12 +13,13 @@ equivalent arrangements of the Sigma kernel trace the optimization chain
 from the straightforward map to the batched, fused form (the three middle
 ones share one staged kernel, :func:`_sigma_staged`), and Pi comes in
 three forms that differ in which dH G factors are hoisted.  The default
-forms work per atom over all of its neighbors at once and apply the
-momentum/energy shift to a product rather than to G: batched-fused Sigma
-shifts dHG Xi, the default Pi rolls its trailing factor in momentum.  All of
-them take every shift from one cached plan, :func:`_shift_plan`, so they
-agree by construction on how momentum wraps and how off-grid energy
-offsets drop out.
+forms run in chunks of at most ``BUDGET`` transient bytes, batched-fused
+Sigma over blocks of atoms and the default Pi over (atom, neighbor) pairs,
+and apply the momentum/energy shift to a product rather than to G:
+batched-fused Sigma shifts dHG Xi, the default Pi rolls its trailing factor
+in momentum.  All of them take every shift from one cached plan,
+:func:`_shift_plan`, so they agree by construction on how momentum wraps
+and how off-grid energy offsets drop out.
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ DEFAULT_VARIANT = SseVariant.BATCHED_FUSED
 # The loop stops as diverged after this many consecutive GF passes whose
 # absolute change grows while their relative change exceeds 1.
 DIVERGENCE_PASSES = 3
+
+
+# Transient bytes one chunk of a default kernel may hold: Pi runs as many (atom, neighbor) pairs, and
+# Sigma as many atoms, per chunk as fit (at least one).  Larger chunks save per-call overhead on small
+# orbital blocks, but past about this size the batched GEMMs and gathers slow down (sweep in CHANGES.md).
+BUDGET = 1 << 20
+
+
+def _chunk(unit_entries: int, n_units: int) -> int:
+    """Units per chunk when each unit holds ``unit_entries`` complex128 transient entries: at least 1, at most ``n_units``."""
+    return max(1, min(n_units, BUDGET // (16 * unit_entries)))
 
 
 def _carve(buffer: Array, offset: int, shape: tuple[int, ...]) -> Array:
@@ -257,12 +269,12 @@ def _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms: range) -> Gree
 
 
 def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
-    """Final form: per-atom transients, one GEMM per stage, the shift applied to the product.
+    """Final form: atom blocks of at most ``BUDGET`` transient bytes, one GEMM per stage, the shift applied to the product.
 
-    Stage 1 computes dHG of all n_B neighbors of atom a in one batched GEMM
-    (rows [k, E, M], columns (i, P)).  Stage 2 is reassociated: since the
-    (k, E) shift commutes with right multiplication, one
-    (n_kz n_E n_orb) x (n_B 3 n_orb) x (n_qz n_w n_orb) GEMM forms
+    Per block, stage 1 computes dHG of every atom's n_B neighbors in one
+    batched GEMM (rows [k, E, M], columns (i, P)).  Stage 2 is reassociated:
+    since the (k, E) shift commutes with right multiplication, one batched
+    (n_kz n_E n_orb) x (n_B 3 n_orb) x (n_qz n_w n_orb) GEMM per atom forms
     Y = dHG Xi for every neighbor and (q_z, omega) at once, and the shift
     then gathers n_orb columns of Y per (q_z, omega) in one indexed copy
     (rows from :func:`_shift_plan`; zero rows stand in for off-grid
@@ -278,39 +290,44 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
     index = (k_e.reshape(n_qw, n_kz, n_e, 1) * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None, None]
     weights = np.asarray(grid.weights)[:, None]
     dh_cols = dh.transpose(0, 1, 3, 2, 4).reshape(dh.shape[0], n_b, n_orb, 3 * n_orb)  # [a, s, Q, (i, P)]
-    # per-atom buffers, reused across atoms and both tensors; the neighbors' G (as taken, then as
-    # GEMM rows), dHG and the shifted product share one: dHG is written past the rows it is formed
-    # from, and the shift-add gathers once Y has consumed dHG
+    # per-block buffers, reused across blocks and both tensors; per atom, the neighbors' G (as GEMM
+    # rows, then as taken), dHG and the shifted product share one: dHG is written past the rows it is
+    # formed from, and the shift-add gathers once Y has consumed dHG
     stack = n_b * rows * n_orb
-    scratch = np.empty(max(2 * stack, stack + rows * depth, index.size * n_orb), dtype=np.complex128)
-    g_rows = _carve(scratch, 0, (n_b, n_kz, n_e, n_orb, n_orb))
-    g_nb = _carve(scratch, stack, (n_kz, n_e, n_b, n_orb, n_orb))
-    dhg = _carve(scratch, stack, (rows, n_b, 3 * n_orb))
-    shifted = _carve(scratch, 0, index.shape + (n_orb,))
-    dcdh = np.empty((n_b, 3, n_qz, n_w, n_orb, n_orb), dtype=np.complex128)
-    xi = np.empty((n_b, 3, n_orb, n_qz, n_w, n_orb), dtype=np.complex128)
-    y = np.zeros((n_kz, n_pad * n_orb, n_qw * n_orb), dtype=np.complex128)
-    y_grid = y[:, before * n_orb : (before + n_e) * n_orb]
+    per_atom = max(4 * stack, index.size * n_orb)
+    y_size = n_kz * n_pad * n_orb * n_qw * n_orb
+    block = _chunk(per_atom + y_size + 2 * n_b * 3 * n_qw * n_orb**2, len(atoms))
+    scratch = np.empty(block * per_atom, dtype=np.complex128)
+    dcdh = np.empty((block, n_b, 3, n_qz, n_w, n_orb, n_orb), dtype=np.complex128)
+    xi = np.empty((block, n_b, 3, n_orb, n_qz, n_w, n_orb), dtype=np.complex128)
+    y = np.zeros((block, n_kz, n_pad * n_orb, n_qw * n_orb), dtype=np.complex128)
+    y_grid = y[:, :, before * n_orb : (before + n_e) * n_orb]
     outs = []
     for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
         out = np.empty_like(g_arr)
         out[:, :, : atoms.start] = 0
         out[:, :, atoms.stop :] = 0
-        for a in atoms:
-            # dHG[k, E, M, s, (i, P)] = G[k, E, f(a, s)][M, Q] dH[a, s, i][Q, P]
-            np.take(g_arr, nmap.idx[a], axis=2, out=g_nb, mode="clip")
-            np.copyto(g_rows, g_nb.transpose(2, 0, 1, 3, 4))
-            np.matmul(g_rows.reshape(n_b, rows, n_orb), dh_cols[a], out=dhg.transpose(1, 0, 2))
-            # Xi[(s, i, P), (q, w, N)] = weight_w sum_j Dc[q, w, a, s, i, j] dH[a, s, j][P, N]
-            dc_a = dc_arr[:, :, a].reshape(n_qw, n_b, 3, 3).transpose(1, 2, 0, 3)  # [s, i, (q, w), j]
-            np.matmul(dc_a, dh[a].reshape(n_b, 1, 3, -1), out=dcdh.reshape(n_b, 3, n_qw, -1))
-            np.multiply(dcdh.transpose(0, 1, 4, 2, 3, 5), weights, out=xi)
-            np.matmul(dhg.reshape(n_kz, n_e * n_orb, depth), xi.reshape(depth, n_qw * n_orb), out=y_grid)
-            np.take(y.reshape(-1, n_orb), index, axis=0, out=shifted, mode="clip")
-            np.add.reduce(shifted, axis=0, out=out[:, :, a])
+        for lo in range(atoms.start, atoms.stop, block):
+            hi = min(lo + block, atoms.stop)
+            u = hi - lo
+            g_rows = _carve(scratch, 0, (u, n_b, n_kz, n_e, n_orb, n_orb))
+            g_nb = _carve(scratch, u * stack, (n_kz, n_e, u, n_b, n_orb, n_orb))
+            dhg = _carve(scratch, u * stack, (u, rows, n_b, 3 * n_orb))
+            shifted = _carve(scratch, 0, (u,) + index.shape + (n_orb,))
+            # dHG[a, k, E, M, s, (i, P)] = G[k, E, f(a, s)][M, Q] dH[a, s, i][Q, P]
+            np.take(g_arr, nmap.idx[lo:hi], axis=2, out=g_nb, mode="clip")
+            np.copyto(g_rows, g_nb.transpose(2, 3, 0, 1, 4, 5))
+            np.matmul(g_rows.reshape(u, n_b, rows, n_orb), dh_cols[lo:hi], out=dhg.transpose(0, 2, 1, 3))
+            # Xi[a, (s, i, P), (q, w, N)] = weight_w sum_j Dc[q, w, a, s, i, j] dH[a, s, j][P, N]
+            dc_a = dc_arr[:, :, lo:hi].reshape(n_qw, u, n_b, 3, 3).transpose(1, 2, 3, 0, 4)  # [a, s, i, (q, w), j]
+            np.matmul(dc_a, dh[lo:hi].reshape(u, n_b, 1, 3, -1), out=dcdh[:u].reshape(u, n_b, 3, n_qw, -1))
+            np.multiply(dcdh[:u].transpose(0, 1, 2, 5, 3, 4, 6), weights, out=xi[:u])
+            np.matmul(dhg.reshape(u, n_kz, n_e * n_orb, depth), xi[:u].reshape(u, 1, depth, n_qw * n_orb), out=y_grid[:u])
+            np.take(y[:u].reshape(u, -1, n_orb), index, axis=1, out=shifted, mode="clip")
+            np.add.reduce(shifted, axis=1, out=out[:, :, lo:hi].transpose(2, 0, 1, 3, 4))
             if counter is not None:
-                counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b, stage="sigma.dhg")
-                counter.add_matmul(rows, depth, n_qw * n_orb, stage="sigma.accumulate")
+                counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b * u, stage="sigma.dhg")
+                counter.add_matmul(rows, depth, n_qw * n_orb, repeat=u, stage="sigma.accumulate")
         out *= 1j
         outs.append(out)
     return GreensTensor(lesser=outs[0], greater=outs[1])
@@ -351,62 +368,73 @@ def _fully_hoisted_chains(
     g: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int, counter: FlopCounter | None,
     mask: Array | None, atoms: range,
 ) -> tuple[Array, Array]:
-    """Lesser/greater [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per atom.
+    """Lesser/greater [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per pair.
 
-    m1 = dH_i G1[a] takes one GEMM for all n_B neighbors and m2 = dH_j G2[b]
-    one batched GEMM.  Substituting k -> k - q moves the momentum shift onto
-    m2, whose n_qz k-rolled copies stand side by side as GEMM columns; the
-    energy shift stays on m1, since it commutes with left multiplication.
-    Each neighbor then needs one gather of m1's omega windows and one
-    (3 n_w) x (n_kz n_E n_orb^2) x (n_qz 3) GEMM, an orb^2-class trace that
-    is not tallied.
+    The (atom, neighbor) pairs of ``atoms``, flattened, run in chunks of at
+    most ``BUDGET`` transient bytes.  Per chunk, m1 = dH_i G1[a] and
+    m2 = dH_j G2[b] each take one batched GEMM over the pairs.  Substituting
+    k -> k - q moves the momentum shift onto m2, whose n_qz k-rolled copies
+    stand side by side as GEMM columns; the energy shift stays on m1, since
+    it commutes with left multiplication.  One gather then takes m1's omega
+    windows, one m2's rolled copies, and one batched
+    (3 n_w) x (n_kz n_E n_orb^2) x (n_qz 3) GEMM per pair forms the traces,
+    an orb^2-class step that is not tallied.
     """
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_b, n_w = nmap.n_B, grid.n_w
     rows, cols = n_kz * n_e * n_orb, 3 * n_orb
+    slab = rows * n_orb
     # roll[(k, E, P, M), q] is the row of m2, laid out as rows [k, E, P, M], at [(k - q) mod n_kz, E, P, M]
     k_e = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1).T
     roll = (k_e[:, None] * n_orb**2 + np.arange(n_orb**2)[:, None]).reshape(-1, n_qz)
     before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), (0,))
     chains_l = np.zeros((n_qz, n_w, n_a, n_b, 3, 3), dtype=np.complex128)
     chains_g = np.zeros_like(chains_l)
-    # per-atom buffers, reused across atoms and both chains
-    padded = np.zeros((3, n_kz, n_pad, n_orb, n_orb), dtype=np.complex128)  # one neighbor's m1, zero off the grid
-    windows = np.empty((3,) + shift.shape[1:] + (n_orb, n_orb), dtype=np.complex128)
-    m1 = np.empty((n_kz, n_e, n_orb, n_b, 3, n_orb), dtype=np.complex128)
-    m2 = np.empty((n_b, rows * n_orb, 3), dtype=np.complex128)
-    traces = np.empty((n_b, 3, n_w, n_qz, 3), dtype=np.complex128)
-    # the G1 rows, then the neighbors' G2 (as taken, and as GEMM rows), then the rolled m2
-    # share one buffer: each is dead before the next is written
-    stack = n_b * rows * n_orb
-    scratch = np.empty(max(2 * stack, roll.size * 3), dtype=np.complex128)
-    g1_rows = _carve(scratch, 0, (n_kz, n_e, n_orb, n_orb))
-    g_nb = _carve(scratch, 0, (n_kz, n_e, n_b, n_orb, n_orb))
-    g2_rows = _carve(scratch, stack, (n_b, n_kz, n_e, n_orb, n_orb))
-    rolled = _carve(scratch, 0, roll.shape + (3,))
-    for a in atoms:
-        m1_cols = dh[a].transpose(3, 0, 1, 2).reshape(n_orb, n_b * cols)  # [Q, (s, i, P)] = dH[a, s, i][P, Q]
-        m2_cols = dh[a].transpose(0, 3, 2, 1).reshape(n_b, n_orb, cols)  # [s, Q, (M, j)] = dH[a, s, j][M, Q]
+    pairs = range(atoms.start * n_b, atoms.stop * n_b)  # p = a n_B + s
+    # per-chunk buffers, reused across chunks and both chains; per pair, its G (as taken, then as GEMM
+    # rows: 2 slabs) and later the omega windows and rolled m2 share one: the G is dead once m1 and m2
+    # are formed
+    per_pair = 3 * (n_w + n_qz) * slab
+    padded_size = 3 * n_kz * n_pad * n_orb**2
+    chunk = _chunk(per_pair + 2 * 3 * slab + padded_size + 2 * cols * n_orb + 9 * n_w * n_qz, len(pairs))
+    scratch = np.empty(chunk * per_pair, dtype=np.complex128)
+    m1 = np.empty((chunk, n_kz, n_e, n_orb, 3, n_orb), dtype=np.complex128)
+    m2 = np.empty((chunk, slab, 3), dtype=np.complex128)
+    padded = np.zeros((chunk, 3, n_kz, n_pad, n_orb, n_orb), dtype=np.complex128)  # m1, zero off the grid
+    traces = np.empty((chunk, 3, n_w, n_qz, 3), dtype=np.complex128)
+    dh_pairs = dh.reshape(-1, 3, n_orb, n_orb)
+    for lo in range(pairs.start, pairs.stop, chunk):
+        hi = min(lo + chunk, pairs.stop)
+        u = hi - lo
+        m1_cols = dh_pairs[lo:hi].transpose(0, 3, 1, 2).reshape(u, n_orb, cols)  # [p, Q, (i, P)] = dH[p, i][P, Q]
+        m2_cols = dh_pairs[lo:hi].transpose(0, 3, 2, 1).reshape(u, n_orb, cols)  # [p, Q, (M, j)] = dH[p, j][M, Q]
+        own, neighbors = np.arange(lo, hi) // n_b, nmap.idx.reshape(-1)[lo:hi]  # a and f(a, s) of each pair
+        g_nb = _carve(scratch, 0, (n_kz, n_e, u, n_orb, n_orb))
+        g_rows = _carve(scratch, u * slab, (u, n_kz, n_e, n_orb, n_orb))
+        windows = _carve(scratch, 0, (u, 3) + shift.shape[1:] + (n_orb, n_orb))
+        rolled = _carve(scratch, u * 3 * n_w * slab, (u,) + roll.shape + (3,))
         for g1_arr, g2_arr, chains in ((g.greater, g.lesser, chains_g), (g.lesser, g.greater, chains_l)):
-            # m1[k, E, M, s, i, P] = (dH[a, s, i] G1[k, E, a])[P, M]
-            np.copyto(g1_rows, g1_arr[:, :, a].transpose(0, 1, 3, 2))
-            np.matmul(g1_rows.reshape(rows, n_orb), m1_cols, out=m1.reshape(rows, -1))
-            # m2[s, k, E, P, M, j] = (dH[a, s, j] G2[k, E, f(a, s)])[M, P]
-            np.take(g2_arr, nmap.idx[a], axis=2, out=g_nb, mode="clip")
-            np.copyto(g2_rows, g_nb.transpose(2, 0, 1, 4, 3))
+            # m1[p, k, E, M, i, P] = (dH[a, s, i] G1[k, E, a])[P, M]
+            np.take(g1_arr, own, axis=2, out=g_nb, mode="clip")
+            np.copyto(g_rows, g_nb.transpose(2, 0, 1, 4, 3))
+            np.matmul(g_rows.reshape(u, rows, n_orb), m1_cols, out=m1[:u].reshape(u, rows, cols))
+            # m2[p, k, E, P, M, j] = (dH[a, s, j] G2[k, E, f(a, s)])[M, P]
+            np.take(g2_arr, neighbors, axis=2, out=g_nb, mode="clip")
+            np.copyto(g_rows, g_nb.transpose(2, 0, 1, 4, 3))
             if mask is not None:
-                g2_rows *= mask[:, :, None, None]
-            np.matmul(g2_rows.reshape(n_b, rows, n_orb), m2_cols, out=m2.reshape(n_b, rows, cols))
+                g_rows *= mask[:, :, None, None]
+            np.matmul(g_rows.reshape(u, rows, n_orb), m2_cols, out=m2[:u].reshape(u, rows, cols))
             if counter is not None:
-                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * n_b, stage="pi.m1")
-                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * n_b, stage="pi.m2")
-            for s in range(n_b):
-                # windows [i, w, (k, E, P, M)] hold m1 at [k, E + off(w)]; rolled [(k, E, P, M), q, j] holds m2 at k - q
-                np.copyto(padded[:, :, before : before + n_e], m1[:, :, :, s].transpose(3, 0, 1, 4, 2))
-                np.take(padded.reshape(3, -1, n_orb, n_orb), shift[0], axis=1, out=windows, mode="clip")
-                np.take(m2[s], roll, axis=0, out=rolled, mode="clip")
-                np.matmul(windows.reshape(3 * n_w, -1), rolled.reshape(-1, n_qz * 3), out=traces[s].reshape(3 * n_w, -1))
-            np.multiply(traces.transpose(3, 2, 0, 1, 4), grid.energy_weight, out=chains[:, :, a])
+                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m1")
+                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m2")
+            # windows [p, i, w, (k, E, P, M)] hold m1 at [k, E + off(w)]; rolled [p, (k, E, P, M), q, j] holds m2 at k - q
+            np.copyto(padded[:u, :, :, before : before + n_e], m1[:u].transpose(0, 4, 1, 2, 5, 3))
+            np.take(padded[:u].reshape(u, 3, -1, n_orb, n_orb), shift[0], axis=2, out=windows, mode="clip")
+            np.take(m2[:u], roll, axis=1, out=rolled, mode="clip")
+            np.matmul(windows.reshape(u, 3 * n_w, -1), rolled.reshape(u, -1, n_qz * 3), out=traces[:u].reshape(u, 3 * n_w, -1))
+            np.copyto(chains.reshape(n_qz, n_w, -1, 3, 3)[:, :, lo:hi], traces[:u].transpose(3, 2, 0, 1, 4))
+    chains_l *= grid.energy_weight
+    chains_g *= grid.energy_weight
     return chains_l, chains_g
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from negflow.device import NeighborMap, build_neighbor_map, synthesize
-from negflow.flops import FlopCounter
+from negflow.flops import FlopCounter, sse_flops_fully_hoisted
 from negflow.gf import SOLVERS, GreensTensor
 from negflow.params import EnergyGrid, SimParams, default_grid
 from negflow import sse
@@ -339,15 +339,33 @@ def test_batched_fused_matches_reference_at_wide_offsets(shape):
         assert counter.stages == {"sigma.dhg": 2 * common, "sigma.accumulate": 2 * common * params.n_qz * params.n_w}
 
 
+def _spy_chunks(monkeypatch):
+    """Record ``(complex entries per unit, units, chunk length)`` of every default-kernel chunking decision."""
+    seen = []
+    chunk = sse._chunk
+
+    def spy(unit_entries, n_units):
+        seen.append((unit_entries, n_units, chunk(unit_entries, n_units)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(sse, "_chunk", spy)
+    return seen
+
+
+# The shape of the distsim-p8 benchmark workload, where chunks hold several units.
+P8 = SimParams(n_kz=3, n_qz=2, n_E=16, n_w=4, n_A=32, n_B=4, n_orb=2, bnum=4)
+
+
 def test_default_kernels_transient_memory_is_bounded():
-    # One default Sigma call and one default Pi call each hold at most
+    # At this shape one (atom, neighbor) pair of Pi, and one atom of Sigma, holds more than half of
+    # sse.BUDGET, so both kernels run one unit per chunk (pinned by the next test), and each call holds
+    # at most
     #     2 W + 3 A  bytes
-    # above their outputs (tracemalloc peak less what the call still holds), with
-    #     W = 3 n_w n_kz n_E n_orb^2 complex: one neighbor's omega-window stack of a dH G factor,
+    # above its outputs (tracemalloc peak less what the call still holds), with
+    #     W = 3 n_w n_kz n_E n_orb^2 complex: one pair's omega-window stack of a dH G factor,
     #     A = 3 n_B n_kz n_E n_orb^2 complex: one atom's dH G factor over all its neighbors.
-    # Per-atom buffers over the neighbors fit; batching over atoms (n_A A), over
-    # every neighbor's windows (n_B W) or over every neighbor's k-rolled Pi
-    # factor (n_qz A) does not.
+    # One unit per chunk fits; batching over atoms (n_A A), over every neighbor's windows (n_B W) or over
+    # every neighbor's k-rolled Pi factor (n_qz A) does not.
     params = SimParams(n_kz=3, n_qz=2, n_E=32, n_w=4, n_A=8, n_B=4, n_orb=4, bnum=2)
     _, grid, nmap, g, d, dh = _instance(40, params)
     dc = preprocess_D(d, nmap)
@@ -366,6 +384,87 @@ def test_default_kernels_transient_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak - held <= bound, (name, peak - held, bound)
+
+
+def test_default_kernel_chunk_lengths(monkeypatch):
+    # one unit per chunk at the shape of the 2 W + 3 A bound above; several on distsim-p8's small blocks
+    memory_shape = SimParams(n_kz=3, n_qz=2, n_E=32, n_w=4, n_A=8, n_B=4, n_orb=4, bnum=2)
+    seen = _spy_chunks(monkeypatch)
+    for params, fits in ((memory_shape, lambda length: length == 1), (P8, lambda length: length >= 4)):
+        _, grid, nmap, g, d, dh = _instance(44, params)
+        seen.clear()
+        sse_sigma(sse.DEFAULT_VARIANT, g, preprocess_D(d, nmap), dh, nmap, grid)
+        sse_pi_chains(g, dh, nmap, grid, params.n_qz)
+        assert len(seen) == 2 and all(fits(length) for _, _, length in seen), (params, seen)
+
+
+def test_default_kernels_transient_memory_at_a_chunked_shape():
+    # At the distsim-p8 shape several units fit sse.BUDGET (pinned above); a chunk's length times its
+    # per-unit bytes is at most BUDGET, so each call holds at most
+    #     BUDGET + SLACK  bytes
+    # above its outputs.  SLACK = 384 KiB covers what does not scale with the chunk: the call's gather
+    # indices and dH layouts (tens of KiB here) and numpy's buffered ufunc loops, which copy at most
+    # 8192 entries (128 KiB) of each buffered operand.
+    params, grid, nmap, g, d, dh = _instance(43, P8)
+    dc = preprocess_D(d, nmap)
+    mask = np.zeros((params.n_kz, params.n_E), dtype=bool)
+    mask[:, 4:12] = True
+    calls = {
+        "sigma": lambda: sse_sigma(sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid),
+        "pi": lambda: sse_pi_chains(g, dh, nmap, grid, params.n_qz, point_mask=mask),
+    }
+    bound = sse.BUDGET + 384 * 1024
+    for name, call in calls.items():
+        call()  # fills the cached gather plans
+        tracemalloc.start()
+        try:
+            out = call()  # noqa: F841 -- the outputs stay held while the memory is read
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= bound, (name, peak - held, bound)
+
+
+@pytest.mark.parametrize("ranged", [False, True])
+def test_chunk_boundaries_are_value_neutral(monkeypatch, ranged):
+    # The default kernels at one unit per chunk, at 5 units (dividing neither the atoms nor their
+    # (atom, neighbor) pairs, so the last chunk is short) and at every unit in one chunk; ranged, with
+    # the atom range and (k_z, E) point mask of a tiled distsim rank.
+    params, grid, nmap, g, d, dh = _instance(42, P8)
+    dc = preprocess_D(d, nmap)
+    atom_range = mask = None
+    if ranged:
+        atom_range, mask = (3, 29), np.zeros((params.n_kz, params.n_E), dtype=bool)
+        mask[:, 5:13] = True
+    n_atoms = params.n_A if atom_range is None else atom_range[1] - atom_range[0]
+    kernels = {
+        "sigma": (n_atoms, lambda counter: sse_sigma(
+            sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range)),
+        "pi": (n_atoms * params.n_B, lambda counter: sse_pi_chains(
+            g, dh, nmap, grid, params.n_qz, counter=counter, point_mask=mask, atom_range=atom_range)),
+    }
+    common = _stage_cmuladds(params, n_atoms)
+    closed = {"sigma.dhg": 2 * common, "sigma.accumulate": 2 * common * params.n_qz * params.n_w,
+              "pi.m1": 2 * common, "pi.m2": 2 * common}
+    seen = _spy_chunks(monkeypatch)
+    units, outs = {}, {}
+    for chunking in ("one", "tail", "all"):
+        counter = FlopCounter()
+        for name, (n_units, call) in kernels.items():
+            length = {"one": 1, "tail": 5, "all": n_units}[chunking]
+            assert n_units % 5
+            monkeypatch.setattr(sse, "BUDGET", length * 16 * units.get(name, 1))
+            seen.clear()
+            out = call(counter)
+            ((units[name], _, got),) = seen
+            assert got == length, (name, chunking, got)
+            outs[chunking, name] = (out.lesser, out.greater) if name == "sigma" else out
+        assert counter.stages == closed, chunking
+        if not ranged:
+            assert counter.flops() == sse_flops_fully_hoisted(params)
+    for (chunking, name), pair in outs.items():
+        for got, want in zip(pair, outs["one", name]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (chunking, name)
 
 
 def test_fissioned_holds_one_dhg_transient_at_a_time():
