@@ -13,7 +13,6 @@ from .gf import (
     solve_point_rgf,
 )
 from .sse import (
-    CombinedD,
     LoopResult,
     SseVariant,
     preprocess_D,
@@ -22,16 +21,14 @@ from .sse import (
     sse_sigma,
 )
 from .distsim import MessageLedger, run_omen_scheme, run_tiled_scheme
-from .flops import FlopCounter, FlopReport, flop_report, sse_flops_dace, sse_flops_fully_hoisted, sse_flops_omen
+from .flops import FlopCounter, sse_flops_dace, sse_flops_fully_hoisted, sse_flops_omen
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CombinedD",
     "DeviceMatrices",
     "EnergyGrid",
     "FlopCounter",
-    "FlopReport",
     "GreensTensor",
     "LoopResult",
     "MessageLedger",
@@ -41,7 +38,6 @@ __all__ = [
     "SseVariant",
     "ValidationReport",
     "default_grid",
-    "flop_report",
     "gf_phase",
     "hermitian_check",
     "preprocess_D",

@@ -105,22 +105,23 @@ def _echo_config(out: Path, name: str, args, params: SimParams | None) -> None:
     (out / f"{name}_config.json").write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
 
 
-
-
-def _require_desk_scale(params: SimParams) -> None:
+def _desk_params(args) -> tuple[SimParams, tuple[str, ...]]:
+    """Parameters of a tensor-allocating command and their warnings; desk scale and no violation, or a usage error."""
+    params = _resolve_params(args)
     edge = params.n_A * params.n_orb
     if edge > _DESK_SCALE_LIMIT:
         raise UsageError(
             f"parameters are analytics-only (matrix edge {edge} > {_DESK_SCALE_LIMIT}); "
             "use the plan/flops commands or a desk-scale preset"
         )
-
-def cmd_simulate(args) -> int:
-    params = _resolve_params(args)
-    _require_desk_scale(params)
     report = validate(params)
     if not report.ok:
         raise UsageError("invalid parameters:\n" + str(report))
+    return params, report.warnings
+
+
+def cmd_simulate(args) -> int:
+    params, warnings = _desk_params(args)
     out = _out_dir(args)
     _echo_config(out, "simulate", args, params)
     dev, nmap = synthesize(params, seed=args.seed, coupling=args.coupling)
@@ -149,7 +150,7 @@ def cmd_simulate(args) -> int:
     (out / "tensors.sha256").write_text(digest.hexdigest() + "\n", encoding="utf-8")
     status = "converged" if result.converged else "diverged" if result.diverged else "non-converged"
     print(f"{status} after {result.iterations} iterations; digest {digest.hexdigest()[:16]}...")
-    for line in report.warnings:
+    for line in warnings:
         print(f"warning: {line}")
     return 1 if result.diverged else 0
 
@@ -189,10 +190,10 @@ def cmd_flops(args) -> int:
     rows = []
     for nkz in nkz_values:
         p = params.replace(n_kz=nkz, n_qz=nkz)
-        report = flops.flop_report(p)
-        for row in report.rows():
-            pflop = None if row["flops"] is None else row["flops"] / flops.PFLOP
-            rows.append({"n_kz": nkz, "kernel": row["kernel"], "pflop": pflop, "note": row["note"]})
+        for kernel in ("Contour Integral", "RGF"):
+            rows.append({"n_kz": nkz, "kernel": kernel, "pflop": None, "note": "n/a (empirical in paper)"})
+        for kernel, count in (("SSE (OMEN)", flops.sse_flops_omen(p)), ("SSE (DaCe)", flops.sse_flops_dace(p))):
+            rows.append({"n_kz": nkz, "kernel": kernel, "pflop": count / flops.PFLOP, "note": ""})
     path = _write_report(out, "flops", rows, args.format)
     for row in rows:
         val = "n/a (empirical in paper)" if row["pflop"] is None else f"{row['pflop']:.2f}"
@@ -202,8 +203,7 @@ def cmd_flops(args) -> int:
 
 
 def cmd_distsim(args) -> int:
-    params = _resolve_params(args)
-    _require_desk_scale(params)
+    params, _ = _desk_params(args)
     if args.te is not None and args.te < 1:
         raise UsageError("--te must be >= 1")
     if args.ta is not None and args.ta < 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from enum import Enum
 
 from .params import SimParams
 
@@ -23,20 +22,18 @@ ELECTRON_SIGMA = "electron_Sigma"
 PHONON_D_PI = "phonon_D_Pi"
 
 
-class Scheme(Enum):
-    OMEN_STYLE = "omen"
-    TILED_ALL_TO_ALL = "tiled"
-
-
 class InfeasiblePartitionError(ValueError):
     """No factorization of the process count fits the tensor extents."""
 
 
 @dataclass(frozen=True)
 class CommPlan:
-    """One evaluated decomposition: partition choice plus its byte breakdown."""
+    """One evaluated decomposition: partition choice plus its byte breakdown.
 
-    scheme: Scheme
+    ``scheme`` is ``"omen"`` (momentum/energy) or ``"tiled"`` (all-to-all).
+    """
+
+    scheme: str
     processes: int
     t_e: int | None
     t_a: int | None
@@ -49,7 +46,7 @@ class CommPlan:
 
     def row(self) -> dict:
         return {
-            "scheme": self.scheme.value,
+            "scheme": self.scheme,
             "P": self.processes,
             "T_E": self.t_e if self.t_e is not None else "",
             "T_A": self.t_a if self.t_a is not None else "",
@@ -80,7 +77,7 @@ def omen_volume(params: SimParams, processes: int) -> CommPlan:
         PHONON_D_PI: d_per_process,
     }
     total = g_aggregate + processes * d_per_process
-    return CommPlan(Scheme.OMEN_STYLE, processes, None, None, per_process, total)
+    return CommPlan("omen", processes, None, None, per_process, total)
 
 
 def dace_volume(params: SimParams, t_e: int, t_a: int) -> CommPlan:
@@ -103,7 +100,7 @@ def dace_volume(params: SimParams, t_e: int, t_a: int) -> CommPlan:
     }
     processes = t_e * t_a
     total = processes * (2 * g_half + d_per_process)
-    return CommPlan(Scheme.TILED_ALL_TO_ALL, processes, t_e, t_a, per_process, total)
+    return CommPlan("tiled", processes, t_e, t_a, per_process, total)
 
 
 def factor_pairs(processes: int) -> list[tuple[int, int]]:

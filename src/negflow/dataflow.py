@@ -13,7 +13,7 @@ pin correctness by concrete instantiation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from itertools import product
 
@@ -425,62 +425,21 @@ def iteration_points(scope: MapScope, env: dict | None = None) -> list[dict]:
     return points
 
 
-def _dim_to_json(dim) -> dict:
-    if isinstance(dim, IndirectionModel):
-        return {
-            "kind": "indirection",
-            "name": dim.name,
-            "range": [str(dim.range.lower), str(dim.range.upper)],
-            "total": str(dim.total_accesses),
-            "unique": str(dim.unique_accesses),
-            "approximation": True,
-        }
-    if isinstance(dim, SymRange):
-        return {"kind": "window", "range": [str(dim.lower), str(dim.upper)]}
-    return {"kind": "affine", "index": str(dim)}
+def _to_json(node):
+    """One walk for every IR node: a dataclass becomes its fields plus its type name as ``kind``.
 
-
-def _memlet_to_json(memlet: Memlet) -> dict:
-    return {
-        "array": memlet.array,
-        "indices": [_dim_to_json(d) for d in memlet.indices],
-        "accumulate": memlet.accumulate,
-    }
-
-
-def _scope_to_json(scope: MapScope) -> dict:
-    body = []
-    for node in scope.body:
-        if isinstance(node, MapScope):
-            body.append({"map": _scope_to_json(node)})
-        else:
-            body.append(
-                {
-                    "tasklet": {
-                        "name": node.name,
-                        "code": node.code,
-                        "inputs": [_memlet_to_json(m) for m in node.inputs],
-                        "outputs": [_memlet_to_json(m) for m in node.outputs],
-                    }
-                }
-            )
-    return {
-        "name": scope.name,
-        "symbols": [str(s) for s in scope.symbols],
-        "ranges": [[str(r.lower), str(r.upper)] for r in scope.ranges],
-        "body": body,
-    }
+    Tuples become lists, plain names and flags stay as they are, and every
+    symbolic value (an affine index, a bound, a count) becomes its string.
+    """
+    if is_dataclass(node):
+        return {"kind": type(node).__name__, **{f.name: _to_json(getattr(node, f.name)) for f in fields(node)}}
+    if isinstance(node, tuple):
+        return [_to_json(item) for item in node]
+    return node if isinstance(node, (str, bool, int)) else str(node)
 
 
 def graph_to_json(graph: DataflowGraph) -> str:
-    payload = {
-        "arrays": [
-            {"name": a.name, "shape": [str(s) for s in a.shape], "element_bytes": a.element_bytes}
-            for a in graph.arrays
-        ],
-        "map": _scope_to_json(graph.top),
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps({"arrays": _to_json(graph.arrays), "map": _to_json(graph.top)}, indent=2)
 
 
 @dataclass(frozen=True)

@@ -160,9 +160,6 @@ def synthesize(params: SimParams, seed: int, coupling: float = 0.05) -> tuple[De
     default energy grid; Phi below the lowest phonon frequency squared, which
     keeps every solve safely away from resonance at desk scale.
     """
-    if params.n_B >= params.n_A:
-        raise ValueError(f"n_B must be < n_A (got n_B={params.n_B}, n_A={params.n_A})")
-
     rng = np.random.default_rng(seed)
     nmap = build_neighbor_map(params.n_A, params.n_B)
     mask = coupling_mask(nmap, params.bnum)

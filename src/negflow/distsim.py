@@ -36,7 +36,7 @@ from .comm import ELECTRON_G, ELECTRON_SIGMA, PHONON_D_PI, CommPlan, InfeasibleP
 from .device import NeighborMap
 from .gf import GreensTensor
 from .params import EnergyGrid, SimParams
-from .sse import DEFAULT_VARIANT, CombinedD, pi_from_chains, preprocess_D, sse_pi_chains, sse_sigma
+from .sse import DEFAULT_VARIANT, pi_from_chains, preprocess_D, sse_pi_chains, sse_sigma
 
 Array = np.ndarray
 
@@ -117,9 +117,9 @@ def _owners(n_outer: int, n_inner: int, parts: int) -> Array:
 
 
 def _rank(
-    g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
+    g: GreensTensor, dc: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
     owned: Array, received: Array, a_range: tuple[int, int], halo_a: int,
-) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
+) -> tuple[tuple[Array, Array], GreensTensor]:
     """One rank on the energy hull of the (k,E) points it received x its atoms +- ``halo_a``.
 
     ``owned`` and ``received`` are (k,E) masks; momentum wraps, so the hull
@@ -141,33 +141,34 @@ def _rank(
         out[~received[:, e_lo:e_hi]] = 0
         local.append(out)
     g_rank = GreensTensor(lesser=local[0], greater=local[1])
-    dc_rank = CombinedD(lesser=dc.lesser[:, :, wa_lo:wa_hi], greater=dc.greater[:, :, wa_lo:wa_hi])
+    dc_rank = GreensTensor(lesser=dc.lesser[:, :, wa_lo:wa_hi], greater=dc.greater[:, :, wa_lo:wa_hi])
     nmap_rank = NeighborMap(idx=nmap.idx[wa_lo:wa_hi] - wa_lo)
     own_a = (a_lo - wa_lo, a_hi - wa_lo)
     own = owned[:, e_lo:e_hi]
     sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc_rank, dh[wa_lo:wa_hi], nmap_rank, grid, atom_range=own_a)
     chains = sse_pi_chains(g_rank, dh[wa_lo:wa_hi], nmap_rank, grid, n_qz, point_mask=own, atom_range=own_a)
     atoms = slice(*own_a)
-    return (sigma.lesser[own, atoms], sigma.greater[own, atoms]), tuple(c[:, :, atoms] for c in chains)
+    part = GreensTensor(lesser=chains.lesser[:, :, atoms], greater=chains.greater[:, :, atoms])
+    return (sigma.lesser[own, atoms], sigma.greater[own, atoms]), part
 
 
 def _run_ranks(
-    g: GreensTensor, dc: CombinedD, dh: Array, nmap: NeighborMap, grid: EnergyGrid, params: SimParams,
+    g: GreensTensor, dc: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, params: SimParams,
     owned: list[Array], a_ranges: list[tuple[int, int]], received: list[Array], halo_a: int,
 ) -> tuple[GreensTensor, GreensTensor]:
     """Every rank that owns something runs :func:`_rank` on what it received; Sigma and Pi from their owned parts."""
     sigma_l = np.zeros(params.electron_shape, np.complex128)
     sigma_g = np.zeros_like(sigma_l)
-    chains_l = np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), np.complex128)
-    chains_g = np.zeros_like(chains_l)
+    shape = (params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3)
+    chains = GreensTensor(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
     for mask, (a_lo, a_hi), got in zip(owned, a_ranges, received):
         if a_lo == a_hi or not mask.any():
             continue
-        sigma, (part_l, part_g) = _rank(g, dc, dh, nmap, grid, params.n_qz, mask, got, (a_lo, a_hi), halo_a)
+        sigma, part = _rank(g, dc, dh, nmap, grid, params.n_qz, mask, got, (a_lo, a_hi), halo_a)
         sigma_l[mask, a_lo:a_hi], sigma_g[mask, a_lo:a_hi] = sigma
-        chains_l[:, :, a_lo:a_hi] += part_l
-        chains_g[:, :, a_lo:a_hi] += part_g
-    return GreensTensor(lesser=sigma_l, greater=sigma_g), pi_from_chains(chains_l, chains_g)
+        chains.lesser[:, :, a_lo:a_hi] += part.lesser
+        chains.greater[:, :, a_lo:a_hi] += part.greater
+    return GreensTensor(lesser=sigma_l, greater=sigma_g), pi_from_chains(chains)
 
 
 def run_omen_scheme(

@@ -70,23 +70,3 @@ def sse_flops_fully_hoisted(params: SimParams) -> int:
     """
     common = params.n_A * params.n_B * params.n_3D * params.n_kz * params.n_E * params.n_orb**3
     return 16 * common * params.n_qz * params.n_w + 48 * common
-
-
-@dataclass(frozen=True)
-class FlopReport:
-    """Analytic flop numbers for one parameter set."""
-
-    sse_omen: int
-    sse_dace: int
-
-    def rows(self) -> list[dict]:
-        return [
-            {"kernel": "Contour Integral", "flops": None, "note": "n/a (empirical in paper)"},
-            {"kernel": "RGF", "flops": None, "note": "n/a (empirical in paper)"},
-            {"kernel": "SSE (OMEN)", "flops": self.sse_omen, "note": ""},
-            {"kernel": "SSE (DaCe)", "flops": self.sse_dace, "note": ""},
-        ]
-
-
-def flop_report(params: SimParams) -> FlopReport:
-    return FlopReport(sse_omen=sse_flops_omen(params), sse_dace=sse_flops_dace(params))

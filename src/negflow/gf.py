@@ -53,10 +53,13 @@ class SingularSystemError(RuntimeError):
 class GreensTensor:
     """Lesser/greater pair of Green's functions or of self-energies.
 
-    Both share one layout, so one type holds G, D, Sigma and Pi alike.
-    Electron: ``[n_kz, n_E, n_A, n_orb, n_orb]`` (per-atom diagonal blocks).
-    Phonon: ``[n_qz, n_w, n_A, n_B+1, n_3D, n_3D]`` with slot 0 the self block
-    and slots 1..n_B the neighbor blocks in neighbor-map order.
+    Both share one layout, so one type holds every SSE tensor alike.
+    Electron (G, Sigma): ``[n_kz, n_E, n_A, n_orb, n_orb]`` (per-atom diagonal
+    blocks).  Phonon, in one of two slot layouts: D and Pi are
+    ``[n_qz, n_w, n_A, n_B+1, n_3D, n_3D]`` with slot 0 the self block and
+    slots 1..n_B the neighbor blocks in neighbor-map order; the preprocessed
+    D (``sse.preprocess_D``) and the Pi trace chains (``sse.sse_pi_chains``)
+    have the n_B neighbor slots only.
     """
 
     lesser: Array

@@ -112,6 +112,8 @@ def validate(params: SimParams) -> ValidationReport:
     ):
         # Symmetric neighbor tables need an even number of edge endpoints.
         violations.append(f"n_A * n_B must be even (got n_A={params.n_A}, n_B={params.n_B})")
+    if params.n_B >= params.n_A:
+        violations.append(f"n_B must be < n_A (got n_B={params.n_B}, n_A={params.n_A})")
     if params.n_w >= params.n_E:
         violations.append(f"n_w must be < n_E ({params.n_w} >= {params.n_E})")
     if not params.eta > 0:

@@ -120,20 +120,8 @@ def shifted_grid(arr: Array, q_shift: int, e_shift: int) -> Array:
     return np.take(_pad_energy(arr, before, n_pad).reshape((-1,) + arr.shape[2:]), index[0, 0], axis=0)
 
 
-@dataclass(frozen=True)
-class CombinedD:
-    """Preprocessed phonon input: per-(q,w,a,b,i,j) scalar combination."""
-
-    lesser: Array
-    greater: Array
-
-    def __post_init__(self):
-        if self.lesser.shape != self.greater.shape or self.lesser.ndim != 6:
-            raise ValueError("combined phonon tensor must be a matching 6-D pair")
-
-
-def preprocess_D(d: GreensTensor, nmap: NeighborMap) -> CombinedD:
-    """Four-term combination D_ba - D_bb - D_aa + D_ab for b = f(a,s).
+def preprocess_D(d: GreensTensor, nmap: NeighborMap) -> GreensTensor:
+    """Four-term combination D_ba - D_bb - D_aa + D_ab for b = f(a,s), in the n_B-slot phonon layout.
 
     Consumes the slot-layout phonon tensor; the reverse (b -> a) blocks are
     looked up through the neighbor map, which therefore must be
@@ -156,7 +144,7 @@ def preprocess_D(d: GreensTensor, nmap: NeighborMap) -> CombinedD:
         d_ba = arr[:, :, b, 1 + rev]
         return d_ba - d_bb - d_aa + d_ab
 
-    return CombinedD(lesser=combine(d.lesser), greater=combine(d.greater))
+    return GreensTensor(lesser=combine(d.lesser), greater=combine(d.greater))
 
 
 def _atom_range(atom_range: tuple[int, int] | None, nmap: NeighborMap, n_atoms: int) -> range:
@@ -205,7 +193,7 @@ def _sigma_reference(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTens
                 if counter is not None:
                     counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
                     counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
-    return GreensTensor(lesser=1j * out_l, greater=1j * out_g)
+    return GreensTensor(lesser=out_l, greater=out_g)
 
 
 def _dhg_transient(
@@ -264,7 +252,7 @@ def _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms: range) -> Gree
                 if counter is not None:
                     counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
         del dhg  # released before the next tensor's transient is built, so at most one is held
-        outs.append(1j * (to_grid_major(out) if atom_major else out))
+        outs.append(to_grid_major(out) if atom_major else out)
     return GreensTensor(lesser=outs[0], greater=outs[1])
 
 
@@ -328,7 +316,6 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
             if counter is not None:
                 counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b * u, stage="sigma.dhg")
                 counter.add_matmul(rows, depth, n_qw * n_orb, repeat=u, stage="sigma.accumulate")
-        out *= 1j
         outs.append(out)
     return GreensTensor(lesser=outs[0], greater=outs[1])
 
@@ -336,7 +323,7 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
 def sse_sigma(
     variant: SseVariant,
     g: GreensTensor,
-    dc: CombinedD,
+    dc: GreensTensor,
     dh: Array,
     nmap: NeighborMap,
     grid: EnergyGrid,
@@ -345,6 +332,7 @@ def sse_sigma(
 ) -> GreensTensor:
     """Electron self-energy in the requested kernel arrangement.
 
+    ``dc`` is the preprocessed phonon tensor (:func:`preprocess_D`).
     ``atom_range`` restricts the produced atoms, as in :func:`sse_pi_chains`:
     Sigma is computed for those atoms only and is zero elsewhere.  G may
     then be a slice of the device, as long as it holds every neighbor of
@@ -352,23 +340,28 @@ def sse_sigma(
     """
     if g.kind != "electron":
         raise ValueError("sse_sigma expects an electron tensor")
-    if dc.lesser.shape[2:4] != (nmap.n_A, nmap.n_B):
-        raise ValueError("combined phonon tensor does not match the neighbor map")
+    if dc.kind != "phonon" or dc.lesser.shape[2:4] != (nmap.n_A, nmap.n_B):
+        raise ValueError("sse_sigma expects the preprocessed phonon tensor of the neighbor map (n_A, n_B slots)")
     atoms = _atom_range(atom_range, nmap, g.lesser.shape[2])
     if variant is SseVariant.REFERENCE:
-        return _sigma_reference(g, dc, dh, nmap, grid, counter, atoms)
-    if variant is SseVariant.BATCHED_FUSED:
-        return _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms)
-    if variant in (SseVariant.FISSIONED, SseVariant.REDUNDANCY_REMOVED, SseVariant.LAYOUT_TRANSFORMED):
-        return _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms)
-    raise ValueError(f"unknown variant {variant!r}")
+        sigma = _sigma_reference(g, dc, dh, nmap, grid, counter, atoms)
+    elif variant is SseVariant.BATCHED_FUSED:
+        sigma = _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms)
+    elif variant in (SseVariant.FISSIONED, SseVariant.REDUNDANCY_REMOVED, SseVariant.LAYOUT_TRANSFORMED):
+        sigma = _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    # the imaginary prefactor, common to every arrangement
+    sigma.lesser[...] *= 1j
+    sigma.greater[...] *= 1j
+    return sigma
 
 
 def _fully_hoisted_chains(
     g: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int, counter: FlopCounter | None,
     mask: Array | None, atoms: range,
-) -> tuple[Array, Array]:
-    """Lesser/greater [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per pair.
+) -> GreensTensor:
+    """Unweighted [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per pair.
 
     The (atom, neighbor) pairs of ``atoms``, flattened, run in chunks of at
     most ``BUDGET`` transient bytes.  Per chunk, m1 = dH_i G1[a] and
@@ -388,8 +381,8 @@ def _fully_hoisted_chains(
     k_e = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1).T
     roll = (k_e[:, None] * n_orb**2 + np.arange(n_orb**2)[:, None]).reshape(-1, n_qz)
     before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), (0,))
-    chains_l = np.zeros((n_qz, n_w, n_a, n_b, 3, 3), dtype=np.complex128)
-    chains_g = np.zeros_like(chains_l)
+    shape = (n_qz, n_w, n_a, n_b, 3, 3)
+    chains = GreensTensor(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
     pairs = range(atoms.start * n_b, atoms.stop * n_b)  # p = a n_B + s
     # per-chunk buffers, reused across chunks and both chains; per pair, its G (as taken, then as GEMM
     # rows: 2 slabs) and later the omega windows and rolled m2 share one: the G is dead once m1 and m2
@@ -413,7 +406,7 @@ def _fully_hoisted_chains(
         g_rows = _carve(scratch, u * slab, (u, n_kz, n_e, n_orb, n_orb))
         windows = _carve(scratch, 0, (u, 3) + shift.shape[1:] + (n_orb, n_orb))
         rolled = _carve(scratch, u * 3 * n_w * slab, (u,) + roll.shape + (3,))
-        for g1_arr, g2_arr, chains in ((g.greater, g.lesser, chains_g), (g.lesser, g.greater, chains_l)):
+        for g1_arr, g2_arr, out in ((g.greater, g.lesser, chains.greater), (g.lesser, g.greater, chains.lesser)):
             # m1[p, k, E, M, i, P] = (dH[a, s, i] G1[k, E, a])[P, M]
             np.take(g1_arr, own, axis=2, out=g_nb, mode="clip")
             np.copyto(g_rows, g_nb.transpose(2, 0, 1, 4, 3))
@@ -432,10 +425,8 @@ def _fully_hoisted_chains(
             np.take(padded[:u].reshape(u, 3, -1, n_orb, n_orb), shift[0], axis=2, out=windows, mode="clip")
             np.take(m2[:u], roll, axis=1, out=rolled, mode="clip")
             np.matmul(windows.reshape(u, 3 * n_w, -1), rolled.reshape(u, -1, n_qz * 3), out=traces[:u].reshape(u, 3 * n_w, -1))
-            np.copyto(chains.reshape(n_qz, n_w, -1, 3, 3)[:, :, lo:hi], traces[:u].transpose(3, 2, 0, 1, 4))
-    chains_l *= grid.energy_weight
-    chains_g *= grid.energy_weight
-    return chains_l, chains_g
+            np.copyto(out.reshape(n_qz, n_w, -1, 3, 3)[:, :, lo:hi], traces[:u].transpose(3, 2, 0, 1, 4))
+    return chains
 
 
 def sse_pi_chains(
@@ -448,8 +439,8 @@ def sse_pi_chains(
     hoist_invariant: bool | None = None,
     point_mask: Array | None = None,
     atom_range: tuple[int, int] | None = None,
-) -> tuple[Array, Array]:
-    """Per-(q,w,a,b,i,j) trace chains of the phonon self-energy, before signs.
+) -> GreensTensor:
+    """Per-(q,w,a,b,i,j) trace chains of the phonon self-energy, before signs: a lesser/greater pair with n_B slots.
 
     chain[q,w,a,s,i,j] = w_E * sum_{k,E} tr( dH_i G^{><}[k+q, E+off, a]
     dH_j G^{<>}[k,E,b] ); the first factor of the greater chain comes from
@@ -466,9 +457,10 @@ def sse_pi_chains(
     factor as well (:func:`_fully_hoisted_chains`), the arrangement of
     :func:`negflow.flops.sse_flops_fully_hoisted`.
     """
+    if g.kind != "electron":
+        raise ValueError("sse_pi_chains expects the electron Green's tensor")
     n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
     n_w = grid.n_w
-    w_e = grid.energy_weight
     atoms = _atom_range(atom_range, nmap, n_a)
     mask = None
     if point_mask is not None:
@@ -476,14 +468,14 @@ def sse_pi_chains(
         if mask.shape != (n_kz, n_e):
             raise ValueError(f"point mask must have shape ({n_kz}, {n_e})")
     if hoist_invariant is None:
-        return _fully_hoisted_chains(g, dh, nmap, grid, n_qz, counter, mask, atoms)
-    chains_l = np.zeros((n_qz, n_w, n_a, nmap.n_B, 3, 3), dtype=np.complex128)
-    chains_g = np.zeros_like(chains_l)
-    for a in atoms:
-        for s in range(nmap.n_B):
+        chains = _fully_hoisted_chains(g, dh, nmap, grid, n_qz, counter, mask, atoms)
+    else:
+        shape = (n_qz, n_w, n_a, nmap.n_B, 3, 3)
+        chains = GreensTensor(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+        for a, s in product(atoms, range(nmap.n_B)):
             b = int(nmap.idx[a, s])
             dh_ab = dh[a, s]
-            for g1_arr, g2_arr, chains in ((g.greater, g.lesser, chains_g), (g.lesser, g.greater, chains_l)):
+            for g1_arr, g2_arr, out in ((g.greater, g.lesser, chains.greater), (g.lesser, g.greater, chains.lesser)):
                 g2 = g2_arr[:, :, b]
                 if mask is not None:
                     g2 = g2 * mask[:, :, None, None]
@@ -492,35 +484,36 @@ def sse_pi_chains(
                     m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)
                     if counter is not None:
                         counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
-                for q in range(n_qz):
-                    for w in range(n_w):
-                        off = grid.frequency_map[w][0]
-                        g1s = shifted_grid(g1_arr[:, :, a], -q, -off)
-                        m1 = np.einsum("iPQ,keQM->keiPM", dh_ab, g1s)
+                for q, w in product(range(n_qz), range(n_w)):
+                    off = grid.frequency_map[w][0]
+                    g1s = shifted_grid(g1_arr[:, :, a], -q, -off)
+                    m1 = np.einsum("iPQ,keQM->keiPM", dh_ab, g1s)
+                    if counter is not None:
+                        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m1")
+                    if not hoist_invariant:
+                        m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)
                         if counter is not None:
-                            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m1")
-                        if not hoist_invariant:
-                            m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)
-                            if counter is not None:
-                                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
-                        chains[q, w, a, s] = w_e * np.einsum("keiPM,kejMP->ij", m1, m2)
-    return chains_l, chains_g
+                            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
+                    out[q, w, a, s] = np.einsum("keiPM,kejMP->ij", m1, m2)
+    # the energy-integral weight, common to every arrangement
+    chains.lesser[...] *= grid.energy_weight
+    chains.greater[...] *= grid.energy_weight
+    return chains
 
 
-def pi_from_chains(chains_lesser: Array, chains_greater: Array) -> GreensTensor:
+def pi_from_chains(chains: GreensTensor) -> GreensTensor:
     """Assemble the slot-layout phonon self-energy from trace chains.
 
     The diagonal (self) slot carries -i times the neighbor sum; each
     neighbor slot carries +i times its own chain.
     """
-    n_qz, n_w, n_a, n_b = chains_lesser.shape[:4]
+    n_qz, n_w, n_a, n_b = chains.lesser.shape[:4]
     out_shape = (n_qz, n_w, n_a, n_b + 1, 3, 3)
-    out_l = np.empty(out_shape, dtype=np.complex128)
-    out_g = np.empty(out_shape, dtype=np.complex128)
-    for chains, out in ((chains_lesser, out_l), (chains_greater, out_g)):
-        out[:, :, :, 0] = -1j * chains.sum(axis=3)
-        out[:, :, :, 1:] = 1j * chains
-    return GreensTensor(lesser=out_l, greater=out_g)
+    out = GreensTensor(np.empty(out_shape, np.complex128), np.empty(out_shape, np.complex128))
+    for chain, slots in ((chains.lesser, out.lesser), (chains.greater, out.greater)):
+        slots[:, :, :, 0] = -1j * chain.sum(axis=3)
+        slots[:, :, :, 1:] = 1j * chain
+    return out
 
 
 def sse_pi(
@@ -535,19 +528,16 @@ def sse_pi(
     atom_range: tuple[int, int] | None = None,
 ) -> GreensTensor:
     """Phonon self-energy: diagonal slot per the -i trace sum, neighbor slots per +i."""
-    if g.kind != "electron":
-        raise ValueError("sse_pi expects the electron Green's tensor")
-    chains_l, chains_g = sse_pi_chains(
+    return pi_from_chains(sse_pi_chains(
         g, dh, nmap, grid, n_qz,
         counter=counter, hoist_invariant=hoist_invariant,
         point_mask=point_mask, atom_range=atom_range,
-    )
-    return pi_from_chains(chains_l, chains_g)
+    ))
 
 
 def count_sse_phase(
     g: GreensTensor,
-    dc: CombinedD,
+    dc: GreensTensor,
     dh: Array,
     nmap: NeighborMap,
     grid: EnergyGrid,

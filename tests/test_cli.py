@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from negflow.cli import build_parser, main
+from negflow.cli import PRESETS, build_parser, main
+from negflow.flops import PFLOP, sse_flops_dace, sse_flops_omen
 from negflow.gf import SingularSystemError
 from negflow.sse import SseVariant, self_consistent_loop
 
@@ -125,8 +126,15 @@ def test_flops_report(tmp_path):
     omen = {r["n_kz"]: r["pflop"] for r in rows if r["kernel"] == "SSE (OMEN)"}
     assert omen[3] == pytest.approx(24.41, rel=1.5e-2)
     assert omen[11] == pytest.approx(328.15, rel=1.5e-2)
-    gf_rows = [r for r in rows if r["kernel"] == "RGF"]
-    assert all(r["pflop"] is None and "empirical" in r["note"] for r in gf_rows)
+    for kernel in ("Contour Integral", "RGF"):
+        gf_rows = [r for r in rows if r["kernel"] == kernel]
+        assert len(gf_rows) == 5
+        assert all(r["pflop"] is None and r["note"] == "n/a (empirical in paper)" for r in gf_rows)
+    dace = {r["n_kz"]: r["pflop"] for r in rows if r["kernel"] == "SSE (DaCe)"}
+    assert sorted(dace) == sorted(omen) == [3, 5, 7, 9, 11]
+    for nkz in dace:
+        params = PRESETS["table2"].replace(n_kz=nkz, n_qz=nkz)
+        assert (omen[nkz], dace[nkz]) == (sse_flops_omen(params) / PFLOP, sse_flops_dace(params) / PFLOP)
 
 
 def test_distsim_tiny_equivalent(tmp_path):
@@ -158,6 +166,18 @@ def test_distsim_verdict_reports_the_worst_model_delta(tmp_path, capsys):
 
 def test_distsim_zero_te_is_usage_error(tmp_path):
     assert run(["distsim", "--preset", "tiny", "--te", "0", "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("distsim", ["--nqz", "5"]), ("distsim", ["--bnum", "3"]), ("distsim", ["--nb", "8"]), ("simulate", ["--nb", "8"])],
+    ids=["distsim-nqz>nkz", "distsim-bnum", "distsim-nb>=na", "simulate-nb>=na"],
+)
+def test_invalid_parameters_are_usage_errors(tmp_path, capsys, command, flags):
+    # both tensor-allocating commands reject what validate() rejects, before building anything
+    assert run([command, "--preset", "tiny", *flags, "--output-dir", str(tmp_path)]) == 2
+    assert "usage error: invalid parameters" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_distsim_infeasible_is_domain_error(tmp_path):

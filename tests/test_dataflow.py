@@ -312,10 +312,22 @@ def test_the_ir_never_simplifies_and_prints_the_pinned_volumes(monkeypatch):
 def test_graph_json_serialization():
     sg = build_sse_graph()
     payload = json.loads(graph_to_json(sg.graph))
+    assert set(payload) == {"arrays", "map"}
     assert {a["name"] for a in payload["arrays"]} >= {"G_lesser", "Sigma_greater", "dH"}
+    assert {a["kind"] for a in payload["arrays"]} == {"ArrayDecl"}
+    assert payload["map"]["kind"] == "MapScope"
     assert payload["map"]["symbols"] == [str(s) for s in sg.outer.symbols]
-    inner = payload["map"]["body"][0]["map"]
-    tasklet = inner["body"][0]["tasklet"]
+    assert payload["map"]["ranges"][1] == {"kind": "SymRange", "lower": "0", "upper": "ceiling(N_E/s_E)"}
+    inner = payload["map"]["body"][0]
+    assert inner["kind"] == "MapScope"
+    tasklet = inner["body"][0]
+    assert tasklet["kind"] == "Tasklet" and tasklet["name"] == "sse_point"
+    assert tasklet["outputs"][0]["kind"] == "Memlet"
     assert tasklet["outputs"][0]["accumulate"] is True
-    kinds = {d["kind"] for m in tasklet["inputs"] for d in m["indices"]}
-    assert kinds >= {"affine", "window", "indirection"}
+    # an affine index is its expression string; windows and indirections are nodes of their own
+    indices = [d for m in tasklet["inputs"] for d in m["indices"]]
+    assert "k - q" in indices
+    assert {d["kind"] for d in indices if isinstance(d, dict)} >= {"SymRange", "IndirectionModel"}
+    model = next(d for d in indices if isinstance(d, dict) and d["kind"] == "IndirectionModel")
+    assert model["range"]["kind"] == "SymRange"
+    assert model["unique_accesses"] == "Min(N_A, N_B + s_A)"

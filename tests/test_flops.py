@@ -10,7 +10,6 @@ from negflow.device import synthesize
 from negflow.flops import (
     FLOPS_PER_CMULADD,
     FlopCounter,
-    flop_report,
     sse_flops_dace,
     sse_flops_fully_hoisted,
     sse_flops_omen,
@@ -165,12 +164,3 @@ def test_batched_counts_below_reference(n_qz, n_w):
     ref = count_sse_phase(g, dc, dh, nmap, grid, params.n_qz, variant=SseVariant.REFERENCE)
     fused = count_sse_phase(g, dc, dh, nmap, grid, params.n_qz, variant=SseVariant.BATCHED_FUSED)
     assert fused.flops() < ref.flops()
-
-
-def test_flop_report_rows():
-    params = SimParams(n_kz=2, n_qz=2, n_E=4, n_w=2, n_A=4, n_B=2, n_orb=2, bnum=2)
-    rows = {r["kernel"]: r for r in flop_report(params).rows()}
-    assert rows["Contour Integral"]["note"] == "n/a (empirical in paper)"
-    assert rows["RGF"]["note"] == "n/a (empirical in paper)"
-    assert rows["SSE (OMEN)"]["flops"] == sse_flops_omen(params)
-    assert rows["SSE (DaCe)"]["flops"] == sse_flops_dace(params)

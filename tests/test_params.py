@@ -44,6 +44,7 @@ def test_out_of_range_count_warns_but_passes():
         ({"n_w": 706}, "n_w must be < n_E"),
         ({"eta": 0.0}, "eta must be > 0"),
         ({"n_A": 4845, "n_B": 33, "bnum": 5}, "must be even"),
+        ({"n_B": 4864}, "n_B must be < n_A"),
     ],
 )
 def test_violations(override, fragment):

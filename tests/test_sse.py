@@ -13,7 +13,6 @@ from negflow.params import EnergyGrid, SimParams, default_grid
 from negflow import sse
 from negflow.sse import (
     DIVERGENCE_PASSES,
-    CombinedD,
     SseVariant,
     _dhg_transient,
     _pad_energy,
@@ -178,9 +177,19 @@ def test_preprocess_missing_neighbor_slot():
         )
 
 
+def test_sigma_rejects_what_is_not_the_preprocessed_d():
+    # n_orb == n_B, so the electron tensor has the (n_A, n_B) slot shape of the preprocessed D;
+    # the raw D has n_B + 1 slots
+    params, grid, nmap, g, d, dh = _instance(15)
+    assert params.n_orb == params.n_B
+    for wrong, variant in itertools.product((g, d), SseVariant):
+        with pytest.raises(ValueError, match="sse_sigma expects the preprocessed phonon tensor"):
+            sse_sigma(variant, g, wrong, dh, nmap, grid)
+
+
 def test_sigma_zero_phonon_input():
     params, grid, nmap, g, _, dh = _instance(2)
-    zero = CombinedD(
+    zero = GreensTensor(
         np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), complex),
         np.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3), complex),
     )
@@ -196,7 +205,7 @@ def test_sigma_scalar_instance_hand_oracle():
     rng = np.random.default_rng(9)
     g = GreensTensor(_rand(rng, params.electron_shape), _rand(rng, params.electron_shape))
     dh = _rand(rng, (2, 1, 3, 1, 1))
-    dc = CombinedD(_rand(rng, (1, 1, 2, 1, 3, 3)), _rand(rng, (1, 1, 2, 1, 3, 3)))
+    dc = GreensTensor(_rand(rng, (1, 1, 2, 1, 3, 3)), _rand(rng, (1, 1, 2, 1, 3, 3)))
     out = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid)
     for a in range(2):
         b = int(nmap.idx[a, 0])
@@ -255,7 +264,7 @@ def _atom_slice(g, dc, dh, nmap, lo, hi):
     sl = slice(lo, hi)
     return (
         GreensTensor(g.lesser[:, :, sl], g.greater[:, :, sl]),
-        CombinedD(dc.lesser[:, :, sl], dc.greater[:, :, sl]),
+        GreensTensor(dc.lesser[:, :, sl], dc.greater[:, :, sl]),
         dh[sl],
         NeighborMap(idx=nmap.idx[sl] - lo),
     )
@@ -289,7 +298,8 @@ def test_pi_neighbor_outside_g_raises(hoist):
         sse_pi_chains(g_s, dh_s, nmap_s, grid, params.n_qz, hoist_invariant=hoist, atom_range=(0, 2))
     inside = sse_pi_chains(g_s, dh_s, nmap_s, grid, params.n_qz, hoist_invariant=hoist, atom_range=(1, 3))
     full = sse_pi_chains(g, dh, nmap, grid, params.n_qz, hoist_invariant=hoist)
-    assert np.array_equal(inside[0][:, :, 1:3], full[0][:, :, 2:4])
+    assert np.array_equal(inside.lesser[:, :, 1:3], full.lesser[:, :, 2:4])
+    assert np.array_equal(inside.greater[:, :, 1:3], full.greater[:, :, 2:4])
     g_s, _, dh_s, nmap_s = _atom_slice(g, dc, dh, nmap, 0, 3)
     with pytest.raises(ValueError, match="neighbor index 3"):
         sse_pi_chains(g_s, dh_s, nmap_s, grid, params.n_qz, hoist_invariant=hoist, atom_range=(2, 3))
@@ -458,7 +468,7 @@ def test_chunk_boundaries_are_value_neutral(monkeypatch, ranged):
             out = call(counter)
             ((units[name], _, got),) = seen
             assert got == length, (name, chunking, got)
-            outs[chunking, name] = (out.lesser, out.greater) if name == "sigma" else out
+            outs[chunking, name] = (out.lesser, out.greater)
         assert counter.stages == closed, chunking
         if not ranged:
             assert counter.flops() == sse_flops_fully_hoisted(params)
@@ -517,7 +527,7 @@ def test_sigma_linearity_superposition():
     rng = np.random.default_rng(42)
     g2 = GreensTensor(_rand(rng, params.electron_shape), _rand(rng, params.electron_shape))
     d1 = preprocess_D(d, nmap)
-    d2 = CombinedD(_rand(rng, d1.lesser.shape), _rand(rng, d1.greater.shape))
+    d2 = GreensTensor(_rand(rng, d1.lesser.shape), _rand(rng, d1.greater.shape))
 
     def run(gg, dd):
         return sse_sigma(SseVariant.REFERENCE, gg, dd, dh, nmap, grid)
@@ -528,7 +538,7 @@ def test_sigma_linearity_superposition():
     rhs_l = run(g, d1).lesser + run(g2, d1).lesser
     assert np.max(np.abs(lhs.lesser - rhs_l)) <= 1e-12 * np.max(np.abs(rhs_l))
     # linear in D
-    d_sum = CombinedD(d1.lesser + d2.lesser, d1.greater + d2.greater)
+    d_sum = GreensTensor(d1.lesser + d2.lesser, d1.greater + d2.greater)
     lhs = run(g, d_sum)
     rhs_l = run(g, d1).lesser + run(g, d2).lesser
     assert np.max(np.abs(lhs.lesser - rhs_l)) <= 1e-12 * np.max(np.abs(rhs_l))
@@ -596,7 +606,7 @@ def test_default_pi_matches_unhoisted(seed, shape):
         plain = sse_pi_chains(g, dh, nmap, grid, params.n_qz, hoist_invariant=False, **kwargs)
         counter = FlopCounter()
         default = sse_pi_chains(g, dh, nmap, grid, params.n_qz, counter=counter, **kwargs)
-        for want, got in zip(plain, default):
+        for want, got in ((plain.lesser, default.lesser), (plain.greater, default.greater)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kwargs
         lo, hi = kwargs.get("atom_range", (0, params.n_A))
         common = _stage_cmuladds(params, hi - lo)
@@ -681,7 +691,7 @@ def test_pi_from_chains_shapes_and_signs():
     rng = np.random.default_rng(14)
     chains_l = _rand(rng, (1, 1, 2, 2, 3, 3))
     chains_g = _rand(rng, (1, 1, 2, 2, 3, 3))
-    out = pi_from_chains(chains_l, chains_g)
+    out = pi_from_chains(GreensTensor(chains_l, chains_g))
     assert out.lesser.shape == (1, 1, 2, 3, 3, 3)
     assert np.allclose(out.lesser[0, 0, 0, 0], -1j * chains_l[0, 0, 0].sum(axis=0))
     assert np.allclose(out.lesser[0, 0, 0, 2], 1j * chains_l[0, 0, 0, 1])
