@@ -105,6 +105,14 @@ def _echo_config(out: Path, name: str, args, params: SimParams | None) -> None:
     (out / f"{name}_config.json").write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
 
 
+def _valid(params: SimParams) -> tuple[str, ...]:
+    """Warnings of ``params``; a ``validate`` violation is a usage error."""
+    report = validate(params)
+    if not report.ok:
+        raise UsageError("invalid parameters:\n" + str(report))
+    return report.warnings
+
+
 def _desk_params(args) -> tuple[SimParams, tuple[str, ...]]:
     """Parameters of a tensor-allocating command and their warnings; desk scale and no violation, or a usage error."""
     params = _resolve_params(args)
@@ -114,10 +122,7 @@ def _desk_params(args) -> tuple[SimParams, tuple[str, ...]]:
             f"parameters are analytics-only (matrix edge {edge} > {_DESK_SCALE_LIMIT}); "
             "use the plan/flops commands or a desk-scale preset"
         )
-    report = validate(params)
-    if not report.ok:
-        raise UsageError("invalid parameters:\n" + str(report))
-    return params, report.warnings
+    return params, _valid(params)
 
 
 def cmd_simulate(args) -> int:
@@ -135,9 +140,8 @@ def cmd_simulate(args) -> int:
         initial_sigma=initial[0], initial_pi=initial[1],
     )
     digest = hashlib.sha256()
-    for arr in (result.g_electron.lesser, result.g_electron.greater,
-                result.g_phonon.lesser, result.g_phonon.greater):
-        digest.update(arr.tobytes())
+    for pair in (result.g_electron, result.g_phonon):
+        digest.update(pair.data.tobytes())  # the lesser tensor's bytes, then the greater's
     log = {
         "iterations": result.iterations,
         "converged": result.converged,
@@ -157,6 +161,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_plan(args) -> int:
     params = _resolve_params(args)
+    _valid(params)  # the analytic commands take the table presets, so no desk-scale limit
     if args.p:
         process_counts = args.p
     elif args.preset == "table3":
@@ -185,15 +190,17 @@ def cmd_plan(args) -> int:
 def cmd_flops(args) -> int:
     params = _resolve_params(args)
     nkz_values = args.nkz_list or [3, 5, 7, 9, 11]
+    row_params = [params.replace(n_kz=nkz, n_qz=nkz) for nkz in nkz_values]
+    for p in row_params:
+        _valid(p)
     out = _out_dir(args)
     _echo_config(out, "flops", args, params)
     rows = []
-    for nkz in nkz_values:
-        p = params.replace(n_kz=nkz, n_qz=nkz)
+    for p in row_params:
         for kernel in ("Contour Integral", "RGF"):
-            rows.append({"n_kz": nkz, "kernel": kernel, "pflop": None, "note": "n/a (empirical in paper)"})
+            rows.append({"n_kz": p.n_kz, "kernel": kernel, "pflop": None, "note": "n/a (empirical in paper)"})
         for kernel, count in (("SSE (OMEN)", flops.sse_flops_omen(p)), ("SSE (DaCe)", flops.sse_flops_dace(p))):
-            rows.append({"n_kz": nkz, "kernel": kernel, "pflop": count / flops.PFLOP, "note": ""})
+            rows.append({"n_kz": p.n_kz, "kernel": kernel, "pflop": count / flops.PFLOP, "note": ""})
     path = _write_report(out, "flops", rows, args.format)
     for row in rows:
         val = "n/a (empirical in paper)" if row["pflop"] is None else f"{row['pflop']:.2f}"

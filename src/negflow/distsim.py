@@ -119,37 +119,32 @@ def _owners(n_outer: int, n_inner: int, parts: int) -> Array:
 def _rank(
     g: GreensTensor, dc: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
     owned: Array, received: Array, a_range: tuple[int, int], halo_a: int,
-) -> tuple[tuple[Array, Array], GreensTensor]:
+) -> tuple[Array, Array]:
     """One rank on the energy hull of the (k,E) points it received x its atoms +- ``halo_a``.
 
     ``owned`` and ``received`` are (k,E) masks; momentum wraps, so the hull
     spans every k.  The rank copies that slice of G (clipped to the grid),
     zeroed at the points of the hull outside ``received``, and reads
     ``dc``/``dh`` of the same atoms with the neighbor map re-indexed into
-    the slice.  Returns the lesser/greater Sigma at the owned points x atoms
-    ``a_range``, in ``g.lesser[owned]`` point order, and the partial Pi
-    chains of those atoms reduced over the owned points.
+    the slice.  Returns, as stacked lesser/greater arrays, the Sigma at the
+    owned points x atoms ``a_range``, in ``owned``'s row-major point order,
+    and the partial Pi chains of those atoms reduced over the owned points.
     """
     received_e = np.flatnonzero(received.any(axis=0))
     e_lo, e_hi = int(received_e[0]), int(received_e[-1]) + 1
     a_lo, a_hi = a_range
-    wa_lo, wa_hi = max(0, a_lo - halo_a), min(g.lesser.shape[2], a_hi + halo_a)
-    window = (slice(None), slice(e_lo, e_hi), slice(wa_lo, wa_hi))
-    local = []
-    for arr in (g.lesser, g.greater):
-        out = arr[window].copy()
-        out[~received[:, e_lo:e_hi]] = 0
-        local.append(out)
-    g_rank = GreensTensor(lesser=local[0], greater=local[1])
-    dc_rank = GreensTensor(lesser=dc.lesser[:, :, wa_lo:wa_hi], greater=dc.greater[:, :, wa_lo:wa_hi])
+    wa_lo, wa_hi = max(0, a_lo - halo_a), min(g.shape[2], a_hi + halo_a)
+    local = g.data[:, :, e_lo:e_hi, wa_lo:wa_hi].copy()
+    local[:, ~received[:, e_lo:e_hi]] = 0
+    g_rank = GreensTensor.wrap(local)
+    dc_rank = GreensTensor.wrap(dc.data[:, :, :, wa_lo:wa_hi])
     nmap_rank = NeighborMap(idx=nmap.idx[wa_lo:wa_hi] - wa_lo)
     own_a = (a_lo - wa_lo, a_hi - wa_lo)
     own = owned[:, e_lo:e_hi]
     sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc_rank, dh[wa_lo:wa_hi], nmap_rank, grid, atom_range=own_a)
     chains = sse_pi_chains(g_rank, dh[wa_lo:wa_hi], nmap_rank, grid, n_qz, point_mask=own, atom_range=own_a)
     atoms = slice(*own_a)
-    part = GreensTensor(lesser=chains.lesser[:, :, atoms], greater=chains.greater[:, :, atoms])
-    return (sigma.lesser[own, atoms], sigma.greater[own, atoms]), part
+    return sigma.data[:, own, atoms], chains.data[:, :, :, atoms]
 
 
 def _run_ranks(
@@ -157,18 +152,15 @@ def _run_ranks(
     owned: list[Array], a_ranges: list[tuple[int, int]], received: list[Array], halo_a: int,
 ) -> tuple[GreensTensor, GreensTensor]:
     """Every rank that owns something runs :func:`_rank` on what it received; Sigma and Pi from their owned parts."""
-    sigma_l = np.zeros(params.electron_shape, np.complex128)
-    sigma_g = np.zeros_like(sigma_l)
-    shape = (params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3)
-    chains = GreensTensor(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+    sigma = GreensTensor.zeros(params.electron_shape)
+    chains = GreensTensor.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3))
     for mask, (a_lo, a_hi), got in zip(owned, a_ranges, received):
         if a_lo == a_hi or not mask.any():
             continue
-        sigma, part = _rank(g, dc, dh, nmap, grid, params.n_qz, mask, got, (a_lo, a_hi), halo_a)
-        sigma_l[mask, a_lo:a_hi], sigma_g[mask, a_lo:a_hi] = sigma
-        chains.lesser[:, :, a_lo:a_hi] += part.lesser
-        chains.greater[:, :, a_lo:a_hi] += part.greater
-    return GreensTensor(lesser=sigma_l, greater=sigma_g), pi_from_chains(chains)
+        sigma_part, chains_part = _rank(g, dc, dh, nmap, grid, params.n_qz, mask, got, (a_lo, a_hi), halo_a)
+        sigma.data[:, mask, a_lo:a_hi] = sigma_part
+        chains.data[:, :, :, a_lo:a_hi] += chains_part
+    return sigma, pi_from_chains(chains)
 
 
 def run_omen_scheme(

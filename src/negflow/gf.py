@@ -18,13 +18,14 @@ slots of D^<>, so it forms nothing else:
 - ``solve_phonon_point`` forms D^R Pi^<> once and then only the slot blocks
   of D^R Pi^<> (D^R)^T.
 
-Every solve, each RGF block solve included, is residual-checked and raises
+Every lesser/greater pair is one ``GreensTensor``, stored as one ``[2, ...]``
+array, and the loop's solvers take and return their pair stacked the same
+way, so each pair operation is written once over the pair axis.  Every
+solve, each RGF block solve included, is residual-checked and raises
 ``SingularSystemError`` naming its point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,53 +50,74 @@ class SingularSystemError(RuntimeError):
     """Raised when a Green's function system cannot be solved reliably."""
 
 
-@dataclass(frozen=True)
 class GreensTensor:
-    """Lesser/greater pair of Green's functions or of self-energies.
+    """Lesser/greater pair of Green's functions or of self-energies, stored as one array.
 
-    Both share one layout, so one type holds every SSE tensor alike.
-    Electron (G, Sigma): ``[n_kz, n_E, n_A, n_orb, n_orb]`` (per-atom diagonal
-    blocks).  Phonon, in one of two slot layouts: D and Pi are
-    ``[n_qz, n_w, n_A, n_B+1, n_3D, n_3D]`` with slot 0 the self block and
-    slots 1..n_B the neighbor blocks in neighbor-map order; the preprocessed
-    D (``sse.preprocess_D``) and the Pi trace chains (``sse.sse_pi_chains``)
-    have the n_B neighbor slots only.
+    ``data`` is one complex128 array ``[2, ...]``: index 0 is the lesser
+    tensor, index 1 the greater one, and ``lesser``/``greater`` are views of
+    it, so every pair operation runs once over the pair axis.
+    ``GreensTensor(lesser, greater)`` copies its two inputs into a new
+    ``data`` once; :meth:`wrap` holds an already stacked array without a
+    copy.  Both tensors share one layout, so one type holds every SSE tensor
+    alike.  Electron (G, Sigma): ``[n_kz, n_E, n_A, n_orb, n_orb]``
+    (per-atom diagonal blocks).  Phonon, in one of two slot layouts: D and
+    Pi are ``[n_qz, n_w, n_A, n_B+1, n_3D, n_3D]`` with slot 0 the self
+    block and slots 1..n_B the neighbor blocks in neighbor-map order; the
+    preprocessed D (``sse.preprocess_D``) and the Pi trace chains
+    (``sse.sse_pi_chains``) have the n_B neighbor slots only.
     """
 
-    lesser: Array
-    greater: Array
+    __slots__ = ("data",)
 
-    def __post_init__(self):
-        if self.lesser.ndim not in (5, 6):
+    def __init__(self, lesser: Array, greater: Array):
+        if np.shape(lesser) != np.shape(greater):
+            raise ValueError(f"lesser/greater shape mismatch: {np.shape(lesser)} vs {np.shape(greater)}")
+        data = np.empty((2, *np.shape(lesser)), np.complex128)
+        data[0], data[1] = lesser, greater
+        self._hold(data)
+
+    @classmethod
+    def wrap(cls, data: Array) -> "GreensTensor":
+        """The pair stacked in ``data`` (``[2, ...]``, 0 = lesser, 1 = greater), held without a copy."""
+        pair = cls.__new__(cls)
+        pair._hold(data)
+        return pair
+
+    @classmethod
+    def zeros(cls, shape: tuple[int, ...]) -> "GreensTensor":
+        """A zero pair of tensors of ``shape`` each (``SimParams.electron_shape`` or ``phonon_shape``)."""
+        return cls.wrap(np.zeros((2, *shape), np.complex128))
+
+    def _hold(self, data: Array) -> None:
+        if data.shape[0] != 2 or data.ndim not in (6, 7):
             raise ValueError("expected a 5-D electron or 6-D phonon tensor")
-        if self.lesser.shape != self.greater.shape:
-            raise ValueError(f"lesser/greater shape mismatch: {self.lesser.shape} vs {self.greater.shape}")
+        self.data = data
+
+    @property
+    def lesser(self) -> Array:
+        return self.data[0]
+
+    @property
+    def greater(self) -> Array:
+        return self.data[1]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of each of the two tensors."""
+        return self.data.shape[1:]
 
     @property
     def kind(self) -> str:
-        return "electron" if self.lesser.ndim == 5 else "phonon"
+        return "electron" if self.data.ndim == 6 else "phonon"
 
     def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.lesser)) and np.all(np.isfinite(self.greater)))
+        return bool(np.all(np.isfinite(self.data)))
 
     def change_from(self, old: "GreensTensor") -> tuple[float, float]:
         """(absolute, relative) max change of the lesser/greater pair from ``old``, relative to old's largest entry."""
-        scale = max(float(np.max(np.abs(old.lesser))), float(np.max(np.abs(old.greater))), 1e-300)
-        diff = max(
-            float(np.max(np.abs(self.lesser - old.lesser))),
-            float(np.max(np.abs(self.greater - old.greater))),
-        )
+        scale = max(float(np.max(np.abs(old.data))), 1e-300)
+        diff = float(np.max(np.abs(self.data - old.data)))
         return diff, diff / scale
-
-    @classmethod
-    def zeros_electron(cls, params: SimParams) -> "GreensTensor":
-        shape = params.electron_shape
-        return cls(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
-
-    @classmethod
-    def zeros_phonon(cls, params: SimParams) -> "GreensTensor":
-        shape = params.phonon_shape
-        return cls(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
 
 def retarded_from_lesser_greater(se: GreensTensor) -> Array:
@@ -129,15 +151,16 @@ def _slot_partners(nmap: NeighborMap) -> Array:
 
 
 def assemble_phonon_matrix(slots: Array, nmap: NeighborMap) -> Array:
-    """Slot layout [n_A, n_B+1, m, m] -> full (n_A*m, n_A*m) matrix.
+    """Slot layout [..., n_A, n_B+1, m, m] -> full (..., n_A*m, n_A*m) matrices.
 
     Duplicate neighbor slots hold identical blocks, so plain assignment is
     well-defined.
     """
-    n_a, _, m, _ = slots.shape
-    out = np.zeros((n_a, m, n_a, m), dtype=slots.dtype)
-    out[np.arange(n_a)[:, None], :, _slot_partners(nmap), :] = slots
-    return out.reshape(n_a * m, n_a * m)
+    *lead, n_a, _, m, _ = slots.shape
+    out = np.zeros((*lead, n_a, m, n_a, m), dtype=slots.dtype)
+    # the two separated index arrays put the (atom, slot) dimensions first
+    out[..., np.arange(n_a)[:, None], :, _slot_partners(nmap), :] = np.moveaxis(slots, (-4, -3), (0, 1))
+    return out.reshape(*lead, n_a * m, n_a * m)
 
 
 def extract_phonon_slots(matrix: Array, nmap: NeighborMap, m: int) -> Array:
@@ -184,21 +207,17 @@ def solve_point_dense(
 
 
 def solve_point_dense_diag(
-    dev: DeviceMatrices,
-    sigma_r: Array,
-    sigma_lesser: Array,
-    sigma_greater: Array,
-    energy: float,
-    kz: int,
-    eta: float,
-) -> tuple[Array, Array]:
+    dev: DeviceMatrices, sigma_r: Array, sigma_lg: Array, energy: float, kz: int, eta: float
+) -> Array:
     """Dense solve of one electron point, keeping only the atom-diagonal G^<> blocks.
 
-    The self-energies are per-atom blocks ``[n_A, o, o]``.  Because Sigma is
-    block-diagonal per atom, block (a, a) of G^R Sigma (G^R)^T is
-    sum_c G^R[a, c] Sigma_c G^R[a, c]^T: one batched product over the column
-    blocks of G^R and one over its row blocks, O(n^2 o) each instead of n^3.
-    Returns the ``[n_A, o, o]`` blocks of G^< and G^>.
+    The self-energies are per-atom blocks: ``sigma_r`` ``[n_A, o, o]`` and
+    the stacked lesser/greater pair ``sigma_lg`` ``[2, n_A, o, o]``.
+    Because Sigma is block-diagonal per atom, block (a, a) of
+    G^R Sigma (G^R)^T is sum_c G^R[a, c] Sigma_c G^R[a, c]^T: one batched
+    product over the column blocks of G^R and one over its row blocks,
+    O(n^2 o) each instead of n^3.  Returns the stacked ``[2, n_A, o, o]``
+    blocks of G^< and G^>.
     """
     n_a, o, _ = sigma_r.shape
     n = n_a * o
@@ -209,27 +228,23 @@ def solve_point_dense_diag(
     cols = g_r.reshape(n, n_a, o).transpose(1, 0, 2)  # column blocks G^R[:, c]
     rows_t = g_r.reshape(n_a, o, n).transpose(0, 2, 1)  # row blocks G^R[a, :], transposed
     g_sigma = np.empty((n, n_a, o), np.complex128)  # G^R Sigma, written column block by column block
-    diag_blocks = []
-    for sig in (sigma_lesser, sigma_greater):
+    g_lg = np.empty((2, n_a, o, o), np.complex128)
+    # one tensor at a time: a buffer for both (2 n^2 entries) enlarges what each point frees at the heap
+    # top, and past glibc's trim threshold every point faults its memory in afresh (ROADMAP item 5 (h))
+    for sig, blocks in zip(sigma_lg, g_lg):
         np.matmul(cols, sig, out=g_sigma.transpose(1, 0, 2))
-        diag_blocks.append(g_sigma.reshape(n_a, o, n) @ rows_t)
-    return diag_blocks[0], diag_blocks[1]
+        np.matmul(g_sigma.reshape(n_a, o, n), rows_t, out=blocks)
+    return g_lg
 
 
 def solve_phonon_point(
-    dev: DeviceMatrices,
-    pi_r: Array,
-    pi_lesser: Array,
-    pi_greater: Array,
-    omega: float,
-    qz: int,
-    eta: float,
-    nmap: NeighborMap,
-) -> tuple[Array, Array, Array]:
+    dev: DeviceMatrices, pi_r: Array, pi_lg: Array, omega: float, qz: int, eta: float, nmap: NeighborMap
+) -> tuple[Array, Array]:
     """Dense solve of one phonon (omega, q_z) point.
 
-    Returns the full D^R matrix plus D^< and D^> already reshaped into the
-    slot layout ``[n_A, n_B+1, n_3D, n_3D]``.  D^R Pi^<> is formed once;
+    ``pi_lg`` stacks the full Pi^< and Pi^> matrices ``[2, n, n]``.
+    Returns the full D^R matrix and the stacked D^< and D^> already in the
+    slot layout ``[2, n_A, n_B+1, n_3D, n_3D]``.  D^R Pi^<> is formed once;
     of D^R Pi^<> (D^R)^T only the self and neighbor blocks the slots keep
     are computed, as row block a of D^R Pi^<> times row block b of D^R.
     """
@@ -238,13 +253,13 @@ def solve_phonon_point(
     d_r = _solve_system(a, f"phonon point (qz={qz}, omega={omega:g})")
     m, n_a = dev.n_3D, nmap.n_A
     rows = d_r.reshape(n_a, m, n)
-
-    def slot_blocks(pi_x):
+    slots = np.empty((2, n_a, nmap.n_B + 1, m, m), np.complex128)
+    # one tensor and one slot at a time, so only one D^R Pi^<> and one gathered copy of D^R's rows are alive
+    for pi_x, out in zip(pi_lg, slots):
         d_pi = (d_r @ pi_x).reshape(n_a, m, n)
-        # one slot at a time, so only one gathered copy of D^R's rows is alive
-        return np.stack([d_pi @ rows[b].transpose(0, 2, 1) for b in _slot_partners(nmap).T], axis=1)
-
-    return d_r, slot_blocks(pi_lesser), slot_blocks(pi_greater)
+        for s, b in enumerate(_slot_partners(nmap).T):
+            out[:, s] = d_pi @ rows[b].transpose(0, 2, 1)
+    return d_r, slots
 
 
 def _tridiagonal_system(dev: DeviceMatrices, sigma_r: Array, energy: float, kz: int, eta: float, bnum: int):
@@ -269,29 +284,24 @@ def _tridiagonal_system(dev: DeviceMatrices, sigma_r: Array, energy: float, kz: 
 
 
 def solve_point_rgf(
-    dev: DeviceMatrices,
-    sigma_r: Array,
-    sigma_lesser: Array,
-    sigma_greater: Array,
-    energy: float,
-    kz: int,
-    eta: float,
-    bnum: int,
-) -> tuple[Array, Array, Array]:
+    dev: DeviceMatrices, sigma_r: Array, sigma_lg: Array, energy: float, kz: int, eta: float, bnum: int
+) -> tuple[Array, Array]:
     """Recursive Green's function pass over ``bnum`` blocks.
 
-    The self-energies are per-atom blocks ``[n_A, o, o]``.  The forward
-    sweep builds left-connected retarded and lesser/greater blocks by Schur
-    complements, each block solve residual-checked like the dense one; the
-    backward sweep assembles the diagonal blocks of the full G^R and G^<>.
-    Returns those diagonal blocks as ``[bnum, m, m]`` arrays (G^R, G^<, G^>).
+    The self-energies are per-atom blocks: ``sigma_r`` ``[n_A, o, o]`` and
+    the stacked lesser/greater pair ``sigma_lg`` ``[2, n_A, o, o]``.  The
+    forward sweep builds left-connected retarded and lesser/greater blocks
+    by Schur complements, each block solve residual-checked like the dense
+    one; the backward sweep assembles the diagonal blocks of the full G^R
+    and G^<>.  Returns those diagonal blocks: G^R ``[bnum, m, m]`` and the
+    stacked G^<, G^> ``[2, bnum, m, m]``.
     """
     diag, up, down = _tridiagonal_system(dev, sigma_r, energy, kz, eta, bnum)
     m, o = diag.shape[-1], sigma_r.shape[-1]
     per_block = m // o
-    sigma_lg = np.zeros((2, bnum, per_block, o, per_block, o), np.complex128)
-    _atom_diag_view(sigma_lg)[...] = np.stack((sigma_lesser, sigma_greater)).reshape(2, bnum, per_block, o, o)
-    sigma_lg = sigma_lg.reshape(2, bnum, m, m)
+    sigma_blocks = np.zeros((2, bnum, per_block, o, per_block, o), np.complex128)
+    _atom_diag_view(sigma_blocks)[...] = sigma_lg.reshape(2, bnum, per_block, o, o)
+    sigma_blocks = sigma_blocks.reshape(2, bnum, m, m)
 
     g_r = np.empty((bnum, m, m), np.complex128)  # left-connected retarded
     g_lg = np.empty((2, bnum, m, m), np.complex128)  # left-connected lesser, greater
@@ -299,11 +309,11 @@ def solve_point_rgf(
         context = f"RGF forward pass, block {i} (kz={kz}, E={energy:g})"
         if i == 0:
             g_r[i] = _solve_system(diag[i], context)
-            inflow = sigma_lg[:, i]
+            inflow = sigma_blocks[:, i]
         else:
             d = down[i - 1]
             g_r[i] = _solve_system(diag[i] - d @ g_r[i - 1] @ up[i - 1], context)
-            inflow = sigma_lg[:, i] + d @ g_lg[:, i - 1] @ d.T
+            inflow = sigma_blocks[:, i] + d @ g_lg[:, i - 1] @ d.T
         g_lg[:, i] = g_r[i] @ inflow @ g_r[i].T
 
     big_r = np.empty_like(g_r)
@@ -315,16 +325,16 @@ def solve_point_rgf(
         gr_coupled = gr @ (u @ big_r[i + 1] @ down[i])
         big_r[i] = gr + gr_coupled @ gr
         big_lg[:, i] = gs + gr @ (u @ big_lg[:, i + 1] @ u.T) @ gr.T + gr_coupled @ gs + gs @ gr_coupled.T
-    return big_r, big_lg[0], big_lg[1]
+    return big_r, big_lg
 
 
-def _electron_point(dev, sig_r, sig_l, sig_g, energy, kz, eta, solver, bnum):
-    """Atom-diagonal [n_A, o, o] blocks of G^< and G^> at one electron point."""
+def _electron_point(dev, sig_r, sig_lg, energy, kz, eta, solver, bnum):
+    """Stacked atom-diagonal [2, n_A, o, o] blocks of G^< and G^> at one electron point."""
     if solver == "dense":
-        return solve_point_dense_diag(dev, sig_r, sig_l, sig_g, energy, kz, eta)
-    _, less, grt = solve_point_rgf(dev, sig_r, sig_l, sig_g, energy, kz, eta, bnum)
+        return solve_point_dense_diag(dev, sig_r, sig_lg, energy, kz, eta)
+    g_lg = solve_point_rgf(dev, sig_r, sig_lg, energy, kz, eta, bnum)[1]
     n_a, o, _ = sig_r.shape
-    return extract_atom_diag(np.stack((less, grt)), n_a // bnum, o).reshape(2, n_a, o, o)
+    return extract_atom_diag(g_lg, n_a // bnum, o).reshape(2, n_a, o, o)
 
 
 def gf_phase(
@@ -349,14 +359,14 @@ def gf_phase(
     sig_r = retarded_from_lesser_greater(sigma)
     pi_r = retarded_from_lesser_greater(pi)
 
-    g_e = GreensTensor.zeros_electron(params)
-    g_ph = GreensTensor.zeros_phonon(params)
+    g_e = GreensTensor.zeros(params.electron_shape)
+    g_ph = GreensTensor.zeros(params.phonon_shape)
 
     for kz in range(params.n_kz):
         for i_e in range(params.n_E):
             try:
-                g_e.lesser[kz, i_e], g_e.greater[kz, i_e] = _electron_point(
-                    dev, sig_r[kz, i_e], sigma.lesser[kz, i_e], sigma.greater[kz, i_e],
+                g_e.data[:, kz, i_e] = _electron_point(
+                    dev, sig_r[kz, i_e], sigma.data[:, kz, i_e],
                     grid.values[i_e], kz, params.eta, solver, params.bnum,
                 )
             except SingularSystemError as exc:
@@ -366,17 +376,16 @@ def gf_phase(
         for i_w in range(params.n_w):
             try:
                 # the retarded solution is dropped at once rather than held into the next solve
-                g_ph.lesser[qz, i_w], g_ph.greater[qz, i_w] = solve_phonon_point(
+                g_ph.data[:, qz, i_w] = solve_phonon_point(
                     dev,
                     assemble_phonon_matrix(pi_r[qz, i_w], nmap),
-                    assemble_phonon_matrix(pi.lesser[qz, i_w], nmap),
-                    assemble_phonon_matrix(pi.greater[qz, i_w], nmap),
+                    assemble_phonon_matrix(pi.data[:, qz, i_w], nmap),
                     grid.frequency_value(i_w), qz, params.eta, nmap,
-                )[1:]
+                )[1]
             except SingularSystemError as exc:
                 raise SingularSystemError(f"phonon point (qz={qz}, iw={i_w}): {exc}") from exc
-    for tensor in (g_e.lesser, g_e.greater, g_ph.lesser, g_ph.greater):
+    for pair in (g_e, g_ph):
         # batched small products can round an exact zero to -0.0; adding +0.0
         # keeps a zero state's bytes (and its digest) the same on every path
-        tensor += 0.0
+        pair.data += 0.0
     return g_e, g_ph

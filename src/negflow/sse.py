@@ -129,22 +129,17 @@ def preprocess_D(d: GreensTensor, nmap: NeighborMap) -> GreensTensor:
     """
     if d.kind != "phonon":
         raise ValueError("preprocess_D expects a phonon tensor")
-    n_a = nmap.n_A
-    if d.lesser.shape[2] != n_a or d.lesser.shape[3] != nmap.n_B + 1:
-        raise ValueError(
-            f"missing neighbor slot: tensor has {d.lesser.shape[3] - 1} slots for {nmap.n_B} neighbors"
-        )
+    if d.shape[2] != nmap.n_A or d.shape[3] != nmap.n_B + 1:
+        raise ValueError(f"missing neighbor slot: tensor has {d.shape[3] - 1} slots for {nmap.n_B} neighbors")
     b = nmap.idx
     rev = nmap.reverse_slot_table()
-
-    def combine(arr: Array) -> Array:
-        d_ab = arr[:, :, :, 1:]
-        d_aa = arr[:, :, :, :1]
-        d_bb = arr[:, :, b, 0]
-        d_ba = arr[:, :, b, 1 + rev]
-        return d_ba - d_bb - d_aa + d_ab
-
-    return GreensTensor(lesser=combine(d.lesser), greater=combine(d.greater))
+    pair = d.data  # [2, q, w, a, slot, i, j]
+    # D_ba (the gather is laid out atom-major, hence the copy), then reduced in place, one temporary at a time
+    dc = np.ascontiguousarray(pair[:, :, :, b, 1 + rev])
+    dc -= pair[:, :, :, b, 0]  # D_bb
+    dc -= pair[:, :, :, :, :1]  # D_aa
+    dc += pair[:, :, :, :, 1:]  # D_ab
+    return GreensTensor.wrap(dc)
 
 
 def _atom_range(atom_range: tuple[int, int] | None, nmap: NeighborMap, n_atoms: int) -> range:
@@ -176,29 +171,26 @@ def _sigma_reference(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTens
     per point, the j-contraction is folded into one matrix per i before the
     two GEMMs.
     """
-    n_kz, n_e, _, n_orb, _ = g.lesser.shape
-    n_qz, n_w = dc.lesser.shape[:2]
-    out_l = np.zeros_like(g.lesser)
-    out_g = np.zeros_like(g.greater)
+    n_kz, n_e, _, n_orb, _ = g.shape
+    n_qz, n_w = dc.shape[:2]
+    sigma = GreensTensor.zeros(g.shape)
     for q, w, s in product(range(n_qz), range(n_w), range(nmap.n_B)):
         off, weight = grid.frequency_map[w]
         for a in atoms:
             b = int(nmap.idx[a, s])
             dh_ab = dh[a, s]
-            for g_arr, dc_arr, out in ((g.lesser, dc.lesser, out_l), (g.greater, dc.greater, out_g)):
+            for g_arr, dc_arr, out in zip(g.data, dc.data, sigma.data):
                 gs = shifted_grid(g_arr[:, :, b], q, off)
                 dhg = np.einsum("keMP,iPN->keiMN", gs, dh_ab)
                 xi = _xi_block(dc_arr[q, w, a, s], dh_ab, weight)
                 out[:, :, a] += np.einsum("keiMP,iPN->keMN", dhg, xi)
-                if counter is not None:
-                    counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
-                    counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
-    return GreensTensor(lesser=out_l, greater=out_g)
+                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.dhg")
+                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
+    return sigma
 
 
 def _dhg_transient(
-    variant: SseVariant, g_arr: Array, dh: Array, nmap: NeighborMap, atoms: range, n_qw: int,
-    counter: FlopCounter | None,
+    variant: SseVariant, g_arr: Array, dh: Array, nmap: NeighborMap, atoms: range, n_qw: int, counter: FlopCounter
 ) -> Array:
     """Stage 1 of the staged Sigma: dHG[c, a, s, k, E, i, M, N] of ``atoms``.
 
@@ -223,8 +215,7 @@ def _dhg_transient(
                 dhg[c, i_a, s, :, :, i] = (rows @ dh[a, s, i]).reshape(n_kz, n_e, n_orb, n_orb)
         else:
             dhg[c, i_a, s] = np.einsum("keMP,iPN->keiMN", g_arr[:, :, b], dh[a, s])
-        if counter is not None:
-            counter.add_matmul(n_kz * n_e * n_orb, n_orb, n_orb, repeat=3, stage="sigma.dhg")
+        counter.add_matmul(n_kz * n_e * n_orb, n_orb, n_orb, repeat=3, stage="sigma.dhg")
     return dhg
 
 
@@ -234,26 +225,26 @@ def _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms: range) -> Gree
     LAYOUT_TRANSFORMED works on the atom-major layout throughout: it reads
     the atom-major G and accumulates into an atom-major Sigma.
     """
-    n_kz, n_e, _, n_orb, _ = g.lesser.shape
-    n_qz, n_w = dc.lesser.shape[:2]
+    n_kz, n_e, _, n_orb, _ = g.shape
+    n_qz, n_w = dc.shape[:2]
     atom_major = variant is SseVariant.LAYOUT_TRANSFORMED
-    outs = []
-    for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
+    sigma = GreensTensor.zeros(g.shape)
+    for g_arr, dc_arr, out in zip(g.data, dc.data, sigma.data):
         src = to_atom_major(g_arr) if atom_major else g_arr
         dhg = _dhg_transient(variant, src, dh, nmap, atoms, n_qz * n_w, counter)
-        out = np.zeros_like(src)
+        total = np.zeros_like(src) if atom_major else out
         for q, w in product(range(n_qz), range(n_w)):
             off, weight = grid.frequency_map[w]
             c = (q * n_w + w) % len(dhg)
             for (i_a, a), s in product(enumerate(atoms), range(nmap.n_B)):
                 xi = _xi_block(dc_arr[q, w, a, s], dh[a, s], weight)
-                acc = out[a] if atom_major else out[:, :, a]
+                acc = total[a] if atom_major else total[:, :, a]
                 acc += np.einsum("keiMP,iPN->keMN", shifted_grid(dhg[c, i_a, s], q, off), xi)
-                if counter is not None:
-                    counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
+                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="sigma.accumulate")
         del dhg  # released before the next tensor's transient is built, so at most one is held
-        outs.append(to_grid_major(out) if atom_major else out)
-    return GreensTensor(lesser=outs[0], greater=outs[1])
+        if atom_major:
+            out[...] = to_grid_major(total)
+    return sigma
 
 
 def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
@@ -268,8 +259,8 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
     (rows from :func:`_shift_plan`; zero rows stand in for off-grid
     energies) before the (q_z, omega) sum.
     """
-    n_kz, n_e, _, n_orb, _ = g.lesser.shape
-    n_qz, n_w = dc.lesser.shape[:2]
+    n_kz, n_e, _, n_orb, _ = g.shape
+    n_qz, n_w = dc.shape[:2]
     n_b, n_qw = nmap.n_B, n_qz * n_w
     rows, depth = n_kz * n_e * n_orb, n_b * 3 * n_orb
     # Y is laid out as rows [k, padded E, M, (q, w)] of n_orb columns; index[(q, w), k, E, M] is the
@@ -290,11 +281,8 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
     xi = np.empty((block, n_b, 3, n_orb, n_qz, n_w, n_orb), dtype=np.complex128)
     y = np.zeros((block, n_kz, n_pad * n_orb, n_qw * n_orb), dtype=np.complex128)
     y_grid = y[:, :, before * n_orb : (before + n_e) * n_orb]
-    outs = []
-    for g_arr, dc_arr in ((g.lesser, dc.lesser), (g.greater, dc.greater)):
-        out = np.empty_like(g_arr)
-        out[:, :, : atoms.start] = 0
-        out[:, :, atoms.stop :] = 0
+    sigma = GreensTensor.zeros(g.shape)
+    for g_arr, dc_arr, out in zip(g.data, dc.data, sigma.data):
         for lo in range(atoms.start, atoms.stop, block):
             hi = min(lo + block, atoms.stop)
             u = hi - lo
@@ -313,11 +301,9 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
             np.matmul(dhg.reshape(u, n_kz, n_e * n_orb, depth), xi[:u].reshape(u, 1, depth, n_qw * n_orb), out=y_grid[:u])
             np.take(y[:u].reshape(u, -1, n_orb), index, axis=1, out=shifted, mode="clip")
             np.add.reduce(shifted, axis=1, out=out[:, :, lo:hi].transpose(2, 0, 1, 3, 4))
-            if counter is not None:
-                counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b * u, stage="sigma.dhg")
-                counter.add_matmul(rows, depth, n_qw * n_orb, repeat=u, stage="sigma.accumulate")
-        outs.append(out)
-    return GreensTensor(lesser=outs[0], greater=outs[1])
+            counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b * u, stage="sigma.dhg")
+            counter.add_matmul(rows, depth, n_qw * n_orb, repeat=u, stage="sigma.accumulate")
+    return sigma
 
 
 def sse_sigma(
@@ -337,12 +323,14 @@ def sse_sigma(
     Sigma is computed for those atoms only and is zero elsewhere.  G may
     then be a slice of the device, as long as it holds every neighbor of
     the range (a neighbor index outside G's atom axis raises ``ValueError``).
+    ``counter`` tallies the GEMMs; a new one is used when none is given.
     """
     if g.kind != "electron":
         raise ValueError("sse_sigma expects an electron tensor")
-    if dc.kind != "phonon" or dc.lesser.shape[2:4] != (nmap.n_A, nmap.n_B):
+    if dc.kind != "phonon" or dc.shape[2:4] != (nmap.n_A, nmap.n_B):
         raise ValueError("sse_sigma expects the preprocessed phonon tensor of the neighbor map (n_A, n_B slots)")
-    atoms = _atom_range(atom_range, nmap, g.lesser.shape[2])
+    counter = counter if counter is not None else FlopCounter()
+    atoms = _atom_range(atom_range, nmap, g.shape[2])
     if variant is SseVariant.REFERENCE:
         sigma = _sigma_reference(g, dc, dh, nmap, grid, counter, atoms)
     elif variant is SseVariant.BATCHED_FUSED:
@@ -352,13 +340,12 @@ def sse_sigma(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     # the imaginary prefactor, common to every arrangement
-    sigma.lesser[...] *= 1j
-    sigma.greater[...] *= 1j
+    sigma.data *= 1j
     return sigma
 
 
 def _fully_hoisted_chains(
-    g: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int, counter: FlopCounter | None,
+    g: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int, counter: FlopCounter,
     mask: Array | None, atoms: range,
 ) -> GreensTensor:
     """Unweighted [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per pair.
@@ -373,7 +360,7 @@ def _fully_hoisted_chains(
     (3 n_w) x (n_kz n_E n_orb^2) x (n_qz 3) GEMM per pair forms the traces,
     an orb^2-class step that is not tallied.
     """
-    n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
+    n_kz, n_e, n_a, n_orb, _ = g.shape
     n_b, n_w = nmap.n_B, grid.n_w
     rows, cols = n_kz * n_e * n_orb, 3 * n_orb
     slab = rows * n_orb
@@ -381,8 +368,7 @@ def _fully_hoisted_chains(
     k_e = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1).T
     roll = (k_e[:, None] * n_orb**2 + np.arange(n_orb**2)[:, None]).reshape(-1, n_qz)
     before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), (0,))
-    shape = (n_qz, n_w, n_a, n_b, 3, 3)
-    chains = GreensTensor(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+    chains = GreensTensor.zeros((n_qz, n_w, n_a, n_b, 3, 3))
     pairs = range(atoms.start * n_b, atoms.stop * n_b)  # p = a n_B + s
     # per-chunk buffers, reused across chunks and both chains; per pair, its G (as taken, then as GEMM
     # rows: 2 slabs) and later the omega windows and rolled m2 share one: the G is dead once m1 and m2
@@ -406,7 +392,8 @@ def _fully_hoisted_chains(
         g_rows = _carve(scratch, u * slab, (u, n_kz, n_e, n_orb, n_orb))
         windows = _carve(scratch, 0, (u, 3) + shift.shape[1:] + (n_orb, n_orb))
         rolled = _carve(scratch, u * 3 * n_w * slab, (u,) + roll.shape + (3,))
-        for g1_arr, g2_arr, out in ((g.greater, g.lesser, chains.greater), (g.lesser, g.greater, chains.lesser)):
+        # the greater chain's first factor is the greater G, its trailing one the lesser G, and vice versa
+        for g1_arr, g2_arr, out in zip(g.data[::-1], g.data, chains.data[::-1]):
             # m1[p, k, E, M, i, P] = (dH[a, s, i] G1[k, E, a])[P, M]
             np.take(g1_arr, own, axis=2, out=g_nb, mode="clip")
             np.copyto(g_rows, g_nb.transpose(2, 0, 1, 4, 3))
@@ -417,9 +404,8 @@ def _fully_hoisted_chains(
             if mask is not None:
                 g_rows *= mask[:, :, None, None]
             np.matmul(g_rows.reshape(u, rows, n_orb), m2_cols, out=m2[:u].reshape(u, rows, cols))
-            if counter is not None:
-                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m1")
-                counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m2")
+            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m1")
+            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m2")
             # windows [p, i, w, (k, E, P, M)] hold m1 at [k, E + off(w)]; rolled [p, (k, E, P, M), q, j] holds m2 at k - q
             np.copyto(padded[:u, :, :, before : before + n_e], m1[:u].transpose(0, 4, 1, 2, 5, 3))
             np.take(padded[:u].reshape(u, 3, -1, n_orb, n_orb), shift[0], axis=2, out=windows, mode="clip")
@@ -455,12 +441,14 @@ def sse_pi_chains(
     momentum/frequency-independent dH_j G factor once per (a,b), the
     arrangement of the reduced model.  The default ``None`` hoists the first
     factor as well (:func:`_fully_hoisted_chains`), the arrangement of
-    :func:`negflow.flops.sse_flops_fully_hoisted`.
+    :func:`negflow.flops.sse_flops_fully_hoisted`.  ``counter`` tallies
+    the GEMMs; a new one is used when none is given.
     """
     if g.kind != "electron":
         raise ValueError("sse_pi_chains expects the electron Green's tensor")
-    n_kz, n_e, n_a, n_orb, _ = g.lesser.shape
+    n_kz, n_e, n_a, n_orb, _ = g.shape
     n_w = grid.n_w
+    counter = counter if counter is not None else FlopCounter()
     atoms = _atom_range(atom_range, nmap, n_a)
     mask = None
     if point_mask is not None:
@@ -470,34 +458,29 @@ def sse_pi_chains(
     if hoist_invariant is None:
         chains = _fully_hoisted_chains(g, dh, nmap, grid, n_qz, counter, mask, atoms)
     else:
-        shape = (n_qz, n_w, n_a, nmap.n_B, 3, 3)
-        chains = GreensTensor(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+        chains = GreensTensor.zeros((n_qz, n_w, n_a, nmap.n_B, 3, 3))
         for a, s in product(atoms, range(nmap.n_B)):
             b = int(nmap.idx[a, s])
             dh_ab = dh[a, s]
-            for g1_arr, g2_arr, out in ((g.greater, g.lesser, chains.greater), (g.lesser, g.greater, chains.lesser)):
+            for g1_arr, g2_arr, out in zip(g.data[::-1], g.data, chains.data[::-1]):
                 g2 = g2_arr[:, :, b]
                 if mask is not None:
                     g2 = g2 * mask[:, :, None, None]
                 m2 = None
                 if hoist_invariant:
                     m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)
-                    if counter is not None:
-                        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
+                    counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
                 for q, w in product(range(n_qz), range(n_w)):
                     off = grid.frequency_map[w][0]
                     g1s = shifted_grid(g1_arr[:, :, a], -q, -off)
                     m1 = np.einsum("iPQ,keQM->keiPM", dh_ab, g1s)
-                    if counter is not None:
-                        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m1")
+                    counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m1")
                     if not hoist_invariant:
                         m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)
-                        if counter is not None:
-                            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
+                        counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3, stage="pi.m2")
                     out[q, w, a, s] = np.einsum("keiPM,kejMP->ij", m1, m2)
     # the energy-integral weight, common to every arrangement
-    chains.lesser[...] *= grid.energy_weight
-    chains.greater[...] *= grid.energy_weight
+    chains.data *= grid.energy_weight
     return chains
 
 
@@ -507,13 +490,11 @@ def pi_from_chains(chains: GreensTensor) -> GreensTensor:
     The diagonal (self) slot carries -i times the neighbor sum; each
     neighbor slot carries +i times its own chain.
     """
-    n_qz, n_w, n_a, n_b = chains.lesser.shape[:4]
-    out_shape = (n_qz, n_w, n_a, n_b + 1, 3, 3)
-    out = GreensTensor(np.empty(out_shape, np.complex128), np.empty(out_shape, np.complex128))
-    for chain, slots in ((chains.lesser, out.lesser), (chains.greater, out.greater)):
-        slots[:, :, :, 0] = -1j * chain.sum(axis=3)
-        slots[:, :, :, 1:] = 1j * chain
-    return out
+    n_qz, n_w, n_a, n_b = chains.shape[:4]
+    pi = GreensTensor.wrap(np.empty((2, n_qz, n_w, n_a, n_b + 1, 3, 3), np.complex128))
+    np.multiply(-1j, chains.data.sum(axis=4), out=pi.data[:, :, :, :, 0])
+    np.multiply(1j, chains.data, out=pi.data[:, :, :, :, 1:])
+    return pi
 
 
 def sse_pi(
@@ -524,15 +505,9 @@ def sse_pi(
     n_qz: int,
     counter: FlopCounter | None = None,
     hoist_invariant: bool | None = None,
-    point_mask: Array | None = None,
-    atom_range: tuple[int, int] | None = None,
 ) -> GreensTensor:
     """Phonon self-energy: diagonal slot per the -i trace sum, neighbor slots per +i."""
-    return pi_from_chains(sse_pi_chains(
-        g, dh, nmap, grid, n_qz,
-        counter=counter, hoist_invariant=hoist_invariant,
-        point_mask=point_mask, atom_range=atom_range,
-    ))
+    return pi_from_chains(sse_pi_chains(g, dh, nmap, grid, n_qz, counter=counter, hoist_invariant=hoist_invariant))
 
 
 def count_sse_phase(
@@ -580,13 +555,11 @@ def seeded_self_energies(params: SimParams, scale: float) -> tuple[GreensTensor,
     absorbing boundary is the all-zero lesser/greater sector; seeding the
     diagonal with +-i*scale produces a relaxation trajectory worth logging.
     """
-    sigma = GreensTensor.zeros_electron(params)
-    pi = GreensTensor.zeros_phonon(params)
-    eye_orb = np.eye(params.n_orb)
-    sigma.lesser[:] = 1j * scale * eye_orb
-    sigma.greater[:] = -1j * scale * eye_orb
-    pi.lesser[:, :, :, 0] = 1j * scale * np.eye(params.n_3D)
-    pi.greater[:, :, :, 0] = -1j * scale * np.eye(params.n_3D)
+    sigma = GreensTensor.zeros(params.electron_shape)
+    pi = GreensTensor.zeros(params.phonon_shape)
+    signs = np.array([1j * scale, -1j * scale]).reshape(2, 1, 1, 1, 1, 1)  # lesser +i, greater -i
+    sigma.data[...] = signs * np.eye(params.n_orb)
+    pi.data[:, :, :, :, 0] = signs * np.eye(params.n_3D)
     return sigma, pi
 
 
@@ -615,8 +588,8 @@ def self_consistent_loop(
     passes the equivalence tests) and Pi in its default, fully hoisted form.
     """
     grid = grid if grid is not None else default_grid(params)
-    sigma = initial_sigma if initial_sigma is not None else GreensTensor.zeros_electron(params)
-    pi = initial_pi if initial_pi is not None else GreensTensor.zeros_phonon(params)
+    sigma = initial_sigma if initial_sigma is not None else GreensTensor.zeros(params.electron_shape)
+    pi = initial_pi if initial_pi is not None else GreensTensor.zeros(params.phonon_shape)
     g_e = g_ph = None
     prev: GreensTensor | None = None
     deltas: list[float] = []

@@ -216,7 +216,9 @@ def test_criterion_6_rgf_against_dense_oracle():
         g_r, g_l, g_g = solve_point_dense(
             dev, *(block_diag_from_atoms(x) for x in (sigma_r, sigma_l, sigma_g)), energy, 0, params.eta
         )
-        b_r, b_l, b_g = solve_point_rgf(dev, sigma_r, sigma_l, sigma_g, energy, 0, params.eta, params.bnum)
+        b_r, (b_l, b_g) = solve_point_rgf(
+            dev, sigma_r, np.stack((sigma_l, sigma_g)), energy, 0, params.eta, params.bnum
+        )
         step = n // params.bnum
         for i in range(params.bnum):
             span = slice(i * step, (i + 1) * step)

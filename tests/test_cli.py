@@ -170,12 +170,21 @@ def test_distsim_zero_te_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize(
     "command, flags",
-    [("distsim", ["--nqz", "5"]), ("distsim", ["--bnum", "3"]), ("distsim", ["--nb", "8"]), ("simulate", ["--nb", "8"])],
-    ids=["distsim-nqz>nkz", "distsim-bnum", "distsim-nb>=na", "simulate-nb>=na"],
+    [
+        ("distsim", ["--preset", "tiny", "--nqz", "5"]),
+        ("distsim", ["--preset", "tiny", "--bnum", "3"]),
+        ("distsim", ["--preset", "tiny", "--nb", "8"]),
+        ("simulate", ["--preset", "tiny", "--nb", "8"]),
+        ("plan", ["--preset", "table3", "--nkz", "3", "--nqz", "9"]),
+        ("flops", ["--nw", "0"]),
+        ("flops", ["--nkz-list", "0"]),
+    ],
+    ids=["distsim-nqz>nkz", "distsim-bnum", "distsim-nb>=na", "simulate-nb>=na", "plan-nqz>nkz", "flops-nw0",
+         "flops-nkz0"],
 )
 def test_invalid_parameters_are_usage_errors(tmp_path, capsys, command, flags):
-    # both tensor-allocating commands reject what validate() rejects, before building anything
-    assert run([command, "--preset", "tiny", *flags, "--output-dir", str(tmp_path)]) == 2
+    # every command with parameters rejects what validate() rejects, before writing anything
+    assert run([command, *flags, "--output-dir", str(tmp_path)]) == 2
     assert "usage error: invalid parameters" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 

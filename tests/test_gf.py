@@ -118,7 +118,7 @@ def test_rgf_single_block_equals_dense():
     g_r, g_l, g_g = solve_point_dense(
         dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), 0.1, 0, params.eta
     )
-    b_r, b_l, b_g = solve_point_rgf(dev, sr, sl, sg, 0.1, 0, params.eta, bnum=1)
+    b_r, (b_l, b_g) = solve_point_rgf(dev, sr, np.stack((sl, sg)), 0.1, 0, params.eta, bnum=1)
     assert np.allclose(b_r[0], g_r, atol=1e-12)
     assert np.allclose(b_l[0], g_l, atol=1e-12)
     assert np.allclose(b_g[0], g_g, atol=1e-12)
@@ -136,7 +136,7 @@ def test_rgf_matches_dense_blocks(seed):
     g_r, g_l, g_g = solve_point_dense(
         dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), energy, 0, params.eta
     )
-    b_r, b_l, b_g = solve_point_rgf(dev, sr, sl, sg, energy, 0, params.eta, params.bnum)
+    b_r, (b_l, b_g) = solve_point_rgf(dev, sr, np.stack((sl, sg)), energy, 0, params.eta, params.bnum)
     step = n // params.bnum
     for i in range(params.bnum):
         sl_ = slice(i * step, (i + 1) * step)
@@ -156,7 +156,7 @@ def test_rgf_decoupled_blocks_are_local_inverses():
     dev = DeviceMatrices(H=h, S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
                          Phi=dev.Phi, dH=dev.dH, bnum=2)
     zero = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
-    b_r, _, _ = solve_point_rgf(dev, zero, zero, zero, 0.4, 0, params.eta, 2)
+    b_r, _ = solve_point_rgf(dev, zero, np.stack((zero, zero)), 0.4, 0, params.eta, 2)
     for i, sl_ in enumerate((slice(0, half), slice(half, n))):
         local = np.linalg.inv(0.4 * np.eye(half) - h[0][sl_, sl_] + 1e-3j * np.eye(half))
         assert np.allclose(b_r[i], local, atol=1e-11)
@@ -168,7 +168,7 @@ def test_phonon_point_free_and_zero_pi():
     m = params.n_A * params.n_3D
     free = DeviceMatrices(H=dev.H, S=dev.S, Phi=np.zeros_like(dev.Phi), dH=dev.dH, bnum=dev.bnum)
     zero = np.zeros((m, m), complex)
-    d_r, d_l, d_g = solve_phonon_point(free, zero, zero, zero, omega=1.0, qz=0, eta=1e-3, nmap=nmap)
+    d_r, (d_l, d_g) = solve_phonon_point(free, zero, np.stack((zero, zero)), omega=1.0, qz=0, eta=1e-3, nmap=nmap)
     assert np.allclose(d_r, np.eye(m) / (1.0 + 1e-3j), atol=1e-14)
     assert np.all(d_l == 0) and np.all(d_g == 0)
 
@@ -181,7 +181,7 @@ def test_phonon_point_matches_inverse_oracle():
     pr = np.zeros((m, m), complex)
     pl, pg = _rand_sigma(rng, m), _rand_sigma(rng, m)
     omega = 0.8
-    d_r, d_l, d_g = solve_phonon_point(dev, pr, pl, pg, omega, 0, params.eta, nmap)
+    d_r, (d_l, d_g) = solve_phonon_point(dev, pr, np.stack((pl, pg)), omega, 0, params.eta, nmap)
     a = omega**2 * np.eye(m) - dev.Phi[0] + 1e-3j * np.eye(m)
     inverse = np.linalg.inv(a)
     assert np.linalg.norm(d_r - inverse) / np.linalg.norm(inverse) <= 1e-10
@@ -198,14 +198,14 @@ def test_gf_phase_zero_self_energies():
     params = TINY.replace(n_A=4, bnum=2)
     dev, nmap = synthesize(params, seed=6)
     grid = default_grid(params)
-    sigma = GreensTensor.zeros_electron(params)
-    pi = GreensTensor.zeros_phonon(params)
+    sigma = GreensTensor.zeros(params.electron_shape)
+    pi = GreensTensor.zeros(params.phonon_shape)
     g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap)
     assert np.all(g_e.lesser == 0) and np.all(g_e.greater == 0)
     assert np.all(g_ph.lesser == 0) and np.all(g_ph.greater == 0)
     assert g_e.all_finite() and g_ph.all_finite()
     # every exact zero is +0.0 on both solvers, so a zero state has one digest
-    zero = GreensTensor.zeros_electron(params).lesser.tobytes(), GreensTensor.zeros_phonon(params).lesser.tobytes()
+    zero = np.zeros(params.electron_shape, complex).tobytes(), np.zeros(params.phonon_shape, complex).tobytes()
     for solver in SOLVERS:
         g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap, solver=solver)
         assert (g_e.lesser.tobytes(), g_ph.lesser.tobytes()) == zero
@@ -222,7 +222,7 @@ def test_gf_phase_singleton_grid_matches_point_solve():
         lesser=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
         greater=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
     )
-    pi = GreensTensor.zeros_phonon(params)
+    pi = GreensTensor.zeros(params.phonon_shape)
     g_e, _ = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
     sig_r = block_diag_from_atoms(retarded_from_lesser_greater(sigma)[0, 0])
     _, g_l, g_g = solve_point_dense(
@@ -250,7 +250,7 @@ def test_gf_phase_reports_failing_point():
         blocks[:, i_e] = (e_val + 1j * params.eta) * np.eye(params.n_orb)
     sigma = GreensTensor(lesser=np.zeros(shape, complex), greater=2 * blocks)
     with pytest.raises(SingularSystemError, match=r"electron point \(kz=0, iE=0\)"):
-        gf_phase(dev, sigma, GreensTensor.zeros_phonon(params), params, grid, nmap)
+        gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap)
 
 
 def test_rgf_singular_leading_block():
@@ -266,7 +266,7 @@ def test_rgf_singular_leading_block():
     zero = np.zeros((4, 1, 1), complex)
     sr = np.array([0.5 + 1e-3j] * 2 + [0.0] * 2).reshape(4, 1, 1)  # cancels block 0 of E*S + i*eta exactly
     with pytest.raises(SingularSystemError, match="forward pass"):
-        solve_point_rgf(dev, sr, zero, zero, 0.5, 0, 1e-3, 2)
+        solve_point_rgf(dev, sr, np.stack((zero, zero)), 0.5, 0, 1e-3, 2)
 
 
 def test_gf_phase_rgf_solver_matches_dense():
@@ -279,7 +279,7 @@ def test_gf_phase_rgf_solver_matches_dense():
         lesser=0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
         greater=0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
     )
-    pi = GreensTensor.zeros_phonon(params)
+    pi = GreensTensor.zeros(params.phonon_shape)
     dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
     rgf = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
     for a, b in zip(dense, rgf):
@@ -310,7 +310,7 @@ def test_rgf_near_singular_leading_block_fails_the_residual_check():
     assert np.linalg.norm(leading @ wrong - np.eye(4)) / 2 > 1e-8
     zero = np.zeros_like(sr)
     with pytest.raises(SingularSystemError, match=r"block 0 \(kz=0, E=0\.5\): solve residual"):
-        solve_point_rgf(dev, sr, zero, zero, energy, 0, eta, params.bnum)
+        solve_point_rgf(dev, sr, np.stack((zero, zero)), energy, 0, eta, params.bnum)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -324,7 +324,7 @@ def test_dense_diagonal_blocks_match_the_full_oracle(seed, n_a, n_orb, bnum):
     sr, sl, sg = (_rand_atom_blocks(rng, n_a, n_orb, scale=0.1) for _ in range(3))
     energy = float(rng.uniform(-0.9, 0.9))
     _, g_l, g_g = solve_point_dense(dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), energy, 0, params.eta)
-    less, grt = solve_point_dense_diag(dev, sr, sl, sg, energy, 0, params.eta)
+    less, grt = solve_point_dense_diag(dev, sr, np.stack((sl, sg)), energy, 0, params.eta)
     assert _rel(less, extract_atom_diag(g_l, n_a, n_orb)) <= 1e-12
     assert _rel(grt, extract_atom_diag(g_g, n_a, n_orb)) <= 1e-12
 
@@ -337,7 +337,7 @@ def test_phonon_slot_products_match_the_full_formula(seed):
     slots = (params.n_A, params.n_B + 1, params.n_3D, params.n_3D)
     pr, pl, pg = (assemble_phonon_matrix(0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)), nmap)
                   for _ in range(3))
-    d_r, d_l, d_g = solve_phonon_point(dev, pr, pl, pg, 0.7, 0, params.eta, nmap)
+    d_r, (d_l, d_g) = solve_phonon_point(dev, pr, np.stack((pl, pg)), 0.7, 0, params.eta, nmap)
     assert _rel(d_l, extract_phonon_slots(d_r @ pl @ d_r.T, nmap, params.n_3D)) <= 1e-12
     assert _rel(d_g, extract_phonon_slots(d_r @ pg @ d_r.T, nmap, params.n_3D)) <= 1e-12
 

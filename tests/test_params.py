@@ -80,8 +80,8 @@ def test_validated_params_accepted_downstream():
         assert report.ok, report.violations
         synthesize(p, seed=1)
         default_grid(p)
-        GreensTensor.zeros_electron(p)
-        GreensTensor.zeros_phonon(p)
+        GreensTensor.zeros(p.electron_shape)
+        GreensTensor.zeros(p.phonon_shape)
 
 
 def test_grid_monotone_and_uniform():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from negflow.device import NeighborMap, build_neighbor_map, synthesize
+from negflow.distsim import run_omen_scheme, run_tiled_scheme
 from negflow.flops import FlopCounter, sse_flops_fully_hoisted
-from negflow.gf import SOLVERS, GreensTensor
+from negflow.gf import SOLVERS, GreensTensor, gf_phase
 from negflow.params import EnergyGrid, SimParams, default_grid
 from negflow import sse
 from negflow.sse import (
@@ -500,7 +501,7 @@ def test_fissioned_intermediate_matches_redundancy_removed():
     atoms, n_qw = range(params.n_A), params.n_qz * params.n_w
 
     def transient(variant, g_arr):
-        return _dhg_transient(variant, g_arr, dh, nmap, atoms, n_qw, None)
+        return _dhg_transient(variant, g_arr, dh, nmap, atoms, n_qw, FlopCounter())
 
     fissioned = transient(SseVariant.FISSIONED, g.lesser)
     removed = transient(SseVariant.REDUNDANCY_REMOVED, g.lesser)
@@ -663,7 +664,7 @@ def test_self_consistent_non_finite_iterate_stops_as_diverged(monkeypatch):
     dev, nmap = synthesize(params, seed=1)
 
     def overflowed(*args, **kwargs):
-        g_e, g_ph = GreensTensor.zeros_electron(params), GreensTensor.zeros_phonon(params)
+        g_e, g_ph = GreensTensor.zeros(params.electron_shape), GreensTensor.zeros(params.phonon_shape)
         g_e.lesser[0, 0, 0, 0, 0] = np.inf
         return g_e, g_ph
 
@@ -695,3 +696,53 @@ def test_pi_from_chains_shapes_and_signs():
     assert out.lesser.shape == (1, 1, 2, 3, 3, 3)
     assert np.allclose(out.lesser[0, 0, 0, 0], -1j * chains_l[0, 0, 0].sum(axis=0))
     assert np.allclose(out.lesser[0, 0, 0, 2], 1j * chains_l[0, 0, 0, 1])
+
+
+def test_every_producer_returns_one_stacked_pair():
+    # each pair is one C-ordered complex128 [2, ...] array whose lesser and greater are its two views
+    params = TINY
+    grid = default_grid(params)
+    dev, nmap = synthesize(params, seed=2)
+    rng = np.random.default_rng(2)
+    x, y = _rand(rng, params.electron_shape), _rand(rng, params.electron_shape)
+    g = GreensTensor(x, y)
+    d = GreensTensor(_rand(rng, params.phonon_shape), _rand(rng, params.phonon_shape))
+    chain_shape = (params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3)
+
+    def stacked(pair, shape):
+        data = pair.data
+        assert data.dtype == np.complex128 and data.shape == (2, *shape) and data.flags.c_contiguous
+        assert pair.lesser.base is data and pair.greater.base is data
+        assert np.shares_memory(pair.lesser, data[0]) and np.shares_memory(pair.greater, data[1])
+
+    # the constructor copies its inputs once and aliases neither
+    stacked(g, params.electron_shape)
+    assert not np.shares_memory(g.data, x) and not np.shares_memory(g.data, y)
+    assert np.array_equal(g.lesser, x) and np.array_equal(g.greater, y)
+    with pytest.raises(ValueError, match="mismatch"):
+        GreensTensor(x, y[:, :1])
+
+    sigma0, pi0 = seeded_self_energies(params, 0.1)
+    stacked(sigma0, params.electron_shape)
+    stacked(pi0, params.phonon_shape)
+    for solver in SOLVERS:
+        g_e, g_ph = gf_phase(dev, sigma0, pi0, params, grid, nmap, solver=solver)
+        stacked(g_e, params.electron_shape)
+        stacked(g_ph, params.phonon_shape)
+    dc = preprocess_D(d, nmap)
+    stacked(dc, chain_shape)
+    for variant in SseVariant:
+        stacked(sse_sigma(variant, g, dc, dev.dH, nmap, grid), params.electron_shape)
+    for hoist in (None, False, True):
+        stacked(sse_pi_chains(g, dev.dH, nmap, grid, params.n_qz, hoist_invariant=hoist), chain_shape)
+    stacked(sse_pi(g, dev.dH, nmap, grid, params.n_qz), params.phonon_shape)
+    for sigma, pi, _ in (
+        run_omen_scheme(g, d, dev.dH, nmap, grid, params, 2),
+        run_tiled_scheme(g, d, dev.dH, nmap, grid, params, 2, 2),
+    ):
+        stacked(sigma, params.electron_shape)
+        stacked(pi, params.phonon_shape)
+    result = self_consistent_loop(dev, nmap, params, max_iter=2, initial_sigma=sigma0, initial_pi=pi0)
+    for pair, shape in ((result.g_electron, params.electron_shape), (result.g_phonon, params.phonon_shape),
+                        (result.sigma, params.electron_shape), (result.pi, params.phonon_shape)):
+        stacked(pair, shape)
