@@ -1,10 +1,11 @@
 """Closed-form SSE communication-volume models and the tile-size search.
 
-Byte counts follow the analytic models: the momentum/energy decomposition
-exchanges the full Green's function tensors every (q_z, omega) round, while
-the tiled all-to-all scheme moves only each tile plus its frequency and
-neighbor halos.  The constant 64 packs two 16-byte complex tensors (lesser
-and greater) times two arrays or directions per term.
+The one source of each message's size, tag and footprint: a message moves a
+lesser/greater pair (``PAIR_BYTES`` per element) as an electron column or a
+phonon slice, for a tiled rank over :func:`tiled_atoms`, the paper's tile +
+N_B rectangle (odd N_B too), which the IR's ``neighbor_indirection`` derives.
+The closed forms are message counts times these units; ``distsim`` counts its
+own messages and takes each entry's size and tag from here.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from dataclasses import dataclass
 from .params import SimParams
 
 TIB = 2**40
+PAIR_BYTES = 32  # lesser + greater, 16-byte complex each
 
 ELECTRON_G = "electron_G"
 ELECTRON_SIGMA = "electron_Sigma"
-PHONON_D_PI = "phonon_D_Pi"
+PHONON_D = "phonon_D"
+PHONON_PI = "phonon_Pi"
+PHONON_D_PI = "phonon_D_Pi"  # the models' sum of D received and Pi sent
 
 
 class InfeasiblePartitionError(ValueError):
@@ -56,26 +60,33 @@ class CommPlan:
         }
 
 
+def electron_column_bytes(params: SimParams, atoms: float) -> float:
+    """Electron pair bytes over ``atoms`` atom blocks; one message is one (k_z, E) point's column."""
+    return PAIR_BYTES * atoms * params.n_orb**2
+
+
+def phonon_slice_bytes(params: SimParams, atoms: float) -> float:
+    """Phonon pair bytes over ``atoms`` atoms x N_B slots; one message is one (q_z, omega) round's slice."""
+    return PAIR_BYTES * atoms * params.n_B * params.n_3D**2
+
+
+def tiled_atoms(params: SimParams, tile: float) -> float:
+    """Atoms a tiled rank's messages span: its tile plus N_B, for odd N_B too."""
+    return tile + params.n_B
+
+
 def omen_volume(params: SimParams, processes: int) -> CommPlan:
     """Per-process and aggregate bytes of the momentum/energy scheme.
 
-    Every process receives 64 (N_kz N_E / P) N_qz N_w N_A N_orb^2 bytes of
-    shifted electron Green's functions over the N_qz N_w rounds, and sends
-    plus receives 64 N_qz N_w N_A N_B N_3D^2 bytes of phonon data (broadcast
-    in, partial self-energies out).  The electron aggregate is independent
-    of the process count.
+    Every (q_z, omega) round each (k_z, E) point receives two shifted electron
+    columns of all N_A atoms; each process receives D and sends Pi slices.
     """
     if processes < 1:
         raise ValueError("process count must be >= 1")
-    g_aggregate = float(
-        64 * params.n_kz * params.n_E * params.n_qz * params.n_w * params.n_A * params.n_orb**2
-    )
-    d_per_process = float(64 * params.n_qz * params.n_w * params.n_A * params.n_B * params.n_3D**2)
-    per_process = {
-        ELECTRON_G: g_aggregate / processes,
-        ELECTRON_SIGMA: 0.0,
-        PHONON_D_PI: d_per_process,
-    }
+    rounds = params.n_qz * params.n_w
+    g_aggregate = float(electron_column_bytes(params, 2 * params.n_kz * params.n_E * rounds * params.n_A))
+    d_per_process = float(phonon_slice_bytes(params, 2 * rounds * params.n_A))
+    per_process = {ELECTRON_G: g_aggregate / processes, ELECTRON_SIGMA: 0.0, PHONON_D_PI: d_per_process}
     total = g_aggregate + processes * d_per_process
     return CommPlan("omen", processes, None, None, per_process, total)
 
@@ -83,21 +94,16 @@ def omen_volume(params: SimParams, processes: int) -> CommPlan:
 def dace_volume(params: SimParams, t_e: int, t_a: int) -> CommPlan:
     """Per-process and aggregate bytes of the tiled all-to-all scheme.
 
-    Each of the T_E * T_A processes contributes
-    64 N_kz (N_E/T_E + 2 N_w) (N_A/T_A + N_B) N_orb^2 bytes for the electron
-    Green's functions and self-energies (half in, half out) and
-    64 N_qz N_w (N_A/T_A + N_B) N_B N_3D^2 bytes for the phonon pair.
+    Per process: N_kz (N_E/T_E + 2 N_w) electron columns in and as many Sigma
+    columns out, N_qz N_w D slices in and Pi slices out, over N_A/T_A + N_B
+    atoms.  Counts multiply the atoms inside the units to keep the rounding.
     """
     if t_e < 1 or t_a < 1:
         raise ValueError("partition counts must be >= 1")
-    atoms = params.n_A / t_a + params.n_B
-    g_half = float(32 * params.n_kz * (params.n_E / t_e + 2 * params.n_w) * atoms * params.n_orb**2)
-    d_per_process = float(64 * params.n_qz * params.n_w * atoms * params.n_B * params.n_3D**2)
-    per_process = {
-        ELECTRON_G: g_half,
-        ELECTRON_SIGMA: g_half,
-        PHONON_D_PI: d_per_process,
-    }
+    atoms = tiled_atoms(params, params.n_A / t_a)
+    g_half = float(electron_column_bytes(params, params.n_kz * (params.n_E / t_e + 2 * params.n_w) * atoms))
+    d_per_process = float(phonon_slice_bytes(params, 2 * params.n_qz * params.n_w * atoms))
+    per_process = {ELECTRON_G: g_half, ELECTRON_SIGMA: g_half, PHONON_D_PI: d_per_process}
     processes = t_e * t_a
     total = processes * (2 * g_half + d_per_process)
     return CommPlan("tiled", processes, t_e, t_a, per_process, total)

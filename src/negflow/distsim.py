@@ -16,11 +16,11 @@ owns.  So a rank does its share of the single-node work rather than all of
 it, and a slice that misses part of the halo a rank reads fails loudly
 instead of reading zeros.  A rank that owns nothing runs no kernel.
 
-Byte accounting mirrors ``comm``'s closed-form volume models exactly:
-transfers carry both the lesser and greater tensors (2 x 16-byte complex),
-shifted or halo entries that fall off the grid travel as zero blocks rather
-than being clipped, and rank-local copies are ledgered like any other
-message, because the models count them too.
+The ledger counts messages and names their ends; ``comm`` sizes and tags
+each entry, a tiled rank's over its footprint (tile + N_B atoms, odd N_B
+too), so checking the ledger against ``comm``'s closed forms checks counts.
+Off-grid shifts and halo entries travel as zero blocks, and rank-local
+copies are ledgered, because the models count them too.
 """
 
 from __future__ import annotations
@@ -32,19 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import ELECTRON_G, ELECTRON_SIGMA, PHONON_D_PI, CommPlan, InfeasiblePartitionError
+from .comm import ELECTRON_G, ELECTRON_SIGMA, PHONON_D, PHONON_D_PI, PHONON_PI, CommPlan, InfeasiblePartitionError
+from .comm import electron_column_bytes, phonon_slice_bytes, tiled_atoms
 from .device import NeighborMap
 from .gf import GreensTensor
 from .params import EnergyGrid, SimParams
 from .sse import DEFAULT_VARIANT, pi_from_chains, preprocess_D, sse_pi_chains, sse_sigma
 
 Array = np.ndarray
-
-PAIR_BYTES = 32  # lesser + greater, 16-byte complex each
-
-# The ledger splits comm's phonon pair term into its two directions.
-PHONON_D = "phonon_D"
-PHONON_PI = "phonon_Pi"
 
 
 @dataclass(frozen=True)
@@ -190,8 +185,8 @@ def run_omen_scheme(
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
 
-    d_bytes = PAIR_BYTES * params.n_A * params.n_B * params.n_3D**2
-    g_bytes = PAIR_BYTES * params.n_A * params.n_orb**2
+    d_bytes = phonon_slice_bytes(params, params.n_A)
+    g_bytes = electron_column_bytes(params, params.n_A)
 
     received = [mask.copy() for mask in owned]
     for q in range(params.n_qz):
@@ -234,12 +229,11 @@ def run_tiled_scheme(
     """Energy-atom tiling with one all-to-all halo exchange.
 
     Rank tE * T_A + tA owns energy tile tE at every k_z and atom tile tA.  It
-    materializes the halo'd electron slice (energies extended by the largest
-    frequency offset on both sides, atoms by the farthest neighbor reach, at
-    least half the neighbor count), computes its self-energy tile and
-    partial phonon chains on that slice with the loop's default kernels (see
-    :func:`_rank`), then returns them over the mirrored footprint.  Round 0
-    is the forward exchange, round 1 the return.
+    computes its Sigma tile and partial phonon chains with the loop's default
+    kernels on its halo'd slice (see :func:`_rank`): energies +- the largest
+    frequency offset, atoms +- the neighbor map's reach.  Its messages span
+    ``comm``'s tile + N_B footprint instead.  Round 0 is the forward
+    exchange, round 1 the return.
     """
     if t_e < 1 or t_a < 1:
         raise ValueError("partition counts must be >= 1")
@@ -251,15 +245,14 @@ def run_tiled_scheme(
     e_tiles = _chunks(params.n_E, t_e)
     a_tiles = _chunks(params.n_A, t_a)
     halo_e = grid.max_offset
-    halo_a = max(params.n_B // 2, nmap.max_reach)
     owner = _owners(params.n_kz, params.n_E, processes)
     roots = _owners(params.n_qz, params.n_w, processes)
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
 
-    col_atoms = len(a_tiles[0]) + 2 * halo_a  # unclipped model footprint
-    g_col_bytes = PAIR_BYTES * col_atoms * params.n_orb**2
-    d_slice_bytes = PAIR_BYTES * col_atoms * params.n_B * params.n_3D**2
+    col_atoms = tiled_atoms(params, len(a_tiles[0]))  # unclipped model footprint
+    g_col_bytes = electron_column_bytes(params, col_atoms)
+    d_slice_bytes = phonon_slice_bytes(params, col_atoms)
 
     owned = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in range(processes)]
     received = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in range(processes)]
@@ -282,7 +275,7 @@ def run_tiled_scheme(
                 ledger.add(0, root, rank, PHONON_D, d_slice_bytes)
                 ledger.add(1, rank, root, PHONON_PI, d_slice_bytes)
 
-    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, owned, a_ranges, received, halo_a)
+    sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, owned, a_ranges, received, nmap.max_reach)
     return sigma, pi, ledger
 
 

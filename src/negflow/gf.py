@@ -153,8 +153,8 @@ def _slot_partners(nmap: NeighborMap) -> Array:
 def assemble_phonon_matrix(slots: Array, nmap: NeighborMap) -> Array:
     """Slot layout [..., n_A, n_B+1, m, m] -> full (..., n_A*m, n_A*m) matrices.
 
-    Duplicate neighbor slots hold identical blocks, so plain assignment is
-    well-defined.
+    Slots that repeat a neighbor (chain ends) are assigned in order, so the
+    last wins: right for D, whose duplicates match, not yet for Pi's.
     """
     *lead, n_a, _, m, _ = slots.shape
     out = np.zeros((*lead, n_a, m, n_a, m), dtype=slots.dtype)

@@ -137,17 +137,20 @@ def test_flops_report(tmp_path):
         assert (omen[nkz], dace[nkz]) == (sse_flops_omen(params) / PFLOP, sse_flops_dace(params) / PFLOP)
 
 
-def test_distsim_tiny_equivalent(tmp_path):
-    out = tmp_path / "dist"
-    assert run(["distsim", "--preset", "tiny", "--p", "4", "--te", "2", "--ta", "2",
-                "--output-dir", str(out)]) == 0
-    summary = json.loads((out / "distsim_summary.json").read_text())
-    assert summary["verdict"] == "EQUIVALENT"
-    assert summary["schemes"]["omen"]["model_max_rel_delta"] == 0.0
-    assert summary["schemes"]["tiled"]["model_max_rel_delta"] == 0.0
-    assert summary["tiled_less_than_omen"] is True
-    assert (out / "ledger_omen.csv").exists()
-    assert (out / "ledger_tiled.csv").exists()
+def test_distsim_tiny_equivalent(tmp_path, capsys):
+    # the odd neighbor count n_B = 3 ledgers the model's tile + N_B atoms too
+    for flags in ([], ["--nb", "3"]):
+        out = tmp_path / "-".join(["dist", *flags])
+        assert run(["distsim", "--preset", "tiny", *flags, "--p", "4", "--te", "2", "--ta", "2",
+                    "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "distsim_summary.json").read_text())
+        assert summary["verdict"] == "EQUIVALENT"
+        assert summary["schemes"]["omen"]["model_max_rel_delta"] == 0.0
+        assert summary["schemes"]["tiled"]["model_max_rel_delta"] == 0.0
+        assert summary["tiled_less_than_omen"] is True
+        assert (out / "ledger_omen.csv").exists()
+        assert (out / "ledger_tiled.csv").exists()
+        assert "verdict: EQUIVALENT, worst model delta 0.00%" in capsys.readouterr().out
 
 
 def test_distsim_verdict_reports_the_worst_model_delta(tmp_path, capsys):

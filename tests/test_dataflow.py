@@ -257,11 +257,13 @@ def test_propagation_is_canonical():
 
 def test_sse_graph_volume_matches_comm_model():
     # cross-module consistency: the tiled SSE graph instantiated at concrete
-    # symbols reproduces the closed-form per-process byte terms exactly
+    # symbols reproduces the closed-form per-process byte terms exactly, at
+    # an even and an odd N_B
     sg = build_sse_graph()
     volumes = volume_between_maps(sg.outer, sg.graph)
-    params = SimParams(n_kz=3, n_qz=3, n_E=706, n_w=70, n_A=4864, n_B=34, n_orb=12, bnum=19)
-    for t_e, t_a in [(4, 192), (2, 384), (7, 256)]:
+    cases = [(n_b, tiles) for n_b in (34, 33) for tiles in [(4, 192), (2, 384), (7, 256)]]
+    for n_b, (t_e, t_a) in cases:
+        params = SimParams(n_kz=3, n_qz=3, n_E=706, n_w=70, n_A=4864, n_B=n_b, n_orb=12, bnum=19)
         subs = {
             sg.symbols["N_kz"]: params.n_kz, sg.symbols["N_E"]: params.n_E,
             sg.symbols["N_qz"]: params.n_qz, sg.symbols["N_w"]: params.n_w,

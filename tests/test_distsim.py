@@ -94,17 +94,22 @@ def test_omen_single_rank_is_bitwise_reference():
     assert all(e.src == e.dst for e in ledger.entries)
 
 
+# even partitions at every neighbor count n_B = 1..5, odd ones included
+_CLOSED_FORM_PARAMS = [EVEN] + [RICH.replace(n_B=n_b) for n_b in range(1, 6)]
+
+
 def test_omen_matches_reference_and_closed_form():
-    grid, dev, nmap, g, d = _instance(1, EVEN)
-    ref_sigma, ref_pi = _reference(EVEN, grid, dev, nmap, g, d)
-    sigma, pi, ledger = run_omen_scheme(g, d, dev.dH, nmap, grid, EVEN, 4)
-    assert _rel_dev(sigma, ref_sigma) <= 1e-10
-    assert _rel_dev(pi, ref_pi) <= 1e-10
-    expected = 64 * (EVEN.n_kz * EVEN.n_E / 4) * EVEN.n_qz * EVEN.n_w * EVEN.n_A * EVEN.n_orb**2
-    for rank in range(4):
-        assert ledger.bytes_received(rank, ELECTRON_G) == expected
-    rows = compare_ledger_with_model(ledger, omen_volume(EVEN, 4))
-    assert max(r["rel_delta"] for r in rows) == 0.0
+    for params in _CLOSED_FORM_PARAMS:
+        grid, dev, nmap, g, d = _instance(1, params)
+        ref_sigma, ref_pi = _reference(params, grid, dev, nmap, g, d)
+        sigma, pi, ledger = run_omen_scheme(g, d, dev.dH, nmap, grid, params, 4)
+        assert _rel_dev(sigma, ref_sigma) <= 1e-10
+        assert _rel_dev(pi, ref_pi) <= 1e-10
+        expected = 64 * (params.n_kz * params.n_E / 4) * params.n_qz * params.n_w * params.n_A * params.n_orb**2
+        for rank in range(4):
+            assert ledger.bytes_received(rank, ELECTRON_G) == expected
+        rows = compare_ledger_with_model(ledger, omen_volume(params, 4))
+        assert [r["rel_delta"] for r in rows] == [0.0] * len(rows), params.n_B
 
 
 def test_tiled_single_tile_is_bitwise_reference():
@@ -122,18 +127,20 @@ def test_tiled_single_tile_is_bitwise_reference():
 
 
 def test_tiled_matches_reference_and_closed_form():
-    grid, dev, nmap, g, d = _instance(3, EVEN)
-    ref_sigma, ref_pi = _reference(EVEN, grid, dev, nmap, g, d)
-    sigma, pi, ledger = run_tiled_scheme(g, d, dev.dH, nmap, grid, EVEN, 2, 2)
-    assert _rel_dev(sigma, ref_sigma) <= 1e-10
-    assert _rel_dev(pi, ref_pi) <= 1e-10
-    rows = compare_ledger_with_model(ledger, dace_volume(EVEN, 2, 2))
-    assert max(r["rel_delta"] for r in rows) == 0.0
+    for params in _CLOSED_FORM_PARAMS:
+        grid, dev, nmap, g, d = _instance(3, params)
+        ref_sigma, ref_pi = _reference(params, grid, dev, nmap, g, d)
+        sigma, pi, ledger = run_tiled_scheme(g, d, dev.dH, nmap, grid, params, 2, 2)
+        assert _rel_dev(sigma, ref_sigma) <= 1e-10
+        assert _rel_dev(pi, ref_pi) <= 1e-10
+        rows = compare_ledger_with_model(ledger, dace_volume(params, 2, 2))
+        assert [r["rel_delta"] for r in rows] == [0.0] * len(rows), params.n_B
 
 
 _SWEEP = [(RICH, "omen", (p,)) for p in range(1, 9)]
 _SWEEP += [(RICH, "tiled", (t_e, t_a)) for t_e in range(1, 9) for t_a in range(1, 9) if t_e * t_a <= 8]
 _SWEEP += [(EVEN.replace(n_E=5), "omen", (8,)), (EVEN.replace(n_E=5), "tiled", (4, 2))]
+_SWEEP += [(RICH.replace(n_B=3), scheme, part) for scheme, part in [("omen", (3,)), ("tiled", (2, 2)), ("tiled", (1, 4))]]
 
 
 @pytest.mark.parametrize("params, scheme, partition", _SWEEP)
@@ -185,7 +192,7 @@ def test_tiled_ranks_see_only_their_halo_slice(monkeypatch, t_e, t_a):
     calls = _record_rank_inputs(monkeypatch)
     run_tiled_scheme(g, d, dev.dH, nmap, grid, RICH, t_e, t_a)
     s_e, s_a = -(-RICH.n_E // t_e), -(-RICH.n_A // t_a)
-    halo_a = max(RICH.n_B // 2, nmap.max_reach)
+    halo_a = nmap.max_reach
     assert [name for name, _, _ in calls] == ["sigma", "pi"] * (t_e * t_a)
     for _, (n_kz, n_e, n_a, _, _), _ in calls:
         assert n_kz == RICH.n_kz
@@ -252,17 +259,18 @@ def test_idle_ranks_run_no_kernel(monkeypatch):
 
 
 def test_tiled_slice_one_atom_short_of_the_halo_raises():
-    grid, dev, nmap, g, d = _instance(17, RICH)
-    dc = preprocess_D(d, nmap)
-    halo_a = max(RICH.n_B // 2, nmap.max_reach)
-    assert halo_a == nmap.max_reach  # one atom fewer drops a neighbor the tile reads
-    e_range, a_range = (0, RICH.n_E // 2), (RICH.n_A // 4, RICH.n_A // 2)
-    owned = np.zeros((RICH.n_kz, RICH.n_E), dtype=bool)
-    owned[:, slice(*e_range)] = True
-    args = (g, dc, dev.dH, nmap, grid, RICH.n_qz, owned, _tiled_received(RICH, grid, e_range), a_range)
-    _rank(*args, halo_a)
-    with pytest.raises(ValueError, match="neighbor index"):
-        _rank(*args, halo_a - 1)
+    # a rank's compute halo is the neighbor map's reach; one atom fewer drops a neighbor the tile reads
+    for params in (RICH, RICH.replace(n_B=3)):
+        grid, dev, nmap, g, d = _instance(17, params)
+        dc = preprocess_D(d, nmap)
+        halo_a = nmap.max_reach
+        e_range, a_range = (0, params.n_E // 2), (params.n_A // 4, params.n_A // 2)
+        owned = np.zeros((params.n_kz, params.n_E), dtype=bool)
+        owned[:, slice(*e_range)] = True
+        args = (g, dc, dev.dH, nmap, grid, params.n_qz, owned, _tiled_received(params, grid, e_range), a_range)
+        _rank(*args, halo_a)
+        with pytest.raises(ValueError, match="neighbor index"):
+            _rank(*args, halo_a - 1)
 
 
 def test_tiled_halo_extent_matches_propagation_model():
