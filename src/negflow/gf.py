@@ -2,8 +2,9 @@
 
 Every (E, k_z) electron point solves ``(E S - H - Sigma^R + i eta I) G^R = I``
 and ``G^<> = G^R Sigma^<> G^A`` with the advanced function stored as the plain
-transpose of the retarded one.  Phonon points solve the analogous system with
-``omega^2 I`` in place of ``E S``.
+transpose of the retarded one; every solver takes it from ``_advanced``.
+Phonon points solve the analogous system with ``omega^2 I`` in place of
+``E S``.
 
 The loop keeps only the atom-diagonal blocks of G^<> and the self/neighbor
 slots of D^<>, so it forms nothing else:
@@ -12,11 +13,17 @@ slots of D^<>, so it forms nothing else:
   full n^3 triple products.
 - ``solve_point_dense_diag`` (solver ``"dense"``) makes the same n x n solve
   but forms only the diagonal blocks of the products, O(n^2 n_orb) each.
-- ``solve_point_rgf`` (solver ``"rgf"``) reads the tridiagonal blocks of
-  E S - H straight from the device and runs a forward/backward pass over
-  ``bnum`` blocks; it builds no n x n matrix.
-- ``solve_phonon_point`` forms D^R Pi^<> once and then only the slot blocks
-  of D^R Pi^<> (D^R)^T.
+- ``solve_phonon_point`` (solver ``"dense"``, and the phonon oracle) forms
+  D^R Pi^<> once and then only the slot blocks of D^R Pi^<> (D^R)^T.
+- Solver ``"rgf"`` runs one block-tridiagonal recursion (``_rgf_pass``)
+  over ``bnum`` blocks for both particle kinds, and builds no n x n matrix
+  for either.  ``solve_point_rgf`` reads the tridiagonal blocks of E S - H
+  straight from the device; Sigma is block-diagonal.
+  ``solve_phonon_point_rgf`` reads those of Phi and scatters Pi's slots
+  into its tridiagonal blocks; the recursion then also forms the neighbor
+  blocks of D^<>, and the slots are gathered back out, both through one
+  precomputed ``band_slot_index``.  On gf-long a phonon point takes about
+  a tenth of its dense time this way (7 ms against 77 ms, one BLAS thread).
 
 Every lesser/greater pair is one ``GreensTensor``, stored as one ``[2, ...]``
 array, and the loop's solvers take and return their pair stacked the same
@@ -26,6 +33,8 @@ solve, each RGF block solve included, is residual-checked and raises
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +46,14 @@ Array = np.ndarray
 _RESIDUAL_LIMIT = 1e-8
 
 SOLVERS = ("dense", "rgf")
-# Shared by gf_phase, sse.self_consistent_loop and `negflow simulate --solver`.
-# Neither solver is faster everywhere (gf_phase, best of 7, one BLAS thread;
-# CHANGES.md): RGF wins on desk-32 and gf-long, dense on the tiny and small
-# presets.  The benchmark's harness self-check reads this default to pick the
-# tolerance it breaks on purpose, so any switch waits for the next benchmark
-# change.
+# Shared by gf_phase, sse.self_consistent_loop and `negflow simulate --solver`;
+# it picks the path of the electron and the phonon points alike.  Neither
+# solver is faster everywhere (gf_phase, best of 7, one BLAS thread;
+# CHANGES.md): RGF wins on desk-32 (0.28 s against 0.48 s), desk-32 wide
+# (0.50 against 0.70 s) and gf-long (0.65 against 9.4 s), dense on tiny
+# (0.005 against 0.015 s), and small is a tie (0.030 s).  The benchmark's
+# harness self-check reads this default to pick the tolerance it breaks on
+# purpose, so any switch waits for the next benchmark change.
 DEFAULT_SOLVER = "dense"
 
 
@@ -125,6 +136,11 @@ def retarded_from_lesser_greater(se: GreensTensor) -> Array:
     return (se.greater - se.lesser) / 2.0
 
 
+def _advanced(x: Array) -> Array:
+    """Advanced counterpart of retarded blocks (and of system blocks in the products): the plain transpose."""
+    return x.swapaxes(-1, -2)
+
+
 def _atom_diag_view(mat4: Array) -> Array:
     """(..., n_A, m, n_A, m) array -> strided (..., n_A, m, m) view of its diagonal blocks."""
     *lead, s_a, s_i, s_b, s_j = mat4.strides
@@ -200,7 +216,7 @@ def solve_point_dense(
     n = dev.H.shape[1]
     a = energy * dev.S[kz] - dev.H[kz] - sigma_r + 1j * eta * np.eye(n)
     g_r = _solve_system(a, f"electron point (kz={kz}, E={energy:g})")
-    g_a = g_r.T
+    g_a = _advanced(g_r)
     g_lesser = g_r @ sigma_lesser @ g_a
     g_greater = g_r @ sigma_greater @ g_a
     return g_r, g_lesser, g_greater
@@ -226,7 +242,7 @@ def solve_point_dense_diag(
     a.reshape(-1)[:: n + 1] += 1j * eta
     g_r = _solve_system(a, f"electron point (kz={kz}, E={energy:g})")
     cols = g_r.reshape(n, n_a, o).transpose(1, 0, 2)  # column blocks G^R[:, c]
-    rows_t = g_r.reshape(n_a, o, n).transpose(0, 2, 1)  # row blocks G^R[a, :], transposed
+    rows_t = _advanced(g_r.reshape(n_a, o, n))  # row blocks G^R[a, :], transposed
     g_sigma = np.empty((n, n_a, o), np.complex128)  # G^R Sigma, written column block by column block
     g_lg = np.empty((2, n_a, o, o), np.complex128)
     # one tensor at a time: a buffer for both (2 n^2 entries) enlarges what each point frees at the heap
@@ -258,74 +274,195 @@ def solve_phonon_point(
     for pi_x, out in zip(pi_lg, slots):
         d_pi = (d_r @ pi_x).reshape(n_a, m, n)
         for s, b in enumerate(_slot_partners(nmap).T):
-            out[:, s] = d_pi @ rows[b].transpose(0, 2, 1)
+            out[:, s] = d_pi @ _advanced(rows[b])
     return d_r, slots
 
 
-def _tridiagonal_system(dev: DeviceMatrices, sigma_r: Array, energy: float, kz: int, eta: float, bnum: int):
-    """Diagonal, upper and lower blocks of E S - H - Sigma^R + i eta I under ``bnum`` blocks.
+def _tridiagonal_band(mat: Array, bnum: int) -> Array:
+    """Band ``[bnum, 3, m, m]`` of an n x n matrix under ``bnum`` blocks.
 
-    Read straight from the device's S and H; Sigma^R (atom blocks) touches
-    only the diagonal blocks, so no n x n matrix is built.
+    ``[i, 0]``, ``[i, 1]``, ``[i, 2]`` are blocks (i, i-1), (i, i), (i, i+1);
+    the two corners outside the matrix stay zero.  Both RGF systems are read
+    from the device through this one reader, so neither builds an n x n matrix.
     """
-    n_a, o, _ = sigma_r.shape
+    n = mat.shape[-1]
+    if n % bnum != 0:
+        raise ValueError(f"matrix edge {n} not divisible into {bnum} blocks")
+    m = n // bnum
+    mat4 = mat.reshape(bnum, m, bnum, m)
+    here, nxt = np.arange(bnum - 1), np.arange(1, bnum)
+    band = np.zeros((bnum, 3, m, m), np.complex128)
+    band[:, 1] = _atom_diag_view(mat4)
+    band[1:, 0] = mat4[nxt, :, here]
+    band[:-1, 2] = mat4[here, :, nxt]
+    return band
+
+
+class BandSlotIndex(NamedTuple):
+    """Where every phonon slot ``[n_A, n_B+1]`` sits in a band of ``bnum`` blocks (``band_slot_index``).
+
+    Slot (a, s) couples atom a to its partner b; it sits in band block
+    ``[block, side]`` (side 0, 1, 2 = left, diagonal, right) at local atoms
+    (row, col).
+    """
+
+    bnum: int
+    block: Array
+    side: Array
+    row: Array
+    col: Array
+
+
+def band_slot_index(nmap: NeighborMap, bnum: int) -> BandSlotIndex:
+    """The band position of every slot; ``ValueError`` unless Pi and D are block-tridiagonal under ``bnum``.
+
+    They are when every partner lies in its atom's block or an adjacent
+    one, i.e. when ``nmap.max_reach`` is at most the atoms per block.
+    """
+    n_a = nmap.n_A
     if n_a % bnum != 0:
         raise ValueError(f"{n_a} atoms not divisible into {bnum} blocks")
-    m, per_block = n_a * o // bnum, n_a // bnum
-    s4 = dev.S[kz].reshape(bnum, m, bnum, m)
-    h4 = dev.H[kz].reshape(bnum, m, bnum, m)
-    here, nxt = np.arange(bnum - 1), np.arange(1, bnum)
-    diag = energy * _atom_diag_view(s4) - _atom_diag_view(h4)
-    _atom_diag_view(diag.reshape(bnum, per_block, o, per_block, o))[...] -= sigma_r.reshape(bnum, per_block, o, o)
-    diag += 1j * eta * np.eye(m)
-    up = energy * s4[here, :, nxt] - h4[here, :, nxt]
-    down = energy * s4[nxt, :, here] - h4[nxt, :, here]
-    return diag, up, down
+    per_block = n_a // bnum
+    if nmap.max_reach > per_block:
+        raise ValueError(
+            f"neighbor reach {nmap.max_reach} exceeds the {per_block} atoms of a block: "
+            f"Pi is not block-tridiagonal under {bnum} blocks"
+        )
+    rows = np.broadcast_to(np.arange(n_a)[:, None], (n_a, nmap.n_B + 1))
+    cols = _slot_partners(nmap)
+    block = rows // per_block
+    return BandSlotIndex(bnum, block, cols // per_block - block + 1, rows % per_block, cols % per_block)
+
+
+def scatter_band_slots(slots: Array, index: BandSlotIndex) -> Array:
+    """Slot layout [..., n_A, n_B+1, m, m] -> band [..., bnum, 3, e, e] (e = n_A m / bnum), zero off the slots.
+
+    Duplicate slots are assigned in order, so the last wins, as in
+    ``assemble_phonon_matrix``: the band holds that matrix's tridiagonal blocks.
+    """
+    *lead, n_a, _, m, _ = slots.shape
+    per_block = n_a // index.bnum
+    band = np.zeros((*lead, index.bnum, 3, per_block, m, per_block, m), np.complex128)
+    # the separated index arrays put the (atom, slot) dimensions first
+    band[..., index.block, index.side, index.row, :, index.col, :] = np.moveaxis(slots, (-4, -3), (0, 1))
+    return band.reshape(*lead, index.bnum, 3, per_block * m, per_block * m)
+
+
+def gather_band_slots(band: Array, index: BandSlotIndex) -> Array:
+    """Band [..., bnum, 3, e, e] -> slot layout [..., n_A, n_B+1, m, m]: the blocks the slots keep."""
+    *lead, bnum, _, edge, _ = band.shape
+    per_block = index.block.shape[0] // bnum
+    m = edge // per_block
+    picked = band.reshape(*lead, bnum, 3, per_block, m, per_block, m)[
+        ..., index.block, index.side, index.row, :, index.col, :
+    ]
+    return np.moveaxis(picked, (0, 1), (-4, -3))
+
+
+def _rgf_pass(a: Array, q: Array, context: str) -> tuple[Array, Array]:
+    """One forward/backward recursion over the blocks of ``a X = I`` with source ``X Q X^T``.
+
+    ``a`` is the system's band ``[bnum, 3, m, m]`` (``_tridiagonal_band``).
+    ``q`` stacks the lesser/greater source: a block-diagonal one (electrons)
+    passes its diagonal blocks ``[2, bnum, m, m]``, a block-tridiagonal one
+    (phonons) its band ``[2, bnum, 3, m, m]``.  The forward sweep builds the
+    left-connected blocks g_i and their lesser/greater XL_i by Schur
+    complements, each block solve residual-checked; the backward sweep, with
+    W = g_i U_i, forms the diagonal blocks of X and of X Q X^T, and for a
+    tridiagonal source also the neighbor blocks of X Q X^T.  Returns the
+    diagonal X blocks ``[bnum, m, m]`` and the lesser/greater in ``q``'s layout
+    (band corners outside the matrix are zero).
+    """
+    bnum, m = a.shape[0], a.shape[-1]
+    tridiagonal = q.ndim == 5
+    q_diag = q[:, :, 1] if tridiagonal else q
+
+    g_r = np.empty((bnum, m, m), np.complex128)  # left-connected retarded
+    g_lg = np.empty((2, bnum, m, m), np.complex128)  # left-connected lesser, greater
+    for i in range(bnum):
+        block_context = f"RGF forward pass, block {i} ({context})"
+        if i == 0:
+            g_r[i] = _solve_system(a[i, 1], block_context)
+            inflow = q_diag[:, i]
+        else:
+            d = a[i, 0]
+            dg = d @ g_r[i - 1]
+            g_r[i] = _solve_system(a[i, 1] - dg @ a[i - 1, 2], block_context)
+            inflow = q_diag[:, i] + d @ g_lg[:, i - 1] @ _advanced(d)
+            if tridiagonal:  # Q's neighbor blocks: -D g_{i-1} Q_{i-1,i} - Q_{i,i-1} (D g_{i-1})^T
+                inflow -= dg @ q[:, i - 1, 2] + q[:, i, 0] @ _advanced(dg)
+        g_lg[:, i] = g_r[i] @ inflow @ _advanced(g_r[i])
+
+    big_r = np.empty_like(g_r)
+    big_lg = np.zeros_like(q)
+    big_diag = big_lg[:, :, 1] if tridiagonal else big_lg
+    big_r[-1] = g_r[-1]
+    big_diag[:, -1] = g_lg[:, -1]
+    for i in range(bnum - 2, -1, -1):
+        gr, gs, x_next = g_r[i], g_lg[:, i], big_diag[:, i + 1]
+        w = gr @ a[i, 2]  # W = g_i U_i
+        gd = big_r[i + 1] @ a[i + 1, 0]  # G_{i+1} D_i
+        v = w @ gd
+        big_r[i] = gr + v @ gr
+        wx = w @ x_next
+        big_diag[:, i] = gs + wx @ _advanced(w) + v @ gs + gs @ _advanced(v)
+        if tridiagonal:
+            right = gr @ q[:, i, 2] @ _advanced(big_r[i + 1])  # g_i Q_{i,i+1} G_{i+1}^T
+            left = big_r[i + 1] @ q[:, i + 1, 0] @ _advanced(gr)  # G_{i+1} Q_{i+1,i} g_i^T
+            big_diag[:, i] -= right @ _advanced(w) + w @ left
+            # X_{i,i+1} = (g_i Q_{i,i+1} - XL_i D_i^T) G_{i+1}^T - W X_{i+1}, and X_{i+1,i} its mirror
+            big_lg[:, i, 2] = right - gs @ _advanced(gd) - wx
+            big_lg[:, i + 1, 0] = left - gd @ gs - x_next @ _advanced(w)
+    return big_r, big_lg
 
 
 def solve_point_rgf(
     dev: DeviceMatrices, sigma_r: Array, sigma_lg: Array, energy: float, kz: int, eta: float, bnum: int
 ) -> tuple[Array, Array]:
-    """Recursive Green's function pass over ``bnum`` blocks.
+    """Recursive Green's function pass over ``bnum`` blocks of one electron point.
 
     The self-energies are per-atom blocks: ``sigma_r`` ``[n_A, o, o]`` and
-    the stacked lesser/greater pair ``sigma_lg`` ``[2, n_A, o, o]``.  The
-    forward sweep builds left-connected retarded and lesser/greater blocks
-    by Schur complements, each block solve residual-checked like the dense
-    one; the backward sweep assembles the diagonal blocks of the full G^R
-    and G^<>.  Returns those diagonal blocks: G^R ``[bnum, m, m]`` and the
-    stacked G^<, G^> ``[2, bnum, m, m]``.
+    the stacked lesser/greater pair ``sigma_lg`` ``[2, n_A, o, o]``; Sigma
+    touches only the diagonal blocks.  Returns the diagonal blocks of the
+    full G^R ``[bnum, m, m]`` and the stacked G^<, G^> ``[2, bnum, m, m]``.
     """
-    diag, up, down = _tridiagonal_system(dev, sigma_r, energy, kz, eta, bnum)
-    m, o = diag.shape[-1], sigma_r.shape[-1]
-    per_block = m // o
+    n_a, o, _ = sigma_r.shape
+    if n_a % bnum != 0:
+        raise ValueError(f"{n_a} atoms not divisible into {bnum} blocks")
+    per_block = n_a // bnum
+    a = _tridiagonal_band(dev.S[kz], bnum)
+    a *= energy
+    a -= _tridiagonal_band(dev.H[kz], bnum)
+    diag = a[:, 1]
+    _atom_diag_view(diag.reshape(bnum, per_block, o, per_block, o))[...] -= sigma_r.reshape(bnum, per_block, o, o)
+    diag += 1j * eta * np.eye(per_block * o)
     sigma_blocks = np.zeros((2, bnum, per_block, o, per_block, o), np.complex128)
     _atom_diag_view(sigma_blocks)[...] = sigma_lg.reshape(2, bnum, per_block, o, o)
-    sigma_blocks = sigma_blocks.reshape(2, bnum, m, m)
+    m = per_block * o
+    return _rgf_pass(a, sigma_blocks.reshape(2, bnum, m, m), f"kz={kz}, E={energy:g}")
 
-    g_r = np.empty((bnum, m, m), np.complex128)  # left-connected retarded
-    g_lg = np.empty((2, bnum, m, m), np.complex128)  # left-connected lesser, greater
-    for i in range(bnum):
-        context = f"RGF forward pass, block {i} (kz={kz}, E={energy:g})"
-        if i == 0:
-            g_r[i] = _solve_system(diag[i], context)
-            inflow = sigma_blocks[:, i]
-        else:
-            d = down[i - 1]
-            g_r[i] = _solve_system(diag[i] - d @ g_r[i - 1] @ up[i - 1], context)
-            inflow = sigma_blocks[:, i] + d @ g_lg[:, i - 1] @ d.T
-        g_lg[:, i] = g_r[i] @ inflow @ g_r[i].T
 
-    big_r = np.empty_like(g_r)
-    big_lg = np.empty_like(g_lg)
-    big_r[-1] = g_r[-1]
-    big_lg[:, -1] = g_lg[:, -1]
-    for i in range(bnum - 2, -1, -1):
-        u, gr, gs = up[i], g_r[i], g_lg[:, i]
-        gr_coupled = gr @ (u @ big_r[i + 1] @ down[i])
-        big_r[i] = gr + gr_coupled @ gr
-        big_lg[:, i] = gs + gr @ (u @ big_lg[:, i + 1] @ u.T) @ gr.T + gr_coupled @ gs + gs @ gr_coupled.T
-    return big_r, big_lg
+def solve_phonon_point_rgf(
+    dev: DeviceMatrices, pi_r: Array, pi_lg: Array, omega: float, qz: int, eta: float,
+    index: BandSlotIndex,
+) -> tuple[Array, Array]:
+    """Recursive Green's function pass over the blocks of one phonon (omega, q_z) point.
+
+    ``pi_r`` ``[n_A, n_B+1, n_3D, n_3D]`` and the stacked ``pi_lg``
+    ``[2, n_A, n_B+1, n_3D, n_3D]`` are in the slot layout; ``index`` is
+    ``band_slot_index(nmap, bnum)``.  Pi is scattered into its tridiagonal
+    blocks, the recursion also forms the neighbor blocks of D^<>, and the
+    slots are gathered back out, so no n x n matrix is built.  Returns the
+    diagonal blocks of D^R ``[bnum, m, m]`` and the stacked D^<, D^> in the
+    slot layout ``[2, n_A, n_B+1, n_3D, n_3D]``, as ``solve_phonon_point``.
+    """
+    a = -_tridiagonal_band(dev.Phi[qz], index.bnum)
+    unit = np.eye(a.shape[-1])
+    a[:, 1] += omega**2 * unit
+    a -= scatter_band_slots(pi_r, index)
+    a[:, 1] += 1j * eta * unit
+    d_r, d_lg = _rgf_pass(a, scatter_band_slots(pi_lg, index), f"qz={qz}, omega={omega:g}")
+    return d_r, gather_band_slots(d_lg, index)
 
 
 def _electron_point(dev, sig_r, sig_lg, energy, kz, eta, solver, bnum):
@@ -335,6 +472,16 @@ def _electron_point(dev, sig_r, sig_lg, energy, kz, eta, solver, bnum):
     g_lg = solve_point_rgf(dev, sig_r, sig_lg, energy, kz, eta, bnum)[1]
     n_a, o, _ = sig_r.shape
     return extract_atom_diag(g_lg, n_a // bnum, o).reshape(2, n_a, o, o)
+
+
+def _phonon_point(dev, pi_r, pi_lg, omega, qz, eta, nmap, index):
+    """Stacked [2, n_A, n_B+1, n_3D, n_3D] slots of D^< and D^> at one phonon point (``index`` None: dense)."""
+    if index is None:
+        # the retarded solution is dropped at once rather than held into the next solve
+        return solve_phonon_point(
+            dev, assemble_phonon_matrix(pi_r, nmap), assemble_phonon_matrix(pi_lg, nmap), omega, qz, eta, nmap
+        )[1]
+    return solve_phonon_point_rgf(dev, pi_r, pi_lg, omega, qz, eta, index)[1]
 
 
 def gf_phase(
@@ -348,14 +495,18 @@ def gf_phase(
 ) -> tuple[GreensTensor, GreensTensor]:
     """Fill the electron and phonon Green's tensors point by point.
 
-    ``solver`` picks the electron path, ``"dense"`` or ``"rgf"`` (see the
-    module docstring); both produce the same atom-diagonal blocks.  Points
-    are independent: each (k_z, E) and (q_z, omega) solve writes a
-    disjoint tensor slice, so evaluation order cannot change the result.
-    Retarded self-energies are always derived from the lesser/greater pair.
+    ``solver`` picks the path of both particle kinds, ``"dense"`` or
+    ``"rgf"`` (see the module docstring); both produce the same atom-diagonal
+    G blocks and D slots.  ``"rgf"`` raises ``ValueError`` before any solve
+    when Pi is not block-tridiagonal under ``params.bnum`` blocks
+    (``band_slot_index``).  Points are independent: each (k_z, E) and
+    (q_z, omega) solve writes a disjoint tensor slice, so evaluation order
+    cannot change the result.  Retarded self-energies are always derived
+    from the lesser/greater pair.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    index = band_slot_index(nmap, params.bnum) if solver == "rgf" else None
     sig_r = retarded_from_lesser_greater(sigma)
     pi_r = retarded_from_lesser_greater(pi)
 
@@ -375,13 +526,9 @@ def gf_phase(
     for qz in range(params.n_qz):
         for i_w in range(params.n_w):
             try:
-                # the retarded solution is dropped at once rather than held into the next solve
-                g_ph.data[:, qz, i_w] = solve_phonon_point(
-                    dev,
-                    assemble_phonon_matrix(pi_r[qz, i_w], nmap),
-                    assemble_phonon_matrix(pi.data[:, qz, i_w], nmap),
-                    grid.frequency_value(i_w), qz, params.eta, nmap,
-                )[1]
+                g_ph.data[:, qz, i_w] = _phonon_point(
+                    dev, pi_r[qz, i_w], pi.data[:, qz, i_w], grid.frequency_value(i_w), qz, params.eta, nmap, index
+                )
             except SingularSystemError as exc:
                 raise SingularSystemError(f"phonon point (qz={qz}, iw={i_w}): {exc}") from exc
     for pair in (g_e, g_ph):

@@ -4,24 +4,32 @@ import numpy as np
 import pytest
 
 from negflow.device import DeviceMatrices, build_neighbor_map, synthesize
+from negflow import gf
 from negflow.gf import (
     SOLVERS,
     GreensTensor,
     SingularSystemError,
     assemble_phonon_matrix,
+    band_slot_index,
     block_diag_from_atoms,
     extract_atom_diag,
     extract_phonon_slots,
+    gather_band_slots,
     gf_phase,
     retarded_from_lesser_greater,
+    scatter_band_slots,
     solve_phonon_point,
+    solve_phonon_point_rgf,
     solve_point_dense,
     solve_point_dense_diag,
     solve_point_rgf,
 )
 from negflow.params import SimParams, default_grid
+from negflow.sse import seeded_self_energies, sse_pi
 
 TINY = SimParams(n_kz=3, n_qz=2, n_E=4, n_w=2, n_A=8, n_B=2, n_orb=2, bnum=4)
+GF_LONG = SimParams(n_kz=3, n_qz=1, n_E=32, n_w=2, n_A=128, n_B=2, n_orb=4, bnum=16, eta=0.05)
+DESK32_WIDE = SimParams(n_kz=3, n_qz=3, n_E=64, n_w=32, n_A=32, n_B=4, n_orb=4, bnum=4, eta=0.05)
 
 
 def _free_device(params, n=None):
@@ -279,9 +287,12 @@ def test_gf_phase_rgf_solver_matches_dense():
         lesser=0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
         greater=0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
     )
-    pi = GreensTensor.zeros(params.phonon_shape)
+    slots = params.phonon_shape
+    pi = GreensTensor(*(0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)) for _ in range(2)))
     dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
     rgf = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    # Pi's neighbor slots make every D^<> slot nonzero, the cross-block ones included
+    assert np.all(np.abs(dense[1].data) > 0)
     for a, b in zip(dense, rgf):
         scale = max(np.max(np.abs(a.lesser)), np.max(np.abs(a.greater)), 1e-300)
         assert np.max(np.abs(a.lesser - b.lesser)) <= 1e-10 * scale
@@ -363,3 +374,106 @@ def test_block_helpers_match_explicit_block_loops():
             assert np.array_equal(slots[a, s], matrix[a * m:(a + 1) * m, b * m:(b + 1) * m])
             banded[a * m:(a + 1) * m, b * m:(b + 1) * m] = slots[a, s]
     assert np.array_equal(assemble_phonon_matrix(slots, nmap), banded)
+
+
+def _first_pass_pi(params, seed=1):
+    """Device and the Pi that ``sse_pi`` makes from a first-pass G of seeded self-energies."""
+    dev, nmap = synthesize(params, seed=seed)
+    grid = default_grid(params)
+    sigma0, pi0 = seeded_self_energies(params, 0.1)
+    g, _ = gf_phase(dev, sigma0, pi0, params, grid, nmap, solver="rgf")
+    return dev, nmap, grid, sse_pi(g, dev.dH, nmap, grid, params.n_qz)
+
+
+@pytest.mark.parametrize("params", [GF_LONG, DESK32_WIDE], ids=["gf-long", "desk32-wide"])
+def test_phonon_rgf_slots_match_the_dense_solve(params):
+    dev, nmap, grid, pi = _first_pass_pi(params)
+    index = band_slot_index(nmap, params.bnum)
+    # the cases the band scatter and gather must get right are all present:
+    assert np.any(index.side != 1)  # slots that cross a block boundary
+    for row in (0, params.n_A - 1):  # chain ends list their first neighbor twice, and Pi's two slots differ there
+        assert nmap.idx[row, 0] == nmap.idx[row, 1]
+        assert np.max(np.abs(pi.data[:, :, :, row, 1] - pi.data[:, :, :, row, 2])) > 0
+    pi_r = retarded_from_lesser_greater(pi)
+    worst = 0.0
+    for qz in range(params.n_qz):
+        for i_w in range(params.n_w):
+            omega = grid.frequency_value(i_w)
+            _, dense = solve_phonon_point(
+                dev, assemble_phonon_matrix(pi_r[qz, i_w], nmap), assemble_phonon_matrix(pi.data[:, qz, i_w], nmap),
+                omega, qz, params.eta, nmap,
+            )
+            _, rgf = solve_phonon_point_rgf(dev, pi_r[qz, i_w], pi.data[:, qz, i_w], omega, qz, params.eta, index)
+            worst = max(worst, np.max(np.abs(rgf - dense)) / np.max(np.abs(dense)))
+    assert worst <= 1e-10
+
+
+def test_phonon_rgf_single_block_equals_dense():
+    params = TINY.replace(n_A=8, n_B=4, bnum=1)
+    dev, nmap = synthesize(params, seed=4)
+    rng = np.random.default_rng(40)
+    slots = (params.n_A, params.n_B + 1, params.n_3D, params.n_3D)
+    pr, pl, pg = (0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)) for _ in range(3))
+    d_r, d_lg = solve_phonon_point(
+        dev, *(assemble_phonon_matrix(x, nmap) for x in (pr, np.stack((pl, pg)))), 0.7, 0, params.eta, nmap
+    )
+    b_r, b_lg = solve_phonon_point_rgf(dev, pr, np.stack((pl, pg)), 0.7, 0, params.eta, band_slot_index(nmap, 1))
+    assert _rel(b_r[0], d_r) <= 1e-12
+    assert _rel(b_lg, d_lg) <= 1e-12
+
+
+@pytest.mark.parametrize("n_a, n_b, bnum", [(8, 4, 2), (12, 3, 3), (16, 4, 4), (6, 2, 1)])
+def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
+    nmap = build_neighbor_map(n_a, n_b)
+    index = band_slot_index(nmap, bnum)
+    m, edge = 3, n_a * 3 // bnum
+    rng = np.random.default_rng(n_a + n_b)
+    slots = _rand_atom_blocks(rng, 2 * n_a * (n_b + 1), m).reshape(2, n_a, n_b + 1, m, m)
+    full = assemble_phonon_matrix(slots, nmap)  # duplicate slots differ, so the last one wins
+    band = scatter_band_slots(slots, index)
+    want = np.zeros_like(band)
+    for i in range(bnum):
+        for side, j in enumerate((i - 1, i, i + 1)):
+            if 0 <= j < bnum:
+                want[:, i, side] = full[:, i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]
+    assert np.array_equal(band, want)
+    # the gather reads exactly the blocks the slots keep
+    matrix = _rand_atom_blocks(rng, 1, n_a * m)[0]
+    blocks = np.zeros((bnum, 3, edge, edge), complex)
+    for i in range(bnum):
+        for side, j in enumerate((i - 1, i, i + 1)):
+            if 0 <= j < bnum:
+                blocks[i, side] = matrix[i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]
+    assert np.array_equal(gather_band_slots(blocks, index), extract_phonon_slots(matrix, nmap, m))
+
+
+def test_rgf_refuses_a_neighbor_reach_beyond_one_block(monkeypatch):
+    params = TINY.replace(n_A=8, n_B=4, bnum=8)  # reach 2 > one atom per block: Pi is not block-tridiagonal
+    dev, nmap = synthesize(params, seed=2)
+    assert nmap.max_reach > params.n_A // params.bnum
+    grid = default_grid(params)
+    sigma, pi = GreensTensor.zeros(params.electron_shape), GreensTensor.zeros(params.phonon_shape)
+    solves = []
+    monkeypatch.setattr(gf, "_solve_system", lambda a, context: solves.append(context))
+    with pytest.raises(ValueError, match="not block-tridiagonal"):
+        gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    assert solves == []
+
+
+@pytest.mark.parametrize("smallest", [0.0, 1e-15], ids=["singular", "near-singular"])
+def test_gf_phase_reports_a_singular_phonon_block(smallest):
+    params = TINY.replace(n_kz=1, n_E=3, n_qz=1, n_w=1, n_A=4, n_B=2, bnum=2)
+    dev = _free_device(params)
+    _, nmap = synthesize(params, seed=6)
+    grid = default_grid(params)
+    omega = grid.frequency_value(0)
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    # Pi^R = (Pi^> - Pi^<)/2 in atom 0's self slot leaves block 0 of omega^2 - Pi^R + i eta with singular values
+    # (1, 1, smallest) on atom 0, so the first RGF block solve fails at the phonon point
+    greater = np.zeros(params.phonon_shape, complex)
+    greater[0, 0, 0, 0] = 2 * ((omega**2 + 1j * params.eta) * np.eye(3) - u @ np.diag([1.0, 1.0, smallest]) @ u.T)
+    pi = GreensTensor(lesser=np.zeros_like(greater), greater=greater)
+    sigma = GreensTensor.zeros(params.electron_shape)
+    with pytest.raises(SingularSystemError, match=r"phonon point \(qz=0, iw=0\): RGF forward pass, block 0"):
+        gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
