@@ -46,20 +46,19 @@ class NeighborMap:
         a = np.arange(self.n_A)[:, None]
         return int(np.max(np.abs(self.idx - a))) if self.idx.size else 0
 
-    def reverse_slot(self, b: int, a: int) -> int:
-        """Slot s such that idx[b, s] == a; raises if the reverse edge is missing."""
-        hits = np.nonzero(self.idx[b] == a)[0]
-        if hits.size == 0:
-            raise ValueError(f"missing neighbor slot: atom {a} not in neighbor list of {b}")
-        return int(hits[0])
+    @property
+    def partners(self) -> Array:
+        """[n_A, n_B+1] atom of every phonon slot: the atom itself, then its neighbors in map order."""
+        return np.concatenate((np.arange(self.n_A)[:, None], self.idx), axis=1)
 
     def reverse_slot_table(self) -> Array:
-        """[n_A, n_B] array of reverse slots for every (a, s) edge."""
-        table = np.empty((self.n_A, self.n_B), dtype=np.int64)
-        for a in range(self.n_A):
-            for s in range(self.n_B):
-                table[a, s] = self.reverse_slot(int(self.idx[a, s]), a)
-        return table
+        """[n_A, n_B] first slot s with idx[idx[a, t], s] == a, for every edge (a, t); raises if one is missing."""
+        hits = self.idx[self.idx] == np.arange(self.n_A)[:, None, None]
+        found = hits.any(-1)
+        if not found.all():
+            a, t = np.argwhere(~found)[0]
+            raise ValueError(f"missing neighbor slot: atom {a} not in neighbor list of {self.idx[a, t]}")
+        return hits.argmax(-1)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class DeviceMatrices:
     S: Array
     Phi: Array
     dH: Array
-    bnum: int
 
     @property
     def n_3D(self) -> int:
@@ -205,7 +203,7 @@ def synthesize(params: SimParams, seed: int, coupling: float = 0.05) -> tuple[De
         + 1j * rng.standard_normal((n_a, params.n_B, n_3d, n_orb, n_orb))
     )
 
-    return DeviceMatrices(H=h, S=s, Phi=phi, dH=dh, bnum=params.bnum), nmap
+    return DeviceMatrices(H=h, S=s, Phi=phi, dH=dh), nmap
 
 
 def hermitian_check(dev: DeviceMatrices) -> float:

@@ -19,11 +19,16 @@ slots of D^<>, so it forms nothing else:
   over ``bnum`` blocks for both particle kinds, and builds no n x n matrix
   for either.  ``solve_point_rgf`` reads the tridiagonal blocks of E S - H
   straight from the device; Sigma is block-diagonal.
-  ``solve_phonon_point_rgf`` reads those of Phi and scatters Pi's slots
-  into its tridiagonal blocks; the recursion then also forms the neighbor
-  blocks of D^<>, and the slots are gathered back out, both through one
-  precomputed ``band_slot_index``.  On gf-long a phonon point takes about
-  a tenth of its dense time this way (7 ms against 77 ms, one BLAS thread).
+  ``solve_phonon_point_rgf`` reads those of Phi and adds Pi's slots into
+  its tridiagonal blocks; the recursion then also forms the neighbor
+  blocks of D^<>, and the slots are picked back out.  On gf-long a phonon
+  point takes about a tenth of its dense time this way (7 ms against
+  77 ms, one BLAS thread).
+
+Every per-atom block moves into or out of a block matrix through one
+``SlotIndex`` and three primitives, ``add_slots``, ``place_slots`` and
+``pick_slots``: the atom-diagonal blocks of G and Sigma, the phonon slots of
+D and Pi, in the full matrix and in the RGF band alike.
 
 Every lesser/greater pair is one ``GreensTensor``, stored as one ``[2, ...]``
 array, and the loop's solvers take and return their pair stacked the same
@@ -141,48 +146,80 @@ def _advanced(x: Array) -> Array:
     return x.swapaxes(-1, -2)
 
 
-def _atom_diag_view(mat4: Array) -> Array:
-    """(..., n_A, m, n_A, m) array -> strided (..., n_A, m, m) view of its diagonal blocks."""
-    *lead, s_a, s_i, s_b, s_j = mat4.strides
-    shape = (*mat4.shape[:-4], mat4.shape[-4], mat4.shape[-3], mat4.shape[-1])
-    return np.lib.stride_tricks.as_strided(mat4, shape, (*lead, s_a + s_b, s_i, s_j))
+class SlotIndex(NamedTuple):
+    """Where every slot sits in a target layout of blocks (``slot_index``).
 
-
-def block_diag_from_atoms(blocks: Array) -> Array:
-    """[n_A, m, m] atom blocks -> (n_A*m, n_A*m) block-diagonal matrix."""
-    n_a, m, _ = blocks.shape
-    out = np.zeros((n_a, m, n_a, m), dtype=blocks.dtype)
-    _atom_diag_view(out)[...] = blocks
-    return out.reshape(n_a * m, n_a * m)
-
-
-def extract_atom_diag(matrix: Array, n_a: int, m: int) -> Array:
-    """(..., n_A*m, n_A*m) matrices -> [..., n_A, m, m] diagonal atom blocks."""
-    return _atom_diag_view(matrix.reshape(*matrix.shape[:-2], n_a, m, n_a, m)).copy()
-
-
-def _slot_partners(nmap: NeighborMap) -> Array:
-    """[n_A, n_B+1] atom index of every slot: the atom itself, then its neighbors."""
-    return np.concatenate((np.arange(nmap.n_A)[:, None], nmap.idx), axis=1)
-
-
-def assemble_phonon_matrix(slots: Array, nmap: NeighborMap) -> Array:
-    """Slot layout [..., n_A, n_B+1, m, m] -> full (..., n_A*m, n_A*m) matrices.
-
-    Slots that repeat a neighbor (chain ends) are assigned in order, so the
-    last wins: right for D, whose duplicates match, not yet for Pi's.
+    With the block edge m, the target is viewed as [..., rows, m, cols, m];
+    slot (a, s) is its block (``row[a, s]``, ``col[a, s]``).  ``layout`` is the
+    target's trailing shape in blocks of one atom: ``(n_A, n_A)`` for the full
+    matrix, ``(bnum, 3, n_A/bnum, n_A/bnum)`` for the band.
     """
-    *lead, n_a, _, m, _ = slots.shape
-    out = np.zeros((*lead, n_a, m, n_a, m), dtype=slots.dtype)
-    # the two separated index arrays put the (atom, slot) dimensions first
-    out[..., np.arange(n_a)[:, None], :, _slot_partners(nmap), :] = np.moveaxis(slots, (-4, -3), (0, 1))
-    return out.reshape(*lead, n_a * m, n_a * m)
+
+    row: Array
+    col: Array
+    layout: tuple[int, ...]
 
 
-def extract_phonon_slots(matrix: Array, nmap: NeighborMap, m: int) -> Array:
-    """Full matrix -> slot layout [n_A, n_B+1, m, m] (self + neighbors)."""
-    n_a = nmap.n_A
-    return matrix.reshape(n_a, m, n_a, m)[np.arange(n_a)[:, None], :, _slot_partners(nmap), :]
+def slot_index(partners: Array, bnum: int | None = None) -> SlotIndex:
+    """The block of every slot (a, s), which couples atom a to atom ``partners[a, s]``.
+
+    Partners ``arange(n_A)[:, None]`` give the atom-diagonal blocks, and
+    ``NeighborMap.partners`` the phonon slots.  Without ``bnum`` the target is
+    the full matrix, [n_A, m, n_A, m] as blocks.  With it, the target is the
+    band ``[bnum, 3, e, e]`` of ``_tridiagonal_band`` (e = m n_A / bnum), as
+    blocks [3 n_A, m, n_A/bnum, m]; ``ValueError`` unless every partner lies
+    in its atom's block or an adjacent one, i.e. the slots are block-tridiagonal.
+    """
+    n_a = partners.shape[0]
+    rows = np.broadcast_to(np.arange(n_a)[:, None], partners.shape)
+    if bnum is None:
+        return SlotIndex(rows, partners, (n_a, n_a))
+    if n_a % bnum != 0:
+        raise ValueError(f"{n_a} atoms not divisible into {bnum} blocks")
+    per_block = n_a // bnum
+    reach = int(np.max(np.abs(partners - rows)))
+    if reach > per_block:
+        raise ValueError(
+            f"neighbor reach {reach} exceeds the {per_block} atoms of a block: "
+            f"Pi is not block-tridiagonal under {bnum} blocks"
+        )
+    block = rows // per_block
+    side = partners // per_block - block + 1  # 0, 1, 2 = left, diagonal, right
+    return SlotIndex((3 * block + side) * per_block + rows % per_block, partners % per_block,
+                     (bnum, 3, per_block, per_block))
+
+
+def _slot_blocks(target: Array, index: SlotIndex) -> Array:
+    """``target`` as a view [..., rows, cols, m, m] of its blocks."""
+    n_cols = index.layout[-1]
+    lead = target.shape[: target.ndim - len(index.layout)]
+    m = target.shape[-1] // n_cols
+    return target.reshape(*lead, -1, m, n_cols, m, copy=False).swapaxes(-3, -2)
+
+
+def add_slots(target: Array, slots: Array, index: SlotIndex) -> Array:
+    """Add ``slots`` [..., n_A, S, m, m] onto their blocks of ``target``, in place; returns ``target``.
+
+    A block that two slots share (a chain end lists a neighbor twice) gets
+    only the last of them: numpy applies repeated fancy-index writes in
+    order, though it does not promise to.  This line is the one place the
+    duplicate rule lives (ROADMAP item 1 (d)).
+    """
+    _slot_blocks(target, index)[..., index.row, index.col, :, :] += slots
+    return target
+
+
+def place_slots(slots: Array, index: SlotIndex) -> Array:
+    """``slots`` [..., n_A, S, m, m] in a zero target: [..., n, n], or the band [..., bnum, 3, e, e]."""
+    m = slots.shape[-1]
+    *outer, rows, cols = index.layout
+    target = np.zeros((*slots.shape[:-4], *outer, rows * m, cols * m), np.complex128)
+    return add_slots(target, slots, index)
+
+
+def pick_slots(target: Array, index: SlotIndex) -> Array:
+    """The blocks of ``target`` that the slots keep, as a new [..., n_A, S, m, m] array."""
+    return _slot_blocks(target, index)[..., index.row, index.col, :, :]
 
 
 def _solve_system(a: Array, context: str) -> Array:
@@ -238,7 +275,7 @@ def solve_point_dense_diag(
     n_a, o, _ = sigma_r.shape
     n = n_a * o
     a = energy * dev.S[kz] - dev.H[kz]
-    _atom_diag_view(a.reshape(n_a, o, n_a, o))[...] -= sigma_r
+    add_slots(a, -sigma_r[:, None], slot_index(np.arange(n_a)[:, None]))
     a.reshape(-1)[:: n + 1] += 1j * eta
     g_r = _solve_system(a, f"electron point (kz={kz}, E={energy:g})")
     cols = g_r.reshape(n, n_a, o).transpose(1, 0, 2)  # column blocks G^R[:, c]
@@ -273,7 +310,7 @@ def solve_phonon_point(
     # one tensor and one slot at a time, so only one D^R Pi^<> and one gathered copy of D^R's rows are alive
     for pi_x, out in zip(pi_lg, slots):
         d_pi = (d_r @ pi_x).reshape(n_a, m, n)
-        for s, b in enumerate(_slot_partners(nmap).T):
+        for s, b in enumerate(nmap.partners.T):
             out[:, s] = d_pi @ _advanced(rows[b])
     return d_r, slots
 
@@ -288,75 +325,10 @@ def _tridiagonal_band(mat: Array, bnum: int) -> Array:
     n = mat.shape[-1]
     if n % bnum != 0:
         raise ValueError(f"matrix edge {n} not divisible into {bnum} blocks")
-    m = n // bnum
-    mat4 = mat.reshape(bnum, m, bnum, m)
-    here, nxt = np.arange(bnum - 1), np.arange(1, bnum)
-    band = np.zeros((bnum, 3, m, m), np.complex128)
-    band[:, 1] = _atom_diag_view(mat4)
-    band[1:, 0] = mat4[nxt, :, here]
-    band[:-1, 2] = mat4[here, :, nxt]
+    # block i's partners are blocks i-1, i, i+1, wrapped around at the ends and then zeroed there
+    band = pick_slots(mat, slot_index((np.arange(bnum)[:, None] + np.arange(-1, 2)) % bnum))
+    band[0, 0] = band[-1, 2] = 0.0
     return band
-
-
-class BandSlotIndex(NamedTuple):
-    """Where every phonon slot ``[n_A, n_B+1]`` sits in a band of ``bnum`` blocks (``band_slot_index``).
-
-    Slot (a, s) couples atom a to its partner b; it sits in band block
-    ``[block, side]`` (side 0, 1, 2 = left, diagonal, right) at local atoms
-    (row, col).
-    """
-
-    bnum: int
-    block: Array
-    side: Array
-    row: Array
-    col: Array
-
-
-def band_slot_index(nmap: NeighborMap, bnum: int) -> BandSlotIndex:
-    """The band position of every slot; ``ValueError`` unless Pi and D are block-tridiagonal under ``bnum``.
-
-    They are when every partner lies in its atom's block or an adjacent
-    one, i.e. when ``nmap.max_reach`` is at most the atoms per block.
-    """
-    n_a = nmap.n_A
-    if n_a % bnum != 0:
-        raise ValueError(f"{n_a} atoms not divisible into {bnum} blocks")
-    per_block = n_a // bnum
-    if nmap.max_reach > per_block:
-        raise ValueError(
-            f"neighbor reach {nmap.max_reach} exceeds the {per_block} atoms of a block: "
-            f"Pi is not block-tridiagonal under {bnum} blocks"
-        )
-    rows = np.broadcast_to(np.arange(n_a)[:, None], (n_a, nmap.n_B + 1))
-    cols = _slot_partners(nmap)
-    block = rows // per_block
-    return BandSlotIndex(bnum, block, cols // per_block - block + 1, rows % per_block, cols % per_block)
-
-
-def scatter_band_slots(slots: Array, index: BandSlotIndex) -> Array:
-    """Slot layout [..., n_A, n_B+1, m, m] -> band [..., bnum, 3, e, e] (e = n_A m / bnum), zero off the slots.
-
-    Duplicate slots are assigned in order, so the last wins, as in
-    ``assemble_phonon_matrix``: the band holds that matrix's tridiagonal blocks.
-    """
-    *lead, n_a, _, m, _ = slots.shape
-    per_block = n_a // index.bnum
-    band = np.zeros((*lead, index.bnum, 3, per_block, m, per_block, m), np.complex128)
-    # the separated index arrays put the (atom, slot) dimensions first
-    band[..., index.block, index.side, index.row, :, index.col, :] = np.moveaxis(slots, (-4, -3), (0, 1))
-    return band.reshape(*lead, index.bnum, 3, per_block * m, per_block * m)
-
-
-def gather_band_slots(band: Array, index: BandSlotIndex) -> Array:
-    """Band [..., bnum, 3, e, e] -> slot layout [..., n_A, n_B+1, m, m]: the blocks the slots keep."""
-    *lead, bnum, _, edge, _ = band.shape
-    per_block = index.block.shape[0] // bnum
-    m = edge // per_block
-    picked = band.reshape(*lead, bnum, 3, per_block, m, per_block, m)[
-        ..., index.block, index.side, index.row, :, index.col, :
-    ]
-    return np.moveaxis(picked, (0, 1), (-4, -3))
 
 
 def _rgf_pass(a: Array, q: Array, context: str) -> tuple[Array, Array]:
@@ -430,39 +402,37 @@ def solve_point_rgf(
     if n_a % bnum != 0:
         raise ValueError(f"{n_a} atoms not divisible into {bnum} blocks")
     per_block = n_a // bnum
+    diag = slot_index(np.arange(per_block)[:, None])  # each diagonal block is the matrix of its per_block atoms
     a = _tridiagonal_band(dev.S[kz], bnum)
     a *= energy
     a -= _tridiagonal_band(dev.H[kz], bnum)
-    diag = a[:, 1]
-    _atom_diag_view(diag.reshape(bnum, per_block, o, per_block, o))[...] -= sigma_r.reshape(bnum, per_block, o, o)
-    diag += 1j * eta * np.eye(per_block * o)
-    sigma_blocks = np.zeros((2, bnum, per_block, o, per_block, o), np.complex128)
-    _atom_diag_view(sigma_blocks)[...] = sigma_lg.reshape(2, bnum, per_block, o, o)
-    m = per_block * o
-    return _rgf_pass(a, sigma_blocks.reshape(2, bnum, m, m), f"kz={kz}, E={energy:g}")
+    add_slots(a[:, 1], -sigma_r.reshape(bnum, per_block, 1, o, o), diag)
+    a[:, 1] += 1j * eta * np.eye(per_block * o)
+    sigma_blocks = place_slots(sigma_lg.reshape(2, bnum, per_block, 1, o, o), diag)
+    return _rgf_pass(a, sigma_blocks, f"kz={kz}, E={energy:g}")
 
 
 def solve_phonon_point_rgf(
     dev: DeviceMatrices, pi_r: Array, pi_lg: Array, omega: float, qz: int, eta: float,
-    index: BandSlotIndex,
+    index: SlotIndex,
 ) -> tuple[Array, Array]:
     """Recursive Green's function pass over the blocks of one phonon (omega, q_z) point.
 
     ``pi_r`` ``[n_A, n_B+1, n_3D, n_3D]`` and the stacked ``pi_lg``
     ``[2, n_A, n_B+1, n_3D, n_3D]`` are in the slot layout; ``index`` is
-    ``band_slot_index(nmap, bnum)``.  Pi is scattered into its tridiagonal
+    ``slot_index(nmap.partners, bnum)``.  Pi is added into its tridiagonal
     blocks, the recursion also forms the neighbor blocks of D^<>, and the
-    slots are gathered back out, so no n x n matrix is built.  Returns the
+    slots are picked back out, so no n x n matrix is built.  Returns the
     diagonal blocks of D^R ``[bnum, m, m]`` and the stacked D^<, D^> in the
     slot layout ``[2, n_A, n_B+1, n_3D, n_3D]``, as ``solve_phonon_point``.
     """
-    a = -_tridiagonal_band(dev.Phi[qz], index.bnum)
+    a = -_tridiagonal_band(dev.Phi[qz], index.layout[0])  # a band layout leads with bnum
     unit = np.eye(a.shape[-1])
     a[:, 1] += omega**2 * unit
-    a -= scatter_band_slots(pi_r, index)
+    add_slots(a, -pi_r, index)
     a[:, 1] += 1j * eta * unit
-    d_r, d_lg = _rgf_pass(a, scatter_band_slots(pi_lg, index), f"qz={qz}, omega={omega:g}")
-    return d_r, gather_band_slots(d_lg, index)
+    d_r, d_lg = _rgf_pass(a, place_slots(pi_lg, index), f"qz={qz}, omega={omega:g}")
+    return d_r, pick_slots(d_lg, index)
 
 
 def _electron_point(dev, sig_r, sig_lg, energy, kz, eta, solver, bnum):
@@ -471,16 +441,14 @@ def _electron_point(dev, sig_r, sig_lg, energy, kz, eta, solver, bnum):
         return solve_point_dense_diag(dev, sig_r, sig_lg, energy, kz, eta)
     g_lg = solve_point_rgf(dev, sig_r, sig_lg, energy, kz, eta, bnum)[1]
     n_a, o, _ = sig_r.shape
-    return extract_atom_diag(g_lg, n_a // bnum, o).reshape(2, n_a, o, o)
+    return pick_slots(g_lg, slot_index(np.arange(n_a // bnum)[:, None])).reshape(2, n_a, o, o)
 
 
-def _phonon_point(dev, pi_r, pi_lg, omega, qz, eta, nmap, index):
-    """Stacked [2, n_A, n_B+1, n_3D, n_3D] slots of D^< and D^> at one phonon point (``index`` None: dense)."""
-    if index is None:
+def _phonon_point(dev, pi_r, pi_lg, omega, qz, eta, nmap, solver, index):
+    """Stacked [2, n_A, n_B+1, n_3D, n_3D] slots of D^< and D^> at one phonon point."""
+    if solver == "dense":
         # the retarded solution is dropped at once rather than held into the next solve
-        return solve_phonon_point(
-            dev, assemble_phonon_matrix(pi_r, nmap), assemble_phonon_matrix(pi_lg, nmap), omega, qz, eta, nmap
-        )[1]
+        return solve_phonon_point(dev, place_slots(pi_r, index), place_slots(pi_lg, index), omega, qz, eta, nmap)[1]
     return solve_phonon_point_rgf(dev, pi_r, pi_lg, omega, qz, eta, index)[1]
 
 
@@ -499,14 +467,15 @@ def gf_phase(
     ``"rgf"`` (see the module docstring); both produce the same atom-diagonal
     G blocks and D slots.  ``"rgf"`` raises ``ValueError`` before any solve
     when Pi is not block-tridiagonal under ``params.bnum`` blocks
-    (``band_slot_index``).  Points are independent: each (k_z, E) and
-    (q_z, omega) solve writes a disjoint tensor slice, so evaluation order
-    cannot change the result.  Retarded self-energies are always derived
+    (``slot_index``); one phonon ``SlotIndex``, of the full matrix or of the
+    band, serves every phonon point.  Points are independent: each (k_z, E)
+    and (q_z, omega) solve writes a disjoint tensor slice, so evaluation
+    order cannot change the result.  Retarded self-energies are always derived
     from the lesser/greater pair.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    index = band_slot_index(nmap, params.bnum) if solver == "rgf" else None
+    index = slot_index(nmap.partners, params.bnum if solver == "rgf" else None)
     sig_r = retarded_from_lesser_greater(sigma)
     pi_r = retarded_from_lesser_greater(pi)
 
@@ -527,7 +496,8 @@ def gf_phase(
         for i_w in range(params.n_w):
             try:
                 g_ph.data[:, qz, i_w] = _phonon_point(
-                    dev, pi_r[qz, i_w], pi.data[:, qz, i_w], grid.frequency_value(i_w), qz, params.eta, nmap, index
+                    dev, pi_r[qz, i_w], pi.data[:, qz, i_w], grid.frequency_value(i_w), qz, params.eta,
+                    nmap, solver, index,
                 )
             except SingularSystemError as exc:
                 raise SingularSystemError(f"phonon point (qz={qz}, iw={i_w}): {exc}") from exc

@@ -17,7 +17,7 @@ from negflow.comm import dace_volume, omen_volume, optimize_tiles
 from negflow.device import build_neighbor_map, synthesize
 from negflow.distsim import compare_ledger_with_model, run_omen_scheme, run_tiled_scheme
 from negflow.flops import sse_flops_dace, sse_flops_omen
-from negflow.gf import GreensTensor, block_diag_from_atoms, solve_point_dense, solve_point_rgf
+from negflow.gf import GreensTensor, place_slots, slot_index, solve_point_dense, solve_point_rgf
 from negflow.params import SimParams, default_grid
 from negflow.sse import SseVariant, preprocess_D, sse_pi, sse_sigma
 
@@ -213,8 +213,9 @@ def test_criterion_6_rgf_against_dense_oracle():
         sigma_l[:, orb, orb] = _rand(rng, (n,)).reshape(params.n_A, params.n_orb)
         sigma_g[:, orb, orb] = _rand(rng, (n,)).reshape(params.n_A, params.n_orb)
         energy = float(rng.uniform(-0.9, 0.9))
+        atoms = slot_index(np.arange(params.n_A)[:, None])
         g_r, g_l, g_g = solve_point_dense(
-            dev, *(block_diag_from_atoms(x) for x in (sigma_r, sigma_l, sigma_g)), energy, 0, params.eta
+            dev, *(place_slots(x[:, None], atoms) for x in (sigma_r, sigma_l, sigma_g)), energy, 0, params.eta
         )
         b_r, (b_l, b_g) = solve_point_rgf(
             dev, sigma_r, np.stack((sigma_l, sigma_g)), energy, 0, params.eta, params.bnum

@@ -9,15 +9,12 @@ from negflow.gf import (
     SOLVERS,
     GreensTensor,
     SingularSystemError,
-    assemble_phonon_matrix,
-    band_slot_index,
-    block_diag_from_atoms,
-    extract_atom_diag,
-    extract_phonon_slots,
-    gather_band_slots,
+    add_slots,
     gf_phase,
+    pick_slots,
+    place_slots,
     retarded_from_lesser_greater,
-    scatter_band_slots,
+    slot_index,
     solve_phonon_point,
     solve_phonon_point_rgf,
     solve_point_dense,
@@ -40,7 +37,6 @@ def _free_device(params, n=None):
         S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
         Phi=np.zeros((params.n_qz, m, m), complex),
         dH=np.zeros((params.n_A, params.n_B, 3, params.n_orb, params.n_orb), complex),
-        bnum=params.bnum,
     )
 
 
@@ -62,6 +58,21 @@ def _rand_atom_blocks(rng, n_a, m, scale=1.0):
 
 def _rel(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+def _block_diag(blocks):
+    """Atom blocks [..., n_A, m, m] -> their block-diagonal matrices."""
+    return place_slots(blocks[..., None, :, :], slot_index(np.arange(blocks.shape[-3])[:, None]))
+
+
+def _diag_blocks(matrix, n_a):
+    """Matrices [..., n_A m, n_A m] -> their atom-diagonal blocks [..., n_A, m, m]."""
+    return pick_slots(matrix, slot_index(np.arange(n_a)[:, None]))[..., 0, :, :]
+
+
+def _phonon_matrix(slots, nmap):
+    """Slot layout [..., n_A, n_B+1, m, m] -> full matrices (a duplicate slot: the last one wins)."""
+    return place_slots(slots, slot_index(nmap.partners))
 
 
 def test_free_particle_point():
@@ -124,7 +135,7 @@ def test_rgf_single_block_equals_dense():
     sr = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
     sl, sg = (_rand_diag_atom_blocks(rng, params.n_A, params.n_orb) for _ in range(2))
     g_r, g_l, g_g = solve_point_dense(
-        dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), 0.1, 0, params.eta
+        dev, *(_block_diag(x) for x in (sr, sl, sg)), 0.1, 0, params.eta
     )
     b_r, (b_l, b_g) = solve_point_rgf(dev, sr, np.stack((sl, sg)), 0.1, 0, params.eta, bnum=1)
     assert np.allclose(b_r[0], g_r, atol=1e-12)
@@ -142,7 +153,7 @@ def test_rgf_matches_dense_blocks(seed):
     sl, sg = (_rand_diag_atom_blocks(rng, params.n_A, params.n_orb) for _ in range(2))
     energy = float(rng.uniform(-0.9, 0.9))
     g_r, g_l, g_g = solve_point_dense(
-        dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), energy, 0, params.eta
+        dev, *(_block_diag(x) for x in (sr, sl, sg)), energy, 0, params.eta
     )
     b_r, (b_l, b_g) = solve_point_rgf(dev, sr, np.stack((sl, sg)), energy, 0, params.eta, params.bnum)
     step = n // params.bnum
@@ -162,7 +173,7 @@ def test_rgf_decoupled_blocks_are_local_inverses():
     h[:, :half, half:] = 0.0
     h[:, half:, :half] = 0.0
     dev = DeviceMatrices(H=h, S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
-                         Phi=dev.Phi, dH=dev.dH, bnum=2)
+                         Phi=dev.Phi, dH=dev.dH)
     zero = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
     b_r, _ = solve_point_rgf(dev, zero, np.stack((zero, zero)), 0.4, 0, params.eta, 2)
     for i, sl_ in enumerate((slice(0, half), slice(half, n))):
@@ -174,7 +185,7 @@ def test_phonon_point_free_and_zero_pi():
     params = TINY.replace(n_A=4, bnum=2)
     dev, nmap = synthesize(params, seed=3)
     m = params.n_A * params.n_3D
-    free = DeviceMatrices(H=dev.H, S=dev.S, Phi=np.zeros_like(dev.Phi), dH=dev.dH, bnum=dev.bnum)
+    free = DeviceMatrices(H=dev.H, S=dev.S, Phi=np.zeros_like(dev.Phi), dH=dev.dH)
     zero = np.zeros((m, m), complex)
     d_r, (d_l, d_g) = solve_phonon_point(free, zero, np.stack((zero, zero)), omega=1.0, qz=0, eta=1e-3, nmap=nmap)
     assert np.allclose(d_r, np.eye(m) / (1.0 + 1e-3j), atol=1e-14)
@@ -232,17 +243,17 @@ def test_gf_phase_singleton_grid_matches_point_solve():
     )
     pi = GreensTensor.zeros(params.phonon_shape)
     g_e, _ = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
-    sig_r = block_diag_from_atoms(retarded_from_lesser_greater(sigma)[0, 0])
+    sig_r = _block_diag(retarded_from_lesser_greater(sigma)[0, 0])
     _, g_l, g_g = solve_point_dense(
         dev,
         sig_r,
-        block_diag_from_atoms(sigma.lesser[0, 0]),
-        block_diag_from_atoms(sigma.greater[0, 0]),
+        _block_diag(sigma.lesser[0, 0]),
+        _block_diag(sigma.greater[0, 0]),
         grid.values[0], 0, params.eta,
     )
     # the loop's dense path forms only the diagonal blocks, so the full-matrix oracle agrees to round-off
-    assert _rel(g_e.lesser[0, 0], extract_atom_diag(g_l, params.n_A, params.n_orb)) <= 1e-12
-    assert _rel(g_e.greater[0, 0], extract_atom_diag(g_g, params.n_A, params.n_orb)) <= 1e-12
+    assert _rel(g_e.lesser[0, 0], _diag_blocks(g_l, params.n_A)) <= 1e-12
+    assert _rel(g_e.greater[0, 0], _diag_blocks(g_g, params.n_A)) <= 1e-12
 
 
 def test_gf_phase_reports_failing_point():
@@ -269,7 +280,6 @@ def test_rgf_singular_leading_block():
         S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
         Phi=np.zeros((params.n_qz, 12, 12), complex),
         dH=np.zeros((4, 2, 3, 1, 1), complex),
-        bnum=2,
     )
     zero = np.zeros((4, 1, 1), complex)
     sr = np.array([0.5 + 1e-3j] * 2 + [0.0] * 2).reshape(4, 1, 1)  # cancels block 0 of E*S + i*eta exactly
@@ -315,7 +325,7 @@ def test_rgf_near_singular_leading_block_fails_the_residual_check():
     energy, eta = 0.5, 1e-3
     sr = np.zeros((params.n_A, 2, 2), complex)
     sr[0] = (energy + 1j * eta) * np.eye(2) - unitary() @ np.diag([1.0, 1e-15]) @ unitary().conj().T
-    leading = (energy + 1j * eta) * np.eye(4) - block_diag_from_atoms(sr[:2])
+    leading = (energy + 1j * eta) * np.eye(4) - _block_diag(sr[:2])
     assert np.linalg.cond(leading) > 1e14
     wrong = np.linalg.solve(leading, np.eye(4))
     assert np.linalg.norm(leading @ wrong - np.eye(4)) / 2 > 1e-8
@@ -334,10 +344,10 @@ def test_dense_diagonal_blocks_match_the_full_oracle(seed, n_a, n_orb, bnum):
     rng = np.random.default_rng(200 + seed)
     sr, sl, sg = (_rand_atom_blocks(rng, n_a, n_orb, scale=0.1) for _ in range(3))
     energy = float(rng.uniform(-0.9, 0.9))
-    _, g_l, g_g = solve_point_dense(dev, *(block_diag_from_atoms(x) for x in (sr, sl, sg)), energy, 0, params.eta)
+    _, g_l, g_g = solve_point_dense(dev, *(_block_diag(x) for x in (sr, sl, sg)), energy, 0, params.eta)
     less, grt = solve_point_dense_diag(dev, sr, np.stack((sl, sg)), energy, 0, params.eta)
-    assert _rel(less, extract_atom_diag(g_l, n_a, n_orb)) <= 1e-12
-    assert _rel(grt, extract_atom_diag(g_g, n_a, n_orb)) <= 1e-12
+    assert _rel(less, _diag_blocks(g_l, n_a)) <= 1e-12
+    assert _rel(grt, _diag_blocks(g_g, n_a)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -346,34 +356,39 @@ def test_phonon_slot_products_match_the_full_formula(seed):
     dev, nmap = synthesize(params, seed=seed)
     rng = np.random.default_rng(300 + seed)
     slots = (params.n_A, params.n_B + 1, params.n_3D, params.n_3D)
-    pr, pl, pg = (assemble_phonon_matrix(0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)), nmap)
+    pr, pl, pg = (_phonon_matrix(0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)), nmap)
                   for _ in range(3))
     d_r, (d_l, d_g) = solve_phonon_point(dev, pr, np.stack((pl, pg)), 0.7, 0, params.eta, nmap)
-    assert _rel(d_l, extract_phonon_slots(d_r @ pl @ d_r.T, nmap, params.n_3D)) <= 1e-12
-    assert _rel(d_g, extract_phonon_slots(d_r @ pg @ d_r.T, nmap, params.n_3D)) <= 1e-12
+    assert _rel(d_l, pick_slots(d_r @ pl @ d_r.T, slot_index(nmap.partners))) <= 1e-12
+    assert _rel(d_g, pick_slots(d_r @ pg @ d_r.T, slot_index(nmap.partners))) <= 1e-12
 
 
 def test_block_helpers_match_explicit_block_loops():
     n_a, m = 6, 3
-    nmap = build_neighbor_map(n_a, 3)
+    nmap = build_neighbor_map(n_a, 3)  # each chain end lists one neighbor three times
     rng = np.random.default_rng(9)
     blocks = _rand_atom_blocks(rng, n_a, m)
     matrix = _rand_atom_blocks(rng, 1, n_a * m)[0]
     full = np.zeros((n_a * m, n_a * m), complex)
     for a in range(n_a):
         full[a * m:(a + 1) * m, a * m:(a + 1) * m] = blocks[a]
-    assert np.array_equal(block_diag_from_atoms(blocks), full)
-    assert np.array_equal(extract_atom_diag(matrix, n_a, m),
+    assert np.array_equal(_block_diag(blocks), full)
+    assert np.array_equal(_diag_blocks(matrix, n_a),
                           np.stack([matrix[a * m:(a + 1) * m, a * m:(a + 1) * m] for a in range(n_a)]))
     # leading dimensions are batched over
-    assert np.array_equal(extract_atom_diag(np.stack((matrix, full)), n_a, m)[1], blocks)
-    slots = extract_phonon_slots(matrix, nmap, m)
+    assert np.array_equal(_diag_blocks(np.stack((matrix, full)), n_a)[1], blocks)
+    index = slot_index(nmap.partners)
+    picked = pick_slots(matrix, index)
+    slots = _rand_atom_blocks(rng, n_a * (nmap.n_B + 1), m).reshape(n_a, nmap.n_B + 1, m, m)
     banded = np.zeros_like(matrix)
     for a in range(n_a):
         for s, b in enumerate([a, *nmap.idx[a]]):
-            assert np.array_equal(slots[a, s], matrix[a * m:(a + 1) * m, b * m:(b + 1) * m])
-            banded[a * m:(a + 1) * m, b * m:(b + 1) * m] = slots[a, s]
-    assert np.array_equal(assemble_phonon_matrix(slots, nmap), banded)
+            assert np.array_equal(picked[a, s], matrix[a * m:(a + 1) * m, b * m:(b + 1) * m])
+            banded[a * m:(a + 1) * m, b * m:(b + 1) * m] = slots[a, s]  # a repeated neighbor keeps its last slot
+    assert np.array_equal(place_slots(slots, index), banded)
+    target = matrix.copy()
+    assert add_slots(target, slots, index) is target
+    assert np.array_equal(target, matrix + banded)
 
 
 def _first_pass_pi(params, seed=1):
@@ -385,12 +400,17 @@ def _first_pass_pi(params, seed=1):
     return dev, nmap, grid, sse_pi(g, dev.dH, nmap, grid, params.n_qz)
 
 
-@pytest.mark.parametrize("params", [GF_LONG, DESK32_WIDE], ids=["gf-long", "desk32-wide"])
+@pytest.mark.parametrize(
+    "params",
+    [GF_LONG, DESK32_WIDE, TINY.replace(n_A=8, n_B=4, bnum=4, eta=0.05)],
+    ids=["gf-long", "desk32-wide", "reach-equals-block"],  # reach 1, 2 and 2 against 8, 8 and 2 atoms per block
+)
 def test_phonon_rgf_slots_match_the_dense_solve(params):
     dev, nmap, grid, pi = _first_pass_pi(params)
-    index = band_slot_index(nmap, params.bnum)
+    index = slot_index(nmap.partners, params.bnum)
     # the cases the band scatter and gather must get right are all present:
-    assert np.any(index.side != 1)  # slots that cross a block boundary
+    sides = index.row // (params.n_A // params.bnum) % 3
+    assert np.any(sides == 0) and np.any(sides == 2)  # slots that cross a block boundary, both ways
     for row in (0, params.n_A - 1):  # chain ends list their first neighbor twice, and Pi's two slots differ there
         assert nmap.idx[row, 0] == nmap.idx[row, 1]
         assert np.max(np.abs(pi.data[:, :, :, row, 1] - pi.data[:, :, :, row, 2])) > 0
@@ -400,7 +420,7 @@ def test_phonon_rgf_slots_match_the_dense_solve(params):
         for i_w in range(params.n_w):
             omega = grid.frequency_value(i_w)
             _, dense = solve_phonon_point(
-                dev, assemble_phonon_matrix(pi_r[qz, i_w], nmap), assemble_phonon_matrix(pi.data[:, qz, i_w], nmap),
+                dev, _phonon_matrix(pi_r[qz, i_w], nmap), _phonon_matrix(pi.data[:, qz, i_w], nmap),
                 omega, qz, params.eta, nmap,
             )
             _, rgf = solve_phonon_point_rgf(dev, pi_r[qz, i_w], pi.data[:, qz, i_w], omega, qz, params.eta, index)
@@ -415,28 +435,36 @@ def test_phonon_rgf_single_block_equals_dense():
     slots = (params.n_A, params.n_B + 1, params.n_3D, params.n_3D)
     pr, pl, pg = (0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)) for _ in range(3))
     d_r, d_lg = solve_phonon_point(
-        dev, *(assemble_phonon_matrix(x, nmap) for x in (pr, np.stack((pl, pg)))), 0.7, 0, params.eta, nmap
+        dev, *(_phonon_matrix(x, nmap) for x in (pr, np.stack((pl, pg)))), 0.7, 0, params.eta, nmap
     )
-    b_r, b_lg = solve_phonon_point_rgf(dev, pr, np.stack((pl, pg)), 0.7, 0, params.eta, band_slot_index(nmap, 1))
+    b_r, b_lg = solve_phonon_point_rgf(dev, pr, np.stack((pl, pg)), 0.7, 0, params.eta, slot_index(nmap.partners, 1))
     assert _rel(b_r[0], d_r) <= 1e-12
     assert _rel(b_lg, d_lg) <= 1e-12
 
 
-@pytest.mark.parametrize("n_a, n_b, bnum", [(8, 4, 2), (12, 3, 3), (16, 4, 4), (6, 2, 1)])
+@pytest.mark.parametrize("n_a, n_b, bnum", [(8, 4, 2), (12, 3, 3), (16, 4, 4), (6, 2, 1), (8, 4, 4)])
 def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
     nmap = build_neighbor_map(n_a, n_b)
-    index = band_slot_index(nmap, bnum)
+    index = slot_index(nmap.partners, bnum)
     m, edge = 3, n_a * 3 // bnum
     rng = np.random.default_rng(n_a + n_b)
     slots = _rand_atom_blocks(rng, 2 * n_a * (n_b + 1), m).reshape(2, n_a, n_b + 1, m, m)
-    full = assemble_phonon_matrix(slots, nmap)  # duplicate slots differ, so the last one wins
-    band = scatter_band_slots(slots, index)
+    full = np.zeros((2, n_a * m, n_a * m), complex)
+    for a in range(n_a):
+        for s, b in enumerate([a, *nmap.idx[a]]):
+            full[:, a * m:(a + 1) * m, b * m:(b + 1) * m] = slots[:, a, s]  # duplicate slots differ: the last wins
+    band = place_slots(slots, index)
     want = np.zeros_like(band)
     for i in range(bnum):
         for side, j in enumerate((i - 1, i, i + 1)):
             if 0 <= j < bnum:
                 want[:, i, side] = full[:, i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]
     assert np.array_equal(band, want)
+    # adding in place onto a band adds the same blocks
+    base = _rand_atom_blocks(rng, 2 * bnum * 3, edge).reshape(band.shape)
+    target = base.copy()
+    add_slots(target, slots, index)
+    assert np.array_equal(target, base + band)
     # the gather reads exactly the blocks the slots keep
     matrix = _rand_atom_blocks(rng, 1, n_a * m)[0]
     blocks = np.zeros((bnum, 3, edge, edge), complex)
@@ -444,7 +472,10 @@ def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
         for side, j in enumerate((i - 1, i, i + 1)):
             if 0 <= j < bnum:
                 blocks[i, side] = matrix[i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]
-    assert np.array_equal(gather_band_slots(blocks, index), extract_phonon_slots(matrix, nmap, m))
+    picked = pick_slots(blocks, index)
+    for a in range(n_a):
+        for s, b in enumerate([a, *nmap.idx[a]]):
+            assert np.array_equal(picked[a, s], matrix[a * m:(a + 1) * m, b * m:(b + 1) * m])
 
 
 def test_rgf_refuses_a_neighbor_reach_beyond_one_block(monkeypatch):
