@@ -8,7 +8,6 @@ from .gf import (
     gf_phase,
     retarded_from_lesser_greater,
     solve_phonon_point,
-    solve_phonon_point_rgf,
     solve_point_dense,
     solve_point_dense_diag,
     solve_point_rgf,
@@ -47,7 +46,6 @@ __all__ = [
     "run_tiled_scheme",
     "self_consistent_loop",
     "solve_phonon_point",
-    "solve_phonon_point_rgf",
     "solve_point_dense",
     "solve_point_dense_diag",
     "solve_point_rgf",

@@ -6,24 +6,25 @@ transpose of the retarded one; every solver takes it from ``_advanced``.
 Phonon points solve the analogous system with ``omega^2 I`` in place of
 ``E S``.
 
-The loop keeps only the atom-diagonal blocks of G^<> and the self/neighbor
-slots of D^<>, so it forms nothing else:
+``gf_phase`` reads each momentum's S, H or Phi once, whole (solver
+``"dense"``) or as its ``_tridiagonal_band`` (``"rgf"``); every point's
+system is assembled from them in one place, ``point_system``.  The loop
+keeps only the atom-diagonal blocks of G^<> and the self/neighbor slots of
+D^<>, so its three point solves form nothing else:
 
-- ``solve_point_dense`` is the full-matrix oracle: one n x n solve and two
-  full n^3 triple products.
-- ``solve_point_dense_diag`` (solver ``"dense"``) makes the same n x n solve
-  but forms only the diagonal blocks of the products, O(n^2 n_orb) each.
-- ``solve_phonon_point`` (solver ``"dense"``, and the phonon oracle) forms
-  D^R Pi^<> once and then only the slot blocks of D^R Pi^<> (D^R)^T.
-- Solver ``"rgf"`` runs one block-tridiagonal recursion (``_rgf_pass``)
-  over ``bnum`` blocks for both particle kinds, and builds no n x n matrix
-  for either.  ``solve_point_rgf`` reads the tridiagonal blocks of E S - H
-  straight from the device; Sigma is block-diagonal.
-  ``solve_phonon_point_rgf`` reads those of Phi and adds Pi's slots into
-  its tridiagonal blocks; the recursion then also forms the neighbor
-  blocks of D^<>, and the slots are picked back out.  On gf-long a phonon
-  point takes about a tenth of its dense time this way (7 ms against
-  77 ms, one BLAS thread).
+- ``solve_point_dense_diag`` (dense electrons) forms only the diagonal
+  blocks of G^R Sigma^<> (G^R)^T, O(n^2 n_orb) each.
+- ``solve_phonon_point`` (dense phonons) forms D^R Pi^<> once and then only
+  the slot blocks of D^R Pi^<> (D^R)^T.
+- ``solve_point_rgf`` (both kinds) runs one block-tridiagonal recursion
+  (``_rgf_pass``) over ``bnum`` blocks between ``place_slots`` and
+  ``pick_slots`` and builds no n x n matrix.  Sigma stays a block-diagonal
+  source; Pi's slots go into the tridiagonal blocks, so the recursion also
+  forms D^<>'s neighbor blocks.  A gf-long phonon point takes about a tenth
+  of its dense time this way (7 ms against 77 ms, one BLAS thread).
+
+``solve_point_dense``, the electron oracle, keeps its own assembly: one
+n x n solve and two full n^3 triple products.
 
 Every per-atom block moves into or out of a block matrix through one
 ``SlotIndex`` and three primitives, ``add_slots``, ``place_slots`` and
@@ -259,25 +260,44 @@ def solve_point_dense(
     return g_r, g_lesser, g_greater
 
 
-def solve_point_dense_diag(
-    dev: DeviceMatrices, sigma_r: Array, sigma_lg: Array, energy: float, kz: int, eta: float
+def point_system(
+    shift: float, mass: Array | None, stiffness: Array, self_r: Array, index: SlotIndex, eta: float
 ) -> Array:
+    """The system ``shift M - K - self^R + i eta I`` of one point, new, in the layout of ``stiffness``.
+
+    Electrons pass (E, S, H); phonons (omega^2, None, Phi), None standing for
+    M = I: -Phi with omega^2 added on the diagonal.  M and K are full
+    matrices or bands (``_tridiagonal_band``).  ``self_r`` goes onto the
+    target ``index`` describes: the matrix, the band, or (an index of one
+    block's atoms) the band's diagonal blocks.
+    """
+    a = np.negative(stiffness) if mass is None else shift * mass
+    blocks = a[:, 1] if a.ndim == 4 else a[None]  # the blocks that hold the matrix diagonal
+    edge = blocks.shape[-1]
+    diagonal = blocks.reshape(len(blocks), edge * edge, copy=False)[:, :: edge + 1]
+    if mass is None:
+        diagonal += shift
+    else:
+        a -= stiffness
+    add_slots(a if a.ndim == len(index.layout) else blocks, -self_r, index)
+    diagonal += 1j * eta
+    return a
+
+
+def solve_point_dense_diag(a: Array, sigma_lg: Array, context: str) -> Array:
     """Dense solve of one electron point, keeping only the atom-diagonal G^<> blocks.
 
-    The self-energies are per-atom blocks: ``sigma_r`` ``[n_A, o, o]`` and
-    the stacked lesser/greater pair ``sigma_lg`` ``[2, n_A, o, o]``.
+    ``a`` is the point's n x n system (``point_system``), and ``sigma_lg``
+    the stacked lesser/greater pair of per-atom blocks ``[2, n_A, o, o]``.
     Because Sigma is block-diagonal per atom, block (a, a) of
     G^R Sigma (G^R)^T is sum_c G^R[a, c] Sigma_c G^R[a, c]^T: one batched
     product over the column blocks of G^R and one over its row blocks,
     O(n^2 o) each instead of n^3.  Returns the stacked ``[2, n_A, o, o]``
     blocks of G^< and G^>.
     """
-    n_a, o, _ = sigma_r.shape
+    _, n_a, o, _ = sigma_lg.shape
     n = n_a * o
-    a = energy * dev.S[kz] - dev.H[kz]
-    add_slots(a, -sigma_r[:, None], slot_index(np.arange(n_a)[:, None]))
-    a.reshape(-1)[:: n + 1] += 1j * eta
-    g_r = _solve_system(a, f"electron point (kz={kz}, E={energy:g})")
+    g_r = _solve_system(a, context)
     cols = g_r.reshape(n, n_a, o).transpose(1, 0, 2)  # column blocks G^R[:, c]
     rows_t = _advanced(g_r.reshape(n_a, o, n))  # row blocks G^R[a, :], transposed
     g_sigma = np.empty((n, n_a, o), np.complex128)  # G^R Sigma, written column block by column block
@@ -290,21 +310,19 @@ def solve_point_dense_diag(
     return g_lg
 
 
-def solve_phonon_point(
-    dev: DeviceMatrices, pi_r: Array, pi_lg: Array, omega: float, qz: int, eta: float, nmap: NeighborMap
-) -> tuple[Array, Array]:
+def solve_phonon_point(a: Array, pi_lg: Array, nmap: NeighborMap, context: str) -> tuple[Array, Array]:
     """Dense solve of one phonon (omega, q_z) point.
 
-    ``pi_lg`` stacks the full Pi^< and Pi^> matrices ``[2, n, n]``.
-    Returns the full D^R matrix and the stacked D^< and D^> already in the
-    slot layout ``[2, n_A, n_B+1, n_3D, n_3D]``.  D^R Pi^<> is formed once;
-    of D^R Pi^<> (D^R)^T only the self and neighbor blocks the slots keep
-    are computed, as row block a of D^R Pi^<> times row block b of D^R.
+    ``a`` is the point's n x n system (``point_system``), and ``pi_lg``
+    stacks the full Pi^< and Pi^> matrices ``[2, n, n]``.  Returns the full
+    D^R matrix and the stacked D^< and D^> already in the slot layout
+    ``[2, n_A, n_B+1, n_3D, n_3D]``.  D^R Pi^<> is formed once; of
+    D^R Pi^<> (D^R)^T only the self and neighbor blocks the slots keep are
+    computed, as row block a of D^R Pi^<> times row block b of D^R.
     """
-    n = dev.Phi.shape[1]
-    a = omega**2 * np.eye(n) - dev.Phi[qz] - pi_r + 1j * eta * np.eye(n)
-    d_r = _solve_system(a, f"phonon point (qz={qz}, omega={omega:g})")
-    m, n_a = dev.n_3D, nmap.n_A
+    d_r = _solve_system(a, context)
+    n, n_a = a.shape[0], nmap.n_A
+    m = n // n_a
     rows = d_r.reshape(n_a, m, n)
     slots = np.empty((2, n_a, nmap.n_B + 1, m, m), np.complex128)
     # one tensor and one slot at a time, so only one D^R Pi^<> and one gathered copy of D^R's rows are alive
@@ -319,8 +337,8 @@ def _tridiagonal_band(mat: Array, bnum: int) -> Array:
     """Band ``[bnum, 3, m, m]`` of an n x n matrix under ``bnum`` blocks.
 
     ``[i, 0]``, ``[i, 1]``, ``[i, 2]`` are blocks (i, i-1), (i, i), (i, i+1);
-    the two corners outside the matrix stay zero.  Both RGF systems are read
-    from the device through this one reader, so neither builds an n x n matrix.
+    the two corners outside the matrix stay zero.  ``gf_phase`` reads each
+    momentum's S, H or Phi through it once, so no RGF point builds an n x n matrix.
     """
     n = mat.shape[-1]
     if n % bnum != 0:
@@ -388,68 +406,18 @@ def _rgf_pass(a: Array, q: Array, context: str) -> tuple[Array, Array]:
     return big_r, big_lg
 
 
-def solve_point_rgf(
-    dev: DeviceMatrices, sigma_r: Array, sigma_lg: Array, energy: float, kz: int, eta: float, bnum: int
-) -> tuple[Array, Array]:
-    """Recursive Green's function pass over ``bnum`` blocks of one electron point.
+def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: str) -> tuple[Array, Array]:
+    """RGF pass over the band ``a`` of one point's system, with the stacked lesser/greater ``self_lg`` as source.
 
-    The self-energies are per-atom blocks: ``sigma_r`` ``[n_A, o, o]`` and
-    the stacked lesser/greater pair ``sigma_lg`` ``[2, n_A, o, o]``; Sigma
-    touches only the diagonal blocks.  Returns the diagonal blocks of the
-    full G^R ``[bnum, m, m]`` and the stacked G^<, G^> ``[2, bnum, m, m]``.
+    ``index`` places the slots ``self_lg`` into the source and picks them back
+    out of the result.  Electrons pass Sigma as ``[2, bnum, n_A/bnum, 1, o, o]``
+    with an index of one block's atoms, so the source stays block-diagonal;
+    phonons pass Pi's slots with ``slot_index(nmap.partners, bnum)``.
+    Returns the diagonal blocks of the retarded solution ``[bnum, m, m]`` and
+    the lesser/greater slots in ``self_lg``'s layout.
     """
-    n_a, o, _ = sigma_r.shape
-    if n_a % bnum != 0:
-        raise ValueError(f"{n_a} atoms not divisible into {bnum} blocks")
-    per_block = n_a // bnum
-    diag = slot_index(np.arange(per_block)[:, None])  # each diagonal block is the matrix of its per_block atoms
-    a = _tridiagonal_band(dev.S[kz], bnum)
-    a *= energy
-    a -= _tridiagonal_band(dev.H[kz], bnum)
-    add_slots(a[:, 1], -sigma_r.reshape(bnum, per_block, 1, o, o), diag)
-    a[:, 1] += 1j * eta * np.eye(per_block * o)
-    sigma_blocks = place_slots(sigma_lg.reshape(2, bnum, per_block, 1, o, o), diag)
-    return _rgf_pass(a, sigma_blocks, f"kz={kz}, E={energy:g}")
-
-
-def solve_phonon_point_rgf(
-    dev: DeviceMatrices, pi_r: Array, pi_lg: Array, omega: float, qz: int, eta: float,
-    index: SlotIndex,
-) -> tuple[Array, Array]:
-    """Recursive Green's function pass over the blocks of one phonon (omega, q_z) point.
-
-    ``pi_r`` ``[n_A, n_B+1, n_3D, n_3D]`` and the stacked ``pi_lg``
-    ``[2, n_A, n_B+1, n_3D, n_3D]`` are in the slot layout; ``index`` is
-    ``slot_index(nmap.partners, bnum)``.  Pi is added into its tridiagonal
-    blocks, the recursion also forms the neighbor blocks of D^<>, and the
-    slots are picked back out, so no n x n matrix is built.  Returns the
-    diagonal blocks of D^R ``[bnum, m, m]`` and the stacked D^<, D^> in the
-    slot layout ``[2, n_A, n_B+1, n_3D, n_3D]``, as ``solve_phonon_point``.
-    """
-    a = -_tridiagonal_band(dev.Phi[qz], index.layout[0])  # a band layout leads with bnum
-    unit = np.eye(a.shape[-1])
-    a[:, 1] += omega**2 * unit
-    add_slots(a, -pi_r, index)
-    a[:, 1] += 1j * eta * unit
-    d_r, d_lg = _rgf_pass(a, place_slots(pi_lg, index), f"qz={qz}, omega={omega:g}")
-    return d_r, pick_slots(d_lg, index)
-
-
-def _electron_point(dev, sig_r, sig_lg, energy, kz, eta, solver, bnum):
-    """Stacked atom-diagonal [2, n_A, o, o] blocks of G^< and G^> at one electron point."""
-    if solver == "dense":
-        return solve_point_dense_diag(dev, sig_r, sig_lg, energy, kz, eta)
-    g_lg = solve_point_rgf(dev, sig_r, sig_lg, energy, kz, eta, bnum)[1]
-    n_a, o, _ = sig_r.shape
-    return pick_slots(g_lg, slot_index(np.arange(n_a // bnum)[:, None])).reshape(2, n_a, o, o)
-
-
-def _phonon_point(dev, pi_r, pi_lg, omega, qz, eta, nmap, solver, index):
-    """Stacked [2, n_A, n_B+1, n_3D, n_3D] slots of D^< and D^> at one phonon point."""
-    if solver == "dense":
-        # the retarded solution is dropped at once rather than held into the next solve
-        return solve_phonon_point(dev, place_slots(pi_r, index), place_slots(pi_lg, index), omega, qz, eta, nmap)[1]
-    return solve_phonon_point_rgf(dev, pi_r, pi_lg, omega, qz, eta, index)[1]
+    x_r, x_lg = _rgf_pass(a, place_slots(self_lg, index), context)
+    return x_r, pick_slots(x_lg, index)
 
 
 def gf_phase(
@@ -465,42 +433,61 @@ def gf_phase(
 
     ``solver`` picks the path of both particle kinds, ``"dense"`` or
     ``"rgf"`` (see the module docstring); both produce the same atom-diagonal
-    G blocks and D slots.  ``"rgf"`` raises ``ValueError`` before any solve
-    when Pi is not block-tridiagonal under ``params.bnum`` blocks
-    (``slot_index``); one phonon ``SlotIndex``, of the full matrix or of the
-    band, serves every phonon point.  Points are independent: each (k_z, E)
-    and (q_z, omega) solve writes a disjoint tensor slice, so evaluation
-    order cannot change the result.  Retarded self-energies are always derived
-    from the lesser/greater pair.
+    G blocks and D slots.  Each momentum's matrices are read once, and one
+    ``SlotIndex`` per particle kind, built once, serves all of its points.
+    ``"rgf"`` raises ``ValueError`` before any solve when Pi is not
+    block-tridiagonal under ``params.bnum`` blocks (``slot_index``).  Points
+    are independent: each (k_z, E) and (q_z, omega) solve writes a disjoint
+    tensor slice, so evaluation order cannot change the result.  Retarded
+    self-energies are always derived from the lesser/greater pair, one
+    momentum at a time.  A failing solve names its point once: k_z, iE and
+    E, or q_z, iw and omega.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    index = slot_index(nmap.partners, params.bnum if solver == "rgf" else None)
-    sig_r = retarded_from_lesser_greater(sigma)
-    pi_r = retarded_from_lesser_greater(pi)
+    rgf = solver == "rgf"
+    o, eta = params.n_orb, params.eta
+    phonon_index = slot_index(nmap.partners, params.bnum if rgf else None)
+    atoms = params.n_A // params.bnum if rgf else params.n_A  # the atoms of one RGF diagonal block, or all
+    electron_index = slot_index(np.arange(atoms)[:, None])
+    electron_slots = (params.bnum, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
+
+    def read(mat: Array) -> Array:
+        return _tridiagonal_band(mat, params.bnum) if rgf else mat
 
     g_e = GreensTensor.zeros(params.electron_shape)
     g_ph = GreensTensor.zeros(params.phonon_shape)
 
     for kz in range(params.n_kz):
+        s, h = read(dev.S[kz]), read(dev.H[kz])
+        # this momentum's Sigma^R only: that saves more memory than holding its two bands costs
+        sig_r = retarded_from_lesser_greater(GreensTensor.wrap(sigma.data[:, kz : kz + 1]))[0]
         for i_e in range(params.n_E):
-            try:
-                g_e.data[:, kz, i_e] = _electron_point(
-                    dev, sig_r[kz, i_e], sigma.data[:, kz, i_e],
-                    grid.values[i_e], kz, params.eta, solver, params.bnum,
-                )
-            except SingularSystemError as exc:
-                raise SingularSystemError(f"electron point (kz={kz}, iE={i_e}): {exc}") from exc
+            energy = grid.values[i_e]
+            context = f"electron point (kz={kz}, iE={i_e}, E={energy:g})"
+            a = point_system(energy, s, h, sig_r[i_e].reshape(electron_slots), electron_index, eta)
+            sig_lg = sigma.data[:, kz, i_e]
+            if rgf:
+                g_lg = solve_point_rgf(a, sig_lg.reshape(2, *electron_slots), electron_index, context)[1]
+            else:
+                g_lg = solve_point_dense_diag(a, sig_lg, context)
+            g_e.data[:, kz, i_e] = g_lg.reshape(2, -1, o, o)
+            del a  # not held into the next point's assembly
 
     for qz in range(params.n_qz):
+        phi = read(dev.Phi[qz])
+        pi_r = retarded_from_lesser_greater(GreensTensor.wrap(pi.data[:, qz : qz + 1]))[0]
         for i_w in range(params.n_w):
-            try:
-                g_ph.data[:, qz, i_w] = _phonon_point(
-                    dev, pi_r[qz, i_w], pi.data[:, qz, i_w], grid.frequency_value(i_w), qz, params.eta,
-                    nmap, solver, index,
-                )
-            except SingularSystemError as exc:
-                raise SingularSystemError(f"phonon point (qz={qz}, iw={i_w}): {exc}") from exc
+            omega = grid.frequency_value(i_w)
+            context = f"phonon point (qz={qz}, iw={i_w}, omega={omega:g})"
+            a = point_system(omega**2, None, phi, pi_r[i_w], phonon_index, eta)
+            pi_lg = pi.data[:, qz, i_w]
+            if rgf:
+                g_ph.data[:, qz, i_w] = solve_point_rgf(a, pi_lg, phonon_index, context)[1]
+            else:
+                # the retarded solution is dropped at once rather than held into the next solve
+                g_ph.data[:, qz, i_w] = solve_phonon_point(a, place_slots(pi_lg, phonon_index), nmap, context)[1]
+            del a
     for pair in (g_e, g_ph):
         # batched small products can round an exact zero to -0.0; adding +0.0
         # keeps a zero state's bytes (and its digest) the same on every path

@@ -17,7 +17,10 @@ from negflow.comm import dace_volume, omen_volume, optimize_tiles
 from negflow.device import build_neighbor_map, synthesize
 from negflow.distsim import compare_ledger_with_model, run_omen_scheme, run_tiled_scheme
 from negflow.flops import sse_flops_dace, sse_flops_omen
-from negflow.gf import GreensTensor, place_slots, slot_index, solve_point_dense, solve_point_rgf
+from negflow import gf
+from negflow.gf import (
+    GreensTensor, pick_slots, place_slots, point_system, slot_index, solve_point_dense, solve_point_rgf,
+)
 from negflow.params import SimParams, default_grid
 from negflow.sse import SseVariant, preprocess_D, sse_pi, sse_sigma
 
@@ -213,13 +216,16 @@ def test_criterion_6_rgf_against_dense_oracle():
         sigma_l[:, orb, orb] = _rand(rng, (n,)).reshape(params.n_A, params.n_orb)
         sigma_g[:, orb, orb] = _rand(rng, (n,)).reshape(params.n_A, params.n_orb)
         energy = float(rng.uniform(-0.9, 0.9))
-        atoms = slot_index(np.arange(params.n_A)[:, None])
-        g_r, g_l, g_g = solve_point_dense(
-            dev, *(place_slots(x[:, None], atoms) for x in (sigma_r, sigma_l, sigma_g)), energy, 0, params.eta
-        )
-        b_r, (b_l, b_g) = solve_point_rgf(
-            dev, sigma_r, np.stack((sigma_l, sigma_g)), energy, 0, params.eta, params.bnum
-        )
+        atoms, blocks = slot_index(np.arange(params.n_A)[:, None]), slot_index(np.arange(params.bnum)[:, None])
+        full = [place_slots(x[:, None], atoms) for x in (sigma_r, sigma_l, sigma_g)]
+        g_r, g_l, g_g = solve_point_dense(dev, *full, energy, 0, params.eta)
+        # the loop's RGF assembly and recursion, each diagonal block of the band one slot
+        whole = slot_index(np.zeros((1, 1), int))
+        sr_b, sl_b, sg_b = (pick_slots(x, blocks)[:, None] for x in full)
+        s_band, h_band = (gf._tridiagonal_band(x[0], params.bnum) for x in (dev.S, dev.H))
+        a = point_system(energy, s_band, h_band, sr_b, whole, params.eta)
+        b_r, b_lg = solve_point_rgf(a, np.stack((sl_b, sg_b)), whole, f"seed {seed}")
+        b_l, b_g = b_lg[:, :, 0, 0]
         step = n // params.bnum
         for i in range(params.bnum):
             span = slice(i * step, (i + 1) * step)

@@ -1,5 +1,7 @@
 """Green's function solvers: dense oracle, RGF equivalence, phase assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from negflow.gf import (
     gf_phase,
     pick_slots,
     place_slots,
+    point_system,
     retarded_from_lesser_greater,
     slot_index,
     solve_phonon_point,
-    solve_phonon_point_rgf,
     solve_point_dense,
     solve_point_dense_diag,
     solve_point_rgf,
@@ -73,6 +75,35 @@ def _diag_blocks(matrix, n_a):
 def _phonon_matrix(slots, nmap):
     """Slot layout [..., n_A, n_B+1, m, m] -> full matrices (a duplicate slot: the last one wins)."""
     return place_slots(slots, slot_index(nmap.partners))
+
+
+def _rgf_electron(dev, sr, sl, sg, energy, kz, eta, bnum):
+    """Diagonal blocks [bnum, e, e] of G^R, G^< and G^> of one electron point, through the loop's RGF path.
+
+    Each diagonal block of the band is one slot, so the whole blocks of G^<> come back out, not only the
+    atom-diagonal ones the loop keeps.
+    """
+    whole = slot_index(np.zeros((1, 1), int))
+
+    def blocks(atom_blocks):
+        return _block_diag(atom_blocks.reshape(bnum, -1, *atom_blocks.shape[-2:]))[:, None, None]
+
+    s, h = (gf._tridiagonal_band(x[kz], bnum) for x in (dev.S, dev.H))
+    a = point_system(energy, s, h, blocks(sr), whole, eta)
+    b_r, b_lg = solve_point_rgf(a, np.stack((blocks(sl), blocks(sg))), whole, f"kz={kz}, E={energy:g}")
+    return b_r, b_lg[0, :, 0, 0], b_lg[1, :, 0, 0]
+
+
+def _phonon_system(dev, pr, omega, qz, eta, nmap, bnum=None):
+    """The system of one phonon point through the loop's assembly: the full matrix, or the band under ``bnum``."""
+    phi = dev.Phi[qz] if bnum is None else gf._tridiagonal_band(dev.Phi[qz], bnum)
+    return point_system(omega**2, None, phi, pr, slot_index(nmap.partners, bnum), eta)
+
+
+def _phonon_inverse(dev, pr, omega, qz, eta, nmap):
+    """D^R as the inverse of the full omega^2 I - Phi - Pi^R + i eta I, with Pi^R from its slots ``pr``."""
+    m = dev.Phi.shape[-1]
+    return np.linalg.inv(omega**2 * np.eye(m) - dev.Phi[qz] - _phonon_matrix(pr, nmap) + 1j * eta * np.eye(m))
 
 
 def test_free_particle_point():
@@ -137,7 +168,7 @@ def test_rgf_single_block_equals_dense():
     g_r, g_l, g_g = solve_point_dense(
         dev, *(_block_diag(x) for x in (sr, sl, sg)), 0.1, 0, params.eta
     )
-    b_r, (b_l, b_g) = solve_point_rgf(dev, sr, np.stack((sl, sg)), 0.1, 0, params.eta, bnum=1)
+    b_r, b_l, b_g = _rgf_electron(dev, sr, sl, sg, 0.1, 0, params.eta, bnum=1)
     assert np.allclose(b_r[0], g_r, atol=1e-12)
     assert np.allclose(b_l[0], g_l, atol=1e-12)
     assert np.allclose(b_g[0], g_g, atol=1e-12)
@@ -155,7 +186,7 @@ def test_rgf_matches_dense_blocks(seed):
     g_r, g_l, g_g = solve_point_dense(
         dev, *(_block_diag(x) for x in (sr, sl, sg)), energy, 0, params.eta
     )
-    b_r, (b_l, b_g) = solve_point_rgf(dev, sr, np.stack((sl, sg)), energy, 0, params.eta, params.bnum)
+    b_r, b_l, b_g = _rgf_electron(dev, sr, sl, sg, energy, 0, params.eta, params.bnum)
     step = n // params.bnum
     for i in range(params.bnum):
         sl_ = slice(i * step, (i + 1) * step)
@@ -175,7 +206,7 @@ def test_rgf_decoupled_blocks_are_local_inverses():
     dev = DeviceMatrices(H=h, S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
                          Phi=dev.Phi, dH=dev.dH)
     zero = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
-    b_r, _ = solve_point_rgf(dev, zero, np.stack((zero, zero)), 0.4, 0, params.eta, 2)
+    b_r, _, _ = _rgf_electron(dev, zero, zero, zero, 0.4, 0, params.eta, 2)
     for i, sl_ in enumerate((slice(0, half), slice(half, n))):
         local = np.linalg.inv(0.4 * np.eye(half) - h[0][sl_, sl_] + 1e-3j * np.eye(half))
         assert np.allclose(b_r[i], local, atol=1e-11)
@@ -187,7 +218,8 @@ def test_phonon_point_free_and_zero_pi():
     m = params.n_A * params.n_3D
     free = DeviceMatrices(H=dev.H, S=dev.S, Phi=np.zeros_like(dev.Phi), dH=dev.dH)
     zero = np.zeros((m, m), complex)
-    d_r, (d_l, d_g) = solve_phonon_point(free, zero, np.stack((zero, zero)), omega=1.0, qz=0, eta=1e-3, nmap=nmap)
+    a = _phonon_system(free, np.zeros((params.n_A, params.n_B + 1, 3, 3), complex), 1.0, 0, 1e-3, nmap)
+    d_r, (d_l, d_g) = solve_phonon_point(a, np.stack((zero, zero)), nmap, "omega=1")
     assert np.allclose(d_r, np.eye(m) / (1.0 + 1e-3j), atol=1e-14)
     assert np.all(d_l == 0) and np.all(d_g == 0)
 
@@ -197,12 +229,12 @@ def test_phonon_point_matches_inverse_oracle():
     dev, nmap = synthesize(params, seed=3)
     m = params.n_A * params.n_3D
     rng = np.random.default_rng(4)
-    pr = np.zeros((m, m), complex)
     pl, pg = _rand_sigma(rng, m), _rand_sigma(rng, m)
+    pr = _rand_atom_blocks(rng, params.n_A * (params.n_B + 1), 3, scale=0.1).reshape(params.n_A, -1, 3, 3)
     omega = 0.8
-    d_r, (d_l, d_g) = solve_phonon_point(dev, pr, np.stack((pl, pg)), omega, 0, params.eta, nmap)
-    a = omega**2 * np.eye(m) - dev.Phi[0] + 1e-3j * np.eye(m)
-    inverse = np.linalg.inv(a)
+    a = _phonon_system(dev, pr, omega, 0, params.eta, nmap)
+    d_r, (d_l, d_g) = solve_phonon_point(a, np.stack((pl, pg)), nmap, "omega=0.8")
+    inverse = _phonon_inverse(dev, pr, omega, 0, params.eta, nmap)
     assert np.linalg.norm(d_r - inverse) / np.linalg.norm(inverse) <= 1e-10
     full_l = d_r @ pl @ d_r.T
     for a_i in range(params.n_A):
@@ -256,6 +288,27 @@ def test_gf_phase_singleton_grid_matches_point_solve():
     assert _rel(g_e.greater[0, 0], _diag_blocks(g_g, params.n_A)) <= 1e-12
 
 
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_gf_phase_matches_the_independent_assemblies(solver):
+    params = SimParams(n_kz=2, n_qz=1, n_E=2, n_w=2, n_A=8, n_B=4, n_orb=2, bnum=4, eta=0.05)
+    dev, nmap = synthesize(params, seed=9)
+    grid = default_grid(params)
+    rng = np.random.default_rng(9)
+    sigma, pi = (GreensTensor(*(0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                                for _ in range(2))) for shape in (params.electron_shape, params.phonon_shape))
+    g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap, solver=solver)
+    sig_r, pi_r = retarded_from_lesser_greater(sigma), retarded_from_lesser_greater(pi)
+    for kz, i_e in np.ndindex(params.n_kz, params.n_E):
+        _, g_l, g_g = solve_point_dense(dev, *(_block_diag(x[kz, i_e]) for x in (sig_r, sigma.lesser, sigma.greater)),
+                                        grid.values[i_e], kz, params.eta)
+        assert _rel(g_e.lesser[kz, i_e], _diag_blocks(g_l, params.n_A)) <= 1e-10
+        assert _rel(g_e.greater[kz, i_e], _diag_blocks(g_g, params.n_A)) <= 1e-10
+    for qz, i_w in np.ndindex(params.n_qz, params.n_w):
+        d_r = _phonon_inverse(dev, pi_r[qz, i_w], grid.frequency_value(i_w), qz, params.eta, nmap)
+        want = pick_slots(d_r @ _phonon_matrix(pi.data[:, qz, i_w], nmap) @ d_r.T, slot_index(nmap.partners))
+        assert _rel(g_ph.data[:, qz, i_w], want) <= 1e-10
+
+
 def test_gf_phase_reports_failing_point():
     params = TINY.replace(n_A=4, bnum=2)
     dev = _free_device(params)
@@ -268,8 +321,9 @@ def test_gf_phase_reports_failing_point():
     for i_e, e_val in enumerate(grid.values):
         blocks[:, i_e] = (e_val + 1j * params.eta) * np.eye(params.n_orb)
     sigma = GreensTensor(lesser=np.zeros(shape, complex), greater=2 * blocks)
-    with pytest.raises(SingularSystemError, match=r"electron point \(kz=0, iE=0\)"):
+    with pytest.raises(SingularSystemError, match=r"^electron point \(kz=0, iE=0, E=-1\): singular system") as err:
         gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap)
+    assert str(err.value).count("point") == 1  # the point is named once
 
 
 def test_rgf_singular_leading_block():
@@ -284,7 +338,7 @@ def test_rgf_singular_leading_block():
     zero = np.zeros((4, 1, 1), complex)
     sr = np.array([0.5 + 1e-3j] * 2 + [0.0] * 2).reshape(4, 1, 1)  # cancels block 0 of E*S + i*eta exactly
     with pytest.raises(SingularSystemError, match="forward pass"):
-        solve_point_rgf(dev, sr, np.stack((zero, zero)), 0.5, 0, 1e-3, 2)
+        _rgf_electron(dev, sr, zero, zero, 0.5, 0, 1e-3, 2)
 
 
 def test_gf_phase_rgf_solver_matches_dense():
@@ -322,16 +376,22 @@ def test_rgf_near_singular_leading_block_fails_the_residual_check():
 
     params = TINY.replace(n_kz=1, n_A=4, bnum=2)
     dev = _free_device(params)
-    energy, eta = 0.5, 1e-3
+    _, nmap = synthesize(params, seed=6)
+    grid = default_grid(params)
+    energy, eta = grid.values[0], params.eta
     sr = np.zeros((params.n_A, 2, 2), complex)
     sr[0] = (energy + 1j * eta) * np.eye(2) - unitary() @ np.diag([1.0, 1e-15]) @ unitary().conj().T
     leading = (energy + 1j * eta) * np.eye(4) - _block_diag(sr[:2])
     assert np.linalg.cond(leading) > 1e14
     wrong = np.linalg.solve(leading, np.eye(4))
     assert np.linalg.norm(leading @ wrong - np.eye(4)) / 2 > 1e-8
-    zero = np.zeros_like(sr)
-    with pytest.raises(SingularSystemError, match=r"block 0 \(kz=0, E=0\.5\): solve residual"):
-        solve_point_rgf(dev, sr, np.stack((zero, zero)), energy, 0, eta, params.bnum)
+    # Sigma^R = (Sigma^> - Sigma^<)/2 puts sr at the first point, (kz=0, iE=0)
+    greater = np.zeros(params.electron_shape, complex)
+    greater[0, 0] = 2 * sr
+    sigma = GreensTensor(lesser=np.zeros_like(greater), greater=greater)
+    point = re.escape(f"electron point (kz=0, iE=0, E={energy:g})")
+    with pytest.raises(SingularSystemError, match=rf"^RGF forward pass, block 0 \({point}\): solve residual"):
+        gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap, solver="rgf")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -345,7 +405,8 @@ def test_dense_diagonal_blocks_match_the_full_oracle(seed, n_a, n_orb, bnum):
     sr, sl, sg = (_rand_atom_blocks(rng, n_a, n_orb, scale=0.1) for _ in range(3))
     energy = float(rng.uniform(-0.9, 0.9))
     _, g_l, g_g = solve_point_dense(dev, *(_block_diag(x) for x in (sr, sl, sg)), energy, 0, params.eta)
-    less, grt = solve_point_dense_diag(dev, sr, np.stack((sl, sg)), energy, 0, params.eta)
+    a = point_system(energy, dev.S[0], dev.H[0], sr[:, None], slot_index(np.arange(n_a)[:, None]), params.eta)
+    less, grt = solve_point_dense_diag(a, np.stack((sl, sg)), f"E={energy:g}")
     assert _rel(less, _diag_blocks(g_l, n_a)) <= 1e-12
     assert _rel(grt, _diag_blocks(g_g, n_a)) <= 1e-12
 
@@ -356,9 +417,11 @@ def test_phonon_slot_products_match_the_full_formula(seed):
     dev, nmap = synthesize(params, seed=seed)
     rng = np.random.default_rng(300 + seed)
     slots = (params.n_A, params.n_B + 1, params.n_3D, params.n_3D)
-    pr, pl, pg = (_phonon_matrix(0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)), nmap)
-                  for _ in range(3))
-    d_r, (d_l, d_g) = solve_phonon_point(dev, pr, np.stack((pl, pg)), 0.7, 0, params.eta, nmap)
+    pr, pl, pg = (0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)) for _ in range(3))
+    pl, pg = _phonon_matrix(pl, nmap), _phonon_matrix(pg, nmap)
+    d_r, (d_l, d_g) = solve_phonon_point(_phonon_system(dev, pr, 0.7, 0, params.eta, nmap), np.stack((pl, pg)),
+                                         nmap, "omega=0.7")
+    assert _rel(d_r, _phonon_inverse(dev, pr, 0.7, 0, params.eta, nmap)) <= 1e-10
     assert _rel(d_l, pick_slots(d_r @ pl @ d_r.T, slot_index(nmap.partners))) <= 1e-12
     assert _rel(d_g, pick_slots(d_r @ pg @ d_r.T, slot_index(nmap.partners))) <= 1e-12
 
@@ -418,12 +481,11 @@ def test_phonon_rgf_slots_match_the_dense_solve(params):
     worst = 0.0
     for qz in range(params.n_qz):
         for i_w in range(params.n_w):
-            omega = grid.frequency_value(i_w)
-            _, dense = solve_phonon_point(
-                dev, _phonon_matrix(pi_r[qz, i_w], nmap), _phonon_matrix(pi.data[:, qz, i_w], nmap),
-                omega, qz, params.eta, nmap,
-            )
-            _, rgf = solve_phonon_point_rgf(dev, pi_r[qz, i_w], pi.data[:, qz, i_w], omega, qz, params.eta, index)
+            omega, pi_lg = grid.frequency_value(i_w), pi.data[:, qz, i_w]
+            d_r = _phonon_inverse(dev, pi_r[qz, i_w], omega, qz, params.eta, nmap)
+            dense = pick_slots(d_r @ _phonon_matrix(pi_lg, nmap) @ d_r.T, slot_index(nmap.partners))
+            a = _phonon_system(dev, pi_r[qz, i_w], omega, qz, params.eta, nmap, params.bnum)
+            _, rgf = solve_point_rgf(a, pi_lg, index, f"qz={qz}, iw={i_w}")
             worst = max(worst, np.max(np.abs(rgf - dense)) / np.max(np.abs(dense)))
     assert worst <= 1e-10
 
@@ -434,10 +496,10 @@ def test_phonon_rgf_single_block_equals_dense():
     rng = np.random.default_rng(40)
     slots = (params.n_A, params.n_B + 1, params.n_3D, params.n_3D)
     pr, pl, pg = (0.1 * (rng.standard_normal(slots) + 1j * rng.standard_normal(slots)) for _ in range(3))
-    d_r, d_lg = solve_phonon_point(
-        dev, *(_phonon_matrix(x, nmap) for x in (pr, np.stack((pl, pg)))), 0.7, 0, params.eta, nmap
-    )
-    b_r, b_lg = solve_phonon_point_rgf(dev, pr, np.stack((pl, pg)), 0.7, 0, params.eta, slot_index(nmap.partners, 1))
+    d_r = _phonon_inverse(dev, pr, 0.7, 0, params.eta, nmap)
+    d_lg = pick_slots(d_r @ _phonon_matrix(np.stack((pl, pg)), nmap) @ d_r.T, slot_index(nmap.partners))
+    a = _phonon_system(dev, pr, 0.7, 0, params.eta, nmap, bnum=1)
+    b_r, b_lg = solve_point_rgf(a, np.stack((pl, pg)), slot_index(nmap.partners, 1), "omega=0.7")
     assert _rel(b_r[0], d_r) <= 1e-12
     assert _rel(b_lg, d_lg) <= 1e-12
 
@@ -506,5 +568,27 @@ def test_gf_phase_reports_a_singular_phonon_block(smallest):
     greater[0, 0, 0, 0] = 2 * ((omega**2 + 1j * params.eta) * np.eye(3) - u @ np.diag([1.0, 1.0, smallest]) @ u.T)
     pi = GreensTensor(lesser=np.zeros_like(greater), greater=greater)
     sigma = GreensTensor.zeros(params.electron_shape)
-    with pytest.raises(SingularSystemError, match=r"phonon point \(qz=0, iw=0\): RGF forward pass, block 0"):
+    point = re.escape(f"phonon point (qz=0, iw=0, omega={omega:g})")
+    with pytest.raises(SingularSystemError, match=rf"^RGF forward pass, block 0 \({point}\): ") as err:
         gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    assert str(err.value).count("point") == 1  # the point is named once
+
+
+def test_gf_phase_reads_each_momentum_once(monkeypatch):
+    calls = {"_tridiagonal_band": 0, "slot_index": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(gf, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(gf, name, counted)
+    index_builds = []
+    for n_e in (4, 8):
+        params = TINY.replace(n_E=n_e)
+        dev, nmap = synthesize(params, seed=1)
+        sigma, pi = seeded_self_energies(params, 0.1)
+        calls.update(dict.fromkeys(calls, 0))
+        gf_phase(dev, sigma, pi, params, default_grid(params), nmap, solver="rgf")
+        # S[k_z] and H[k_z] once per k_z, Phi[q_z] once per q_z, whatever the number of energies
+        assert calls["_tridiagonal_band"] == 2 * params.n_kz + params.n_qz
+        index_builds.append(calls["slot_index"])
+    assert index_builds[0] == index_builds[1]
