@@ -9,12 +9,14 @@ rank's share is a (k_z, E) mask plus an atom range: an omen rank owns one
 chunk of the flattened (k_z, E) points and every atom, a tiled rank one
 energy tile at every k_z and one atom tile.  Both schemes record, while they
 ledger, the (k_z, E) mask each rank receives, and every rank then runs one
-path (:func:`_rank`): it computes on the energy hull of what it received x
-its atoms plus a halo, with the loop's default kernels
-(``sse.DEFAULT_VARIANT`` Sigma and the default Pi), restricted to what it
-owns.  So a rank does its share of the single-node work rather than all of
-it, and a slice that misses part of the halo a rank reads fails loudly
-instead of reading zeros.  A rank that owns nothing runs no kernel.
+path (:func:`_rank`): it slices G to the energy hull of what it received x
+its atoms plus a halo and runs the loop's default kernels
+(``sse.DEFAULT_VARIANT`` Sigma and the default Pi) on that slice,
+restricted to the points and atoms it owns.  Under that point mask the
+kernels form their factors only at the rows the owned points read, not on
+the whole hull.  So a rank does its share of the single-node work rather
+than all of it, and a slice that misses part of the halo a rank reads fails
+loudly instead of reading zeros.  A rank that owns nothing runs no kernel.
 
 The ledger counts messages and names their ends; ``comm`` sizes and tags
 each entry, a tiled rank's over its footprint (tile + N_B atoms, odd N_B
@@ -115,15 +117,17 @@ def _rank(
     g: GreensTensor, dc: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int,
     owned: Array, received: Array, a_range: tuple[int, int], halo_a: int,
 ) -> tuple[Array, Array]:
-    """One rank on the energy hull of the (k,E) points it received x its atoms +- ``halo_a``.
+    """One rank on a slice of G: the energy hull of the (k,E) points it received x its atoms +- ``halo_a``.
 
     ``owned`` and ``received`` are (k,E) masks; momentum wraps, so the hull
     spans every k.  The rank copies that slice of G (clipped to the grid),
     zeroed at the points of the hull outside ``received``, and reads
     ``dc``/``dh`` of the same atoms with the neighbor map re-indexed into
-    the slice.  Returns, as stacked lesser/greater arrays, the Sigma at the
-    owned points x atoms ``a_range``, in ``owned``'s row-major point order,
-    and the partial Pi chains of those atoms reduced over the owned points.
+    the slice.  Both kernels take ``owned`` as their point mask, so they
+    compute only the owned points and the rows of the slice those read.
+    Returns, as stacked lesser/greater arrays, the Sigma at the owned points
+    x atoms ``a_range``, in ``owned``'s row-major point order, and the
+    partial Pi chains of those atoms reduced over the owned points.
     """
     received_e = np.flatnonzero(received.any(axis=0))
     e_lo, e_hi = int(received_e[0]), int(received_e[-1]) + 1
@@ -136,7 +140,7 @@ def _rank(
     nmap_rank = NeighborMap(idx=nmap.idx[wa_lo:wa_hi] - wa_lo)
     own_a = (a_lo - wa_lo, a_hi - wa_lo)
     own = owned[:, e_lo:e_hi]
-    sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc_rank, dh[wa_lo:wa_hi], nmap_rank, grid, atom_range=own_a)
+    sigma = sse_sigma(DEFAULT_VARIANT, g_rank, dc_rank, dh[wa_lo:wa_hi], nmap_rank, grid, point_mask=own, atom_range=own_a)
     chains = sse_pi_chains(g_rank, dh[wa_lo:wa_hi], nmap_rank, grid, n_qz, point_mask=own, atom_range=own_a)
     atoms = slice(*own_a)
     return sigma.data[:, own, atoms], chains.data[:, :, :, atoms]
@@ -173,9 +177,9 @@ def run_omen_scheme(
     the two shifted electron blocks (E -+ offset, k -+ q) for every owned
     point, and reduces the partial phonon trace chains to the round's owner.
     Messages are simulated in ascending (round, src, dst) order.  Each rank
-    then computes, with the loop's default kernels, on the energy hull of
-    the points it received, over every atom (see :func:`_rank`), and keeps
-    its own points.
+    then runs the loop's default kernels on the energy hull of the points it
+    received, over every atom, computing only its own points and the rows
+    they read (see :func:`_rank`).
     """
     if processes < 1:
         raise ValueError("process count must be >= 1")

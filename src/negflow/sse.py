@@ -19,7 +19,11 @@ and apply the momentum/energy shift to a product rather than to G:
 batched-fused Sigma shifts dHG Xi, the default Pi rolls its trailing factor
 in momentum.  All of them take every shift from one cached plan,
 :func:`_shift_plan`, so they agree by construction on how momentum wraps
-and how off-grid energy offsets drop out.
+and how off-grid energy offsets drop out.  Both kernels take a (k_z, E)
+point mask, as the distributed ranks use: Sigma is produced, and Pi's
+trace reduced, at the masked points only.  The default forms then compute
+only the rows those points read (:func:`_rows_read`), with one zero row
+for off-grid energies; unmasked, they run on every row.
 """
 
 from __future__ import annotations
@@ -247,7 +251,46 @@ def _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms: range) -> Gree
     return sigma
 
 
-def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> GreensTensor:
+def _row_slots(rows: Array, n_rows: int) -> Array:
+    """The position in ``rows`` of each of ``n_rows`` grid rows, and of one more; ``rows.size`` where it is absent."""
+    slots = np.full(n_rows + 1, rows.size)
+    slots[rows] = np.arange(rows.size)
+    return slots
+
+
+def _rows_read(
+    index: Array, before: int, n_pad: int, n_e: int, points: Array, rows: Array | None = None
+) -> tuple[Array, Array]:
+    """The grid rows a padded gather ``index[..., k, E]`` of :func:`_shift_plan` reads at the (k, E) mask ``points``.
+
+    Returns ``(rows, slots)``: ``rows`` (by default the flat k n_E + E
+    indices of the in-grid rows read, ascending) and, for every leading
+    index and point of the mask in row-major order, the position of its row
+    in ``rows``, or ``rows.size`` (one zero row) where the shifted energy is
+    off the grid.
+    """
+    k, e = np.divmod(index[..., points], n_pad)
+    e -= before
+    on_grid = (e >= 0) & (e < n_e)
+    flat = np.where(on_grid, k * n_e + e, points.size)
+    if rows is None:
+        read = np.zeros(points.size + 1, dtype=bool)
+        read[flat] = True
+        rows = np.flatnonzero(read[:-1])
+    return rows, _row_slots(rows, points.size)[flat]
+
+
+def _take_rows(g_arr: Array, rows: Array, atoms: Array, out: Array) -> None:
+    """``out[r, ...] = g_arr[k, E, atoms[...]]`` at the (k, E) of each flat row index ``rows[r]`` (ascending, unique)."""
+    n_kz, n_e, n_a = g_arr.shape[:3]
+    if rows.size == n_kz * n_e:  # every row: one gather along the atom axis
+        np.take(g_arr, atoms, axis=2, out=out.reshape((n_kz, n_e) + out.shape[1:]), mode="clip")
+    else:
+        flat = g_arr.reshape((-1,) + g_arr.shape[3:])
+        np.take(flat, rows.reshape((-1,) + (1,) * atoms.ndim) * n_a + atoms, axis=0, out=out, mode="clip")
+
+
+def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Array | None) -> GreensTensor:
     """Final form: atom blocks of at most ``BUDGET`` transient bytes, one GEMM per stage, the shift applied to the product.
 
     Per block, stage 1 computes dHG of every atom's n_B neighbors in one
@@ -257,53 +300,85 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range) -> Greens
     Y = dHG Xi for every neighbor and (q_z, omega) at once, and the shift
     then gathers n_orb columns of Y per (q_z, omega) in one indexed copy
     (rows from :func:`_shift_plan`; zero rows stand in for off-grid
-    energies) before the (q_z, omega) sum.
+    energies) before the (q_z, omega) sum.  Under a point ``mask`` both
+    stages run only at the rows ((k - q) mod n_kz, E - off(w)) that the
+    masked points read, Y holds those rows and one zero row, and Sigma is
+    formed at the masked points only.
     """
-    n_kz, n_e, _, n_orb, _ = g.shape
+    n_kz, n_e, n_a, n_orb, _ = g.shape
     n_qz, n_w = dc.shape[:2]
     n_b, n_qw = nmap.n_B, n_qz * n_w
-    rows, depth = n_kz * n_e * n_orb, n_b * 3 * n_orb
-    # Y is laid out as rows [k, padded E, M, (q, w)] of n_orb columns; index[(q, w), k, E, M] is the
-    # row holding Y at [(k - q) mod n_kz, E - off(w), M, (q, w)]
+    depth = n_b * 3 * n_orb
     before, n_pad, k_e = _shift_plan(n_kz, n_e, grid.offsets, range(n_qz))
-    index = (k_e.reshape(n_qw, n_kz, n_e, 1) * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None, None]
+    if mask is None:
+        # Y rows [k, padded E], formed in one GEMM per k; the padding stands in for off-grid energies
+        read, slots = np.arange(n_kz * n_e), k_e.reshape(n_qw, -1)
+        groups, n_slots, first = n_kz, n_pad, before
+    else:
+        # Y rows at the rows read, in one GEMM, then one zero row
+        read, slots = _rows_read(k_e, before, n_pad, n_e, mask)
+        slots = slots.reshape(n_qw, -1)
+        groups, n_slots, first = 1, read.size + 1, 0
+    n_read = read.size // groups  # rows per group
+    rows = read.size * n_orb
+    # Y is laid out as rows [slot, M, (q, w)] of n_orb columns; index[(q, w), point, M] is the row
+    # holding Y at [slots[(q, w), point], M, (q, w)]
+    index = (slots[:, :, None] * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None]
     weights = np.asarray(grid.weights)[:, None]
     dh_cols = dh.transpose(0, 1, 3, 2, 4).reshape(dh.shape[0], n_b, n_orb, 3 * n_orb)  # [a, s, Q, (i, P)]
     # per-block buffers, reused across blocks and both tensors; per atom, the neighbors' G (as GEMM
     # rows, then as taken), dHG and the shifted product share one: dHG is written past the rows it is
-    # formed from, and the shift-add gathers once Y has consumed dHG
+    # formed from, and the shift-add gathers once Y has consumed dHG.  Masked, the shift-add's sum
+    # follows the shifted product there, and the gather of G's rows builds an int64 index.
     stack = n_b * rows * n_orb
-    per_atom = max(4 * stack, index.size * n_orb)
-    y_size = n_kz * n_pad * n_orb * n_qw * n_orb
-    block = _chunk(per_atom + y_size + 2 * n_b * 3 * n_qw * n_orb**2, len(atoms))
+    summed = 0 if mask is None else index.size * n_orb // n_qw
+    taken = 0 if mask is None else -(-read.size * n_b // 2)
+    per_atom = max(4 * stack, index.size * n_orb + summed)
+    y_size = groups * n_slots * n_orb * n_qw * n_orb
+    block = _chunk(per_atom + taken + y_size + 2 * n_b * 3 * n_qw * n_orb**2, len(atoms))
     scratch = np.empty(block * per_atom, dtype=np.complex128)
     dcdh = np.empty((block, n_b, 3, n_qz, n_w, n_orb, n_orb), dtype=np.complex128)
     xi = np.empty((block, n_b, 3, n_orb, n_qz, n_w, n_orb), dtype=np.complex128)
-    y = np.zeros((block, n_kz, n_pad * n_orb, n_qw * n_orb), dtype=np.complex128)
-    y_grid = y[:, :, before * n_orb : (before + n_e) * n_orb]
+    y = np.zeros((block, groups, n_slots * n_orb, n_qw * n_orb), dtype=np.complex128)
+    y_rows = y[:, :, first * n_orb : (first + n_read) * n_orb]
     sigma = GreensTensor.zeros(g.shape)
     for g_arr, dc_arr, out in zip(g.data, dc.data, sigma.data):
         for lo in range(atoms.start, atoms.stop, block):
             hi = min(lo + block, atoms.stop)
             u = hi - lo
-            g_rows = _carve(scratch, 0, (u, n_b, n_kz, n_e, n_orb, n_orb))
-            g_nb = _carve(scratch, u * stack, (n_kz, n_e, u, n_b, n_orb, n_orb))
+            g_rows = _carve(scratch, 0, (u, n_b, read.size, n_orb, n_orb))
+            g_nb = _carve(scratch, u * stack, (read.size, u, n_b, n_orb, n_orb))
             dhg = _carve(scratch, u * stack, (u, rows, n_b, 3 * n_orb))
             shifted = _carve(scratch, 0, (u,) + index.shape + (n_orb,))
             # dHG[a, k, E, M, s, (i, P)] = G[k, E, f(a, s)][M, Q] dH[a, s, i][Q, P]
-            np.take(g_arr, nmap.idx[lo:hi], axis=2, out=g_nb, mode="clip")
-            np.copyto(g_rows, g_nb.transpose(2, 3, 0, 1, 4, 5))
+            _take_rows(g_arr, read, nmap.idx[lo:hi], g_nb)
+            np.copyto(g_rows, g_nb.transpose(1, 2, 0, 3, 4))
             np.matmul(g_rows.reshape(u, n_b, rows, n_orb), dh_cols[lo:hi], out=dhg.transpose(0, 2, 1, 3))
             # Xi[a, (s, i, P), (q, w, N)] = weight_w sum_j Dc[q, w, a, s, i, j] dH[a, s, j][P, N]
             dc_a = dc_arr[:, :, lo:hi].reshape(n_qw, u, n_b, 3, 3).transpose(1, 2, 3, 0, 4)  # [a, s, i, (q, w), j]
             np.matmul(dc_a, dh[lo:hi].reshape(u, n_b, 1, 3, -1), out=dcdh[:u].reshape(u, n_b, 3, n_qw, -1))
             np.multiply(dcdh[:u].transpose(0, 1, 2, 5, 3, 4, 6), weights, out=xi[:u])
-            np.matmul(dhg.reshape(u, n_kz, n_e * n_orb, depth), xi[:u].reshape(u, 1, depth, n_qw * n_orb), out=y_grid[:u])
+            np.matmul(dhg.reshape(u, groups, n_read * n_orb, depth), xi[:u].reshape(u, 1, depth, n_qw * n_orb), out=y_rows[:u])
             np.take(y[:u].reshape(u, -1, n_orb), index, axis=1, out=shifted, mode="clip")
-            np.add.reduce(shifted, axis=1, out=out[:, :, lo:hi].transpose(2, 0, 1, 3, 4))
+            if mask is None:
+                np.add.reduce(shifted, axis=1, out=out.reshape(-1, n_a, n_orb, n_orb)[:, lo:hi].transpose(1, 0, 2, 3))
+            else:
+                at_mask = _carve(scratch, shifted.size, (u,) + index.shape[1:] + (n_orb,))
+                np.add.reduce(shifted, axis=1, out=at_mask)
+                out[mask, lo:hi] = at_mask.transpose(1, 0, 2, 3)
             counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b * u, stage="sigma.dhg")
             counter.add_matmul(rows, depth, n_qw * n_orb, repeat=u, stage="sigma.accumulate")
     return sigma
+
+
+def _point_mask(point_mask, shape: tuple[int, int]) -> Array | None:
+    """The checked (k_z, E) mask of a kernel call; ``None`` when no mask is given or it selects every point."""
+    if point_mask is None:
+        return None
+    mask = np.asarray(point_mask, dtype=bool)
+    if mask.shape != shape:
+        raise ValueError(f"point mask must have shape {shape}")
+    return None if mask.all() else mask
 
 
 def sse_sigma(
@@ -315,6 +390,7 @@ def sse_sigma(
     grid: EnergyGrid,
     counter: FlopCounter | None = None,
     atom_range: tuple[int, int] | None = None,
+    point_mask: Array | None = None,
 ) -> GreensTensor:
     """Electron self-energy in the requested kernel arrangement.
 
@@ -323,7 +399,11 @@ def sse_sigma(
     Sigma is computed for those atoms only and is zero elsewhere.  G may
     then be a slice of the device, as long as it holds every neighbor of
     the range (a neighbor index outside G's atom axis raises ``ValueError``).
-    ``counter`` tallies the GEMMs; a new one is used when none is given.
+    ``point_mask`` (a (k_z, E) boolean array) restricts the produced points
+    the same way: Sigma is zero outside it.  The default arrangement then
+    computes only the masked points and the rows of G they read; the others
+    compute every point and zero the rest.  ``counter`` tallies the GEMMs; a
+    new one is used when none is given.
     """
     if g.kind != "electron":
         raise ValueError("sse_sigma expects an electron tensor")
@@ -331,14 +411,18 @@ def sse_sigma(
         raise ValueError("sse_sigma expects the preprocessed phonon tensor of the neighbor map (n_A, n_B slots)")
     counter = counter if counter is not None else FlopCounter()
     atoms = _atom_range(atom_range, nmap, g.shape[2])
-    if variant is SseVariant.REFERENCE:
-        sigma = _sigma_reference(g, dc, dh, nmap, grid, counter, atoms)
-    elif variant is SseVariant.BATCHED_FUSED:
-        sigma = _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms)
-    elif variant in (SseVariant.FISSIONED, SseVariant.REDUNDANCY_REMOVED, SseVariant.LAYOUT_TRANSFORMED):
-        sigma = _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms)
+    mask = _point_mask(point_mask, g.shape[:2])
+    if variant is SseVariant.BATCHED_FUSED:
+        sigma = _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms, mask)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        if variant is SseVariant.REFERENCE:
+            sigma = _sigma_reference(g, dc, dh, nmap, grid, counter, atoms)
+        elif variant in (SseVariant.FISSIONED, SseVariant.REDUNDANCY_REMOVED, SseVariant.LAYOUT_TRANSFORMED):
+            sigma = _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms)
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        if mask is not None:
+            sigma.data[:, ~mask] = 0
     # the imaginary prefactor, common to every arrangement
     sigma.data *= 1j
     return sigma
@@ -358,28 +442,40 @@ def _fully_hoisted_chains(
     it commutes with left multiplication.  One gather then takes m1's omega
     windows, one m2's rolled copies, and one batched
     (3 n_w) x (n_kz n_E n_orb^2) x (n_qz 3) GEMM per pair forms the traces,
-    an orb^2-class step that is not tallied.
+    an orb^2-class step that is not tallied.  Under a point ``mask``, m2 is
+    formed at the masked rows only, the traces run over the rows
+    ((k + q) mod n_kz, E) its rolled copies reach, and m1 is formed only at
+    the rows their omega windows read.
     """
     n_kz, n_e, n_a, n_orb, _ = g.shape
     n_b, n_w = nmap.n_B, grid.n_w
-    rows, cols = n_kz * n_e * n_orb, 3 * n_orb
-    slab = rows * n_orb
-    # roll[(k, E, P, M), q] is the row of m2, laid out as rows [k, E, P, M], at [(k - q) mod n_kz, E, P, M]
-    k_e = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1).T
-    roll = (k_e[:, None] * n_orb**2 + np.arange(n_orb**2)[:, None]).reshape(-1, n_qz)
+    n_pts, cols, block = n_kz * n_e, 3 * n_orb, n_orb**2
+    # m2 rows: the masked ones (every one unmasked), then a zero row; to_m2[q, (k, E)] is the m2 row at
+    # [(k - q) mod n_kz, E], the zero row where that point is not masked
+    to_m2 = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1)
+    m2_read = np.arange(n_pts) if mask is None else np.flatnonzero(mask)
+    to_m2 = _row_slots(m2_read, n_pts)[to_m2]
+    traced = (to_m2 < m2_read.size).any(axis=0).reshape(n_kz, n_e)  # the trace rows t
+    # roll[(t, P, M), q] is the entry of m2, laid out as rows [row, P, M], that trace row t takes for q
+    roll = (to_m2[:, traced.reshape(-1)].T[:, None] * block + np.arange(block)[:, None]).reshape(-1, n_qz)
+    # m1 rows: those read (every one unmasked), then a zero row; windows_at[w, t] is the m1 row at [t + off(w)]
     before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), (0,))
+    m1_read, windows_at = _rows_read(shift[0], before, n_pad, n_e, traced, m2_read if mask is None else None)
+    n_t, n_m1, n_m2 = windows_at.shape[1], m1_read.size, m2_read.size
     chains = GreensTensor.zeros((n_qz, n_w, n_a, n_b, 3, 3))
     pairs = range(atoms.start * n_b, atoms.stop * n_b)  # p = a n_B + s
     # per-chunk buffers, reused across chunks and both chains; per pair, its G (as taken, then as GEMM
-    # rows: 2 slabs) and later the omega windows and rolled m2 share one: the G is dead once m1 and m2
-    # are formed
-    per_pair = 3 * (n_w + n_qz) * slab
-    padded_size = 3 * n_kz * n_pad * n_orb**2
-    chunk = _chunk(per_pair + 2 * 3 * slab + padded_size + 2 * cols * n_orb + 9 * n_w * n_qz, len(pairs))
+    # rows) and later the omega windows and rolled m2 share one: the G is dead once m1 and m2 are formed.
+    # Masked, the gather of G's rows builds an int64 index.
+    g_size = max(n_m1, n_m2) * block
+    per_pair = max(2 * g_size, 3 * (n_w + n_qz) * n_t * block)
+    rows_size = 3 * (2 * n_m1 + n_m2 + 2) * block  # m1, padded m1 and m2
+    taken = 0 if mask is None else -(-max(n_m1, n_m2) // 2)
+    chunk = _chunk(per_pair + rows_size + taken + 2 * cols * n_orb + 9 * n_w * n_qz, len(pairs))
     scratch = np.empty(chunk * per_pair, dtype=np.complex128)
-    m1 = np.empty((chunk, n_kz, n_e, n_orb, 3, n_orb), dtype=np.complex128)
-    m2 = np.empty((chunk, slab, 3), dtype=np.complex128)
-    padded = np.zeros((chunk, 3, n_kz, n_pad, n_orb, n_orb), dtype=np.complex128)  # m1, zero off the grid
+    m1 = np.empty((chunk, n_m1, n_orb, 3, n_orb), dtype=np.complex128)
+    m2 = np.zeros((chunk, (n_m2 + 1) * block, 3), dtype=np.complex128)
+    padded = np.zeros((chunk, 3, n_m1 + 1, n_orb, n_orb), dtype=np.complex128)  # m1 as the windows read it
     traces = np.empty((chunk, 3, n_w, n_qz, 3), dtype=np.complex128)
     dh_pairs = dh.reshape(-1, 3, n_orb, n_orb)
     for lo in range(pairs.start, pairs.stop, chunk):
@@ -388,27 +484,26 @@ def _fully_hoisted_chains(
         m1_cols = dh_pairs[lo:hi].transpose(0, 3, 1, 2).reshape(u, n_orb, cols)  # [p, Q, (i, P)] = dH[p, i][P, Q]
         m2_cols = dh_pairs[lo:hi].transpose(0, 3, 2, 1).reshape(u, n_orb, cols)  # [p, Q, (M, j)] = dH[p, j][M, Q]
         own, neighbors = np.arange(lo, hi) // n_b, nmap.idx.reshape(-1)[lo:hi]  # a and f(a, s) of each pair
-        g_nb = _carve(scratch, 0, (n_kz, n_e, u, n_orb, n_orb))
-        g_rows = _carve(scratch, u * slab, (u, n_kz, n_e, n_orb, n_orb))
-        windows = _carve(scratch, 0, (u, 3) + shift.shape[1:] + (n_orb, n_orb))
-        rolled = _carve(scratch, u * 3 * n_w * slab, (u,) + roll.shape + (3,))
+        windows = _carve(scratch, 0, (u, 3) + windows_at.shape + (n_orb, n_orb))
+        rolled = _carve(scratch, u * 3 * n_w * n_t * block, (u,) + roll.shape + (3,))
+        # per factor: its rows and atoms, dH as GEMM columns, its GEMM output, and its G as taken and as GEMM
+        # rows; m1[p, row, M, i, P] = (dH[a, s, i] G1[row, a])[P, M], m2[p, (row, P, M), j] = (dH[a, s, j] G2[row, f(a, s)])[M, P]
+        factors = []
+        for read, atom, dh_cols, dest in ((m1_read, own, m1_cols, m1[:u]), (m2_read, neighbors, m2_cols, m2[:u, : n_m2 * block])):
+            g_nb = _carve(scratch, 0, (read.size, u, n_orb, n_orb))
+            g_rows = _carve(scratch, u * g_size, (u, read.size, n_orb, n_orb))
+            factors.append((read, atom, dh_cols, dest.reshape(u, read.size * n_orb, cols), g_nb, g_rows))
         # the greater chain's first factor is the greater G, its trailing one the lesser G, and vice versa
         for g1_arr, g2_arr, out in zip(g.data[::-1], g.data, chains.data[::-1]):
-            # m1[p, k, E, M, i, P] = (dH[a, s, i] G1[k, E, a])[P, M]
-            np.take(g1_arr, own, axis=2, out=g_nb, mode="clip")
-            np.copyto(g_rows, g_nb.transpose(2, 0, 1, 4, 3))
-            np.matmul(g_rows.reshape(u, rows, n_orb), m1_cols, out=m1[:u].reshape(u, rows, cols))
-            # m2[p, k, E, P, M, j] = (dH[a, s, j] G2[k, E, f(a, s)])[M, P]
-            np.take(g2_arr, neighbors, axis=2, out=g_nb, mode="clip")
-            np.copyto(g_rows, g_nb.transpose(2, 0, 1, 4, 3))
-            if mask is not None:
-                g_rows *= mask[:, :, None, None]
-            np.matmul(g_rows.reshape(u, rows, n_orb), m2_cols, out=m2[:u].reshape(u, rows, cols))
-            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m1")
-            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_kz * n_e * 3 * u, stage="pi.m2")
-            # windows [p, i, w, (k, E, P, M)] hold m1 at [k, E + off(w)]; rolled [p, (k, E, P, M), q, j] holds m2 at k - q
-            np.copyto(padded[:u, :, :, before : before + n_e], m1[:u].transpose(0, 4, 1, 2, 5, 3))
-            np.take(padded[:u].reshape(u, 3, -1, n_orb, n_orb), shift[0], axis=2, out=windows, mode="clip")
+            for g_arr, (read, atom, dh_cols, dest, g_nb, g_rows) in zip((g1_arr, g2_arr), factors):
+                _take_rows(g_arr, read, atom, g_nb)
+                np.copyto(g_rows, g_nb.transpose(1, 0, 3, 2))
+                np.matmul(g_rows.reshape(u, -1, n_orb), dh_cols, out=dest)
+            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_m1 * 3 * u, stage="pi.m1")
+            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_m2 * 3 * u, stage="pi.m2")
+            # windows [p, i, w, (t, P, M)] hold m1 at [t + off(w)]; rolled [p, (t, P, M), q, j] holds m2 at t - q
+            np.copyto(padded[:u, :, :n_m1], m1[:u].transpose(0, 3, 1, 4, 2))
+            np.take(padded[:u].reshape(u, 3, -1, n_orb, n_orb), windows_at, axis=2, out=windows, mode="clip")
             np.take(m2[:u], roll, axis=1, out=rolled, mode="clip")
             np.matmul(windows.reshape(u, 3 * n_w, -1), rolled.reshape(u, -1, n_qz * 3), out=traces[:u].reshape(u, 3 * n_w, -1))
             np.copyto(out.reshape(n_qz, n_w, -1, 3, 3)[:, :, lo:hi], traces[:u].transpose(3, 2, 0, 1, 4))
@@ -450,11 +545,7 @@ def sse_pi_chains(
     n_w = grid.n_w
     counter = counter if counter is not None else FlopCounter()
     atoms = _atom_range(atom_range, nmap, n_a)
-    mask = None
-    if point_mask is not None:
-        mask = np.asarray(point_mask, dtype=bool)
-        if mask.shape != (n_kz, n_e):
-            raise ValueError(f"point mask must have shape ({n_kz}, {n_e})")
+    mask = _point_mask(point_mask, (n_kz, n_e))
     if hoist_invariant is None:
         chains = _fully_hoisted_chains(g, dh, nmap, grid, n_qz, counter, mask, atoms)
     else:

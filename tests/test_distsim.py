@@ -9,6 +9,7 @@ from negflow import distsim
 from negflow.cli import PRESETS
 from negflow.comm import InfeasiblePartitionError, dace_volume, omen_volume
 from negflow.device import synthesize
+from negflow.flops import FlopCounter
 from negflow.distsim import (
     ELECTRON_G,
     ELECTRON_SIGMA,
@@ -28,6 +29,8 @@ from negflow.sse import DEFAULT_VARIANT, SseVariant, preprocess_D, sse_pi, sse_s
 
 EVEN = SimParams(n_kz=2, n_qz=2, n_E=4, n_w=1, n_A=4, n_B=2, n_orb=2, bnum=2)
 RICH = SimParams(n_kz=2, n_qz=2, n_E=16, n_w=2, n_A=8, n_B=2, n_orb=2, bnum=4)
+# the shape of the distsim-p8 benchmark workload (P=8 omen, 2 x 4 tiled)
+P8 = SimParams(n_kz=3, n_qz=2, n_E=16, n_w=4, n_A=32, n_B=4, n_orb=2, bnum=4)
 
 
 def _instance(seed, params):
@@ -241,6 +244,28 @@ def test_omen_ranks_see_only_the_energy_hull_of_their_points(monkeypatch, proces
         assert (n_kz, n_a) == (RICH.n_kz, RICH.n_A)
         if RICH.n_E % share == 0:
             assert n_e <= share + 2 * grid.max_offset < RICH.n_E
+
+
+def test_omen_ranks_form_their_factors_only_at_the_rows_their_points_read(monkeypatch):
+    # At P=8 each omen rank owns 6 of the 48 (k, E) points, on an energy hull of 10 to 16 energies at
+    # every k.  Its Sigma stage 1 forms dH G only at the rows ((k - q) mod n_kz, E - off) its points
+    # read, its Pi m1 only at the (k + q, E + off) its traces read, and m2 at its own points: 128, 128
+    # and 48 rows over the 8 ranks, where a whole hull is 312.
+    grid, dev, nmap, g, d = _instance(17, P8)
+    ref_sigma, ref_pi = _reference(P8, grid, dev, nmap, g, d)
+    counter = FlopCounter()
+    for name in ("sse_sigma", "sse_pi_chains"):
+        kernel = getattr(distsim, name)
+        monkeypatch.setattr(distsim, name, lambda *args, _kernel=kernel, **kwargs: _kernel(*args, counter=counter, **kwargs))
+    sigma, pi, _ = run_omen_scheme(g, d, dev.dH, nmap, grid, P8, 8)
+    assert _rel_dev(sigma, ref_sigma) <= 1e-10
+    assert _rel_dev(pi, ref_pi) <= 1e-10
+    row = 2 * P8.n_A * P8.n_B * 3 * P8.n_orb**3  # one row of a dH G stage: both tensors, every pair, 3 directions
+    assert counter.stages == {"sigma.dhg": 128 * row, "sigma.accumulate": 128 * row * P8.n_qz * P8.n_w,
+                              "pi.m1": 128 * row, "pi.m2": 48 * row}
+    sigma, pi, _ = run_tiled_scheme(g, d, dev.dH, nmap, grid, P8, 2, 4)
+    assert _rel_dev(sigma, ref_sigma) <= 1e-10
+    assert _rel_dev(pi, ref_pi) <= 1e-10
 
 
 def test_idle_ranks_run_no_kernel(monkeypatch):

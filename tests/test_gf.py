@@ -454,13 +454,20 @@ def test_block_helpers_match_explicit_block_loops():
     assert np.array_equal(target, matrix + banded)
 
 
-def _first_pass_pi(params, seed=1):
-    """Device and the Pi that ``sse_pi`` makes from a first-pass G of seeded self-energies."""
+def _first_pass_pi(params, seed=1, scale=0.01):
+    """Device and the Pi that ``sse_pi`` makes from a random G pair of entries about ``scale``.
+
+    Its lesser and greater parts differ, so Pi^R = (Pi^> - Pi^<) / 2 is not
+    zero (a G from seeded self-energies has G^< = -G^>, hence Pi^< = Pi^>).
+    """
     dev, nmap = synthesize(params, seed=seed)
     grid = default_grid(params)
-    sigma0, pi0 = seeded_self_energies(params, 0.1)
-    g, _ = gf_phase(dev, sigma0, pi0, params, grid, nmap, solver="rgf")
-    return dev, nmap, grid, sse_pi(g, dev.dH, nmap, grid, params.n_qz)
+    rng = np.random.default_rng(seed)
+
+    def rand():
+        return scale * (rng.standard_normal(params.electron_shape) + 1j * rng.standard_normal(params.electron_shape))
+
+    return dev, nmap, grid, sse_pi(GreensTensor(rand(), rand()), dev.dH, nmap, grid, params.n_qz)
 
 
 @pytest.mark.parametrize(
@@ -477,6 +484,7 @@ def test_phonon_rgf_slots_match_the_dense_solve(params):
     for row in (0, params.n_A - 1):  # chain ends list their first neighbor twice, and Pi's two slots differ there
         assert nmap.idx[row, 0] == nmap.idx[row, 1]
         assert np.max(np.abs(pi.data[:, :, :, row, 1] - pi.data[:, :, :, row, 2])) > 0
+    assert np.max(np.abs(pi.greater - pi.lesser)) > 0  # a nonzero Pi^R enters the band
     pi_r = retarded_from_lesser_greater(pi)
     worst = 0.0
     for qz in range(params.n_qz):

@@ -260,6 +260,47 @@ def test_sigma_atom_range_restricts_the_produced_atoms(variant):
         assert c_part.stages[stage] * params.n_A == full_count * (hi - lo), stage
 
 
+# Shape of the point-mask tests: offsets 1 and 2 on six energies, so masks near either edge read off the grid.
+MASKED = TINY.replace(n_E=6, n_A=6)
+
+
+def _point_masks(params):
+    """(k_z, E) masks of the masked-kernel tests: random ones, no point, one point, the energy edges, and the
+    first and last momentum rows, whose k -+ q shifts wrap."""
+    shape = (params.n_kz, params.n_E)
+    rng = np.random.default_rng(50)
+    masks = {"random-sparse": rng.random(shape) < 0.3, "random-dense": rng.random(shape) < 0.7}
+    for name, index in (("no-point", ()), ("one-point", (1, 2)), ("lowest-energy", (slice(None), 0)),
+                        ("highest-energy", (slice(None), -1)), ("both-edges", (slice(None), [0, -1])),
+                        ("first-momentum", 0), ("last-momentum", -1)):
+        masks[name] = np.zeros(shape, dtype=bool)
+        if index != ():
+            masks[name][index] = True
+    return masks
+
+
+@pytest.mark.parametrize("variant", list(SseVariant))
+def test_sigma_point_mask_zeroes_the_points_outside_it(variant):
+    # the default arrangement also tallies exactly the rows the masked points read
+    params, grid, nmap, g, d, dh = _instance(33, MASKED)
+    dc = preprocess_D(d, nmap)
+    for atom_range in (None, (1, 4)):
+        ref = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid, atom_range=atom_range)
+        lo, hi = atom_range or (0, params.n_A)
+        for name, mask in _point_masks(params).items():
+            counter = FlopCounter()
+            out = sse_sigma(variant, g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range, point_mask=mask)
+            for side in ("lesser", "greater"):
+                want = np.where(mask[:, :, None, None, None], getattr(ref, side), 0)
+                got = getattr(out, side)
+                assert not np.any(got[~mask]), (name, atom_range, side)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(getattr(ref, side))), (name, atom_range, side)
+            if variant is sse.DEFAULT_VARIANT:
+                rows = _stage_cmuladds(params, hi - lo, _masked_rows(params, grid, mask)["sigma"])
+                assert counter.stages == {"sigma.dhg": 2 * rows,
+                                          "sigma.accumulate": 2 * rows * params.n_qz * params.n_w}, (name, atom_range)
+
+
 def _atom_slice(g, dc, dh, nmap, lo, hi):
     """G, Dc and dH of atoms [lo, hi) with the neighbor map re-indexed into the slice."""
     sl = slice(lo, hi)
@@ -330,9 +371,32 @@ def _edge_instance(shape):
     return params, grid, nmap, g, d, dh
 
 
-def _stage_cmuladds(params, n_atoms):
-    """Closed form of one dH G stage over ``n_atoms`` atoms and one tensor: n_atoms n_B 3 n_kz n_E n_orb^3."""
-    return n_atoms * params.n_B * 3 * params.n_kz * params.n_E * params.n_orb**3
+def _stage_cmuladds(params, n_atoms, points=None):
+    """Closed form of one dH G stage over ``n_atoms`` atoms, ``points`` (k_z, E) rows (all by default) and one tensor.
+
+    n_atoms n_B 3 points n_orb^3.
+    """
+    points = params.n_kz * params.n_E if points is None else points
+    return n_atoms * params.n_B * 3 * points * params.n_orb**3
+
+
+def _masked_rows(params, grid, mask):
+    """The (k_z, E) rows a masked default-kernel call forms its factors at: Sigma's stage 1, Pi's m1 and m2.
+
+    Sigma reads ((k - q) mod n_kz, E - off) of each masked point; Pi forms m2
+    at the masked points, traces over their ((k + q) mod n_kz, E), and forms
+    m1 at the in-grid (k, E + off) of those.  A mask of every point (or none)
+    runs unmasked, at every row.
+    """
+    n_kz, n_e = params.n_kz, params.n_E
+    if mask is None or mask.all():
+        return {"sigma": n_kz * n_e, "pi.m1": n_kz * n_e, "pi.m2": n_kz * n_e}
+    owned = list(zip(*np.nonzero(mask)))
+    momenta, offsets = range(params.n_qz), grid.offsets
+    read = {((k - q) % n_kz, e - off) for k, e in owned for q in momenta for off in offsets if 0 <= e - off < n_e}
+    traced = {((k + q) % n_kz, e) for k, e in owned for q in momenta}
+    m1 = {(k, e + off) for k, e in traced for off in offsets if 0 <= e + off < n_e}
+    return {"sigma": len(read), "pi.m1": len(m1), "pi.m2": len(owned)}
 
 
 @pytest.mark.parametrize("shape", list(EDGE_SHAPES))
@@ -410,21 +474,25 @@ def test_default_kernel_chunk_lengths(monkeypatch):
 
 
 def test_default_kernels_transient_memory_at_a_chunked_shape():
-    # At the distsim-p8 shape several units fit sse.BUDGET (pinned above); a chunk's length times its
-    # per-unit bytes is at most BUDGET, so each call holds at most
+    # At the distsim-p8 shape several units fit sse.BUDGET (pinned above), masked or not; a chunk's
+    # length times its per-unit bytes is at most BUDGET, so each call holds at most
     #     BUDGET + SLACK  bytes
-    # above its outputs.  SLACK = 384 KiB covers what does not scale with the chunk: the call's gather
-    # indices and dH layouts (tens of KiB here) and numpy's buffered ufunc loops, which copy at most
-    # 8192 entries (128 KiB) of each buffered operand.
+    # above its outputs.  SLACK covers what does not scale with the chunk: the call's gather plans and
+    # dH layouts (about 25 KiB here) and the buffers numpy's broadcast ufunc loops allocate, at most
+    # 8192 entries per operand (about 135 KiB for Sigma's Xi weighting, 35 KiB for the index of a
+    # masked call's row gather).  The largest call, masked Sigma, measured 193 KiB above BUDGET with
+    # numpy 2.4; SLACK = 224 KiB adds 31 KiB of margin, so a unit under-counted by a quarter fails.
     params, grid, nmap, g, d, dh = _instance(43, P8)
     dc = preprocess_D(d, nmap)
     mask = np.zeros((params.n_kz, params.n_E), dtype=bool)
     mask[:, 4:12] = True
     calls = {
         "sigma": lambda: sse_sigma(sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid),
-        "pi": lambda: sse_pi_chains(g, dh, nmap, grid, params.n_qz, point_mask=mask),
+        "sigma-masked": lambda: sse_sigma(sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid, point_mask=mask),
+        "pi": lambda: sse_pi_chains(g, dh, nmap, grid, params.n_qz),
+        "pi-masked": lambda: sse_pi_chains(g, dh, nmap, grid, params.n_qz, point_mask=mask),
     }
-    bound = sse.BUDGET + 384 * 1024
+    bound = sse.BUDGET + 224 * 1024
     for name, call in calls.items():
         call()  # fills the cached gather plans
         tracemalloc.start()
@@ -450,13 +518,15 @@ def test_chunk_boundaries_are_value_neutral(monkeypatch, ranged):
     n_atoms = params.n_A if atom_range is None else atom_range[1] - atom_range[0]
     kernels = {
         "sigma": (n_atoms, lambda counter: sse_sigma(
-            sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range)),
+            sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range, point_mask=mask)),
         "pi": (n_atoms * params.n_B, lambda counter: sse_pi_chains(
             g, dh, nmap, grid, params.n_qz, counter=counter, point_mask=mask, atom_range=atom_range)),
     }
-    common = _stage_cmuladds(params, n_atoms)
-    closed = {"sigma.dhg": 2 * common, "sigma.accumulate": 2 * common * params.n_qz * params.n_w,
-              "pi.m1": 2 * common, "pi.m2": 2 * common}
+    rows = _masked_rows(params, grid, mask)
+    sigma_rows = _stage_cmuladds(params, n_atoms, rows["sigma"])
+    closed = {"sigma.dhg": 2 * sigma_rows, "sigma.accumulate": 2 * sigma_rows * params.n_qz * params.n_w,
+              "pi.m1": 2 * _stage_cmuladds(params, n_atoms, rows["pi.m1"]),
+              "pi.m2": 2 * _stage_cmuladds(params, n_atoms, rows["pi.m2"])}
     seen = _spy_chunks(monkeypatch)
     units, outs = {}, {}
     for chunking in ("one", "tail", "all"):
@@ -610,8 +680,28 @@ def test_default_pi_matches_unhoisted(seed, shape):
         for want, got in ((plain.lesser, default.lesser), (plain.greater, default.greater)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kwargs
         lo, hi = kwargs.get("atom_range", (0, params.n_A))
-        common = _stage_cmuladds(params, hi - lo)
-        assert counter.stages == {"pi.m1": 2 * common, "pi.m2": 2 * common}, kwargs
+        rows = _masked_rows(params, grid, kwargs.get("point_mask"))
+        assert counter.stages == {stage: 2 * _stage_cmuladds(params, hi - lo, rows[stage])
+                                  for stage in ("pi.m1", "pi.m2")}, kwargs
+
+
+def test_default_pi_point_masks_match_unhoisted():
+    # and tallies m1 and m2 at exactly the rows the masked points read
+    params, grid, nmap, g, _, dh = _instance(35, MASKED)
+    for atom_range in (None, (1, 4)):
+        lo, hi = atom_range or (0, params.n_A)
+        for name, mask in _point_masks(params).items():
+            plain = sse_pi_chains(g, dh, nmap, grid, params.n_qz, hoist_invariant=False, point_mask=mask, atom_range=atom_range)
+            counter = FlopCounter()
+            default = sse_pi_chains(g, dh, nmap, grid, params.n_qz, counter=counter, point_mask=mask, atom_range=atom_range)
+            for want, got in ((plain.lesser, default.lesser), (plain.greater, default.greater)):
+                scale = max(np.max(np.abs(want)), 1e-300)
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, atom_range)
+            if not mask.any():
+                assert not np.any(default.data), (name, atom_range)
+            rows = _masked_rows(params, grid, mask)
+            assert counter.stages == {stage: 2 * _stage_cmuladds(params, hi - lo, rows[stage])
+                                      for stage in ("pi.m1", "pi.m2")}, (name, atom_range)
 
 
 def test_reference_dhg_counter_is_qw_multiple_of_batched():
