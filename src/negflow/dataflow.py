@@ -5,16 +5,22 @@ symbolic ranges, memlets whose per-dimension indices are affine expressions,
 explicit window subsets, or engineer-supplied indirection models, a tiling
 transformation, and the outward propagation of memlet ranges through a
 scope.  Symbolic arithmetic is delegated to sympy, and the IR never
-simplifies: it builds sums, products and clamps as sympy constructs them.
-Tests compare forms by ``simplify(a - b) == 0`` or by values at points, and
-pin correctness by concrete instantiation.
+simplifies: it builds sums and products as sympy constructs them.
+
+Clamps (``Min``, ``Max``, ``ceiling``) follow one rule, :func:`_clamp`: a
+clamp of numbers evaluates, and a symbolic clamp is built unevaluated, so
+sympy's assumption engine never runs on it; it evaluates when its symbols
+are substituted (``subs``, ``xreplace``, :meth:`SymRange.instantiate`).
+The one clamp the IR decides itself is a unique count whose index sweeps a
+scope symbol over the whole array extent: that count is the extent.  Tests
+compare forms by ``simplify(a - b) == 0`` or by values at points, and pin
+correctness by concrete instantiation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import lru_cache
 from itertools import product
 
 import sympy
@@ -27,6 +33,12 @@ class CannotPropagateError(ValueError):
 
 def _expr(x) -> Expr:
     return sympy.sympify(x)
+
+
+def _clamp(func, *args) -> Expr:
+    """``func(*args)``, evaluated only when every argument is a number."""
+    args = [_expr(a) for a in args]
+    return func(*args, evaluate=all(a.is_number for a in args))
 
 
 @dataclass(frozen=True)
@@ -214,13 +226,11 @@ def tile_map(scope: MapScope, tile_sizes: dict, clip: bool = True) -> MapScope:
                 raise ValueError(f"tile size {size} for {sym} exceeds extent {rng.length}")
         t_sym = Symbol(f"t_{sym.name}", integer=True, nonnegative=True)
         outer_syms.append(t_sym)
-        outer_ranges.append(SymRange(0, ceiling(rng.length / size)))
+        outer_ranges.append(SymRange(0, _clamp(ceiling, rng.length / size)))
         lower = rng.lower + t_sym * size
         upper = rng.lower + (t_sym + 1) * size
         if clip:
-            # unevaluated Min: assumption queries on the tile symbol are
-            # expensive and the bound evaluates on instantiation anyway
-            upper = Min(rng.upper, upper, evaluate=False)
+            upper = _clamp(Min, rng.upper, upper)
         inner_ranges.append(SymRange(lower, upper))
     inner = MapScope(
         name=f"{scope.name}_tile",
@@ -234,13 +244,6 @@ def tile_map(scope: MapScope, tile_sizes: dict, clip: bool = True) -> MapScope:
         ranges=tuple(outer_ranges),
         body=(inner,),
     )
-
-
-@lru_cache(maxsize=4096)
-def _clamped_unique(extent: Expr, length: Expr) -> Expr:
-    # Min construction triggers costly relational analysis in sympy; the
-    # same (extent, length) pairs recur constantly during enumeration tests.
-    return Min(extent, length)
 
 
 @dataclass(frozen=True)
@@ -277,12 +280,31 @@ def _product(factors: list[Expr]) -> Expr:
     return sympy.Mul(*factors)
 
 
-def _propagate_affine(expr: Expr, scope: MapScope, extent: Expr) -> DimPropagation:
-    expanded = sympy.expand(expr)
+def _expand(expr: Expr) -> Expr:
+    """``sympy.expand``, skipped for a sum of products of atoms, which is expanded already."""
+    terms = expr.args if expr.is_Add else (expr,)
+    if all(t.is_Atom or (t.is_Mul and all(f.is_Atom for f in t.args)) for t in terms):
+        return expr
+    return sympy.expand(expr)
+
+
+def _span(scope: MapScope, sym: Symbol, spans: dict) -> tuple[Expr, Expr]:
+    """First and last value of ``sym`` in ``scope``, expanded once per propagation into ``spans``."""
+    if sym not in spans:
+        rng = scope.range_of(sym)
+        spans[sym] = (_expand(rng.lower), _expand(rng.upper - 1))
+    return spans[sym]
+
+
+def _propagate_affine(expr: Expr, scope: MapScope, extent: Expr, spans: dict) -> DimPropagation:
+    # sums of expanded terms times integers stay expanded, so only the index and the spans are expanded
+    expanded = _expand(expr)
     scope_syms = set(scope.symbols)
     coeffs: dict[Symbol, Expr] = {}
     rest = expanded
     for sym in scope.symbols:
+        if sym not in expanded.free_symbols:
+            continue
         c = expanded.coeff(sym, 1)
         if c.free_symbols & scope_syms:
             raise CannotPropagateError(f"cannot propagate non-affine index {expr}")
@@ -298,21 +320,26 @@ def _propagate_affine(expr: Expr, scope: MapScope, extent: Expr) -> DimPropagati
     lo = rest
     hi = rest
     for sym, c in coeffs.items():
-        rng = scope.range_of(sym)
+        first, last = _span(scope, sym, spans)
         if c > 0:
-            lo = lo + c * rng.lower
-            hi = hi + c * (rng.upper - 1)
+            lo = lo + c * first
+            hi = hi + c * last
         else:
-            lo = lo + c * (rng.upper - 1)
-            hi = hi + c * rng.lower
-    lo = sympy.expand(lo)
-    hi = sympy.expand(hi)
-    length = sympy.expand(hi - lo + 1)
+            lo = lo + c * last
+            hi = hi + c * first
+    length = hi - lo + 1
 
     if all(abs(c) <= 1 for c in coeffs.values()):
         # Unit strides make the image a contiguous integer range, so the
-        # unique count is the range length clamped to the array extent.
-        unique = _clamped_unique(extent, length) if extent is not None else length
+        # unique count is the range length clamped to the array extent.  A
+        # symbol that sweeps the whole extent makes the range at least as
+        # long as the extent (every other term adds its span minus one).
+        if extent is None:
+            unique = length
+        elif any(last - first + 1 == extent for first, last in (spans[sym] for sym in coeffs)):
+            unique = extent
+        else:
+            unique = _clamp(Min, extent, length)
     elif len(coeffs) == 1:
         (sym,) = coeffs
         unique = scope.range_of(sym).length
@@ -325,13 +352,11 @@ def _propagate_affine(expr: Expr, scope: MapScope, extent: Expr) -> DimPropagati
     )
 
 
-def _propagate_window(window: SymRange, scope: MapScope, extent: Expr) -> DimPropagation:
-    lo_prop = _propagate_affine(window.lower, scope, None)
-    hi_prop = _propagate_affine(window.upper - 1, scope, None)
-    lo = lo_prop.range.lower
-    hi = hi_prop.range.upper - 1
-    length = sympy.expand(hi - lo + 1)
-    unique = _clamped_unique(extent, length) if extent is not None else length
+def _propagate_window(window: SymRange, scope: MapScope, extent: Expr, spans: dict) -> DimPropagation:
+    lo = _propagate_affine(window.lower, scope, None, spans).range.lower
+    hi = _propagate_affine(window.upper - 1, scope, None, spans).range.upper - 1
+    length = hi - lo + 1
+    unique = _clamp(Min, extent, length) if extent is not None else length
     return DimPropagation(
         range=SymRange(lo, hi + 1),
         total_accesses=length,
@@ -349,6 +374,7 @@ def propagate_memlet(scope: MapScope, memlet: Memlet, array: ArrayDecl | None = 
     values are returned verbatim; there is no silent over-approximation.
     """
     dims = []
+    spans: dict = {}
     for axis, ix in enumerate(memlet.indices):
         extent = array.shape[axis] if array is not None and axis < len(array.shape) else None
         if isinstance(ix, IndirectionModel):
@@ -361,9 +387,9 @@ def propagate_memlet(scope: MapScope, memlet: Memlet, array: ArrayDecl | None = 
                 )
             )
         elif isinstance(ix, SymRange):
-            dims.append(_propagate_window(ix, scope, extent))
+            dims.append(_propagate_window(ix, scope, extent, spans))
         else:
-            dims.append(_propagate_affine(ix, scope, extent))
+            dims.append(_propagate_affine(ix, scope, extent, spans))
     return MemletPropagation(dims=tuple(dims))
 
 
@@ -375,12 +401,12 @@ def neighbor_indirection(t_a, s_a, n_a, n_b, name: str = "f(a,b)") -> Indirectio
     range below with s_a * N_B total and min(N_A, s_a + N_B) unique accesses.
     """
     t_a, s_a, n_a, n_b = map(_expr, (t_a, s_a, n_a, n_b))
-    rng = SymRange(Min(0, t_a * s_a - n_b / 2), Max(n_a, (t_a + 1) * s_a + n_b / 2))
+    rng = SymRange(_clamp(Min, 0, t_a * s_a - n_b / 2), _clamp(Max, n_a, (t_a + 1) * s_a + n_b / 2))
     return IndirectionModel(
         name=name,
         range=rng,
         total_accesses=s_a * n_b,
-        unique_accesses=Min(n_a, s_a + n_b),
+        unique_accesses=_clamp(Min, n_a, s_a + n_b),
     )
 
 
@@ -389,18 +415,22 @@ def volume_between_maps(outer: MapScope, graph: DataflowGraph) -> dict[str, Expr
 
     Requires an outer partition map containing exactly one inner map; sums
     unique accesses times element size over every boundary memlet of each
-    array.  Raises if any memlet cannot be propagated.
+    array.  Memlets with the same indices into arrays of the same shape
+    propagate once.  Raises if any memlet cannot be propagated.
     """
     inner_maps = list(outer.child_maps())
     if len(inner_maps) != 1:
         raise ValueError("volume_between_maps expects an outer map holding exactly one inner map")
     inner = inner_maps[0]
     volumes: dict[str, Expr] = {}
+    unique: dict[tuple, Expr] = {}  # unique accesses per (indices, shape)
     for tasklet in inner.tasklets():
         for memlet in list(tasklet.inputs) + list(tasklet.outputs):
             decl = graph.array(memlet.array)
-            prop = propagate_memlet(inner, memlet, decl)
-            contribution = prop.unique_accesses * decl.element_bytes
+            key = (memlet.indices, decl.shape)
+            if key not in unique:
+                unique[key] = propagate_memlet(inner, memlet, decl).unique_accesses
+            contribution = unique[key] * decl.element_bytes
             volumes[memlet.array] = volumes.get(memlet.array, sympy.Integer(0)) + contribution
     return volumes
 
@@ -461,6 +491,7 @@ def build_sse_graph(tile_e="s_E", tile_a="s_A") -> SseGraph:
     the phonon arrays carry the halo-extended atom range of the analytic
     volume model.  Orbital and vibration dims are full-range windows.
     """
+    s_e, s_a = _expr(tile_e), _expr(tile_a)
     names = ["N_kz", "N_E", "N_qz", "N_w", "N_A", "N_B", "N_orb", "N_3D"]
     n = {nm: Symbol(nm, integer=True, positive=True) for nm in names}
     k, e_sym, q, w, i, j, a, b = sympy.symbols("k E q w i j a b", integer=True, nonnegative=True)
@@ -495,10 +526,9 @@ def build_sse_graph(tile_e="s_E", tile_a="s_A") -> SseGraph:
         ),
         body=(),
     )
-    tiled_empty = tile_map(base, {"E": tile_e, "a": tile_a}, clip=False)
+    tiled_empty = tile_map(base, {"E": s_e, "a": s_a}, clip=False)
     inner_empty = next(iter(tiled_empty.child_maps()))
     t_a = next(s for s in tiled_empty.symbols if s.name == "t_a")
-    s_a = _expr(tile_a)
 
     f_model = neighbor_indirection(t_a, s_a, n["N_A"], n["N_B"])
     # Union of the two energy consumers: E-off for Sigma, E+off for Pi,
@@ -533,12 +563,12 @@ def build_sse_graph(tile_e="s_E", tile_a="s_A") -> SseGraph:
 
     inner = replace(inner_empty, body=(tasklet,))
     outer = replace(tiled_empty, body=(inner,))
-    tile_syms = tuple(_expr(tile_e).free_symbols | s_a.free_symbols)
+    tile_syms = tuple(s_e.free_symbols | s_a.free_symbols)
     graph = DataflowGraph(arrays=arrays, top=outer, globals=tuple(n.values()) + tile_syms)
     symbols = dict(n)
     symbols.update({s.name: s for s in outer.symbols})
     symbols.update({s.name: s for s in inner.symbols})
-    for name, sym in (("s_E", _expr(tile_e)), ("s_A", s_a)):
+    for name, sym in (("s_E", s_e), ("s_A", s_a)):
         if isinstance(sym, Symbol):
             symbols[name] = sym
     graph.validate()

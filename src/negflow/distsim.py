@@ -21,6 +21,8 @@ loudly instead of reading zeros.  A rank that owns nothing runs no kernel.
 The ledger counts messages and names their ends; ``comm`` sizes and tags
 each entry, a tiled rank's over its footprint (tile + N_B atoms, odd N_B
 too), so checking the ledger against ``comm``'s closed forms checks counts.
+It holds its messages as integer columns, which both schemes build with
+array operations in simulation order.
 Off-grid shifts and halo entries travel as zero blocks, and rank-local
 copies are ledgered, because the models count them too.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,46 +55,82 @@ class LedgerEntry:
     bytes: int
 
 
-@dataclass
-class MessageLedger:
-    """Exact per-message byte record of one simulated run."""
+def _columns(round_, src, dst, tag, nbytes) -> Array:
+    """Ledger columns of the messages given as broadcastable integer arrays, one message per broadcast entry."""
+    return np.stack(np.broadcast_arrays(round_, src, dst, tag, nbytes)).astype(np.int64, copy=False)
 
-    entries: list[LedgerEntry] = field(default_factory=list)
+
+def _round_trips(peers: Array, rank: int, tags: list[int], nbytes: int) -> Array:
+    """Ledger columns of one message from each of ``peers`` to ``rank`` in round 0, each followed by its return in round 1."""
+    trip = np.array([0, 1])
+    peers = peers.reshape(-1, 1)
+    return _columns(trip, np.where(trip, rank, peers), np.where(trip, peers, rank), tags, nbytes)
+
+
+class MessageLedger:
+    """Exact per-message byte record of one simulated run, held as integer columns.
+
+    ``columns`` is a (5, messages) array in simulation order whose rows are
+    the round, source, destination, tag index (into ``tag_names``) and bytes
+    of each message; :attr:`entries` materializes them as
+    :class:`LedgerEntry` rows in that order.
+    """
+
+    FIELDS = ("round", "src", "dst", "tag", "bytes")
+
+    def __init__(self) -> None:
+        self.tag_names: list[str] = []
+        self.columns = np.zeros((len(self.FIELDS), 0), dtype=np.int64)
+
+    def tag_index(self, tag: str) -> int:
+        """Index of ``tag`` in ``tag_names``, appended on first use."""
+        if tag not in self.tag_names:
+            self.tag_names.append(tag)
+        return self.tag_names.index(tag)
+
+    def extend(self, columns: Array) -> None:
+        """Append messages given as columns (see :func:`_columns`); trailing axes run fastest."""
+        self.columns = np.concatenate([self.columns, columns.reshape(len(self.FIELDS), -1)], axis=1)
 
     def add(self, round_: int, src: int, dst: int, tag: str, nbytes: int) -> None:
-        self.entries.append(LedgerEntry(round_, src, dst, tag, int(nbytes)))
+        self.extend(_columns(round_, src, dst, self.tag_index(tag), int(nbytes)))
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        names = self.tag_names
+        return [LedgerEntry(r, s, d, names[t], b) for r, s, d, t, b in self.columns.T.tolist()]
+
+    def _bytes(self, tag: str | None, end: Array | None = None, rank: int | None = None) -> int:
+        """Bytes of the messages with ``tag`` whose ``end`` column reads ``rank``; None matches any."""
+        keep = np.ones(self.columns.shape[1], dtype=bool)
+        if rank is not None:
+            keep &= end == rank
+        if tag is not None:
+            keep &= self.columns[3] == (self.tag_names.index(tag) if tag in self.tag_names else -1)
+        return int(self.columns[4, keep].sum())
 
     def bytes_sent(self, rank: int | None = None, tag: str | None = None) -> int:
-        return sum(
-            e.bytes
-            for e in self.entries
-            if (rank is None or e.src == rank) and (tag is None or e.tag == tag)
-        )
+        return self._bytes(tag, self.columns[1], rank)
 
     def bytes_received(self, rank: int | None = None, tag: str | None = None) -> int:
-        return sum(
-            e.bytes
-            for e in self.entries
-            if (rank is None or e.dst == rank) and (tag is None or e.tag == tag)
-        )
+        return self._bytes(tag, self.columns[2], rank)
 
     def total_bytes(self, tag: str | None = None) -> int:
-        return sum(e.bytes for e in self.entries if tag is None or e.tag == tag)
+        return self._bytes(tag)
 
     def tags(self) -> list[str]:
-        return sorted({e.tag for e in self.entries})
+        return sorted(self.tag_names[t] for t in np.unique(self.columns[3]))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["round", "src", "dst", "tag", "bytes"])
-        for e in self.entries:
-            writer.writerow([e.round, e.src, e.dst, e.tag, e.bytes])
+        writer.writerow(self.FIELDS)
+        writer.writerows((e.round, e.src, e.dst, e.tag, e.bytes) for e in self.entries)
         return buf.getvalue()
 
     def summary(self) -> dict:
         return {
-            "messages": len(self.entries),
+            "messages": self.columns.shape[1],
             "total_bytes": self.total_bytes(),
             "by_tag": {tag: self.total_bytes(tag) for tag in self.tags()},
         }
@@ -148,9 +186,12 @@ def _rank(
 
 def _run_ranks(
     g: GreensTensor, dc: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, params: SimParams,
-    owned: list[Array], a_ranges: list[tuple[int, int]], received: list[Array], halo_a: int,
+    owned: Array, a_ranges: list[tuple[int, int]], received: Array, halo_a: int,
 ) -> tuple[GreensTensor, GreensTensor]:
-    """Every rank that owns something runs :func:`_rank` on what it received; Sigma and Pi from their owned parts."""
+    """Every rank that owns something runs :func:`_rank` on what it received; Sigma and Pi from their owned parts.
+
+    ``owned`` and ``received`` hold one (k, E) mask per rank.
+    """
     sigma = GreensTensor.zeros(params.electron_shape)
     chains = GreensTensor.zeros((params.n_qz, params.n_w, params.n_A, params.n_B, 3, 3))
     for mask, (a_lo, a_hi), got in zip(owned, a_ranges, received):
@@ -185,35 +226,37 @@ def run_omen_scheme(
         raise ValueError("process count must be >= 1")
     owner = _owners(params.n_kz, params.n_E, processes)
     roots = _owners(params.n_qz, params.n_w, processes)
-    owned = [owner == r for r in range(processes)]
+    owned = owner == np.arange(processes)[:, None, None]
     dc = preprocess_D(d, nmap)
     ledger = MessageLedger()
 
     d_bytes = phonon_slice_bytes(params, params.n_A)
     g_bytes = electron_column_bytes(params, params.n_A)
 
-    received = [mask.copy() for mask in owned]
-    for q in range(params.n_qz):
-        for w in range(params.n_w):
-            round_ = q * params.n_w + w
-            off = grid.frequency_map[w][0]
-            root = int(roots[q, w])
-            for dst in range(processes):
-                ledger.add(round_, root, dst, PHONON_D, d_bytes)
-            for dst in range(processes):
-                for k, i_e in np.argwhere(owned[dst]):
-                    for k_s, e_s in (
-                        ((k - q) % params.n_kz, i_e - off),
-                        ((k + q) % params.n_kz, i_e + off),
-                    ):
-                        if 0 <= e_s < params.n_E:
-                            src = int(owner[k_s, e_s])
-                            received[dst][k_s, e_s] = True
-                        else:
-                            src = dst  # off-grid shift travels as a zero block
-                        ledger.add(round_, src, dst, ELECTRON_G, g_bytes)
-            for src in range(processes):
-                ledger.add(round_, src, root, PHONON_PI, d_bytes)
+    # Per round (q, w): the D broadcast from its root, then the two shifted electron blocks (E -+ offset,
+    # k -+ q) of every (k, E) point in row-major order, which walks the ranks in order since their chunks
+    # are contiguous, then the Pi reduction to the root.  Axes [q, w, k, E, -+].
+    k, e = (axis[..., None] for axis in np.indices((params.n_kz, params.n_E)))
+    sign = np.array([-1, 1])
+    k_s = (k + sign * np.arange(params.n_qz)[:, None, None, None, None]) % params.n_kz
+    e_s = e + sign * np.asarray(grid.offsets)[:, None, None, None]
+    on = (0 <= e_s) & (e_s < params.n_E)
+    shape = np.broadcast_shapes(k_s.shape, e_s.shape)
+    dst = np.broadcast_to(owner[..., None], shape)
+    src = np.where(on, owner[k_s, np.clip(e_s, 0, params.n_E - 1)], dst)  # off-grid shifts travel as zero blocks
+    received = owned.copy()
+    hit = np.broadcast_to(on, shape)
+    received[dst[hit], np.broadcast_to(k_s, shape)[hit], np.broadcast_to(e_s, shape)[hit]] = True
+
+    rounds = np.arange(params.n_qz * params.n_w).reshape(params.n_qz, params.n_w, 1)
+    ranks = np.arange(processes)
+    root = roots[..., None]
+    per_round = rounds.shape[:2] + (-1,)
+    ledger.extend(np.concatenate([
+        _columns(rounds, root, ranks, ledger.tag_index(PHONON_D), d_bytes),
+        _columns(rounds, src.reshape(per_round), dst.reshape(per_round), ledger.tag_index(ELECTRON_G), g_bytes),
+        _columns(rounds, ranks, root, ledger.tag_index(PHONON_PI), d_bytes),
+    ], axis=-1))
 
     a_ranges = [(0, params.n_A)] * processes
     sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, owned, a_ranges, received, halo_a=0)
@@ -258,26 +301,24 @@ def run_tiled_scheme(
     g_col_bytes = electron_column_bytes(params, col_atoms)
     d_slice_bytes = phonon_slice_bytes(params, col_atoms)
 
-    owned = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in range(processes)]
-    received = [np.zeros((params.n_kz, params.n_E), dtype=bool) for _ in range(processes)]
+    # Per rank: each electron column it reads (every k, its energy tile +- halo_e) arrives in round 0 and
+    # its Sigma column returns in round 1, message by message; then each (q, w) round's D slice and Pi
+    # slice the same way.
+    owned = np.zeros((processes, params.n_kz, params.n_E), dtype=bool)
+    received = np.zeros_like(owned)
     a_ranges = [(tile.start, tile.stop) for _ in e_tiles for tile in a_tiles]
+    electron = [ledger.tag_index(ELECTRON_G), ledger.tag_index(ELECTRON_SIGMA)]
+    phonon = [ledger.tag_index(PHONON_D), ledger.tag_index(PHONON_PI)]
     for rank in range(processes):
         e_tile = e_tiles[rank // t_a]
-        owned[rank][:, e_tile.start : e_tile.stop] = True
-        for k in range(params.n_kz):
-            for e_s in range(e_tile.start - halo_e, e_tile.stop + halo_e):
-                if 0 <= e_s < params.n_E:
-                    src = int(owner[k, e_s])
-                    received[rank][k, e_s] = True
-                else:
-                    src = rank  # zero-padded halo mirrors the model rectangle
-                ledger.add(0, src, rank, ELECTRON_G, g_col_bytes)
-                ledger.add(1, rank, src, ELECTRON_SIGMA, g_col_bytes)
-        for q in range(params.n_qz):
-            for w in range(params.n_w):
-                root = int(roots[q, w])
-                ledger.add(0, root, rank, PHONON_D, d_slice_bytes)
-                ledger.add(1, rank, root, PHONON_PI, d_slice_bytes)
+        owned[rank, :, e_tile.start : e_tile.stop] = True
+        e_s = np.arange(e_tile.start - halo_e, e_tile.stop + halo_e)
+        on = (0 <= e_s) & (e_s < params.n_E)
+        received[rank, :, e_s[on]] = True
+        # the zero-padded halo mirrors the model rectangle
+        src = np.where(on, owner[:, np.clip(e_s, 0, params.n_E - 1)], rank)
+        ledger.extend(_round_trips(src, rank, electron, g_col_bytes))
+        ledger.extend(_round_trips(roots, rank, phonon, d_slice_bytes))
 
     sigma, pi = _run_ranks(g, dc, dh, nmap, grid, params, owned, a_ranges, received, nmap.max_reach)
     return sigma, pi, ledger

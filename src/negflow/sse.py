@@ -300,10 +300,12 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Arr
     Y = dHG Xi for every neighbor and (q_z, omega) at once, and the shift
     then gathers n_orb columns of Y per (q_z, omega) in one indexed copy
     (rows from :func:`_shift_plan`; zero rows stand in for off-grid
-    energies) before the (q_z, omega) sum.  Under a point ``mask`` both
-    stages run only at the rows ((k - q) mod n_kz, E - off(w)) that the
-    masked points read, Y holds those rows and one zero row, and Sigma is
-    formed at the masked points only.
+    energies) before the (q_z, omega) sum.  Xi takes one (3 n_qz n_w) x 3
+    GEMM per (atom, neighbor), from a contiguous copy of the block's Dc.
+    Under a point ``mask`` both stages run only at the rows
+    ((k - q) mod n_kz, E - off(w)) that the masked points read, Y holds
+    those rows and one zero row, and Sigma is formed at the masked points
+    only.
     """
     n_kz, n_e, n_a, n_orb, _ = g.shape
     n_qz, n_w = dc.shape[:2]
@@ -335,8 +337,9 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Arr
     taken = 0 if mask is None else -(-read.size * n_b // 2)
     per_atom = max(4 * stack, index.size * n_orb + summed)
     y_size = groups * n_slots * n_orb * n_qw * n_orb
-    block = _chunk(per_atom + taken + y_size + 2 * n_b * 3 * n_qw * n_orb**2, len(atoms))
+    block = _chunk(per_atom + taken + y_size + n_b * 3 * n_qw * (2 * n_orb**2 + 3), len(atoms))
     scratch = np.empty(block * per_atom, dtype=np.complex128)
+    dc_rows = np.empty((block, n_b, 3, n_qw, 3), dtype=np.complex128)
     dcdh = np.empty((block, n_b, 3, n_qz, n_w, n_orb, n_orb), dtype=np.complex128)
     xi = np.empty((block, n_b, 3, n_orb, n_qz, n_w, n_orb), dtype=np.complex128)
     y = np.zeros((block, groups, n_slots * n_orb, n_qw * n_orb), dtype=np.complex128)
@@ -355,8 +358,8 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Arr
             np.copyto(g_rows, g_nb.transpose(1, 2, 0, 3, 4))
             np.matmul(g_rows.reshape(u, n_b, rows, n_orb), dh_cols[lo:hi], out=dhg.transpose(0, 2, 1, 3))
             # Xi[a, (s, i, P), (q, w, N)] = weight_w sum_j Dc[q, w, a, s, i, j] dH[a, s, j][P, N]
-            dc_a = dc_arr[:, :, lo:hi].reshape(n_qw, u, n_b, 3, 3).transpose(1, 2, 3, 0, 4)  # [a, s, i, (q, w), j]
-            np.matmul(dc_a, dh[lo:hi].reshape(u, n_b, 1, 3, -1), out=dcdh[:u].reshape(u, n_b, 3, n_qw, -1))
+            np.copyto(dc_rows[:u], dc_arr[:, :, lo:hi].reshape(n_qw, u, n_b, 3, 3).transpose(1, 2, 3, 0, 4))  # [a, s, i, (q, w), j]
+            np.matmul(dc_rows[:u].reshape(u, n_b, 3 * n_qw, 3), dh[lo:hi].reshape(u, n_b, 3, -1), out=dcdh[:u].reshape(u, n_b, 3 * n_qw, -1))
             np.multiply(dcdh[:u].transpose(0, 1, 2, 5, 3, 4, 6), weights, out=xi[:u])
             np.matmul(dhg.reshape(u, groups, n_read * n_orb, depth), xi[:u].reshape(u, 1, depth, n_qw * n_orb), out=y_rows[:u])
             np.take(y[:u].reshape(u, -1, n_orb), index, axis=1, out=shifted, mode="clip")

@@ -1,6 +1,7 @@
 """CLI subcommands: determinism, artifacts, exit codes."""
 
 import csv
+import hashlib
 import inspect
 import json
 
@@ -204,6 +205,45 @@ def test_propagate_demo(tmp_path, capsys):
     assert "Min(N_kz, s_kz + s_qz - 1)" in text.replace("min", "Min")
     graph = json.loads((out / "sse_graph.json").read_text())
     assert graph["map"]["name"].endswith("partitions")
+
+
+PROPAGATE_TXT = """momentum-difference pattern over (s_kz, s_qz) tiles:
+  range:  [s_kz*t_kz - s_qz*t_qz - s_qz + 1, s_kz*t_kz + s_kz - s_qz*t_qz)
+  total accesses:  s_kz + s_qz - 1
+  unique accesses: Min(N_kz, s_kz + s_qz - 1)
+per-array boundary volume of the tiled SSE map (bytes per process):
+  D_greater: {phonon}
+  D_lesser: {phonon}
+  G_greater: {electron}
+  G_lesser: {electron}
+  Pi_greater: {phonon}
+  Pi_lesser: {phonon}
+  Sigma_greater: {electron}
+  Sigma_lesser: {electron}
+  dH: 16*N_3D*N_B*N_orb**2*Min(N_A, N_B + {s_a})
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, s_e, s_a, graph_sha256",
+    [
+        ([], "s_E", "s_A", "306702c49fd1cc86fdfc6e34655c0b146e9b26c3fd1f59ccfeb2d11e05592183"),
+        (["--tile-e", "4", "--tile-a", "8"], "4", "8",
+         "1fb269b3674dfbe941377aca396dc126dc1a0389c7bc51b96328b15d41f3723b"),
+    ],
+    ids=["symbolic-tiles", "numeric-tiles"],
+)
+def test_propagate_outputs_are_pinned(tmp_path, flags, s_e, s_a, graph_sha256):
+    # Both files byte for byte as the IR wrote them when every clamp was evaluated on construction; the
+    # numeric tiles are where evaluated and unevaluated clamps would print differently (the untiled
+    # dimensions' partition counts must print as 1, not ceiling(1)).
+    out = tmp_path / "prop"
+    assert run(["propagate", *flags, "--output-dir", str(out)]) == 0
+    electron = f"16*N_kz*N_orb**2*Min(N_A, N_B + {s_a})*Min(N_E, 2*N_w + {s_e})"
+    phonon = f"16*N_3D**2*N_B*N_qz*N_w*Min(N_A, N_B + {s_a})"
+    expected = PROPAGATE_TXT.format(electron=electron, phonon=phonon, s_a=s_a)
+    assert (out / "propagate.txt").read_text(encoding="utf-8") == expected
+    assert hashlib.sha256((out / "sse_graph.json").read_bytes()).hexdigest() == graph_sha256
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 import sympy
-from sympy import Max, Min, Rational, Symbol
+from sympy import Max, Min, Rational, Symbol, ceiling
 
 from negflow import comm, dataflow
 from negflow.dataflow import (
@@ -333,3 +333,74 @@ def test_graph_json_serialization():
     model = next(d for d in indices if isinstance(d, dict) and d["kind"] == "IndirectionModel")
     assert model["range"]["kind"] == "SymRange"
     assert model["unique_accesses"] == "Min(N_A, N_B + s_A)"
+
+
+def test_volume_between_maps_propagates_each_distinct_memlet_once(monkeypatch):
+    # the SSE graph's nine boundary memlets index three ways: electron, phonon and dH
+    propagated = []
+    propagate = dataflow.propagate_memlet
+
+    def counting(scope, memlet, array=None):
+        propagated.append(memlet.array)
+        return propagate(scope, memlet, array)
+
+    monkeypatch.setattr(dataflow, "propagate_memlet", counting)
+    sg = build_sse_graph()
+    volumes = volume_between_maps(sg.outer, sg.graph)
+    assert propagated == ["G_lesser", "D_lesser", "dH"]
+    assert len(volumes) == 9
+
+
+def _clamps(sg, volumes):
+    """Every Min, Max and ceiling in the graph's map ranges, its indirection model and its volumes."""
+    inner = next(sg.outer.child_maps())
+    tasklet = next(inner.tasklets())
+    exprs = [bound for rng in sg.outer.ranges + inner.ranges for bound in (rng.lower, rng.upper)]
+    for memlet in tasklet.inputs + tasklet.outputs:
+        for ix in memlet.indices:
+            if isinstance(ix, IndirectionModel):
+                exprs += [ix.range.lower, ix.range.upper, ix.unique_accesses, ix.total_accesses]
+    exprs += list(volumes.values())
+    return {clamp for expr in exprs for clamp in expr.atoms(Min, Max, ceiling)}
+
+
+@pytest.mark.parametrize("tiles", [("s_E", "s_A"), (4, 8)], ids=["symbolic-tiles", "numeric-tiles"])
+def test_unevaluated_clamps_instantiate_as_evaluated(tiles):
+    # Each symbolic clamp is built unevaluated; at every point of the grid it must take the integer its
+    # evaluated sympy form takes, tiles that do not divide the extents evenly included.
+    sg = build_sse_graph(*tiles)
+    volumes = volume_between_maps(sg.outer, sg.graph)
+    clamps = _clamps(sg, volumes)
+    assert {type(c) for c in clamps} == {Min, Max, ceiling}
+    # each clamp against its evaluated form, and each volume against its form with every clamp evaluated
+    pairs = [(c, c.func(*c.args)) for c in clamps] + [(v, v.doit()) for v in set(volumes.values())]
+    sym = sg.symbols
+    fixed = {sym["N_kz"]: 3, sym["N_qz"]: 2, sym["N_orb"]: 2, sym["N_3D"]: 3}
+    symbolic = {name: name in sym for name in ("s_E", "s_A")}
+    checked = 0
+    for n_a, n_b, s_a, n_e, n_w, s_e in itertools.product((16, 33), (2, 3), (5, 8), (16, 17), (1, 4), (3, 16)):
+        point = {**fixed, sym["N_A"]: n_a, sym["N_B"]: n_b, sym["N_E"]: n_e, sym["N_w"]: n_w}
+        if symbolic["s_E"]:
+            point[sym["s_E"]] = s_e
+        if symbolic["s_A"]:
+            point[sym["s_A"]] = s_a
+        last_e = -(-n_e // (s_e if symbolic["s_E"] else tiles[0])) - 1
+        last_a = -(-n_a // (s_a if symbolic["s_A"] else tiles[1])) - 1
+        for t_e, t_a in itertools.product({0, last_e}, {0, last_a}):
+            point.update({sym["t_E"]: t_e, sym["t_a"]: t_a})
+            for built, evaluated in pairs:
+                assert int(built.xreplace(point)) == int(evaluated.xreplace(point)), (built, point)
+                checked += 1
+    assert checked > 500
+
+
+def test_clamps_of_numbers_evaluate():
+    # numbers evaluate: a full-extent tile is one partition, printed as 1 and not ceiling(1)
+    base = _scope(("x", 0, Symbol("N", integer=True, positive=True)), ("y", 0, 10))
+    tiled = tile_map(base, {"y": 4})
+    assert [str(r.upper) for r in tiled.ranges] == ["1", "3"]
+    inner = next(iter(tiled.child_maps()))
+    assert str(inner.ranges[1].upper) == "Min(10, 4*t_y + 4)"
+    assert inner.ranges[1].instantiate({tiled.symbols[1]: 2}) == (8, 10)
+    model = neighbor_indirection(1, 4, 16, 2)
+    assert (model.range.lower, model.range.upper, model.unique_accesses) == (0, 16, 6)

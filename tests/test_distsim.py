@@ -1,5 +1,6 @@
 """Simulated distributed SSE: equivalence, ledger exactness, invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -448,3 +449,62 @@ def test_ledger_csv_and_summary():
     assert summary["messages"] == len(ledger.entries)
     assert summary["total_bytes"] == ledger.total_bytes()
     assert set(summary["by_tag"]) == set(ledger.tags())
+
+
+# sha256 of ledger.to_csv() for seed-1 instances, recorded while the ledger still held one LedgerEntry per
+# message: the distsim-p8 benchmark partitions (P=8 omen, 2 x 4 tiled) and tiny at P=4 and 2 x 2 tiles
+LEDGER_CSV_SHA256 = {
+    ("p8", "omen"): "a3fc22ea156bd72c3183dafcd6e3f080f38382ad9b4bf682df3d5ac07c5ee946",
+    ("p8", "tiled"): "dc018bf8229a355c807b8cc47b8d4555a1003f24a551f407ba2082aee87407c3",
+    ("tiny", "omen"): "7b5c38f9535188e77c92589d5c5631ac0c8c80c8643f0031ec5a11cf298f169d",
+    ("tiny", "tiled"): "428c1b1f3550d8982c67f933cfa193ba70d33806a76b91ed146ff226147a30a6",
+}
+LEDGER_RUNS = {
+    ("p8", "omen"): (P8, run_omen_scheme, (8,)),
+    ("p8", "tiled"): (P8, run_tiled_scheme, (2, 4)),
+    ("tiny", "omen"): (PRESETS["tiny"], run_omen_scheme, (4,)),
+    ("tiny", "tiled"): (PRESETS["tiny"], run_tiled_scheme, (2, 2)),
+}
+
+
+def _ledger(key):
+    params, run, partition = LEDGER_RUNS[key]
+    grid, dev, nmap, g, d = _instance(1, params)
+    return run(g, d, dev.dH, nmap, grid, params, *partition)[2]
+
+
+@pytest.mark.parametrize("key", list(LEDGER_RUNS), ids="-".join)
+def test_ledger_csv_is_pinned(key):
+    assert hashlib.sha256(_ledger(key).to_csv().encode()).hexdigest() == LEDGER_CSV_SHA256[key]
+
+
+@pytest.mark.parametrize("key", list(LEDGER_RUNS), ids="-".join)
+def test_byte_queries_sum_the_entries(key):
+    ledger = _ledger(key)
+    entries = ledger.entries
+    processes = 1 + max(max(e.src, e.dst) for e in entries)
+    for tag in (None, ELECTRON_G, ELECTRON_SIGMA, PHONON_D, PHONON_PI, "no_such_tag"):
+        def of(tag_):
+            return tag is None or tag_ == tag
+
+        assert ledger.total_bytes(tag) == sum(e.bytes for e in entries if of(e.tag))
+        for rank in (None, *range(processes)):
+            assert ledger.bytes_sent(rank, tag) == sum(e.bytes for e in entries if rank in (None, e.src) and of(e.tag))
+            assert ledger.bytes_received(rank, tag) == sum(
+                e.bytes for e in entries if rank in (None, e.dst) and of(e.tag)
+            )
+    assert all(type(v) is int for e in entries for v in (e.round, e.src, e.dst, e.bytes))
+    assert type(ledger.total_bytes()) is int
+
+
+def test_added_entries_come_back_in_order():
+    ledger = MessageLedger()
+    ledger.add(0, 1, 0, ELECTRON_SIGMA, 32)
+    ledger.add(2, 0, 3, "custom", 64.0)
+    ledger.add(1, 3, 1, ELECTRON_SIGMA, 96)
+    assert [(e.round, e.src, e.dst, e.tag, e.bytes) for e in ledger.entries] == [
+        (0, 1, 0, ELECTRON_SIGMA, 32), (2, 0, 3, "custom", 64), (1, 3, 1, ELECTRON_SIGMA, 96)]
+    assert ledger.tags() == ["custom", ELECTRON_SIGMA]
+    assert ledger.summary() == {"messages": 3, "total_bytes": 192, "by_tag": {"custom": 64, ELECTRON_SIGMA: 128}}
+    assert ledger.to_csv() == "round,src,dst,tag,bytes\r\n0,1,0,electron_Sigma,32\r\n2,0,3,custom,64\r\n1,3,1,electron_Sigma,96\r\n"
+    assert MessageLedger().summary() == {"messages": 0, "total_bytes": 0, "by_tag": {}}
