@@ -491,9 +491,10 @@ def build_sse_graph(tile_e="s_E", tile_a="s_A") -> SseGraph:
     the phonon arrays carry the halo-extended atom range of the analytic
     volume model.  Orbital and vibration dims are full-range windows.
     """
-    s_e, s_a = _expr(tile_e), _expr(tile_a)
     names = ["N_kz", "N_E", "N_qz", "N_w", "N_A", "N_B", "N_orb", "N_3D"]
     n = {nm: Symbol(nm, integer=True, positive=True) for nm in names}
+    # a tile named after an extent (tile_e="N_E") is that extent's symbol, not a second, assumption-free one
+    s_e, s_a = (sympy.sympify(tile, locals=n) for tile in (tile_e, tile_a))
     k, e_sym, q, w, i, j, a, b = sympy.symbols("k E q w i j a b", integer=True, nonnegative=True)
 
     arrays = tuple(

@@ -20,8 +20,13 @@ D^<>, so its three point solves form nothing else:
   (``_rgf_pass``) over ``bnum`` blocks between ``place_slots`` and
   ``pick_slots`` and builds no n x n matrix.  Sigma stays a block-diagonal
   source; Pi's slots go into the tridiagonal blocks, so the recursion also
-  forms D^<>'s neighbor blocks.  A gf-long phonon point takes about a tenth
-  of its dense time this way (7 ms against 77 ms, one BLAS thread).
+  forms D^<>'s neighbor blocks.  The couplings reach only a few atoms
+  across a block boundary, so every product with a coupling block runs on
+  its c x c corner (``_coupling_corner``: 4 of 32 rows on gf-long).
+  ``gf_phase`` passes the RGF points of one momentum in chunks, a leading
+  batch axis sized by ``RGF_BUDGET``, and the recursion works in the
+  chunk's band and source buffers.  A gf-long phonon chunk of two points
+  takes about 6 ms, against 58 ms for one dense point (one BLAS thread).
 
 ``solve_point_dense``, the electron oracle, keeps its own assembly: one
 n x n solve and two full n^3 triple products.
@@ -40,6 +45,7 @@ solve, each RGF block solve included, is residual-checked and raises
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -52,14 +58,18 @@ Array = np.ndarray
 _RESIDUAL_LIMIT = 1e-8
 
 SOLVERS = ("dense", "rgf")
+# Bytes of the bands and sources of one chunk of RGF points, the two arrays the recursion works in (gf_phase).
+RGF_BUDGET = 3 << 20
 # Shared by gf_phase, sse.self_consistent_loop and `negflow simulate --solver`;
 # it picks the path of the electron and the phonon points alike.  Neither
-# solver is faster everywhere (gf_phase, best of 7, one BLAS thread;
-# CHANGES.md): RGF wins on desk-32 (0.28 s against 0.48 s), desk-32 wide
-# (0.50 against 0.70 s) and gf-long (0.65 against 9.4 s), dense on tiny
-# (0.005 against 0.015 s), and small is a tie (0.030 s).  The benchmark's
-# harness self-check reads this default to pick the tolerance it breaks on
-# purpose, so any switch waits for the next benchmark change.
+# solver is faster everywhere (gf_phase with seeded self-energies, best of 7
+# in CPU seconds, one BLAS thread; best of 2 for dense on gf-long;
+# CHANGES.md): RGF wins on desk-32 (0.15 s against 0.44 s), desk-32 wide
+# (0.31 against 0.68 s), gf-long (0.38 against 9.1 s) and, narrowly, small
+# (0.018 against 0.022 s); dense wins on tiny (0.0021 against 0.0042 s).
+# The benchmark's harness self-check reads this default to pick the
+# tolerance it breaks on purpose, so any switch waits for the next benchmark
+# change.
 DEFAULT_SOLVER = "dense"
 
 
@@ -223,18 +233,29 @@ def pick_slots(target: Array, index: SlotIndex) -> Array:
     return _slot_blocks(target, index)[..., index.row, index.col, :, :]
 
 
-def _solve_system(a: Array, context: str) -> Array:
-    """Inverse of ``a``, rejected unless ||a a^-1 - I||_F / ||I||_F <= _RESIDUAL_LIMIT."""
-    n = a.shape[0]
+def _solve_system(a: Array, context: str | Sequence[str]) -> Array:
+    """Inverse of ``a`` [n, n], or of every matrix of a stack [P, n, n] with one ``context`` per matrix.
+
+    Each inverse is rejected unless ||a a^-1 - I||_F / ||I||_F <= _RESIDUAL_LIMIT;
+    a failing stack raises for its first failing matrix, named by its context.
+    """
+    n = a.shape[-1]
     try:
         g_r = np.linalg.inv(a)  # the same LU solve against I as np.linalg.solve, bit for bit
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{context}: singular system ({exc})") from exc
-    defect = a @ g_r
-    defect.reshape(-1)[:: n + 1] -= 1.0
-    residual = np.linalg.norm(defect) / np.sqrt(n)
-    if not np.isfinite(residual) or residual > _RESIDUAL_LIMIT:
-        raise SingularSystemError(f"{context}: solve residual {residual:.3e} too large (eta too small?)")
+        if a.ndim == 2:
+            raise SingularSystemError(f"{context}: singular system ({exc})") from exc
+        for matrix, name in zip(a, context):  # the stack's first singular (or failing) matrix raises
+            _solve_system(matrix, name)
+        raise
+    defect = (a @ g_r).reshape(*a.shape[:-2], n * n)
+    defect[..., :: n + 1] -= 1.0
+    residual = np.sqrt(np.vecdot(defect, defect).real / n)  # sum |defect|^2 without a temporary
+    failing = np.flatnonzero(~(residual <= _RESIDUAL_LIMIT))  # NaN fails too
+    if failing.size:
+        p = failing[0]
+        name = context if a.ndim == 2 else context[p]
+        raise SingularSystemError(f"{name}: solve residual {residual.flat[p]:.3e} too large (eta too small?)")
     return g_r
 
 
@@ -261,25 +282,30 @@ def solve_point_dense(
 
 
 def point_system(
-    shift: float, mass: Array | None, stiffness: Array, self_r: Array, index: SlotIndex, eta: float
+    shift: float | Array, mass: Array | None, stiffness: Array, self_r: Array, index: SlotIndex, eta: float
 ) -> Array:
-    """The system ``shift M - K - self^R + i eta I`` of one point, new, in the layout of ``stiffness``.
+    """The system ``shift M - K - self^R + i eta I`` of one point, or of a batch of points, new.
 
     Electrons pass (E, S, H); phonons (omega^2, None, Phi), None standing for
     M = I: -Phi with omega^2 added on the diagonal.  M and K are full
-    matrices or bands (``_tridiagonal_band``).  ``self_r`` goes onto the
-    target ``index`` describes: the matrix, the band, or (an index of one
-    block's atoms) the band's diagonal blocks.
+    matrices or bands (``_tridiagonal_band``).  A scalar ``shift`` gives one
+    system in the layout of ``stiffness``; a shift per point [P] gives P of
+    them, [P, ...], and ``self_r`` then leads with the same P.  ``self_r``
+    goes onto the target ``index`` describes: the matrix, the band, or (an
+    index of one block's atoms) the band's diagonal blocks.
     """
-    a = np.negative(stiffness) if mass is None else shift * mass
-    blocks = a[:, 1] if a.ndim == 4 else a[None]  # the blocks that hold the matrix diagonal
-    edge = blocks.shape[-1]
-    diagonal = blocks.reshape(len(blocks), edge * edge, copy=False)[:, :: edge + 1]
+    lead = np.shape(shift)  # () for one point, (P,) for a batch
     if mass is None:
-        diagonal += shift
+        a = np.negative(np.broadcast_to(stiffness, lead + stiffness.shape))
     else:
+        a = np.reshape(shift, lead + (1,) * stiffness.ndim) * mass
         a -= stiffness
-    add_slots(a if a.ndim == len(index.layout) else blocks, -self_r, index)
+    blocks = a[..., 1, :, :] if stiffness.ndim == 4 else a[..., None, :, :]  # the blocks that hold the diagonal
+    edge = blocks.shape[-1]
+    diagonal = blocks.reshape(*blocks.shape[:-2], edge * edge, copy=False)[..., :: edge + 1]
+    if mass is None:
+        diagonal += np.reshape(shift, lead + (1, 1))
+    add_slots(a if len(index.layout) == stiffness.ndim else blocks, -self_r, index)
     diagonal += 1j * eta
     return a
 
@@ -349,75 +375,119 @@ def _tridiagonal_band(mat: Array, bnum: int) -> Array:
     return band
 
 
-def _rgf_pass(a: Array, q: Array, context: str) -> tuple[Array, Array]:
-    """One forward/backward recursion over the blocks of ``a X = I`` with source ``X Q X^T``.
+def _coupling_corner(a: Array, q: Array) -> int:
+    """The smallest corner edge c that holds every nonzero of the coupling blocks of ``a`` and ``q``.
 
-    ``a`` is the system's band ``[bnum, 3, m, m]`` (``_tridiagonal_band``).
-    ``q`` stacks the lesser/greater source: a block-diagonal one (electrons)
-    passes its diagonal blocks ``[2, bnum, m, m]``, a block-tridiagonal one
-    (phonons) its band ``[2, bnum, 3, m, m]``.  The forward sweep builds the
-    left-connected blocks g_i and their lesser/greater XL_i by Schur
-    complements, each block solve residual-checked; the backward sweep, with
+    ``a`` and ``q`` are ``_rgf_pass``'s band and source, with any leading
+    axes; ``q`` counts only when it is a band (block-tridiagonal) too.  Block
+    (i, i+1) of a band (side 2) must be zero outside its last c rows and first
+    c columns, block (i, i-1) (side 0) outside its first c rows and last c
+    columns.  Full coupling blocks give c = m, and a band without couplings
+    (bnum = 1) gives 0.
+    """
+    m = a.shape[-1]
+    rows, cols = np.zeros(m, bool), np.zeros(m, bool)  # nonzero in blocks (i, i+1), or in (i, i-1) reversed
+    for band in (a, q) if q.ndim == a.ndim + 1 else (a,):
+        # sides 0 and 2 as floats, real and imaginary parts apart: far faster to test than complex entries
+        nonzero = (band[..., ::2, :, :].view(np.float64) != 0).reshape(-1, 2, m, 2 * m).any(axis=0)
+        side_rows, side_cols = nonzero.any(axis=2), nonzero.any(axis=1).reshape(2, m, 2).any(axis=2)
+        rows |= side_rows[1] | side_rows[0, ::-1]
+        cols |= side_cols[1] | side_cols[0, ::-1]
+    return int(max(m - np.argmax(rows) if rows.any() else 0, m - np.argmax(cols[::-1]) if cols.any() else 0))
+
+
+def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> Array:
+    """One forward/backward recursion over the blocks of ``a X = I`` with source ``X Q X^T``, for P points at once.
+
+    ``a`` stacks the points' bands ``[P, bnum, 3, m, m]`` (``_tridiagonal_band``),
+    and ``contexts`` names each point.  ``q`` stacks the lesser/greater
+    source: a block-diagonal one (electrons) as its diagonal blocks
+    ``[2, P, bnum, m, m]``, a block-tridiagonal one (phonons) as its band
+    ``[2, P, bnum, 3, m, m]``.  The forward sweep builds the left-connected
+    blocks g_i and their lesser/greater XL_i by Schur complements, each block
+    solve residual-checked at every point; the backward sweep, with
     W = g_i U_i, forms the diagonal blocks of X and of X Q X^T, and for a
-    tridiagonal source also the neighbor blocks of X Q X^T.  Returns the
-    diagonal X blocks ``[bnum, m, m]`` and the lesser/greater in ``q``'s layout
-    (band corners outside the matrix are zero).
-    """
-    bnum, m = a.shape[0], a.shape[-1]
-    tridiagonal = q.ndim == 5
-    q_diag = q[:, :, 1] if tridiagonal else q
+    tridiagonal source also the neighbor blocks of X Q X^T.
 
-    g_r = np.empty((bnum, m, m), np.complex128)  # left-connected retarded
-    g_lg = np.empty((2, bnum, m, m), np.complex128)  # left-connected lesser, greater
+    Every coupling block of ``a`` and ``q`` is zero outside its c x c corner
+    (``_coupling_corner``), so each product with one runs on that corner: the
+    Schur complement and the inflow change only a c x c corner of block i,
+    and W, G_{i+1} D_{i+1} and their product keep c columns.  So a block
+    costs its solve, its residual check and g_i Q_i g_i^T at m^3 each, and
+    O(m^2 c) besides.  The block solves and the diagonal blocks of X and of
+    X Q X^T stay whole.
+
+    The recursion works in its inputs: the diagonal blocks of ``a`` become g_i
+    and then X's, and ``q`` becomes X Q X^T in its own layout (band corners
+    outside the matrix stay zero).  A source block is read before the block
+    of X Q X^T that replaces it is written.  Returns X's diagonal blocks, the
+    view ``a[:, :, 1]`` ``[P, bnum, m, m]``.
+    """
+    bnum, m = a.shape[1], a.shape[-1]
+    tridiagonal = q.ndim == a.ndim + 1
+    c = _coupling_corner(a, q)
+    head, tail = slice(None, c), slice(m - c, None)  # a block's first and last c rows or columns
+    x_r = a[:, :, 1]  # system blocks, then g_i, then X's
+    x_lg = q[:, :, :, 1] if tridiagonal else q  # source blocks, then XL_i, then X Q X^T's
+    up, down = a[:, :, 2, tail, head], a[:, :, 0, head, tail]  # corners of blocks (i, i+1) and (i, i-1)
+    q_up, q_down = (q[:, :, :, 2, tail, head], q[:, :, :, 0, head, tail]) if tridiagonal else (None, None)
+
     for i in range(bnum):
-        block_context = f"RGF forward pass, block {i} ({context})"
-        if i == 0:
-            g_r[i] = _solve_system(a[i, 1], block_context)
-            inflow = q_diag[:, i]
-        else:
-            d = a[i, 0]
-            dg = d @ g_r[i - 1]
-            g_r[i] = _solve_system(a[i, 1] - dg @ a[i - 1, 2], block_context)
-            inflow = q_diag[:, i] + d @ g_lg[:, i - 1] @ _advanced(d)
+        block, inflow = x_r[:, i], x_lg[:, :, i]
+        if i > 0:
+            d = down[:, i]
+            dg = d @ x_r[:, i - 1, tail, tail]  # D_i g_{i-1}, the corner that meets U_{i-1} and Q_{i-1,i}
+            block[:, head, head] -= dg @ up[:, i - 1]
+            inflow[..., head, head] += d @ x_lg[:, :, i - 1, tail, tail] @ _advanced(d)
             if tridiagonal:  # Q's neighbor blocks: -D g_{i-1} Q_{i-1,i} - Q_{i,i-1} (D g_{i-1})^T
-                inflow -= dg @ q[:, i - 1, 2] + q[:, i, 0] @ _advanced(dg)
-        g_lg[:, i] = g_r[i] @ inflow @ _advanced(g_r[i])
+                inflow[..., head, head] -= dg @ q_up[:, :, i - 1] + q_down[:, :, i] @ _advanced(dg)
+        g = _solve_system(block, [f"RGF forward pass, block {i} ({context})" for context in contexts])
+        x_r[:, i] = g
+        x_lg[:, :, i] = g @ inflow @ _advanced(g)
 
-    big_r = np.empty_like(g_r)
-    big_lg = np.zeros_like(q)
-    big_diag = big_lg[:, :, 1] if tridiagonal else big_lg
-    big_r[-1] = g_r[-1]
-    big_diag[:, -1] = g_lg[:, -1]
     for i in range(bnum - 2, -1, -1):
-        gr, gs, x_next = g_r[i], g_lg[:, i], big_diag[:, i + 1]
-        w = gr @ a[i, 2]  # W = g_i U_i
-        gd = big_r[i + 1] @ a[i + 1, 0]  # G_{i+1} D_i
-        v = w @ gd
-        big_r[i] = gr + v @ gr
-        wx = w @ x_next
-        big_diag[:, i] = gs + wx @ _advanced(w) + v @ gs + gs @ _advanced(v)
+        g, g_lg = x_r[:, i], x_lg[:, :, i]  # g_i and XL_i, replaced last
+        after, after_lg = x_r[:, i + 1], x_lg[:, :, i + 1]  # X_{i+1} and its lesser/greater
+        w = g[..., tail] @ up[:, i]  # W = g_i U_i: its first c columns
+        gd = after[..., head] @ down[:, i + 1]  # G_{i+1} D_{i+1}: its last c columns
+        v = w @ gd[:, head]  # W G_{i+1} D_{i+1}: its last c columns
+        wx = w @ after_lg[..., head, :]
+        update = wx[..., head] @ _advanced(w) + v @ g_lg[..., tail, :] + g_lg[..., tail] @ _advanced(v)
         if tridiagonal:
-            right = gr @ q[:, i, 2] @ _advanced(big_r[i + 1])  # g_i Q_{i,i+1} G_{i+1}^T
-            left = big_r[i + 1] @ q[:, i + 1, 0] @ _advanced(gr)  # G_{i+1} Q_{i+1,i} g_i^T
-            big_diag[:, i] -= right @ _advanced(w) + w @ left
+            right = g[..., tail] @ q_up[:, :, i] @ _advanced(after[..., head])  # g_i Q_{i,i+1} G_{i+1}^T
+            left = after[..., head] @ q_down[:, :, i + 1] @ _advanced(g[..., tail])  # G_{i+1} Q_{i+1,i} g_i^T
+            update -= right[..., head] @ _advanced(w) + w @ left[..., head, :]
             # X_{i,i+1} = (g_i Q_{i,i+1} - XL_i D_i^T) G_{i+1}^T - W X_{i+1}, and X_{i+1,i} its mirror
-            big_lg[:, i, 2] = right - gs @ _advanced(gd) - wx
-            big_lg[:, i + 1, 0] = left - gd @ gs - x_next @ _advanced(w)
-    return big_r, big_lg
+            q[:, :, i, 2] = right - g_lg[..., tail] @ _advanced(gd) - wx
+            q[:, :, i + 1, 0] = left - gd @ g_lg[..., tail, :] - after_lg[..., head] @ _advanced(w)
+        g_lg += update
+        g += v @ g[..., tail, :]
+    return x_r
 
 
-def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: str) -> tuple[Array, Array]:
-    """RGF pass over the band ``a`` of one point's system, with the stacked lesser/greater ``self_lg`` as source.
+def solve_point_rgf(
+    a: Array, self_lg: Array, index: SlotIndex, context: str | Sequence[str]
+) -> tuple[Array, Array]:
+    """RGF pass over the bands ``a`` of a chunk of points, with the stacked lesser/greater ``self_lg`` as source.
 
-    ``index`` places the slots ``self_lg`` into the source and picks them back
-    out of the result.  Electrons pass Sigma as ``[2, bnum, n_A/bnum, 1, o, o]``
-    with an index of one block's atoms, so the source stays block-diagonal;
-    phonons pass Pi's slots with ``slot_index(nmap.partners, bnum)``.
-    Returns the diagonal blocks of the retarded solution ``[bnum, m, m]`` and
-    the lesser/greater slots in ``self_lg``'s layout.
+    A chunk of P points passes ``a`` as ``[P, bnum, 3, m, m]``, ``self_lg`` as
+    ``[2, P, ...]`` and one context per point; one point passes them without
+    the P axis and one context string.  ``index`` places the slots
+    ``self_lg`` into the source and picks them back out of the result.
+    Electrons pass Sigma as ``[2, (P,) bnum, n_A/bnum, 1, o, o]`` with an index
+    of one block's atoms, so the source stays block-diagonal; phonons pass
+    Pi's slots with ``slot_index(nmap.partners, bnum)``.  The recursion
+    overwrites ``a``.  Returns the diagonal blocks of the retarded solution
+    ``[(P,) bnum, m, m]``, a view of ``a``, and the lesser/greater slots in
+    ``self_lg``'s layout.
     """
-    x_r, x_lg = _rgf_pass(a, place_slots(self_lg, index), context)
-    return x_r, pick_slots(x_lg, index)
+    single = isinstance(context, str)
+    if single:
+        a, self_lg, context = a[None], self_lg[:, None], [context]
+    q = place_slots(self_lg, index)
+    x_r = _rgf_pass(a, q, context)
+    x_lg = pick_slots(q, index)
+    return (x_r[0], x_lg[:, 0]) if single else (x_r, x_lg)
 
 
 def gf_phase(
@@ -429,19 +499,23 @@ def gf_phase(
     nmap: NeighborMap,
     solver: str = DEFAULT_SOLVER,
 ) -> tuple[GreensTensor, GreensTensor]:
-    """Fill the electron and phonon Green's tensors point by point.
+    """Fill the electron and phonon Green's tensors, one chunk of a momentum's points at a time.
 
     ``solver`` picks the path of both particle kinds, ``"dense"`` or
     ``"rgf"`` (see the module docstring); both produce the same atom-diagonal
     G blocks and D slots.  Each momentum's matrices are read once, and one
     ``SlotIndex`` per particle kind, built once, serves all of its points.
     ``"rgf"`` raises ``ValueError`` before any solve when Pi is not
-    block-tridiagonal under ``params.bnum`` blocks (``slot_index``).  Points
-    are independent: each (k_z, E) and (q_z, omega) solve writes a disjoint
-    tensor slice, so evaluation order cannot change the result.  Retarded
-    self-energies are always derived from the lesser/greater pair, one
-    momentum at a time.  A failing solve names its point once: k_z, iE and
-    E, or q_z, iw and omega.
+    block-tridiagonal under ``params.bnum`` blocks (``slot_index``).  A dense
+    chunk is one point; an RGF chunk is as many consecutive energies (or
+    frequencies) as ``RGF_BUDGET`` holds bands and sources of, assembled,
+    placed, solved and picked as one batch.  Points are independent: each
+    (k_z, E) and (q_z, omega) solve writes a disjoint tensor slice, so
+    evaluation order cannot change the result.  Retarded self-energies are
+    always derived from the lesser/greater pair, one chunk at a time.  A
+    failing solve names its point once: k_z, iE and E, or q_z, iw and omega;
+    a chunk names the first of its points that fails at the first failing
+    block.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -455,38 +529,47 @@ def gf_phase(
     def read(mat: Array) -> Array:
         return _tridiagonal_band(mat, params.bnum) if rgf else mat
 
+    def chunks(n_points: int, edge: int, source_sides: int) -> list[range]:
+        """Runs of consecutive points: one point for dense, as many as fit in ``RGF_BUDGET`` for RGF."""
+        point_bytes = 16 * params.bnum * edge * edge * (3 + 2 * source_sides)  # band and source of one point
+        step = max(1, RGF_BUDGET // point_bytes) if rgf else 1
+        return [range(start, min(start + step, n_points)) for start in range(0, n_points, step)]
+
     g_e = GreensTensor.zeros(params.electron_shape)
     g_ph = GreensTensor.zeros(params.phonon_shape)
 
     for kz in range(params.n_kz):
         s, h = read(dev.S[kz]), read(dev.H[kz])
-        # this momentum's Sigma^R only: that saves more memory than holding its two bands costs
-        sig_r = retarded_from_lesser_greater(GreensTensor.wrap(sigma.data[:, kz : kz + 1]))[0]
-        for i_e in range(params.n_E):
-            energy = grid.values[i_e]
-            context = f"electron point (kz={kz}, iE={i_e}, E={energy:g})"
-            a = point_system(energy, s, h, sig_r[i_e].reshape(electron_slots), electron_index, eta)
-            sig_lg = sigma.data[:, kz, i_e]
+        for run in chunks(params.n_E, atoms * o, 1):
+            points = slice(run.start, run.stop)
+            contexts = [f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for i_e in run]
+            sig_lg = sigma.data[:, kz, points]
+            # the chunk's Sigma^R only: a whole momentum's (1 MiB on gf-long, made through as large a temporary)
+            # would stay alive beside the chunk's band and source and raise the phase's peak
+            sig_r = retarded_from_lesser_greater(GreensTensor.wrap(sig_lg[:, None]))[0]
+            a = point_system(grid.values[points], s, h, sig_r.reshape(-1, *electron_slots), electron_index, eta)
             if rgf:
-                g_lg = solve_point_rgf(a, sig_lg.reshape(2, *electron_slots), electron_index, context)[1]
+                g_lg = solve_point_rgf(a, sig_lg.reshape(2, -1, *electron_slots), electron_index, contexts)[1]
             else:
-                g_lg = solve_point_dense_diag(a, sig_lg, context)
-            g_e.data[:, kz, i_e] = g_lg.reshape(2, -1, o, o)
-            del a  # not held into the next point's assembly
+                g_lg = solve_point_dense_diag(a[0], sig_lg[:, 0], contexts[0])
+            g_e.data[:, kz, points] = g_lg.reshape(2, len(run), -1, o, o)
+            del a  # not held into the next chunk's assembly
 
     for qz in range(params.n_qz):
         phi = read(dev.Phi[qz])
-        pi_r = retarded_from_lesser_greater(GreensTensor.wrap(pi.data[:, qz : qz + 1]))[0]
-        for i_w in range(params.n_w):
-            omega = grid.frequency_value(i_w)
-            context = f"phonon point (qz={qz}, iw={i_w}, omega={omega:g})"
-            a = point_system(omega**2, None, phi, pi_r[i_w], phonon_index, eta)
-            pi_lg = pi.data[:, qz, i_w]
+        for run in chunks(params.n_w, atoms * params.n_3D, 3):
+            points = slice(run.start, run.stop)
+            omegas = [grid.frequency_value(i_w) for i_w in run]
+            contexts = [f"phonon point (qz={qz}, iw={i_w}, omega={omega:g})" for i_w, omega in zip(run, omegas)]
+            pi_lg = pi.data[:, qz, points]
+            pi_r = retarded_from_lesser_greater(GreensTensor.wrap(pi_lg[:, None]))[0]
+            a = point_system(np.array([omega**2 for omega in omegas]), None, phi, pi_r, phonon_index, eta)
             if rgf:
-                g_ph.data[:, qz, i_w] = solve_point_rgf(a, pi_lg, phonon_index, context)[1]
+                g_ph.data[:, qz, points] = solve_point_rgf(a, pi_lg, phonon_index, contexts)[1]
             else:
                 # the retarded solution is dropped at once rather than held into the next solve
-                g_ph.data[:, qz, i_w] = solve_phonon_point(a, place_slots(pi_lg, phonon_index), nmap, context)[1]
+                d_lg = solve_phonon_point(a[0], place_slots(pi_lg[:, 0], phonon_index), nmap, contexts[0])[1]
+                g_ph.data[:, qz, points] = d_lg[:, None]
             del a
     for pair in (g_e, g_ph):
         # batched small products can round an exact zero to -0.0; adding +0.0

@@ -604,29 +604,6 @@ def sse_pi(
     return pi_from_chains(sse_pi_chains(g, dh, nmap, grid, n_qz, counter=counter, hoist_invariant=hoist_invariant))
 
 
-def count_sse_phase(
-    g: GreensTensor,
-    dc: GreensTensor,
-    dh: Array,
-    nmap: NeighborMap,
-    grid: EnergyGrid,
-    n_qz: int,
-    variant: SseVariant = SseVariant.REFERENCE,
-) -> FlopCounter:
-    """Run one full SSE evaluation (Sigma + Pi) with an attached GEMM counter.
-
-    The reference and fissioned arrangements pair with the unhoisted Pi
-    kernel (full recomputation, the straightforward-algorithm flop model);
-    the redundancy-free arrangements pair with the hoisted one (the reduced
-    model).
-    """
-    counter = FlopCounter()
-    hoist = variant not in (SseVariant.REFERENCE, SseVariant.FISSIONED)
-    sse_sigma(variant, g, dc, dh, nmap, grid, counter=counter)
-    sse_pi(g, dh, nmap, grid, n_qz, counter=counter, hoist_invariant=hoist)
-    return counter
-
-
 @dataclass
 class LoopResult:
     """Outcome of the self-consistent GF/SSE iteration."""

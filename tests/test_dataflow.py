@@ -404,3 +404,16 @@ def test_clamps_of_numbers_evaluate():
     assert inner.ranges[1].instantiate({tiled.symbols[1]: 2}) == (8, 10)
     model = neighbor_indirection(1, 4, 16, 2)
     assert (model.range.lower, model.range.upper, model.unique_accesses) == (0, 16, 6)
+
+
+def test_a_tile_named_after_an_extent_is_that_extent():
+    # tile_e="N_E" (one energy tile) must read the graph's integer-positive N_E, not a second N_E without
+    # assumptions: then every volume holds one N_E, and substituting the graph's symbols leaves nothing free
+    sg = build_sse_graph(tile_e="N_E", tile_a=8)
+    volumes = volume_between_maps(sg.outer, sg.graph)
+    assert str(volumes["G_lesser"]) == "16*N_kz*N_orb**2*Min(N_A, N_B + 8)*Min(N_E, N_E + 2*N_w)"
+    point = {sym: 5 for sym in sg.symbols.values()}
+    for volume in volumes.values():
+        names = [s.name for s in volume.free_symbols]
+        assert len(names) == len(set(names)), volume
+        assert volume.xreplace(point).free_symbols == set(), volume

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from negflow.device import synthesize
+from negflow.device import NeighborMap, synthesize
 from negflow.flops import (
     FLOPS_PER_CMULADD,
     FlopCounter,
@@ -15,13 +15,36 @@ from negflow.flops import (
     sse_flops_omen,
 )
 from negflow.gf import GreensTensor
-from negflow.params import SimParams, default_grid
-from negflow.sse import SseVariant, count_sse_phase, preprocess_D, self_consistent_loop, sse_pi, sse_sigma
+from negflow.params import EnergyGrid, SimParams, default_grid
+from negflow.sse import SseVariant, preprocess_D, self_consistent_loop, sse_pi, sse_sigma
 
 FULLSCALE = SimParams(n_kz=3, n_qz=3, n_E=706, n_w=70, n_A=4864, n_B=34, n_orb=12, bnum=19)
 
 TABLE_OMEN = {3: 24.41, 5: 67.80, 7: 132.89, 9: 219.67, 11: 328.15}
 TABLE_DACE = {3: 12.38, 5: 34.19, 7: 66.85, 9: 110.36, 11: 164.71}
+
+
+def count_sse_phase(
+    g: GreensTensor,
+    dc: GreensTensor,
+    dh: np.ndarray,
+    nmap: NeighborMap,
+    grid: EnergyGrid,
+    n_qz: int,
+    variant: SseVariant = SseVariant.REFERENCE,
+) -> FlopCounter:
+    """Run one full SSE evaluation (Sigma + Pi) with an attached GEMM counter.
+
+    The reference and fissioned arrangements pair with the unhoisted Pi
+    kernel (full recomputation, the straightforward-algorithm flop model);
+    the redundancy-free arrangements pair with the hoisted one (the reduced
+    model).
+    """
+    counter = FlopCounter()
+    hoist = variant not in (SseVariant.REFERENCE, SseVariant.FISSIONED)
+    sse_sigma(variant, g, dc, dh, nmap, grid, counter=counter)
+    sse_pi(g, dh, nmap, grid, n_qz, counter=counter, hoist_invariant=hoist)
+    return counter
 
 
 @pytest.mark.parametrize("n_kz", sorted(TABLE_OMEN))

@@ -600,3 +600,129 @@ def test_gf_phase_reads_each_momentum_once(monkeypatch):
         assert calls["_tridiagonal_band"] == 2 * params.n_kz + params.n_qz
         index_builds.append(calls["slot_index"])
     assert index_builds[0] == index_builds[1]
+
+
+DESK32 = SimParams(n_kz=3, n_qz=2, n_E=64, n_w=8, n_A=32, n_B=4, n_orb=4, bnum=4, eta=0.05)
+
+
+def _spy_chunks(monkeypatch):
+    """Record the contexts of every chunk ``gf_phase`` passes to ``solve_point_rgf``."""
+    chunks, solve = [], gf.solve_point_rgf
+
+    def spy(a, self_lg, index, context):
+        chunks.append(list(context))
+        return solve(a, self_lg, index, context)
+
+    monkeypatch.setattr(gf, "solve_point_rgf", spy)
+    return chunks
+
+
+@pytest.mark.parametrize("params", [GF_LONG, DESK32], ids=["gf-long", "desk-32"])
+def test_rgf_corner_is_the_coupling_reach(params):
+    # couplings reach nmap.max_reach atoms across a block boundary: reach * n_orb rows and columns for
+    # electrons, reach * 3 for phonons, of blocks of n_A / bnum atoms
+    dev, nmap, grid, pi = _first_pass_pi(params.replace(n_kz=1, n_qz=1, n_E=2, n_w=2))
+    reach, per_block = nmap.max_reach, params.n_A // params.bnum
+    assert reach < per_block
+    energies = grid.values[:2]
+    s, h = (gf._tridiagonal_band(x[0], params.bnum) for x in (dev.S, dev.H))
+    sig = 0.01 * np.ones((2, params.bnum, per_block, 1, params.n_orb, params.n_orb), complex)
+    electrons = point_system(energies, s, h, sig, slot_index(np.arange(per_block)[:, None]), params.eta)
+    source = np.zeros((2, 2, params.bnum, params.n_orb * per_block, params.n_orb * per_block), complex)
+    assert gf._coupling_corner(electrons, source) == reach * params.n_orb
+    index = slot_index(nmap.partners, params.bnum)
+    pi_r = retarded_from_lesser_greater(pi)[0, :2]
+    phonons = point_system(np.array([0.3, 0.5]), None, gf._tridiagonal_band(dev.Phi[0], params.bnum), pi_r, index,
+                           params.eta)
+    assert gf._coupling_corner(phonons, place_slots(pi.data[:, 0, :2], index)) == reach * params.n_3D
+    # a band whose coupling blocks are full needs the whole block, and one without couplings none
+    rng = np.random.default_rng(1)
+    full = _rand_atom_blocks(rng, 2 * 4 * 3, 5).reshape(2, 4, 3, 5, 5)
+    assert gf._coupling_corner(full, source[..., :5, :5]) == 5
+    one_block = gf._tridiagonal_band(dev.H[0], 1)[None]
+    assert gf._coupling_corner(one_block, source[:, :, :1]) == 0
+
+
+def test_rgf_corner_covers_the_source_couplings():
+    # Pi's neighbor slots reach across the boundary too: a source coupling alone sets the corner
+    m = 6
+    band = np.zeros((1, 3, 3, m, m), complex)
+    source = np.zeros((2, 1, 3, 3, m, m), complex)
+    source[1, 0, 1, 0, 4, m - 5] = 1e-3  # block (1, 0): row 4 and column m - 5 need a corner of 5
+    assert gf._coupling_corner(band, source) == 5
+    assert gf._coupling_corner(band, source[:, :, :, 1]) == 0  # a block-diagonal source has no couplings
+
+
+def test_rgf_single_block_phase_matches_dense():
+    params = TINY.replace(n_A=8, n_B=2, bnum=1, eta=0.05)
+    dev, nmap, grid, pi = _first_pass_pi(params)
+    sigma, _ = seeded_self_energies(params, 0.1)
+    dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
+    rgf = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    for a, b in zip(dense, rgf):
+        assert _rel(b.data, a.data) <= 1e-10
+
+
+@pytest.mark.parametrize("budget", [None, 2], ids=["default-budget", "two-point-budget"])
+def test_rgf_chunks_match_the_dense_references(monkeypatch, budget):
+    # n_E = n_w = 11 points per momentum: 9 + 2 under the default budget, and 2 + ... + 1 under a budget of
+    # two points of the larger (phonon) kind; a chunk that started or ended one point off would solve the
+    # wrong energies or write them to the wrong slice
+    params = DESK32.replace(n_kz=2, n_qz=1, n_E=11, n_w=11)
+    dev, nmap, grid, pi = _first_pass_pi(params)
+    if budget is not None:
+        phonon_point = 16 * params.bnum * (params.n_A // params.bnum * params.n_3D) ** 2 * 9
+        monkeypatch.setattr(gf, "RGF_BUDGET", budget * phonon_point)
+    rng = np.random.default_rng(21)
+    sigma = GreensTensor(*(0.1 * (rng.standard_normal(params.electron_shape)
+                                  + 1j * rng.standard_normal(params.electron_shape)) for _ in range(2)))
+    chunks = _spy_chunks(monkeypatch)
+    g_e, g_ph = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    for kind in ("electron", "phonon"):
+        lengths = [len(c) for c in chunks if c[0].startswith(kind)]
+        assert max(lengths) > 1 and len(set(lengths)) > 1  # several points per chunk, and a shorter last one
+    assert [c for chunk in chunks for c in chunk] == [
+        *(f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for kz, i_e in np.ndindex(2, 11)),
+        *(f"phonon point (qz=0, iw={i_w}, omega={grid.frequency_value(i_w):g})" for i_w in range(11)),
+    ]
+    assert np.max(np.abs(pi.greater - pi.lesser)) > 0  # a nonzero Pi^R enters the band
+    sig_r, pi_r = retarded_from_lesser_greater(sigma), retarded_from_lesser_greater(pi)
+    for kz, i_e in np.ndindex(params.n_kz, params.n_E):
+        _, g_l, g_g = solve_point_dense(dev, *(_block_diag(x[kz, i_e]) for x in (sig_r, sigma.lesser, sigma.greater)),
+                                        grid.values[i_e], kz, params.eta)
+        assert _rel(g_e.lesser[kz, i_e], _diag_blocks(g_l, params.n_A)) <= 1e-10
+        assert _rel(g_e.greater[kz, i_e], _diag_blocks(g_g, params.n_A)) <= 1e-10
+    for i_w in range(params.n_w):
+        d_r = _phonon_inverse(dev, pi_r[0, i_w], grid.frequency_value(i_w), 0, params.eta, nmap)
+        want = pick_slots(d_r @ _phonon_matrix(pi.data[:, 0, i_w], nmap) @ d_r.T, slot_index(nmap.partners))
+        assert _rel(g_ph.data[:, 0, i_w], want) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "smallest, kz, i_e, failure",
+    [(None, 1, 3, "singular system"), (1e-15, 0, 2, "solve residual")],
+    ids=["singular", "near-singular"],
+)
+def test_rgf_reports_a_failing_point_mid_chunk(monkeypatch, smallest, kz, i_e, failure):
+    # H couples only the last atom of block 0 to the first of block 1, so the corner is one atom (2 < 8) and
+    # block 1's Schur complement stays atom-block-diagonal: Sigma^R on its last atom decides whether it is
+    # singular (smallest None: that atom's block is exactly zero) or nearly so (singular values 1 and 1e-15)
+    params = TINY.replace(n_kz=2, n_E=6, n_A=8, n_B=2, n_orb=2, bnum=2)
+    dev = _free_device(params)
+    _, nmap = synthesize(params, seed=6)
+    rng = np.random.default_rng(5)
+    coupling = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    dev.H[:, 6:8, 8:10], dev.H[:, 8:10, 6:8] = coupling, coupling.conj().T
+    grid = default_grid(params)
+    energy = grid.values[i_e]
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    system = np.zeros((2, 2)) if smallest is None else u @ np.diag([1.0, smallest]) @ u.conj().T
+    greater = np.zeros(params.electron_shape, complex)
+    greater[kz, i_e, 7] = 2 * ((energy + 1j * params.eta) * np.eye(2) - system)  # Sigma^R = (Sigma^> - Sigma^<)/2
+    sigma = GreensTensor(lesser=np.zeros_like(greater), greater=greater)
+    chunks = _spy_chunks(monkeypatch)
+    point = f"electron point (kz={kz}, iE={i_e}, E={energy:g})"
+    with pytest.raises(SingularSystemError, match=rf"^RGF forward pass, block 1 \({re.escape(point)}\): {failure}") as err:
+        gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap, solver="rgf")
+    assert str(err.value).count("point") == 1 and str(err.value).count("block") == 1
+    assert chunks[-1][0] != point != chunks[-1][-1] and point in chunks[-1]  # the point sat mid-chunk
