@@ -21,7 +21,6 @@ from .device import synthesize
 from .gf import DEFAULT_SOLVER, SOLVERS, GreensTensor, SingularSystemError
 from .params import SimParams, default_grid, load_params, validate
 from .sse import (
-    DEFAULT_VARIANT,
     SseVariant,
     preprocess_D,
     seeded_self_energies,
@@ -135,8 +134,7 @@ def cmd_simulate(args) -> int:
         initial = seeded_self_energies(params, args.init_scale)
     result = self_consistent_loop(
         dev, nmap, params,
-        max_iter=args.max_iter, tol=args.tol,
-        variant=SseVariant(args.variant), solver=args.solver,
+        max_iter=args.max_iter, tol=args.tol, solver=args.solver,
         initial_sigma=initial[0], initial_pi=initial[1],
     )
     digest = hashlib.sha256()
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--max-iter", type=int, default=20)
     p_sim.add_argument("--tol", type=float, default=1e-8)
     p_sim.add_argument("--solver", choices=SOLVERS, default=DEFAULT_SOLVER)
-    p_sim.add_argument("--variant", choices=[v.value for v in SseVariant], default=DEFAULT_VARIANT.value)
     p_sim.add_argument("--output-dir", default="out")
     p_sim.set_defaults(func=cmd_simulate)
 

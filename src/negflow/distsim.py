@@ -12,11 +12,13 @@ ledger, the (k_z, E) mask each rank receives, and every rank then runs one
 path (:func:`_rank`): it slices G to the energy hull of what it received x
 its atoms plus a halo and runs the loop's default kernels
 (``sse.DEFAULT_VARIANT`` Sigma and the default Pi) on that slice,
-restricted to the points and atoms it owns.  Under that point mask the
-kernels form their factors only at the rows the owned points read, not on
-the whole hull.  So a rank does its share of the single-node work rather
-than all of it, and a slice that misses part of the halo a rank reads fails
-loudly instead of reading zeros.  A rank that owns nothing runs no kernel.
+restricted to the points and atoms it owns.  The kernels' one rows rule
+(``sse._rows_read``) then forms their factors only at the rows the owned
+points read, not on the whole hull; a rank that owns every point of its
+slice forms every row, as an unmasked call does.  So a rank does its share
+of the single-node work rather than all of it, and a slice that misses
+part of the halo a rank reads fails loudly instead of reading zeros.  A
+rank that owns nothing runs no kernel.
 
 The ledger counts messages and names their ends; ``comm`` sizes and tags
 each entry, a tiled rank's over its footprint (tile + N_B atoms, odd N_B
@@ -162,7 +164,8 @@ def _rank(
     zeroed at the points of the hull outside ``received``, and reads
     ``dc``/``dh`` of the same atoms with the neighbor map re-indexed into
     the slice.  Both kernels take ``owned`` as their point mask, so they
-    compute only the owned points and the rows of the slice those read.
+    compute only the owned points, at the rows of the slice their rows rule
+    picks for that mask.
     Returns, as stacked lesser/greater arrays, the Sigma at the owned points
     x atoms ``a_range``, in ``owned``'s row-major point order, and the
     partial Pi chains of those atoms reduced over the owned points.

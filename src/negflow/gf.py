@@ -465,29 +465,22 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> Array:
     return x_r
 
 
-def solve_point_rgf(
-    a: Array, self_lg: Array, index: SlotIndex, context: str | Sequence[str]
-) -> tuple[Array, Array]:
+def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: Sequence[str]) -> tuple[Array, Array]:
     """RGF pass over the bands ``a`` of a chunk of points, with the stacked lesser/greater ``self_lg`` as source.
 
     A chunk of P points passes ``a`` as ``[P, bnum, 3, m, m]``, ``self_lg`` as
-    ``[2, P, ...]`` and one context per point; one point passes them without
-    the P axis and one context string.  ``index`` places the slots
-    ``self_lg`` into the source and picks them back out of the result.
-    Electrons pass Sigma as ``[2, (P,) bnum, n_A/bnum, 1, o, o]`` with an index
-    of one block's atoms, so the source stays block-diagonal; phonons pass
-    Pi's slots with ``slot_index(nmap.partners, bnum)``.  The recursion
-    overwrites ``a``.  Returns the diagonal blocks of the retarded solution
-    ``[(P,) bnum, m, m]``, a view of ``a``, and the lesser/greater slots in
-    ``self_lg``'s layout.
+    ``[2, P, ...]`` and one context per point (a single point is a chunk of
+    one).  ``index`` places the slots ``self_lg`` into the source and picks
+    them back out of the result.  Electrons pass Sigma as
+    ``[2, P, bnum, n_A/bnum, 1, o, o]`` with an index of one block's atoms,
+    so the source stays block-diagonal; phonons pass Pi's slots with
+    ``slot_index(nmap.partners, bnum)``.  The recursion overwrites ``a``.
+    Returns the diagonal blocks of the retarded solution ``[P, bnum, m, m]``,
+    a view of ``a``, and the lesser/greater slots in ``self_lg``'s layout.
     """
-    single = isinstance(context, str)
-    if single:
-        a, self_lg, context = a[None], self_lg[:, None], [context]
     q = place_slots(self_lg, index)
     x_r = _rgf_pass(a, q, context)
-    x_lg = pick_slots(q, index)
-    return (x_r[0], x_lg[:, 0]) if single else (x_r, x_lg)
+    return x_r, pick_slots(q, index)
 
 
 def gf_phase(

@@ -21,9 +21,11 @@ in momentum.  All of them take every shift from one cached plan,
 :func:`_shift_plan`, so they agree by construction on how momentum wraps
 and how off-grid energy offsets drop out.  Both kernels take a (k_z, E)
 point mask, as the distributed ranks use: Sigma is produced, and Pi's
-trace reduced, at the masked points only.  The default forms then compute
-only the rows those points read (:func:`_rows_read`), with one zero row
-for off-grid energies; unmasked, they run on every row.
+trace reduced, at the masked points only; an unmasked call is the mask of
+every point.  The default forms compute their factors at the rows one rule
+picks (:func:`_rows_read`): every row under the mask of every point, else
+only the rows the masked points read, with one zero row for off-grid
+energies either way.
 """
 
 from __future__ import annotations
@@ -258,25 +260,24 @@ def _row_slots(rows: Array, n_rows: int) -> Array:
     return slots
 
 
-def _rows_read(
-    index: Array, before: int, n_pad: int, n_e: int, points: Array, rows: Array | None = None
-) -> tuple[Array, Array]:
-    """The grid rows a padded gather ``index[..., k, E]`` of :func:`_shift_plan` reads at the (k, E) mask ``points``.
+def _rows_read(index: Array, before: int, n_pad: int, n_e: int, points: Array, every: bool) -> tuple[Array, Array]:
+    """The grid rows a default kernel forms, for a padded gather ``index[..., k, E]`` of :func:`_shift_plan`.
 
-    Returns ``(rows, slots)``: ``rows`` (by default the flat k n_E + E
-    indices of the in-grid rows read, ascending) and, for every leading
-    index and point of the mask in row-major order, the position of its row
-    in ``rows``, or ``rows.size`` (one zero row) where the shifted energy is
-    off the grid.
+    The one rows rule: when the call's mask selects ``every`` point, every
+    grid row, as the flop closed forms count; otherwise only the in-grid
+    rows the (k, E) mask ``points`` reads.  Returns ``(rows, slots)``:
+    ``rows``, the flat k n_E + E indices, ascending, and, for every leading
+    index and point of ``points`` in row-major order, the position of its
+    row in ``rows``, or ``rows.size`` (one zero row) where the shifted
+    energy is off the grid.
     """
     k, e = np.divmod(index[..., points], n_pad)
     e -= before
     on_grid = (e >= 0) & (e < n_e)
     flat = np.where(on_grid, k * n_e + e, points.size)
-    if rows is None:
-        read = np.zeros(points.size + 1, dtype=bool)
-        read[flat] = True
-        rows = np.flatnonzero(read[:-1])
+    read = np.full(points.size + 1, every)
+    read[flat] = True
+    rows = np.flatnonzero(read[:-1])
     return rows, _row_slots(rows, points.size)[flat]
 
 
@@ -290,60 +291,50 @@ def _take_rows(g_arr: Array, rows: Array, atoms: Array, out: Array) -> None:
         np.take(flat, rows.reshape((-1,) + (1,) * atoms.ndim) * n_a + atoms, axis=0, out=out, mode="clip")
 
 
-def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Array | None) -> GreensTensor:
+def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Array) -> GreensTensor:
     """Final form: atom blocks of at most ``BUDGET`` transient bytes, one GEMM per stage, the shift applied to the product.
 
     Per block, stage 1 computes dHG of every atom's n_B neighbors in one
     batched GEMM (rows [k, E, M], columns (i, P)).  Stage 2 is reassociated:
     since the (k, E) shift commutes with right multiplication, one batched
-    (n_kz n_E n_orb) x (n_B 3 n_orb) x (n_qz n_w n_orb) GEMM per atom forms
-    Y = dHG Xi for every neighbor and (q_z, omega) at once, and the shift
-    then gathers n_orb columns of Y per (q_z, omega) in one indexed copy
-    (rows from :func:`_shift_plan`; zero rows stand in for off-grid
-    energies) before the (q_z, omega) sum.  Xi takes one (3 n_qz n_w) x 3
-    GEMM per (atom, neighbor), from a contiguous copy of the block's Dc.
-    Under a point ``mask`` both stages run only at the rows
-    ((k - q) mod n_kz, E - off(w)) that the masked points read, Y holds
-    those rows and one zero row, and Sigma is formed at the masked points
-    only.
+    (r n_orb) x (n_B 3 n_orb) x (n_qz n_w n_orb) GEMM per atom forms
+    Y = dHG Xi at r rows for every neighbor and (q_z, omega) at once, and
+    the shift then gathers n_orb columns of Y per (q_z, omega) in one
+    indexed copy (rows from :func:`_shift_plan`; one zero row of Y stands in
+    for off-grid energies) before the (q_z, omega) sum.  Xi takes one
+    (3 n_qz n_w) x 3 GEMM per (atom, neighbor), from a contiguous copy of
+    the block's Dc.  Both stages run at the rows :func:`_rows_read` picks
+    for the point ``mask``: every row when it holds every point, else the
+    rows ((k - q) mod n_kz, E - off(w)) its points read.  Sigma is formed
+    at the masked points only.
     """
-    n_kz, n_e, n_a, n_orb, _ = g.shape
+    n_kz, n_e, _, n_orb, _ = g.shape
     n_qz, n_w = dc.shape[:2]
     n_b, n_qw = nmap.n_B, n_qz * n_w
     depth = n_b * 3 * n_orb
     before, n_pad, k_e = _shift_plan(n_kz, n_e, grid.offsets, range(n_qz))
-    if mask is None:
-        # Y rows [k, padded E], formed in one GEMM per k; the padding stands in for off-grid energies
-        read, slots = np.arange(n_kz * n_e), k_e.reshape(n_qw, -1)
-        groups, n_slots, first = n_kz, n_pad, before
-    else:
-        # Y rows at the rows read, in one GEMM, then one zero row
-        read, slots = _rows_read(k_e, before, n_pad, n_e, mask)
-        slots = slots.reshape(n_qw, -1)
-        groups, n_slots, first = 1, read.size + 1, 0
-    n_read = read.size // groups  # rows per group
+    read, slots = _rows_read(k_e, before, n_pad, n_e, mask, mask.all())
     rows = read.size * n_orb
-    # Y is laid out as rows [slot, M, (q, w)] of n_orb columns; index[(q, w), point, M] is the row
-    # holding Y at [slots[(q, w), point], M, (q, w)]
-    index = (slots[:, :, None] * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None]
+    # Y is laid out as rows [slot, M, (q, w)] of n_orb columns, the slots being the rows read and one zero
+    # row; index[(q, w), point, M] is the row holding Y at [slots[(q, w), point], M, (q, w)]
+    index = (slots.reshape(n_qw, -1, 1) * n_orb + np.arange(n_orb)) * n_qw + np.arange(n_qw)[:, None, None]
     weights = np.asarray(grid.weights)[:, None]
     dh_cols = dh.transpose(0, 1, 3, 2, 4).reshape(dh.shape[0], n_b, n_orb, 3 * n_orb)  # [a, s, Q, (i, P)]
     # per-block buffers, reused across blocks and both tensors; per atom, the neighbors' G (as GEMM
-    # rows, then as taken), dHG and the shifted product share one: dHG is written past the rows it is
-    # formed from, and the shift-add gathers once Y has consumed dHG.  Masked, the shift-add's sum
-    # follows the shifted product there, and the gather of G's rows builds an int64 index.
+    # rows, then as taken), dHG and the shifted product with its sum share one: dHG is written past the
+    # rows it is formed from, and the shift-add gathers once Y has consumed dHG.  The gather of G's rows
+    # builds an int64 index unless it takes every row.
     stack = n_b * rows * n_orb
-    summed = 0 if mask is None else index.size * n_orb // n_qw
-    taken = 0 if mask is None else -(-read.size * n_b // 2)
+    summed = index.size * n_orb // n_qw
+    taken = -(-read.size * n_b // 2)
     per_atom = max(4 * stack, index.size * n_orb + summed)
-    y_size = groups * n_slots * n_orb * n_qw * n_orb
+    y_size = (rows + n_orb) * n_qw * n_orb
     block = _chunk(per_atom + taken + y_size + n_b * 3 * n_qw * (2 * n_orb**2 + 3), len(atoms))
     scratch = np.empty(block * per_atom, dtype=np.complex128)
     dc_rows = np.empty((block, n_b, 3, n_qw, 3), dtype=np.complex128)
     dcdh = np.empty((block, n_b, 3, n_qz, n_w, n_orb, n_orb), dtype=np.complex128)
     xi = np.empty((block, n_b, 3, n_orb, n_qz, n_w, n_orb), dtype=np.complex128)
-    y = np.zeros((block, groups, n_slots * n_orb, n_qw * n_orb), dtype=np.complex128)
-    y_rows = y[:, :, first * n_orb : (first + n_read) * n_orb]
+    y = np.zeros((block, rows + n_orb, n_qw * n_orb), dtype=np.complex128)
     sigma = GreensTensor.zeros(g.shape)
     for g_arr, dc_arr, out in zip(g.data, dc.data, sigma.data):
         for lo in range(atoms.start, atoms.stop, block):
@@ -353,6 +344,7 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Arr
             g_nb = _carve(scratch, u * stack, (read.size, u, n_b, n_orb, n_orb))
             dhg = _carve(scratch, u * stack, (u, rows, n_b, 3 * n_orb))
             shifted = _carve(scratch, 0, (u,) + index.shape + (n_orb,))
+            at_mask = _carve(scratch, shifted.size, (u,) + index.shape[1:] + (n_orb,))
             # dHG[a, k, E, M, s, (i, P)] = G[k, E, f(a, s)][M, Q] dH[a, s, i][Q, P]
             _take_rows(g_arr, read, nmap.idx[lo:hi], g_nb)
             np.copyto(g_rows, g_nb.transpose(1, 2, 0, 3, 4))
@@ -361,27 +353,27 @@ def _sigma_batched_fused(g, dc, dh, nmap, grid, counter, atoms: range, mask: Arr
             np.copyto(dc_rows[:u], dc_arr[:, :, lo:hi].reshape(n_qw, u, n_b, 3, 3).transpose(1, 2, 3, 0, 4))  # [a, s, i, (q, w), j]
             np.matmul(dc_rows[:u].reshape(u, n_b, 3 * n_qw, 3), dh[lo:hi].reshape(u, n_b, 3, -1), out=dcdh[:u].reshape(u, n_b, 3 * n_qw, -1))
             np.multiply(dcdh[:u].transpose(0, 1, 2, 5, 3, 4, 6), weights, out=xi[:u])
-            np.matmul(dhg.reshape(u, groups, n_read * n_orb, depth), xi[:u].reshape(u, 1, depth, n_qw * n_orb), out=y_rows[:u])
+            np.matmul(dhg.reshape(u, rows, depth), xi[:u].reshape(u, depth, n_qw * n_orb), out=y[:u, :rows])
             np.take(y[:u].reshape(u, -1, n_orb), index, axis=1, out=shifted, mode="clip")
-            if mask is None:
-                np.add.reduce(shifted, axis=1, out=out.reshape(-1, n_a, n_orb, n_orb)[:, lo:hi].transpose(1, 0, 2, 3))
-            else:
-                at_mask = _carve(scratch, shifted.size, (u,) + index.shape[1:] + (n_orb,))
-                np.add.reduce(shifted, axis=1, out=at_mask)
-                out[mask, lo:hi] = at_mask.transpose(1, 0, 2, 3)
+            np.add.reduce(shifted, axis=1, out=at_mask)
+            out[mask, lo:hi] = at_mask.transpose(1, 0, 2, 3)
             counter.add_matmul(rows, n_orb, n_orb, repeat=3 * n_b * u, stage="sigma.dhg")
             counter.add_matmul(rows, depth, n_qw * n_orb, repeat=u, stage="sigma.accumulate")
     return sigma
 
 
-def _point_mask(point_mask, shape: tuple[int, int]) -> Array | None:
-    """The checked (k_z, E) mask of a kernel call; ``None`` when no mask is given or it selects every point."""
+def _point_mask(point_mask, shape: tuple[int, int]) -> Array:
+    """The checked (k_z, E) mask of a kernel call, the mask of every point when none is given.
+
+    An unmasked call and one under the mask of every point are the same
+    call: the default kernels form every row for it (:func:`_rows_read`).
+    """
     if point_mask is None:
-        return None
+        return np.ones(shape, dtype=bool)
     mask = np.asarray(point_mask, dtype=bool)
     if mask.shape != shape:
         raise ValueError(f"point mask must have shape {shape}")
-    return None if mask.all() else mask
+    return mask
 
 
 def sse_sigma(
@@ -404,9 +396,10 @@ def sse_sigma(
     the range (a neighbor index outside G's atom axis raises ``ValueError``).
     ``point_mask`` (a (k_z, E) boolean array) restricts the produced points
     the same way: Sigma is zero outside it.  The default arrangement then
-    computes only the masked points and the rows of G they read; the others
-    compute every point and zero the rest.  ``counter`` tallies the GEMMs; a
-    new one is used when none is given.
+    computes only the masked points, at the rows of G :func:`_rows_read`
+    picks (every row for the mask of every point, else those they read);
+    the others compute every point and zero the rest.  ``counter`` tallies
+    the GEMMs; a new one is used when none is given.
     """
     if g.kind != "electron":
         raise ValueError("sse_sigma expects an electron tensor")
@@ -424,8 +417,7 @@ def sse_sigma(
             sigma = _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms)
         else:
             raise ValueError(f"unknown variant {variant!r}")
-        if mask is not None:
-            sigma.data[:, ~mask] = 0
+        sigma.data[:, ~mask] = 0
     # the imaginary prefactor, common to every arrangement
     sigma.data *= 1j
     return sigma
@@ -433,7 +425,7 @@ def sse_sigma(
 
 def _fully_hoisted_chains(
     g: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int, counter: FlopCounter,
-    mask: Array | None, atoms: range,
+    mask: Array, atoms: range,
 ) -> GreensTensor:
     """Unweighted [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per pair.
 
@@ -445,35 +437,37 @@ def _fully_hoisted_chains(
     it commutes with left multiplication.  One gather then takes m1's omega
     windows, one m2's rolled copies, and one batched
     (3 n_w) x (n_kz n_E n_orb^2) x (n_qz 3) GEMM per pair forms the traces,
-    an orb^2-class step that is not tallied.  Under a point ``mask``, m2 is
-    formed at the masked rows only, the traces run over the rows
-    ((k + q) mod n_kz, E) its rolled copies reach, and m1 is formed only at
-    the rows their omega windows read.
+    an orb^2-class step that is not tallied.  m2 is formed at the rows of
+    the point ``mask``, and the traces run over the rows ((k + q) mod n_kz,
+    E) its rolled copies reach.  m1 is formed at the rows
+    :func:`_rows_read` picks for the mask: every row when it holds every
+    point, else the rows the traces' omega windows read.
     """
     n_kz, n_e, n_a, n_orb, _ = g.shape
     n_b, n_w = nmap.n_B, grid.n_w
     n_pts, cols, block = n_kz * n_e, 3 * n_orb, n_orb**2
-    # m2 rows: the masked ones (every one unmasked), then a zero row; to_m2[q, (k, E)] is the m2 row at
-    # [(k - q) mod n_kz, E], the zero row where that point is not masked
+    # m2 rows: the masked ones, then a zero row; to_m2[q, (k, E)] is the m2 row at [(k - q) mod n_kz, E],
+    # the zero row where that point is not masked
     to_m2 = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1)
-    m2_read = np.arange(n_pts) if mask is None else np.flatnonzero(mask)
+    m2_read = np.flatnonzero(mask)
     to_m2 = _row_slots(m2_read, n_pts)[to_m2]
     traced = (to_m2 < m2_read.size).any(axis=0).reshape(n_kz, n_e)  # the trace rows t
     # roll[(t, P, M), q] is the entry of m2, laid out as rows [row, P, M], that trace row t takes for q
     roll = (to_m2[:, traced.reshape(-1)].T[:, None] * block + np.arange(block)[:, None]).reshape(-1, n_qz)
-    # m1 rows: those read (every one unmasked), then a zero row; windows_at[w, t] is the m1 row at [t + off(w)]
+    # m1 rows: the rows rule's, keyed on the call's mask (a partial mask may trace every row), then a zero
+    # row; windows_at[w, t] is the m1 row at [t + off(w)]
     before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), (0,))
-    m1_read, windows_at = _rows_read(shift[0], before, n_pad, n_e, traced, m2_read if mask is None else None)
+    m1_read, windows_at = _rows_read(shift[0], before, n_pad, n_e, traced, mask.all())
     n_t, n_m1, n_m2 = windows_at.shape[1], m1_read.size, m2_read.size
     chains = GreensTensor.zeros((n_qz, n_w, n_a, n_b, 3, 3))
     pairs = range(atoms.start * n_b, atoms.stop * n_b)  # p = a n_B + s
     # per-chunk buffers, reused across chunks and both chains; per pair, its G (as taken, then as GEMM
     # rows) and later the omega windows and rolled m2 share one: the G is dead once m1 and m2 are formed.
-    # Masked, the gather of G's rows builds an int64 index.
+    # The gather of G's rows builds an int64 index unless it takes every row.
     g_size = max(n_m1, n_m2) * block
     per_pair = max(2 * g_size, 3 * (n_w + n_qz) * n_t * block)
     rows_size = 3 * (2 * n_m1 + n_m2 + 2) * block  # m1, padded m1 and m2
-    taken = 0 if mask is None else -(-max(n_m1, n_m2) // 2)
+    taken = -(-max(n_m1, n_m2) // 2)
     chunk = _chunk(per_pair + rows_size + taken + 2 * cols * n_orb + 9 * n_w * n_qz, len(pairs))
     scratch = np.empty(chunk * per_pair, dtype=np.complex128)
     m1 = np.empty((chunk, n_m1, n_orb, 3, n_orb), dtype=np.complex128)
@@ -557,9 +551,7 @@ def sse_pi_chains(
             b = int(nmap.idx[a, s])
             dh_ab = dh[a, s]
             for g1_arr, g2_arr, out in zip(g.data[::-1], g.data, chains.data[::-1]):
-                g2 = g2_arr[:, :, b]
-                if mask is not None:
-                    g2 = g2 * mask[:, :, None, None]
+                g2 = g2_arr[:, :, b] * mask[:, :, None, None]
                 m2 = None
                 if hoist_invariant:
                     m2 = np.einsum("jPQ,keQM->kejPM", dh_ab, g2)

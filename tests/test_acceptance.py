@@ -224,8 +224,8 @@ def test_criterion_6_rgf_against_dense_oracle():
         sr_b, sl_b, sg_b = (pick_slots(x, blocks)[:, None] for x in full)
         s_band, h_band = (gf._tridiagonal_band(x[0], params.bnum) for x in (dev.S, dev.H))
         a = point_system(energy, s_band, h_band, sr_b, whole, params.eta)
-        b_r, b_lg = solve_point_rgf(a, np.stack((sl_b, sg_b)), whole, f"seed {seed}")
-        b_l, b_g = b_lg[:, :, 0, 0]
+        b_r, b_lg = solve_point_rgf(a[None], np.stack((sl_b, sg_b))[:, None], whole, [f"seed {seed}"])
+        b_r, (b_l, b_g) = b_r[0], b_lg[:, 0, :, 0, 0]
         step = n // params.bnum
         for i in range(params.bnum):
             span = slice(i * step, (i + 1) * step)

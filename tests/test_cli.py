@@ -10,7 +10,7 @@ import pytest
 from negflow.cli import PRESETS, build_parser, main
 from negflow.flops import PFLOP, sse_flops_dace, sse_flops_omen
 from negflow.gf import SingularSystemError
-from negflow.sse import SseVariant, self_consistent_loop
+from negflow.sse import self_consistent_loop
 
 
 def run(args):
@@ -24,11 +24,6 @@ def test_simulate_is_deterministic(tmp_path):
     assert (out1 / "tensors.sha256").read_text() == (out2 / "tensors.sha256").read_text()
     config = json.loads((out1 / "simulate_config.json").read_text())
     assert config["params"]["n_A"] == 8
-
-
-def test_simulate_variant_default_is_the_loop_default():
-    args = build_parser().parse_args(["simulate"])
-    assert SseVariant(args.variant) is inspect.signature(self_consistent_loop).parameters["variant"].default
 
 
 def test_simulate_solver_default_is_the_loop_default():

@@ -90,8 +90,8 @@ def _rgf_electron(dev, sr, sl, sg, energy, kz, eta, bnum):
 
     s, h = (gf._tridiagonal_band(x[kz], bnum) for x in (dev.S, dev.H))
     a = point_system(energy, s, h, blocks(sr), whole, eta)
-    b_r, b_lg = solve_point_rgf(a, np.stack((blocks(sl), blocks(sg))), whole, f"kz={kz}, E={energy:g}")
-    return b_r, b_lg[0, :, 0, 0], b_lg[1, :, 0, 0]
+    b_r, b_lg = solve_point_rgf(a[None], np.stack((blocks(sl), blocks(sg)))[:, None], whole, [f"kz={kz}, E={energy:g}"])
+    return b_r[0], b_lg[0, 0, :, 0, 0], b_lg[1, 0, :, 0, 0]
 
 
 def _phonon_system(dev, pr, omega, qz, eta, nmap, bnum=None):
@@ -493,7 +493,7 @@ def test_phonon_rgf_slots_match_the_dense_solve(params):
             d_r = _phonon_inverse(dev, pi_r[qz, i_w], omega, qz, params.eta, nmap)
             dense = pick_slots(d_r @ _phonon_matrix(pi_lg, nmap) @ d_r.T, slot_index(nmap.partners))
             a = _phonon_system(dev, pi_r[qz, i_w], omega, qz, params.eta, nmap, params.bnum)
-            _, rgf = solve_point_rgf(a, pi_lg, index, f"qz={qz}, iw={i_w}")
+            rgf = solve_point_rgf(a[None], pi_lg[:, None], index, [f"qz={qz}, iw={i_w}"])[1][:, 0]
             worst = max(worst, np.max(np.abs(rgf - dense)) / np.max(np.abs(dense)))
     assert worst <= 1e-10
 
@@ -507,9 +507,9 @@ def test_phonon_rgf_single_block_equals_dense():
     d_r = _phonon_inverse(dev, pr, 0.7, 0, params.eta, nmap)
     d_lg = pick_slots(d_r @ _phonon_matrix(np.stack((pl, pg)), nmap) @ d_r.T, slot_index(nmap.partners))
     a = _phonon_system(dev, pr, 0.7, 0, params.eta, nmap, bnum=1)
-    b_r, b_lg = solve_point_rgf(a, np.stack((pl, pg)), slot_index(nmap.partners, 1), "omega=0.7")
-    assert _rel(b_r[0], d_r) <= 1e-12
-    assert _rel(b_lg, d_lg) <= 1e-12
+    b_r, b_lg = solve_point_rgf(a[None], np.stack((pl, pg))[:, None], slot_index(nmap.partners, 1), ["omega=0.7"])
+    assert _rel(b_r[0, 0], d_r) <= 1e-12
+    assert _rel(b_lg[:, 0], d_lg) <= 1e-12
 
 
 @pytest.mark.parametrize("n_a, n_b, bnum", [(8, 4, 2), (12, 3, 3), (16, 4, 4), (6, 2, 1), (8, 4, 4)])

@@ -265,11 +265,12 @@ MASKED = TINY.replace(n_E=6, n_A=6)
 
 
 def _point_masks(params):
-    """(k_z, E) masks of the masked-kernel tests: random ones, no point, one point, the energy edges, and the
-    first and last momentum rows, whose k -+ q shifts wrap."""
+    """(k_z, E) masks of the masked-kernel tests: random ones, every point, no point, one point, the energy
+    edges, and the first and last momentum rows, whose k -+ q shifts wrap."""
     shape = (params.n_kz, params.n_E)
     rng = np.random.default_rng(50)
-    masks = {"random-sparse": rng.random(shape) < 0.3, "random-dense": rng.random(shape) < 0.7}
+    masks = {"random-sparse": rng.random(shape) < 0.3, "random-dense": rng.random(shape) < 0.7,
+             "every-point": np.ones(shape, dtype=bool)}
     for name, index in (("no-point", ()), ("one-point", (1, 2)), ("lowest-energy", (slice(None), 0)),
                         ("highest-energy", (slice(None), -1)), ("both-edges", (slice(None), [0, -1])),
                         ("first-momentum", 0), ("last-momentum", -1)):
@@ -281,15 +282,19 @@ def _point_masks(params):
 
 @pytest.mark.parametrize("variant", list(SseVariant))
 def test_sigma_point_mask_zeroes_the_points_outside_it(variant):
-    # the default arrangement also tallies exactly the rows the masked points read
+    # the default arrangement also tallies exactly the rows the masked points read, and under the mask of
+    # every point returns the unmasked call's bits
     params, grid, nmap, g, d, dh = _instance(33, MASKED)
     dc = preprocess_D(d, nmap)
     for atom_range in (None, (1, 4)):
         ref = sse_sigma(SseVariant.REFERENCE, g, dc, dh, nmap, grid, atom_range=atom_range)
+        unmasked = sse_sigma(variant, g, dc, dh, nmap, grid, atom_range=atom_range)
         lo, hi = atom_range or (0, params.n_A)
         for name, mask in _point_masks(params).items():
             counter = FlopCounter()
             out = sse_sigma(variant, g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range, point_mask=mask)
+            if name == "every-point":
+                assert np.array_equal(out.data, unmasked.data), atom_range
             for side in ("lesser", "greater"):
                 want = np.where(mask[:, :, None, None, None], getattr(ref, side), 0)
                 got = getattr(out, side)
@@ -386,7 +391,7 @@ def _masked_rows(params, grid, mask):
     Sigma reads ((k - q) mod n_kz, E - off) of each masked point; Pi forms m2
     at the masked points, traces over their ((k + q) mod n_kz, E), and forms
     m1 at the in-grid (k, E + off) of those.  A mask of every point (or none)
-    runs unmasked, at every row.
+    forms every row.
     """
     n_kz, n_e = params.n_kz, params.n_E
     if mask is None or mask.all():
@@ -686,14 +691,18 @@ def test_default_pi_matches_unhoisted(seed, shape):
 
 
 def test_default_pi_point_masks_match_unhoisted():
-    # and tallies m1 and m2 at exactly the rows the masked points read
+    # and tallies m1 and m2 at exactly the rows the masked points read; under the mask of every point it
+    # returns the unmasked call's bits
     params, grid, nmap, g, _, dh = _instance(35, MASKED)
     for atom_range in (None, (1, 4)):
         lo, hi = atom_range or (0, params.n_A)
+        unmasked = sse_pi_chains(g, dh, nmap, grid, params.n_qz, atom_range=atom_range)
         for name, mask in _point_masks(params).items():
             plain = sse_pi_chains(g, dh, nmap, grid, params.n_qz, hoist_invariant=False, point_mask=mask, atom_range=atom_range)
             counter = FlopCounter()
             default = sse_pi_chains(g, dh, nmap, grid, params.n_qz, counter=counter, point_mask=mask, atom_range=atom_range)
+            if name == "every-point":
+                assert np.array_equal(default.data, unmasked.data), atom_range
             for want, got in ((plain.lesser, default.lesser), (plain.greater, default.greater)):
                 scale = max(np.max(np.abs(want)), 1e-300)
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, atom_range)
