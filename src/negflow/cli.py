@@ -29,12 +29,15 @@ from .sse import (
     sse_sigma,
 )
 
+# the paper's Table 2 and Table 3 device; `plan --preset table3` differs only in picking P from TABLE3_PROCESSES
+_SILICON = SimParams(n_kz=3, n_qz=3, n_E=706, n_w=70, n_A=4864, n_B=34, n_orb=12, bnum=19)
+
 PRESETS: dict[str, SimParams] = {
     "tiny": SimParams(n_kz=3, n_qz=2, n_E=8, n_w=2, n_A=8, n_B=2, n_orb=2, bnum=4),
     "small": SimParams(n_kz=3, n_qz=2, n_E=8, n_w=2, n_A=32, n_B=4, n_orb=2, bnum=4),
-    "table2": SimParams(n_kz=3, n_qz=3, n_E=706, n_w=70, n_A=4864, n_B=34, n_orb=12, bnum=19),
-    "table3": SimParams(n_kz=3, n_qz=3, n_E=706, n_w=70, n_A=4864, n_B=34, n_orb=12, bnum=19),
-    "table4": SimParams(n_kz=7, n_qz=7, n_E=706, n_w=70, n_A=4864, n_B=34, n_orb=12, bnum=19),
+    "table2": _SILICON,
+    "table3": _SILICON,
+    "table4": _SILICON.replace(n_kz=7, n_qz=7),
 }
 
 TABLE3_PROCESSES = {3: 768, 5: 1280, 7: 1792, 9: 2304, 11: 2816}

@@ -17,16 +17,21 @@ D^<>, so its three point solves form nothing else:
 - ``solve_phonon_point`` (dense phonons) forms D^R Pi^<> once and then only
   the slot blocks of D^R Pi^<> (D^R)^T.
 - ``solve_point_rgf`` (both kinds) runs one block-tridiagonal recursion
-  (``_rgf_pass``) over ``bnum`` blocks between ``place_slots`` and
-  ``pick_slots`` and builds no n x n matrix.  Sigma stays a block-diagonal
-  source; Pi's slots go into the tridiagonal blocks, so the recursion also
-  forms D^<>'s neighbor blocks.  The couplings reach only a few atoms
-  across a block boundary, so every product with a coupling block runs on
-  its c x c corner (``_coupling_corner``: 4 of 32 rows on gf-long).
+  (``_rgf_pass``) over ``bnum`` blocks and builds no n x n matrix.  The
+  couplings reach only a few atoms across a block boundary, so every
+  coupling block is zero outside a c x c corner (4 of 32 rows on gf-long),
+  derived once per momentum (``_coupling_corner``).  The band
+  (``_tridiagonal_band``) holds, per block, the diagonal block and the c
+  columns on either side that hold the corners, and every product with a
+  coupling block runs on its corner.  Sigma's atom blocks stay the source,
+  and the recursion forms g_i Sigma_i over them; Pi's slots go into a source
+  band of the same corner, so the recursion also forms the corners of
+  D^<>'s neighbor blocks, where its slots across a block boundary lie.
   ``gf_phase`` passes the RGF points of one momentum in chunks, a leading
   batch axis sized by ``RGF_BUDGET``, and the recursion works in the
-  chunk's band and source buffers.  A gf-long phonon chunk of two points
-  takes about 6 ms, against 58 ms for one dense point (one BLAS thread).
+  chunk's band (and phonon source band).  A gf-long phonon chunk of two
+  points takes about 5 ms, against 58 ms for one dense point (one BLAS
+  thread).
 
 ``solve_point_dense``, the electron oracle, keeps its own assembly: one
 n x n solve and two full n^3 triple products.
@@ -34,7 +39,7 @@ n x n solve and two full n^3 triple products.
 Every per-atom block moves into or out of a block matrix through one
 ``SlotIndex`` and three primitives, ``add_slots``, ``place_slots`` and
 ``pick_slots``: the atom-diagonal blocks of G and Sigma, the phonon slots of
-D and Pi, in the full matrix and in the RGF band alike.
+D and Pi, in the full matrix, in the RGF band and in its diagonal blocks.
 
 Every lesser/greater pair is one ``GreensTensor``, stored as one ``[2, ...]``
 array, and the loop's solvers take and return their pair stacked the same
@@ -58,15 +63,15 @@ Array = np.ndarray
 _RESIDUAL_LIMIT = 1e-8
 
 SOLVERS = ("dense", "rgf")
-# Bytes of the bands and sources of one chunk of RGF points, the two arrays the recursion works in (gf_phase).
+# Bytes one chunk of RGF points holds (gf_phase): its bands, and G^<>'s diagonal blocks or the phonon source bands.
 RGF_BUDGET = 3 << 20
 # Shared by gf_phase, sse.self_consistent_loop and `negflow simulate --solver`;
 # it picks the path of the electron and the phonon points alike.  Neither
 # solver is faster everywhere (gf_phase with seeded self-energies, best of 7
 # in CPU seconds, one BLAS thread; best of 2 for dense on gf-long;
-# CHANGES.md): RGF wins on desk-32 (0.15 s against 0.44 s), desk-32 wide
-# (0.31 against 0.68 s), gf-long (0.38 against 9.1 s) and, narrowly, small
-# (0.018 against 0.022 s); dense wins on tiny (0.0021 against 0.0042 s).
+# CHANGES.md): RGF wins on desk-32 (0.14 s against 0.43 s), desk-32 wide
+# (0.18 against 0.58 s), gf-long (0.27 against 6.9 s) and small (0.010
+# against 0.022 s); dense wins on tiny (0.0030 against 0.0035 s).
 # The benchmark's harness self-check reads this default to pick the
 # tolerance it breaks on purpose, so any switch waits for the next benchmark
 # change.
@@ -160,10 +165,13 @@ def _advanced(x: Array) -> Array:
 class SlotIndex(NamedTuple):
     """Where every slot sits in a target layout of blocks (``slot_index``).
 
-    With the block edge m, the target is viewed as [..., rows, m, cols, m];
-    slot (a, s) is its block (``row[a, s]``, ``col[a, s]``).  ``layout`` is the
-    target's trailing shape in blocks of one atom: ``(n_A, n_A)`` for the full
-    matrix, ``(bnum, 3, n_A/bnum, n_A/bnum)`` for the band.
+    With the block edge m, the full matrix is viewed as [..., n_A, m, n_A, m];
+    slot (a, s) is its block (``row[a, s]``, ``col[a, s]``), and ``layout`` is
+    ``(n_A, n_A)``.  A band index has ``layout`` ``(bnum, 3, n_A/bnum,
+    n_A/bnum)``: ``row`` is (3 i + side) n_A/bnum + the atom's place in block
+    i, with side 0, 1, 2 for blocks (i, i-1), (i, i), (i, i+1), and ``col`` the
+    partner's place in its block; ``_slot_blocks`` finds these in a band of
+    any corner.
     """
 
     row: Array
@@ -176,10 +184,9 @@ def slot_index(partners: Array, bnum: int | None = None) -> SlotIndex:
 
     Partners ``arange(n_A)[:, None]`` give the atom-diagonal blocks, and
     ``NeighborMap.partners`` the phonon slots.  Without ``bnum`` the target is
-    the full matrix, [n_A, m, n_A, m] as blocks.  With it, the target is the
-    band ``[bnum, 3, e, e]`` of ``_tridiagonal_band`` (e = m n_A / bnum), as
-    blocks [3 n_A, m, n_A/bnum, m]; ``ValueError`` unless every partner lies
-    in its atom's block or an adjacent one, i.e. the slots are block-tridiagonal.
+    the full matrix, [n_A, m, n_A, m] as blocks.  With it, the target is a band
+    of ``_tridiagonal_band``; ``ValueError`` unless every partner lies in its
+    atom's block or an adjacent one, i.e. the slots are block-tridiagonal.
     """
     n_a = partners.shape[0]
     rows = np.broadcast_to(np.arange(n_a)[:, None], partners.shape)
@@ -200,12 +207,40 @@ def slot_index(partners: Array, bnum: int | None = None) -> SlotIndex:
                      (bnum, 3, per_block, per_block))
 
 
-def _slot_blocks(target: Array, index: SlotIndex) -> Array:
-    """``target`` as a view [..., rows, cols, m, m] of its blocks."""
-    n_cols = index.layout[-1]
-    lead = target.shape[: target.ndim - len(index.layout)]
-    m = target.shape[-1] // n_cols
-    return target.reshape(*lead, -1, m, n_cols, m, copy=False).swapaxes(-3, -2)
+def _band_places(index: SlotIndex) -> tuple[Array, Array, Array]:
+    """Every slot of a band index: its block's side, its atom row in the band, and its depth in its coupling block.
+
+    The depth is how many atoms from the block boundary the corner must reach
+    to hold the slot (its row and its partner's column alike); 0 for a slot
+    inside its block.
+    """
+    per_block = index.layout[-1]
+    side, local = index.row // per_block % 3, index.row % per_block
+    depth = np.where(side == 0, np.maximum(local + 1, per_block - index.col),
+                     np.where(side == 2, np.maximum(per_block - local, index.col + 1), 0))
+    return side, index.row // (3 * per_block) * per_block + local, depth
+
+
+def _slot_blocks(target: Array, index: SlotIndex) -> tuple[Array, Array, Array]:
+    """``target`` as a view [..., rows, cols, m, m] of its blocks, and the row and column of every slot in it.
+
+    A band ``[..., bnum, e, c + e + c]`` (``_tridiagonal_band``) is viewed as
+    its block rows' atoms against the c/m atoms before each diagonal block,
+    its e/m and the c/m after it; ``ValueError`` unless every slot across a
+    block boundary lies in its coupling block's c x c corner.
+    """
+    m = target.shape[-2] // index.layout[-2]
+    if len(index.layout) == 2:
+        lead, rows, cols, n_cols = target.shape[:-2], index.row, index.col, index.layout[-1]
+    else:
+        per_block = index.layout[-1]
+        corner, rest = divmod(target.shape[-1] - target.shape[-2], 2 * m)  # the corner in atoms
+        side, rows, depth = _band_places(index)
+        if rest or np.any(depth > corner):
+            raise ValueError(f"a band corner of {(target.shape[-1] - target.shape[-2]) // 2} rows does not hold "
+                             f"every slot in whole atoms of {m}: a slot reaches {int(np.max(depth))} atoms deep")
+        lead, cols, n_cols = target.shape[:-3], index.col + (side - 1) * per_block + corner, per_block + 2 * corner
+    return target.reshape(*lead, -1, m, n_cols, m, copy=False).swapaxes(-3, -2), rows, cols
 
 
 def add_slots(target: Array, slots: Array, index: SlotIndex) -> Array:
@@ -216,21 +251,22 @@ def add_slots(target: Array, slots: Array, index: SlotIndex) -> Array:
     order, though it does not promise to.  This line is the one place the
     duplicate rule lives (ROADMAP item 1 (d)).
     """
-    _slot_blocks(target, index)[..., index.row, index.col, :, :] += slots
+    blocks, rows, cols = _slot_blocks(target, index)
+    blocks[..., rows, cols, :, :] += slots
     return target
 
 
 def place_slots(slots: Array, index: SlotIndex) -> Array:
-    """``slots`` [..., n_A, S, m, m] in a zero target: [..., n, n], or the band [..., bnum, 3, e, e]."""
+    """``slots`` [..., n_A, S, m, m] in a zero full matrix [..., n, n]."""
     m = slots.shape[-1]
-    *outer, rows, cols = index.layout
-    target = np.zeros((*slots.shape[:-4], *outer, rows * m, cols * m), np.complex128)
-    return add_slots(target, slots, index)
+    rows, cols = index.layout
+    return add_slots(np.zeros((*slots.shape[:-4], rows * m, cols * m), np.complex128), slots, index)
 
 
 def pick_slots(target: Array, index: SlotIndex) -> Array:
     """The blocks of ``target`` that the slots keep, as a new [..., n_A, S, m, m] array."""
-    return _slot_blocks(target, index)[..., index.row, index.col, :, :]
+    blocks, rows, cols = _slot_blocks(target, index)
+    return blocks[..., rows, cols, :, :]
 
 
 def _solve_system(a: Array, context: str | Sequence[str]) -> Array:
@@ -288,11 +324,11 @@ def point_system(
 
     Electrons pass (E, S, H); phonons (omega^2, None, Phi), None standing for
     M = I: -Phi with omega^2 added on the diagonal.  M and K are full
-    matrices or bands (``_tridiagonal_band``).  A scalar ``shift`` gives one
-    system in the layout of ``stiffness``; a shift per point [P] gives P of
-    them, [P, ...], and ``self_r`` then leads with the same P.  ``self_r``
-    goes onto the target ``index`` describes: the matrix, the band, or (an
-    index of one block's atoms) the band's diagonal blocks.
+    matrices or bands of one corner (``_tridiagonal_band``).  A scalar
+    ``shift`` gives one system in the layout of ``stiffness``; a shift per
+    point [P] gives P of them, [P, ...], and ``self_r`` then leads with the
+    same P.  ``self_r`` goes onto the target ``index`` describes: the matrix,
+    the band, or (an index of one block's atoms) the band's diagonal blocks.
     """
     lead = np.shape(shift)  # () for one point, (P,) for a batch
     if mass is None:
@@ -300,12 +336,12 @@ def point_system(
     else:
         a = np.reshape(shift, lead + (1,) * stiffness.ndim) * mass
         a -= stiffness
-    blocks = a[..., 1, :, :] if stiffness.ndim == 4 else a[..., None, :, :]  # the blocks that hold the diagonal
-    edge = blocks.shape[-1]
-    diagonal = blocks.reshape(*blocks.shape[:-2], edge * edge, copy=False)[..., :: edge + 1]
+    band = stiffness.ndim == 3
+    blocks = _diagonal_blocks(a) if band else a[..., None, :, :]  # the blocks that hold the diagonal
+    diagonal = np.einsum("...ii->...i", blocks)  # a view, writable, of the band's strided blocks too
     if mass is None:
         diagonal += np.reshape(shift, lead + (1, 1))
-    add_slots(a if len(index.layout) == stiffness.ndim else blocks, -self_r, index)
+    add_slots(blocks if band and len(index.layout) == 2 else a, -self_r, index)
     diagonal += 1j * eta
     return a
 
@@ -359,128 +395,175 @@ def solve_phonon_point(a: Array, pi_lg: Array, nmap: NeighborMap, context: str) 
     return d_r, slots
 
 
-def _tridiagonal_band(mat: Array, bnum: int) -> Array:
-    """Band ``[bnum, 3, m, m]`` of an n x n matrix under ``bnum`` blocks.
+def _tridiagonal_band(mat: Array, bnum: int, corner: int | None = None) -> Array:
+    """The block rows ``[bnum, m, c + m + c]`` of an n x n matrix under ``bnum`` blocks, cut to a corner c.
 
-    ``[i, 0]``, ``[i, 1]``, ``[i, 2]`` are blocks (i, i-1), (i, i), (i, i+1);
-    the two corners outside the matrix stay zero.  ``gf_phase`` reads each
-    momentum's S, H or Phi through it once, so no RGF point builds an n x n matrix.
+    Row i holds diagonal block (i, i) between c columns on either side: the
+    last c of block (i, i-1) before it and the first c of block (i, i+1) after
+    it, zero outside the matrix; ``_rgf_pass`` reads only the c x c corners
+    of those side columns, in the first and the last c rows.  ``corner`` is
+    c, the matrix's own smallest (``_coupling_corner``) unless given.
+    ``gf_phase`` reads each momentum's S, H or Phi through it once, with one
+    corner for the momentum, so no RGF point builds an n x n matrix.
     """
     n = mat.shape[-1]
     if n % bnum != 0:
         raise ValueError(f"matrix edge {n} not divisible into {bnum} blocks")
-    # block i's partners are blocks i-1, i, i+1, wrapped around at the ends and then zeroed there
-    band = pick_slots(mat, slot_index((np.arange(bnum)[:, None] + np.arange(-1, 2)) % bnum))
-    band[0, 0] = band[-1, 2] = 0.0
+    m = n // bnum
+    c = _coupling_corner((mat,), bnum) if corner is None else corner
+    band = np.zeros((bnum, m, m + 2 * c), np.complex128)
+    for i in range(bnum):
+        start, stop = max(i * m - c, 0), min((i + 1) * m + c, n)  # the columns of row i inside the matrix
+        band[i, :, start - (i * m - c) : stop - (i * m - c)] = mat[i * m : (i + 1) * m, start:stop]
     return band
 
 
-def _coupling_corner(a: Array, q: Array) -> int:
-    """The smallest corner edge c that holds every nonzero of the coupling blocks of ``a`` and ``q``.
+def _diagonal_blocks(band: Array) -> Array:
+    """The diagonal blocks ``[..., bnum, m, m]`` of bands ``[..., bnum, m, c + m + c]``, as a view."""
+    m = band.shape[-2]
+    c = (band.shape[-1] - m) // 2
+    return band[..., c : c + m]
 
-    ``a`` and ``q`` are ``_rgf_pass``'s band and source, with any leading
-    axes; ``q`` counts only when it is a band (block-tridiagonal) too.  Block
-    (i, i+1) of a band (side 2) must be zero outside its last c rows and first
-    c columns, block (i, i-1) (side 0) outside its first c rows and last c
-    columns.  Full coupling blocks give c = m, and a band without couplings
-    (bnum = 1) gives 0.
+
+def _coupling_corner(matrices: Sequence[Array], bnum: int, index: SlotIndex | None = None) -> int:
+    """The smallest corner edge c that holds every nonzero of the coupling blocks of ``matrices`` under ``bnum`` blocks.
+
+    ``matrices`` are one momentum's n x n S and H, or its Phi.  Block
+    (i, i+1) must be zero outside its last c rows and first c columns, block
+    (i+1, i) outside its first c rows and last c columns.  A band ``index``
+    (Pi's slots, ``slot_index``) must fit too: its slots across a block
+    boundary widen c, which is then rounded up to whole atoms so that they
+    have blocks to go to.  Full coupling blocks give c = m, and one block
+    (bnum = 1) gives 0.  ``gf_phase`` derives c once per momentum.
     """
-    m = a.shape[-1]
-    rows, cols = np.zeros(m, bool), np.zeros(m, bool)  # nonzero in blocks (i, i+1), or in (i, i-1) reversed
-    for band in (a, q) if q.ndim == a.ndim + 1 else (a,):
-        # sides 0 and 2 as floats, real and imaginary parts apart: far faster to test than complex entries
-        nonzero = (band[..., ::2, :, :].view(np.float64) != 0).reshape(-1, 2, m, 2 * m).any(axis=0)
-        side_rows, side_cols = nonzero.any(axis=2), nonzero.any(axis=1).reshape(2, m, 2).any(axis=2)
-        rows |= side_rows[1] | side_rows[0, ::-1]
-        cols |= side_cols[1] | side_cols[0, ::-1]
-    return int(max(m - np.argmax(rows) if rows.any() else 0, m - np.argmax(cols[::-1]) if cols.any() else 0))
+    n = matrices[0].shape[-1]
+    m = n // bnum
+    upper, lower = (np.arange(bnum - 1), np.arange(1, bnum)), (np.arange(1, bnum), np.arange(bnum - 1))
+    rows, cols = np.zeros(m, bool), np.zeros(m, bool)  # nonzero in blocks (i, i+1), or in (i+1, i) reversed
+    for mat in matrices:
+        blocks = mat.reshape(bnum, m, bnum, m).swapaxes(1, 2)
+        couplings = np.concatenate((blocks[upper], blocks[lower][:, ::-1, ::-1]))
+        # real and imaginary parts apart, as floats: far faster to test than complex entries
+        nonzero = (couplings.view(np.float64) != 0).reshape(-1, m, m, 2).any(axis=(0, 3))
+        rows |= nonzero.any(axis=1)
+        cols |= nonzero.any(axis=0)
+    corner = max(m - np.argmax(rows) if rows.any() else 0, m - np.argmax(cols[::-1]) if cols.any() else 0)
+    if index is None:
+        return int(corner)
+    atom = n // (bnum * index.layout[-1])
+    atoms = max(-(-corner // atom), int(np.max(_band_places(index)[2], initial=0)))
+    return atoms * atom
 
 
-def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> Array:
+def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array]:
     """One forward/backward recursion over the blocks of ``a X = I`` with source ``X Q X^T``, for P points at once.
 
-    ``a`` stacks the points' bands ``[P, bnum, 3, m, m]`` (``_tridiagonal_band``),
-    and ``contexts`` names each point.  ``q`` stacks the lesser/greater
-    source: a block-diagonal one (electrons) as its diagonal blocks
-    ``[2, P, bnum, m, m]``, a block-tridiagonal one (phonons) as its band
-    ``[2, P, bnum, 3, m, m]``.  The forward sweep builds the left-connected
-    blocks g_i and their lesser/greater XL_i by Schur complements, each block
-    solve residual-checked at every point; the backward sweep, with
-    W = g_i U_i, forms the diagonal blocks of X and of X Q X^T, and for a
-    tridiagonal source also the neighbor blocks of X Q X^T.
+    ``a`` stacks the points' bands ``[P, bnum, m, c + m + c]`` of one corner
+    c (``_tridiagonal_band``): every coupling block of ``a`` and ``q`` is zero
+    outside its c x c corner, and the recursion reads nothing else of it.
+    ``contexts`` names each point.  ``q`` stacks the lesser/greater source:
+    Sigma's atom blocks ``[2, P, bnum, k, o, o]`` (electrons; k o = m, atom j
+    of a block on its diagonal), or a band ``[2, P, bnum, m, c + m + c]``
+    (phonons) that holds Pi's blocks on and across the block boundaries.  The
+    forward sweep builds the left-connected blocks g_i and their lesser/greater
+    XL_i by Schur complements, each block solve residual-checked at every
+    point; the backward sweep, with W = g_i U_i, forms the diagonal blocks of
+    X and of X Q X^T, and for a band source also the corners of its neighbor
+    blocks.
 
-    Every coupling block of ``a`` and ``q`` is zero outside its c x c corner
-    (``_coupling_corner``), so each product with one runs on that corner: the
-    Schur complement and the inflow change only a c x c corner of block i,
-    and W, G_{i+1} D_{i+1} and their product keep c columns.  So a block
-    costs its solve, its residual check and g_i Q_i g_i^T at m^3 each, and
-    O(m^2 c) besides.  The block solves and the diagonal blocks of X and of
-    X Q X^T stay whole.
+    Each product with a coupling block runs on its corner: the Schur
+    complement and the inflow change only a c x c corner of block i, and W,
+    G_{i+1} D_{i+1} and their product keep c columns.  Electrons form
+    g_i Sigma_i over Sigma's o x o blocks and add the inflow's corner, so a
+    block costs its solve, its residual check and one m^3 product per tensor,
+    and O(m^2 (o + c)) besides; a phonon block forms g_i Q_i g_i^T whole.
 
-    The recursion works in its inputs: the diagonal blocks of ``a`` become g_i
-    and then X's, and ``q`` becomes X Q X^T in its own layout (band corners
-    outside the matrix stay zero).  A source block is read before the block
-    of X Q X^T that replaces it is written.  Returns X's diagonal blocks, the
-    view ``a[:, :, 1]`` ``[P, bnum, m, m]``.
+    The recursion works in ``a`` and a band ``q``: the diagonal blocks of
+    ``a`` become g_i and then X's, and ``q`` becomes X Q X^T in its own
+    layout.  A source block is read before the block of X Q X^T that replaces
+    it is written.  Sigma's blocks are only read, and XL_i and then X Q X^T's
+    diagonal blocks go into a new ``[2, P, bnum, m, m]``.  Returns X's
+    diagonal blocks (the view ``_diagonal_blocks(a)``) and X Q X^T: those
+    blocks, or the band ``q``.
     """
-    bnum, m = a.shape[1], a.shape[-1]
+    n_points, bnum, m = a.shape[:3]
+    c = (a.shape[-1] - m) // 2
     tridiagonal = q.ndim == a.ndim + 1
-    c = _coupling_corner(a, q)
     head, tail = slice(None, c), slice(m - c, None)  # a block's first and last c rows or columns
-    x_r = a[:, :, 1]  # system blocks, then g_i, then X's
-    x_lg = q[:, :, :, 1] if tridiagonal else q  # source blocks, then XL_i, then X Q X^T's
-    up, down = a[:, :, 2, tail, head], a[:, :, 0, head, tail]  # corners of blocks (i, i+1) and (i, i-1)
-    q_up, q_down = (q[:, :, :, 2, tail, head], q[:, :, :, 0, head, tail]) if tridiagonal else (None, None)
+    x_r = _diagonal_blocks(a)  # system blocks, then g_i, then X's
+    up, down = a[..., tail, c + m :], a[..., head, :c]  # corners of blocks (i, i+1) and (i, i-1)
+    if tridiagonal:
+        x_lg = _diagonal_blocks(q)  # source blocks, then XL_i, then X Q X^T's
+        q_up, q_down = q[..., tail, c + m :], q[..., head, :c]
+    else:
+        x_lg = np.empty((2, n_points, bnum, m, m), np.complex128)  # XL_i, then X Q X^T's
+        k, o = q.shape[-3], q.shape[-1]
+        g_q = np.empty((2, n_points, m, m), np.complex128)  # g_i Q_i
 
     for i in range(bnum):
-        block, inflow = x_r[:, i], x_lg[:, :, i]
+        block = x_r[:, i]
         if i > 0:
             d = down[:, i]
             dg = d @ x_r[:, i - 1, tail, tail]  # D_i g_{i-1}, the corner that meets U_{i-1} and Q_{i-1,i}
             block[:, head, head] -= dg @ up[:, i - 1]
-            inflow[..., head, head] += d @ x_lg[:, :, i - 1, tail, tail] @ _advanced(d)
+            inflow = d @ x_lg[:, :, i - 1, tail, tail] @ _advanced(d)
             if tridiagonal:  # Q's neighbor blocks: -D g_{i-1} Q_{i-1,i} - Q_{i,i-1} (D g_{i-1})^T
-                inflow[..., head, head] -= dg @ q_up[:, :, i - 1] + q_down[:, :, i] @ _advanced(dg)
+                inflow -= dg @ q_up[:, :, i - 1] + q_down[:, :, i] @ _advanced(dg)
         g = _solve_system(block, [f"RGF forward pass, block {i} ({context})" for context in contexts])
         x_r[:, i] = g
-        x_lg[:, :, i] = g @ inflow @ _advanced(g)
+        if tridiagonal:
+            if i > 0:
+                x_lg[:, :, i, head, head] += inflow
+            x_lg[:, :, i] = g @ x_lg[:, :, i] @ _advanced(g)
+        else:
+            # g_i Q_i: g_i Sigma_i column block by column block, then g_i times the inflow's corner
+            np.matmul(g.reshape(n_points, m, k, o).swapaxes(1, 2), q[:, :, i],
+                      out=g_q.reshape(2, n_points, m, k, o).swapaxes(2, 3))
+            if i > 0:
+                g_q[..., head] += g[..., head] @ inflow
+            np.matmul(g_q, _advanced(g), out=x_lg[:, :, i])
 
     for i in range(bnum - 2, -1, -1):
         g, g_lg = x_r[:, i], x_lg[:, :, i]  # g_i and XL_i, replaced last
         after, after_lg = x_r[:, i + 1], x_lg[:, :, i + 1]  # X_{i+1} and its lesser/greater
         w = g[..., tail] @ up[:, i]  # W = g_i U_i: its first c columns
         gd = after[..., head] @ down[:, i + 1]  # G_{i+1} D_{i+1}: its last c columns
-        v = w @ gd[:, head]  # W G_{i+1} D_{i+1}: its last c columns
-        wx = w @ after_lg[..., head, :]
-        update = wx[..., head] @ _advanced(w) + v @ g_lg[..., tail, :] + g_lg[..., tail] @ _advanced(v)
+        v = w @ gd[..., head, :]  # W G_{i+1} D_{i+1}: its last c columns
+        wx = w @ after_lg[..., head, head]  # W X_{i+1}: its first c columns
+        update = wx @ _advanced(w) + v @ g_lg[..., tail, :] + g_lg[..., tail] @ _advanced(v)
         if tridiagonal:
-            right = g[..., tail] @ q_up[:, :, i] @ _advanced(after[..., head])  # g_i Q_{i,i+1} G_{i+1}^T
-            left = after[..., head] @ q_down[:, :, i + 1] @ _advanced(g[..., tail])  # G_{i+1} Q_{i+1,i} g_i^T
-            update -= right[..., head] @ _advanced(w) + w @ left[..., head, :]
-            # X_{i,i+1} = (g_i Q_{i,i+1} - XL_i D_i^T) G_{i+1}^T - W X_{i+1}, and X_{i+1,i} its mirror
-            q[:, :, i, 2] = right - g_lg[..., tail] @ _advanced(gd) - wx
-            q[:, :, i + 1, 0] = left - gd @ g_lg[..., tail, :] - after_lg[..., head] @ _advanced(w)
+            right = g[..., tail] @ q_up[:, :, i] @ _advanced(after[..., head, head])  # g_i Q_{i,i+1} G_{i+1}^T
+            left = after[..., head, head] @ q_down[:, :, i + 1] @ _advanced(g[..., tail])  # G_{i+1} Q_{i+1,i} g_i^T
+            update -= right @ _advanced(w) + w @ left  # right's first c columns, left's first c rows
+            # the corners of X_{i,i+1} = (g_i Q_{i,i+1} - XL_i D_i^T) G_{i+1}^T - W X_{i+1} and of its mirror
+            q_up[:, :, i] = right[..., tail, :] - g_lg[..., tail, tail] @ _advanced(gd[..., head, :]) - wx[..., tail, :]
+            q_down[:, :, i + 1] = (left[..., tail] - gd[..., head, :] @ g_lg[..., tail, tail]
+                                   - after_lg[..., head, head] @ _advanced(w[..., tail, :]))
         g_lg += update
         g += v @ g[..., tail, :]
-    return x_r
+    return x_r, q if tridiagonal else x_lg
 
 
 def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: Sequence[str]) -> tuple[Array, Array]:
     """RGF pass over the bands ``a`` of a chunk of points, with the stacked lesser/greater ``self_lg`` as source.
 
-    A chunk of P points passes ``a`` as ``[P, bnum, 3, m, m]``, ``self_lg`` as
-    ``[2, P, ...]`` and one context per point (a single point is a chunk of
-    one).  ``index`` places the slots ``self_lg`` into the source and picks
-    them back out of the result.  Electrons pass Sigma as
-    ``[2, P, bnum, n_A/bnum, 1, o, o]`` with an index of one block's atoms,
-    so the source stays block-diagonal; phonons pass Pi's slots with
-    ``slot_index(nmap.partners, bnum)``.  The recursion overwrites ``a``.
-    Returns the diagonal blocks of the retarded solution ``[P, bnum, m, m]``,
-    a view of ``a``, and the lesser/greater slots in ``self_lg``'s layout.
+    A chunk of P points passes ``a`` as ``[P, bnum, m, c + m + c]``,
+    ``self_lg`` as ``[2, P, ...]`` and one context per point (a single point
+    is a chunk of one).  Electrons pass Sigma as ``[2, P, bnum, n_A/bnum, 1,
+    o, o]`` with the index of one block's atoms: the recursion reads those
+    blocks as its source, and the index picks G^<>'s atom blocks out of the
+    diagonal blocks of the result.  Phonons pass Pi's slots with
+    ``slot_index(nmap.partners, bnum)``: they are added onto a zero source
+    band of ``a``'s corner and picked back out of the result, across the
+    block boundaries from its corners.  The recursion overwrites ``a``.  Returns
+    the diagonal blocks of the retarded solution ``[P, bnum, m, m]``, a view
+    of ``a``, and the lesser/greater slots in ``self_lg``'s layout.
     """
-    q = place_slots(self_lg, index)
-    x_r = _rgf_pass(a, q, context)
-    return x_r, pick_slots(q, index)
+    if len(index.layout) == 2:
+        x_r, x_lg = _rgf_pass(a, self_lg[..., 0, :, :], context)
+    else:
+        x_r, x_lg = _rgf_pass(a, add_slots(np.zeros((2, *a.shape), np.complex128), self_lg, index), context)
+    return x_r, pick_slots(x_lg, index)
 
 
 def gf_phase(
@@ -499,32 +582,38 @@ def gf_phase(
     G blocks and D slots.  Each momentum's matrices are read once, and one
     ``SlotIndex`` per particle kind, built once, serves all of its points.
     ``"rgf"`` raises ``ValueError`` before any solve when Pi is not
-    block-tridiagonal under ``params.bnum`` blocks (``slot_index``).  A dense
-    chunk is one point; an RGF chunk is as many consecutive energies (or
-    frequencies) as ``RGF_BUDGET`` holds bands and sources of, assembled,
-    placed, solved and picked as one batch.  Points are independent: each
-    (k_z, E) and (q_z, omega) solve writes a disjoint tensor slice, so
-    evaluation order cannot change the result.  Retarded self-energies are
-    always derived from the lesser/greater pair, one chunk at a time.  A
-    failing solve names its point once: k_z, iE and E, or q_z, iw and omega;
-    a chunk names the first of its points that fails at the first failing
-    block.
+    block-tridiagonal under ``params.bnum`` blocks (``slot_index``), and
+    derives each momentum's corner c once (``_coupling_corner``: from S and
+    H, or from Phi and Pi's slots).  A dense chunk is one point; an RGF chunk
+    is as many consecutive energies (or frequencies) as ``RGF_BUDGET`` holds
+    of what the chunk holds per point: its band, and the diagonal blocks of
+    G^<> (electrons) or its source band (phonons).  It is assembled, solved
+    and picked as one batch.  Points are independent: each (k_z, E) and
+    (q_z, omega) solve writes a disjoint tensor slice, so evaluation order
+    cannot change the result.  Retarded self-energies are always derived
+    from the lesser/greater pair, one chunk at a time.  A failing solve names
+    its point once: k_z, iE and E, or q_z, iw and omega; a chunk names the
+    first of its points that fails at the first failing block.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     rgf = solver == "rgf"
-    o, eta = params.n_orb, params.eta
-    phonon_index = slot_index(nmap.partners, params.bnum if rgf else None)
-    atoms = params.n_A // params.bnum if rgf else params.n_A  # the atoms of one RGF diagonal block, or all
+    o, eta, bnum = params.n_orb, params.eta, params.bnum
+    phonon_index = slot_index(nmap.partners, bnum if rgf else None)
+    atoms = params.n_A // bnum if rgf else params.n_A  # the atoms of one RGF diagonal block, or all
     electron_index = slot_index(np.arange(atoms)[:, None])
-    electron_slots = (params.bnum, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
+    electron_slots = (bnum, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
 
-    def read(mat: Array) -> Array:
-        return _tridiagonal_band(mat, params.bnum) if rgf else mat
+    def read(matrices: Sequence[Array], index: SlotIndex | None = None) -> tuple[list[Array], int]:
+        """A momentum's matrices, as bands of one corner for RGF, and the bytes of one point's band (0 for dense)."""
+        if not rgf:
+            return list(matrices), 0
+        corner = _coupling_corner(matrices, bnum, index)
+        bands = [_tridiagonal_band(mat, bnum, corner) for mat in matrices]
+        return bands, bands[0].nbytes
 
-    def chunks(n_points: int, edge: int, source_sides: int) -> list[range]:
+    def chunks(n_points: int, point_bytes: int) -> list[range]:
         """Runs of consecutive points: one point for dense, as many as fit in ``RGF_BUDGET`` for RGF."""
-        point_bytes = 16 * params.bnum * edge * edge * (3 + 2 * source_sides)  # band and source of one point
         step = max(1, RGF_BUDGET // point_bytes) if rgf else 1
         return [range(start, min(start + step, n_points)) for start in range(0, n_points, step)]
 
@@ -532,13 +621,14 @@ def gf_phase(
     g_ph = GreensTensor.zeros(params.phonon_shape)
 
     for kz in range(params.n_kz):
-        s, h = read(dev.S[kz]), read(dev.H[kz])
-        for run in chunks(params.n_E, atoms * o, 1):
+        (s, h), band_bytes = read((dev.S[kz], dev.H[kz]))
+        edge = atoms * o
+        for run in chunks(params.n_E, band_bytes + 2 * 16 * bnum * edge * edge):  # the band and G^<>'s blocks
             points = slice(run.start, run.stop)
             contexts = [f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for i_e in run]
             sig_lg = sigma.data[:, kz, points]
             # the chunk's Sigma^R only: a whole momentum's (1 MiB on gf-long, made through as large a temporary)
-            # would stay alive beside the chunk's band and source and raise the phase's peak
+            # would stay alive beside the chunk's band and G^<> and raise the phase's peak
             sig_r = retarded_from_lesser_greater(GreensTensor.wrap(sig_lg[:, None]))[0]
             a = point_system(grid.values[points], s, h, sig_r.reshape(-1, *electron_slots), electron_index, eta)
             if rgf:
@@ -549,8 +639,8 @@ def gf_phase(
             del a  # not held into the next chunk's assembly
 
     for qz in range(params.n_qz):
-        phi = read(dev.Phi[qz])
-        for run in chunks(params.n_w, atoms * params.n_3D, 3):
+        (phi,), band_bytes = read((dev.Phi[qz],), phonon_index)
+        for run in chunks(params.n_w, 3 * band_bytes):  # the band and the lesser/greater source band
             points = slice(run.start, run.stop)
             omegas = [grid.frequency_value(i_w) for i_w in run]
             contexts = [f"phonon point (qz={qz}, iw={i_w}, omega={omega:g})" for i_w, omega in zip(run, omegas)]

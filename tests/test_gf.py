@@ -1,6 +1,7 @@
 """Green's function solvers: dense oracle, RGF equivalence, phase assembly."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,9 +175,13 @@ def test_rgf_single_block_equals_dense():
     assert np.allclose(b_g[0], g_g, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_rgf_matches_dense_blocks(seed):
-    params = TINY.replace(n_A=8, n_B=2, bnum=4)
+@pytest.mark.parametrize("seed, n_b", [
+    *(pytest.param(seed, 2, id=str(seed)) for seed in range(6)),
+    # reach 2 spans both atoms of a block: the coupling corner is the whole block
+    *(pytest.param(seed, 4, id=f"reach-equals-block-{seed}") for seed in range(6)),
+])
+def test_rgf_matches_dense_blocks(seed, n_b):
+    params = TINY.replace(n_A=8, n_B=n_b, bnum=4)
     dev, _ = synthesize(params, seed=seed)
     n = params.n_A * params.n_orb
     rng = np.random.default_rng(100 + seed)
@@ -512,6 +517,20 @@ def test_phonon_rgf_single_block_equals_dense():
     assert _rel(b_lg[:, 0], d_lg) <= 1e-12
 
 
+def _band_of(matrix, bnum, corner):
+    """Block rows [..., bnum, e, c + e + c] of ``matrix`` by an explicit column loop: row i's columns from c before
+    its diagonal block to c after it, zero outside the matrix."""
+    n = matrix.shape[-1]
+    edge = n // bnum
+    band = np.zeros((*matrix.shape[:-2], bnum, edge, edge + 2 * corner), complex)
+    for i in range(bnum):
+        for col in range(edge + 2 * corner):
+            j = i * edge - corner + col
+            if 0 <= j < n:
+                band[..., i, :, col] = matrix[..., i * edge:(i + 1) * edge, j]
+    return band
+
+
 @pytest.mark.parametrize("n_a, n_b, bnum", [(8, 4, 2), (12, 3, 3), (16, 4, 4), (6, 2, 1), (8, 4, 4)])
 def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
     nmap = build_neighbor_map(n_a, n_b)
@@ -523,29 +542,28 @@ def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
     for a in range(n_a):
         for s, b in enumerate([a, *nmap.idx[a]]):
             full[:, a * m:(a + 1) * m, b * m:(b + 1) * m] = slots[:, a, s]  # duplicate slots differ: the last wins
-    band = place_slots(slots, index)
-    want = np.zeros_like(band)
-    for i in range(bnum):
-        for side, j in enumerate((i - 1, i, i + 1)):
-            if 0 <= j < bnum:
-                want[:, i, side] = full[:, i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]
-    assert np.array_equal(band, want)
-    # adding in place onto a band adds the same blocks
-    base = _rand_atom_blocks(rng, 2 * bnum * 3, edge).reshape(band.shape)
-    target = base.copy()
-    add_slots(target, slots, index)
-    assert np.array_equal(target, base + band)
-    # the gather reads exactly the blocks the slots keep
-    matrix = _rand_atom_blocks(rng, 1, n_a * m)[0]
-    blocks = np.zeros((bnum, 3, edge, edge), complex)
-    for i in range(bnum):
-        for side, j in enumerate((i - 1, i, i + 1)):
-            if 0 <= j < bnum:
-                blocks[i, side] = matrix[i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]
-    picked = pick_slots(blocks, index)
-    for a in range(n_a):
-        for s, b in enumerate([a, *nmap.idx[a]]):
-            assert np.array_equal(picked[a, s], matrix[a * m:(a + 1) * m, b * m:(b + 1) * m])
+    # the smallest corner that holds the slots (the neighbor reach, none at bnum = 1), and whole coupling blocks
+    reach = nmap.max_reach if bnum > 1 else 0
+    for corner in (reach * m, edge):
+        want = _band_of(full, bnum, corner)
+        band = add_slots(np.zeros_like(want), slots, index)
+        assert np.array_equal(band, want)
+        # the corners hold every slot across a block boundary: the side columns are zero outside them
+        assert not np.any(want[..., corner:, :corner]) and not np.any(want[..., :edge - corner, edge + corner:])
+        # adding in place onto a band adds the same blocks
+        base = _rand_atom_blocks(rng, 2 * bnum, edge + 2 * corner)[..., :edge, :].reshape(band.shape)
+        target = base.copy()
+        assert add_slots(target, slots, index) is target
+        assert np.array_equal(target, base + want)
+        # the gather reads exactly the blocks the slots keep
+        matrix = _rand_atom_blocks(rng, 1, n_a * m)[0]
+        picked = pick_slots(_band_of(matrix, bnum, corner), index)
+        for a in range(n_a):
+            for s, b in enumerate([a, *nmap.idx[a]]):
+                assert np.array_equal(picked[a, s], matrix[a * m:(a + 1) * m, b * m:(b + 1) * m])
+    if reach:  # a corner one atom short of the reach has no block for the deepest slots
+        with pytest.raises(ValueError, match="does not hold every slot"):
+            add_slots(_band_of(full, bnum, (reach - 1) * m), slots, index)
 
 
 def test_rgf_refuses_a_neighbor_reach_beyond_one_block(monkeypatch):
@@ -621,36 +639,33 @@ def _spy_chunks(monkeypatch):
 def test_rgf_corner_is_the_coupling_reach(params):
     # couplings reach nmap.max_reach atoms across a block boundary: reach * n_orb rows and columns for
     # electrons, reach * 3 for phonons, of blocks of n_A / bnum atoms
-    dev, nmap, grid, pi = _first_pass_pi(params.replace(n_kz=1, n_qz=1, n_E=2, n_w=2))
+    dev, nmap = synthesize(params.replace(n_kz=1, n_qz=1, n_E=2, n_w=2), seed=1)
     reach, per_block = nmap.max_reach, params.n_A // params.bnum
     assert reach < per_block
-    energies = grid.values[:2]
-    s, h = (gf._tridiagonal_band(x[0], params.bnum) for x in (dev.S, dev.H))
-    sig = 0.01 * np.ones((2, params.bnum, per_block, 1, params.n_orb, params.n_orb), complex)
-    electrons = point_system(energies, s, h, sig, slot_index(np.arange(per_block)[:, None]), params.eta)
-    source = np.zeros((2, 2, params.bnum, params.n_orb * per_block, params.n_orb * per_block), complex)
-    assert gf._coupling_corner(electrons, source) == reach * params.n_orb
+    assert gf._coupling_corner((dev.S[0], dev.H[0]), params.bnum) == reach * params.n_orb
     index = slot_index(nmap.partners, params.bnum)
-    pi_r = retarded_from_lesser_greater(pi)[0, :2]
-    phonons = point_system(np.array([0.3, 0.5]), None, gf._tridiagonal_band(dev.Phi[0], params.bnum), pi_r, index,
-                           params.eta)
-    assert gf._coupling_corner(phonons, place_slots(pi.data[:, 0, :2], index)) == reach * params.n_3D
+    assert gf._coupling_corner((dev.Phi[0],), params.bnum, index) == reach * params.n_3D
     # a band whose coupling blocks are full needs the whole block, and one without couplings none
     rng = np.random.default_rng(1)
-    full = _rand_atom_blocks(rng, 2 * 4 * 3, 5).reshape(2, 4, 3, 5, 5)
-    assert gf._coupling_corner(full, source[..., :5, :5]) == 5
-    one_block = gf._tridiagonal_band(dev.H[0], 1)[None]
-    assert gf._coupling_corner(one_block, source[:, :, :1]) == 0
+    full = _rand_atom_blocks(rng, 1, 20)[0]
+    assert gf._coupling_corner((full,), 4) == 5
+    assert gf._coupling_corner((dev.H[0],), 1) == 0
 
 
 def test_rgf_corner_covers_the_source_couplings():
-    # Pi's neighbor slots reach across the boundary too: a source coupling alone sets the corner
-    m = 6
-    band = np.zeros((1, 3, 3, m, m), complex)
-    source = np.zeros((2, 1, 3, 3, m, m), complex)
-    source[1, 0, 1, 0, 4, m - 5] = 1e-3  # block (1, 0): row 4 and column m - 5 need a corner of 5
-    assert gf._coupling_corner(band, source) == 5
-    assert gf._coupling_corner(band, source[:, :, :, 1]) == 0  # a block-diagonal source has no couplings
+    # Pi's slots across a block boundary set the corner alone, in whole atoms of 3 rows: 4 atoms per block
+    n_a, bnum, atom = 12, 3, 3
+    zero = np.zeros((n_a * atom, n_a * atom), complex)
+    partners = np.repeat(np.arange(n_a)[:, None], 2, axis=1)
+    partners[4, 1] = 2  # atom 4 (block 1's first) to atom 2 (block 0's third): 2 atoms deep into block (1, 0)
+    assert gf._coupling_corner((zero,), bnum, slot_index(partners, bnum)) == 2 * atom
+    own = slot_index(np.arange(n_a)[:, None], bnum)
+    assert gf._coupling_corner((zero,), bnum, own) == 0  # slots inside their blocks need no corner
+    # block (1, 0) nonzero at its row 0 and column m - 4 needs a corner of 4 rows; slots round it to 2 atoms
+    mat = zero.copy()
+    mat[12, 12 - 4] = 1e-3
+    assert gf._coupling_corner((mat,), bnum) == 4
+    assert gf._coupling_corner((mat,), bnum, own) == 2 * atom
 
 
 def test_rgf_single_block_phase_matches_dense():
@@ -665,14 +680,16 @@ def test_rgf_single_block_phase_matches_dense():
 
 @pytest.mark.parametrize("budget", [None, 2], ids=["default-budget", "two-point-budget"])
 def test_rgf_chunks_match_the_dense_references(monkeypatch, budget):
-    # n_E = n_w = 11 points per momentum: 9 + 2 under the default budget, and 2 + ... + 1 under a budget of
-    # two points of the larger (phonon) kind; a chunk that started or ended one point off would solve the
-    # wrong energies or write them to the wrong slice
-    params = DESK32.replace(n_kz=2, n_qz=1, n_E=11, n_w=11)
+    # n_E = n_w = 21 points per momentum: 13 + 8 electrons and 18 + 3 phonons under the default budget, and
+    # 2 + ... + 1 of both under a budget of two points of the larger (electron) kind, whose band has a corner of
+    # 8 rows; a chunk that started or ended one point off would solve the wrong energies or write them to the
+    # wrong slice
+    params = DESK32.replace(n_kz=2, n_qz=1, n_E=21, n_w=21)
     dev, nmap, grid, pi = _first_pass_pi(params)
     if budget is not None:
-        phonon_point = 16 * params.bnum * (params.n_A // params.bnum * params.n_3D) ** 2 * 9
-        monkeypatch.setattr(gf, "RGF_BUDGET", budget * phonon_point)
+        edge = params.n_A // params.bnum * params.n_orb
+        electron_point = 16 * params.bnum * edge * (edge + 2 * 8 + 2 * edge)  # its band and G^<>'s blocks
+        monkeypatch.setattr(gf, "RGF_BUDGET", budget * electron_point)
     rng = np.random.default_rng(21)
     sigma = GreensTensor(*(0.1 * (rng.standard_normal(params.electron_shape)
                                   + 1j * rng.standard_normal(params.electron_shape)) for _ in range(2)))
@@ -682,8 +699,8 @@ def test_rgf_chunks_match_the_dense_references(monkeypatch, budget):
         lengths = [len(c) for c in chunks if c[0].startswith(kind)]
         assert max(lengths) > 1 and len(set(lengths)) > 1  # several points per chunk, and a shorter last one
     assert [c for chunk in chunks for c in chunk] == [
-        *(f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for kz, i_e in np.ndindex(2, 11)),
-        *(f"phonon point (qz=0, iw={i_w}, omega={grid.frequency_value(i_w):g})" for i_w in range(11)),
+        *(f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for kz, i_e in np.ndindex(2, 21)),
+        *(f"phonon point (qz=0, iw={i_w}, omega={grid.frequency_value(i_w):g})" for i_w in range(21)),
     ]
     assert np.max(np.abs(pi.greater - pi.lesser)) > 0  # a nonzero Pi^R enters the band
     sig_r, pi_r = retarded_from_lesser_greater(sigma), retarded_from_lesser_greater(pi)
@@ -726,3 +743,59 @@ def test_rgf_reports_a_failing_point_mid_chunk(monkeypatch, smallest, kz, i_e, f
         gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap, solver="rgf")
     assert str(err.value).count("point") == 1 and str(err.value).count("block") == 1
     assert chunks[-1][0] != point != chunks[-1][-1] and point in chunks[-1]  # the point sat mid-chunk
+
+
+def test_rgf_derives_each_momentums_corner_once(monkeypatch):
+    # 7 energies per k_z in chunks of 3 + 3 + 1 at gf-long's blocks: one corner per momentum, not per chunk
+    params = GF_LONG.replace(n_kz=2, n_E=7)
+    dev, nmap = synthesize(params, seed=1)
+    sigma, pi = seeded_self_energies(params, 0.1)
+    corners, derive = [], gf._coupling_corner
+
+    def spy(*args):
+        corners.append(derive(*args))
+        return corners[-1]
+
+    monkeypatch.setattr(gf, "_coupling_corner", spy)
+    chunks = _spy_chunks(monkeypatch)
+    gf_phase(dev, sigma, pi, params, default_grid(params), nmap, solver="rgf")
+    assert len(chunks) > params.n_kz + params.n_qz
+    assert corners == [4, 4, 3]  # reach * n_orb for each k_z, reach * 3 for the q_z
+
+
+GF_LONG_BLOCKS = GF_LONG.replace(n_kz=1, n_E=8)  # gf-long's 16 blocks of 8 atoms and one momentum of each kind
+
+
+def test_rgf_chunks_hold_three_gf_long_energies(monkeypatch):
+    # a gf-long electron point holds its band [16, 32, 4 + 32 + 4] and G^<>'s diagonal blocks [2, 16, 32, 32],
+    # 0.85 MB, so the budget takes three energies (full bands and placed sources of 1.31 MB took two)
+    assert gf.RGF_BUDGET == 3 << 20
+    params = GF_LONG_BLOCKS
+    dev, nmap = synthesize(params, seed=1)
+    sigma, pi = seeded_self_energies(params, 0.1)
+    chunks = _spy_chunks(monkeypatch)
+    gf_phase(dev, sigma, pi, params, default_grid(params), nmap, solver="rgf")
+    lengths = [len(c) for c in chunks if c[0].startswith("electron")]
+    assert sum(lengths) == params.n_E and min(lengths[:-1]) >= 3
+
+
+def test_rgf_gf_phase_transient_memory_at_gf_long_blocks():
+    # One RGF gf_phase holds at most
+    #     RGF_BUDGET + SLACK  bytes
+    # above its outputs (tracemalloc peak less what the call still holds).  The chunks (three points of 0.85 MB)
+    # fit RGF_BUDGET; SLACK covers what does not scale with the budget: the momentum's S and H bands (2 x 320 KiB
+    # at a corner of 4) and the chunk's temporaries (Sigma^R, g_i Q_i, the backward update's products, the
+    # block solves and the picked G^<> blocks, about 0.8 MiB).  It measured 0.85 MiB above RGF_BUDGET with
+    # numpy 2.4 (the full bands and placed sources of two points, 2.2 MiB); SLACK = 1 MiB.
+    params = GF_LONG_BLOCKS
+    dev, nmap = synthesize(params, seed=1)
+    sigma, pi = seeded_self_energies(params, 0.1)
+    grid = default_grid(params)
+    gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    tracemalloc.start()
+    try:
+        out = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")  # noqa: F841 -- held while read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= gf.RGF_BUDGET + (1 << 20), peak - held
