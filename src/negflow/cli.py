@@ -79,8 +79,12 @@ def _add_params_flags(parser, with_preset=True, default_preset=None):
     if with_preset:
         parser.add_argument("--preset", choices=sorted(PRESETS), default=default_preset)
     parser.add_argument("--params", help="JSON parameter file (one key per field)")
-    for name in ("nkz", "nqz", "ne", "nw", "na", "nb", "norb", "bnum"):
+    for name in ("nkz", "nqz", "ne", "nw", "na", "nb", "norb"):
         parser.add_argument(f"--{name}", type=int, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--bnum", type=int, default=None,
+                        help="blocks of the device partition: only atoms of adjacent blocks couple, and "
+                             "--solver rgf recurses over each block cut into the thinnest sub-blocks its "
+                             "couplings allow")
     parser.add_argument("--eta", type=float, default=None, help=argparse.SUPPRESS)
 
 

@@ -17,10 +17,16 @@ D^<>, so its three point solves form nothing else:
 - ``solve_phonon_point`` (dense phonons) forms D^R Pi^<> once and then only
   the slot blocks of D^R Pi^<> (D^R)^T.
 - ``solve_point_rgf`` (both kinds) runs one block-tridiagonal recursion
-  (``_rgf_pass``) over ``bnum`` blocks and builds no n x n matrix.  The
-  couplings reach only a few atoms across a block boundary, so every
-  coupling block is zero outside a c x c corner (4 of 32 rows on gf-long),
-  derived once per momentum (``_coupling_corner``).  The band
+  (``_rgf_pass``) and builds no n x n matrix.  ``bnum`` is the device's
+  partition, and the recursion refines it: ``_rgf_blocks`` cuts each of its
+  blocks into the thinnest equal sub-blocks that the couplings keep
+  block-tridiagonal, of at least ``RGF_MIN_EDGE`` rows (on gf-long 64
+  electron blocks of 8 rows and 32 phonon blocks of 12, where ``bnum`` has
+  16 of 32 and 24), since the recursion's work per point grows as the
+  square of the block edge.  The couplings reach only a few atoms across a
+  block boundary, so every coupling block is zero outside a c x c corner
+  (4 of 8 rows on gf-long's electrons), derived once per momentum
+  (``_coupling_corner``).  The band
   (``_tridiagonal_band``) holds, per block, the diagonal block and the c
   columns on either side that hold the corners, and every product with a
   coupling block runs on its corner.  Sigma's atom blocks stay the source,
@@ -30,8 +36,8 @@ D^<>, so its three point solves form nothing else:
   ``gf_phase`` passes the RGF points of one momentum in chunks, a leading
   batch axis sized by ``RGF_BUDGET``, and the recursion works in the
   chunk's band (and phonon source band).  A gf-long phonon chunk of two
-  points takes about 5 ms, against 58 ms for one dense point (one BLAS
-  thread).
+  points takes about 6 ms (8 ms over ``bnum``'s blocks, side by side),
+  against 58 ms for one dense point (one BLAS thread).
 
 ``solve_point_dense``, the electron oracle, keeps its own assembly: one
 n x n solve and two full n^3 triple products.
@@ -65,13 +71,16 @@ _RESIDUAL_LIMIT = 1e-8
 SOLVERS = ("dense", "rgf")
 # Bytes one chunk of RGF points holds (gf_phase): its bands, and G^<>'s diagonal blocks or the phonon source bands.
 RGF_BUDGET = 3 << 20
+# The fewest rows of a block the RGF recursion is cut to (_rgf_blocks): thinner blocks cost more numpy calls
+# than the flops they save (gf_phase on gf-long: 0.20 s at 4 rows, 0.15-0.16 s at 8, 0.27 s at 32; CHANGES.md).
+RGF_MIN_EDGE = 8
 # Shared by gf_phase, sse.self_consistent_loop and `negflow simulate --solver`;
 # it picks the path of the electron and the phonon points alike.  Neither
 # solver is faster everywhere (gf_phase with seeded self-energies, best of 7
 # in CPU seconds, one BLAS thread; best of 2 for dense on gf-long;
-# CHANGES.md): RGF wins on desk-32 (0.14 s against 0.43 s), desk-32 wide
-# (0.18 against 0.58 s), gf-long (0.27 against 6.9 s) and small (0.010
-# against 0.022 s); dense wins on tiny (0.0030 against 0.0035 s).
+# CHANGES.md): RGF wins on desk-32 (0.076 s against 0.43 s), desk-32 wide
+# (0.11 against 0.59 s), gf-long (0.16 against 6.9 s) and small (0.010
+# against 0.019 s); dense wins on tiny (0.0029 against 0.0040 s).
 # The benchmark's harness self-check reads this default to pick the
 # tolerance it breaks on purpose, so any switch waits for the next benchmark
 # change.
@@ -455,6 +464,43 @@ def _coupling_corner(matrices: Sequence[Array], bnum: int, index: SlotIndex | No
     return atoms * atom
 
 
+def _rgf_blocks(stacks: dict[str, Array], n_a: int, bnum: int, reach: int = 0) -> int:
+    """The number of blocks the RGF recursion runs over: each of ``bnum``'s blocks cut into equal sub-blocks of r atoms.
+
+    ``stacks`` names every momentum's matrices of one particle kind, ``{"S":
+    S, "H": H}`` or ``{"Phi": Phi}`` (``[n_k, n, n]`` each), and ``reach`` is
+    the atom reach of Pi's slots.  r is the smallest divisor of n_A / bnum
+    that is at least the largest atom distance of any nonzero of the
+    matrices, couplings inside a block included, and of ``reach``, and whose
+    blocks have at least ``RGF_MIN_EDGE`` rows; the sub-blocks are then
+    block-tridiagonal too.  Without such a divisor the blocks are not cut.
+    ``ValueError`` if a matrix couples atoms more than one block apart, which
+    no band of ``bnum`` blocks holds.
+    """
+    per_block = n_a // bnum
+    block = np.arange(n_a) // per_block
+    for name, stack in stacks.items():
+        atom = stack.shape[-1] // n_a
+        # the nonzero columns of each atom's rows at any momentum, real and imaginary parts apart (as in
+        # _coupling_corner); an atom's farthest partners on either side are its first and its last
+        nonzero = np.zeros((n_a, 2 * stack.shape[-1]), bool)
+        for mat in stack:
+            nonzero |= (mat.view(np.float64) != 0).reshape(n_a, atom, -1).any(axis=1)
+        rows = np.flatnonzero(nonzero.any(axis=1))  # an all-zero atom has no partner
+        first, last = np.argmax(nonzero[rows], axis=1), np.argmax(nonzero[rows, ::-1], axis=1)
+        rows, cols = np.tile(rows, 2), np.concatenate((first, nonzero.shape[1] - 1 - last)) // (2 * atom)
+        apart = np.abs(block[rows] - block[cols])
+        if np.any(apart > 1):
+            far = np.argmax(apart)
+            a, b = sorted((rows[far], cols[far]))
+            raise ValueError(f"{name} couples atoms {a} and {b}, {apart[far]} blocks apart: "
+                             f"{name} is not block-tridiagonal under {bnum} blocks")
+        reach = max(reach, int(np.max(np.abs(rows - cols), initial=0)))
+    r = next((r for r in range(1, per_block) if per_block % r == 0 and r >= reach and r * atom >= RGF_MIN_EDGE),
+             per_block)
+    return n_a // r
+
+
 def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array]:
     """One forward/backward recursion over the blocks of ``a X = I`` with source ``X Q X^T``, for P points at once.
 
@@ -581,7 +627,10 @@ def gf_phase(
     ``"rgf"`` (see the module docstring); both produce the same atom-diagonal
     G blocks and D slots.  Each momentum's matrices are read once, and one
     ``SlotIndex`` per particle kind, built once, serves all of its points.
-    ``"rgf"`` raises ``ValueError`` before any solve when Pi is not
+    ``"rgf"`` cuts each of the ``params.bnum`` blocks into sub-blocks once
+    per particle kind (``_rgf_blocks``) and runs the recursion over those.
+    It raises ``ValueError`` before any solve when S, H or Phi couples atoms
+    more than one ``bnum`` block apart (``_rgf_blocks``) or Pi is not
     block-tridiagonal under ``params.bnum`` blocks (``slot_index``), and
     derives each momentum's corner c once (``_coupling_corner``: from S and
     H, or from Phi and Pi's slots).  A dense chunk is one point; an RGF chunk
@@ -598,18 +647,21 @@ def gf_phase(
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     rgf = solver == "rgf"
-    o, eta, bnum = params.n_orb, params.eta, params.bnum
-    phonon_index = slot_index(nmap.partners, bnum if rgf else None)
-    atoms = params.n_A // bnum if rgf else params.n_A  # the atoms of one RGF diagonal block, or all
+    o, eta = params.n_orb, params.eta
+    # the blocks of each kind's recursion, both cut (and checked) before any solve; one block stands for dense
+    e_blocks = _rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) if rgf else 1
+    ph_blocks = _rgf_blocks({"Phi": dev.Phi}, params.n_A, params.bnum, nmap.max_reach) if rgf else None
+    phonon_index = slot_index(nmap.partners, ph_blocks)
+    atoms = params.n_A // e_blocks  # the atoms of one RGF diagonal block, or all
     electron_index = slot_index(np.arange(atoms)[:, None])
-    electron_slots = (bnum, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
+    electron_slots = (e_blocks, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
 
-    def read(matrices: Sequence[Array], index: SlotIndex | None = None) -> tuple[list[Array], int]:
+    def read(matrices: Sequence[Array], blocks: int, index: SlotIndex | None = None) -> tuple[list[Array], int]:
         """A momentum's matrices, as bands of one corner for RGF, and the bytes of one point's band (0 for dense)."""
         if not rgf:
             return list(matrices), 0
-        corner = _coupling_corner(matrices, bnum, index)
-        bands = [_tridiagonal_band(mat, bnum, corner) for mat in matrices]
+        corner = _coupling_corner(matrices, blocks, index)
+        bands = [_tridiagonal_band(mat, blocks, corner) for mat in matrices]
         return bands, bands[0].nbytes
 
     def chunks(n_points: int, point_bytes: int) -> list[range]:
@@ -621,9 +673,9 @@ def gf_phase(
     g_ph = GreensTensor.zeros(params.phonon_shape)
 
     for kz in range(params.n_kz):
-        (s, h), band_bytes = read((dev.S[kz], dev.H[kz]))
+        (s, h), band_bytes = read((dev.S[kz], dev.H[kz]), e_blocks)
         edge = atoms * o
-        for run in chunks(params.n_E, band_bytes + 2 * 16 * bnum * edge * edge):  # the band and G^<>'s blocks
+        for run in chunks(params.n_E, band_bytes + 2 * 16 * e_blocks * edge * edge):  # the band and G^<>'s blocks
             points = slice(run.start, run.stop)
             contexts = [f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for i_e in run]
             sig_lg = sigma.data[:, kz, points]
@@ -636,10 +688,10 @@ def gf_phase(
             else:
                 g_lg = solve_point_dense_diag(a[0], sig_lg[:, 0], contexts[0])
             g_e.data[:, kz, points] = g_lg.reshape(2, len(run), -1, o, o)
-            del a  # not held into the next chunk's assembly
+            del a, g_lg  # not held into the next chunk's assembly
 
     for qz in range(params.n_qz):
-        (phi,), band_bytes = read((dev.Phi[qz],), phonon_index)
+        (phi,), band_bytes = read((dev.Phi[qz],), ph_blocks, phonon_index)
         for run in chunks(params.n_w, 3 * band_bytes):  # the band and the lesser/greater source band
             points = slice(run.start, run.stop)
             omegas = [grid.frequency_value(i_w) for i_w in run]

@@ -26,7 +26,10 @@ class SimParams:
     """Full parameter set of a dissipative quantum-transport run.
 
     All quantities are dimensionless grid units.  ``bnum`` is the number of
-    blocks used by the block-tridiagonal solver; ``eta`` is the diagonal
+    blocks of the device's block-tridiagonal partition: ``synthesize``
+    couples only atoms of adjacent blocks, and the RGF solver refines the
+    partition, recursing over each block cut into the thinnest sub-blocks
+    its couplings allow (``gf._rgf_blocks``).  ``eta`` is the diagonal
     broadening that stands in for open-boundary self-energies.
     """
 

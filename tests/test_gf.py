@@ -566,6 +566,25 @@ def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
             add_slots(_band_of(full, bnum, (reach - 1) * m), slots, index)
 
 
+@pytest.mark.parametrize("name", ["S", "H", "Phi"])
+def test_rgf_refuses_a_coupling_beyond_one_block(monkeypatch, name):
+    # atoms 0 and 5 lie in blocks 0 and 2 of 4, which no band of 4 blocks couples: RGF refuses before any solve
+    # (its band would drop the coupling, and G would differ from the dense solve's), and dense takes it
+    params = TINY.replace(n_kz=1, n_qz=1, n_A=8, n_B=2, bnum=4, eta=0.05)
+    dev, nmap = synthesize(params, seed=3)
+    mat = getattr(dev, name)
+    atom = mat.shape[-1] // params.n_A
+    mat[:, :atom, 5 * atom:6 * atom] = mat[:, 5 * atom:6 * atom, :atom] = 0.01
+    grid = default_grid(params)
+    sigma, pi = seeded_self_energies(params, 0.1)
+    assert all(x.all_finite() for x in gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense"))
+    solves = []
+    monkeypatch.setattr(gf, "_solve_system", lambda a, context: solves.append(context))
+    with pytest.raises(ValueError, match=rf"^{name} couples atoms 0 and 5, 2 blocks apart: .*not block-tridiagonal"):
+        gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    assert solves == []
+
+
 def test_rgf_refuses_a_neighbor_reach_beyond_one_block(monkeypatch):
     params = TINY.replace(n_A=8, n_B=4, bnum=8)  # reach 2 > one atom per block: Pi is not block-tridiagonal
     dev, nmap = synthesize(params, seed=2)
@@ -652,6 +671,38 @@ def test_rgf_corner_is_the_coupling_reach(params):
     assert gf._coupling_corner((dev.H[0],), 1) == 0
 
 
+@pytest.mark.parametrize(
+    "params, electron_blocks, phonon_blocks",
+    [(GF_LONG, 64, 32), (DESK32, 16, 8), (DESK32.replace(n_orb=12, n_E=32), 16, 8), (TINY, 4, 4)],
+    ids=["gf-long", "desk-32", "orb-12", "tiny"],
+)
+def test_rgf_blocks_are_the_thinnest_the_couplings_allow(params, electron_blocks, phonon_blocks):
+    # sub-blocks of the fewest atoms that cover the reach (1 atom on gf-long, 2 elsewhere) and hold at least 8 rows:
+    # gf-long 2 atoms of 4 orbitals and 4 atoms of 3 phonon rows; desk-32 2 and 4; orb-12 2 atoms of 12 orbitals;
+    # tiny's 2-atom blocks (4 and 6 rows) have no smaller divisor of 8 rows or more, so they are not cut
+    dev, nmap = synthesize(params.replace(n_kz=1, n_qz=1, n_E=2, n_w=2), seed=1)
+    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == electron_blocks
+    assert gf._rgf_blocks({"Phi": dev.Phi}, params.n_A, params.bnum, nmap.max_reach) == phonon_blocks
+
+
+def test_rgf_blocks_cover_a_coupling_inside_a_block():
+    # 4 orbitals make 2 atoms the thinnest block of 8 rows, but H couples atoms 1 and 4 of the first 8-atom block:
+    # the recursion runs over blocks of 4 atoms, the smallest divisor of 8 that covers the 3-atom reach
+    params = SimParams(n_kz=2, n_qz=1, n_E=4, n_w=2, n_A=16, n_B=2, n_orb=4, bnum=2, eta=0.05)
+    dev, nmap = synthesize(params, seed=5)
+    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 8
+    rng = np.random.default_rng(8)
+    coupling = 0.05 * (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+    dev.H[:, 4:8, 16:20], dev.H[:, 16:20, 4:8] = coupling, coupling.conj().swapaxes(-1, -2)
+    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 4
+    sigma, pi = seeded_self_energies(params, 0.1)
+    grid = default_grid(params)
+    dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
+    rgf = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    for a, b in zip(dense, rgf):
+        assert _rel(b.data, a.data) <= 1e-10
+
+
 def test_rgf_corner_covers_the_source_couplings():
     # Pi's slots across a block boundary set the corner alone, in whole atoms of 3 rows: 4 atoms per block
     n_a, bnum, atom = 12, 3, 3
@@ -669,8 +720,12 @@ def test_rgf_corner_covers_the_source_couplings():
 
 
 def test_rgf_single_block_phase_matches_dense():
-    params = TINY.replace(n_A=8, n_B=2, bnum=1, eta=0.05)
+    # 4 atoms of 2 orbitals (3 phonon rows) have no divisor of 8 rows or more short of the whole device, so the
+    # one block is not cut and both recursions run on it without a coupling corner
+    params = TINY.replace(n_A=4, n_B=2, n_orb=2, bnum=1, eta=0.05)
     dev, nmap, grid, pi = _first_pass_pi(params)
+    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, 1) == 1
+    assert gf._rgf_blocks({"Phi": dev.Phi}, params.n_A, 1, nmap.max_reach) == 1
     sigma, _ = seeded_self_energies(params, 0.1)
     dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
     rgf = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
@@ -680,16 +735,16 @@ def test_rgf_single_block_phase_matches_dense():
 
 @pytest.mark.parametrize("budget", [None, 2], ids=["default-budget", "two-point-budget"])
 def test_rgf_chunks_match_the_dense_references(monkeypatch, budget):
-    # n_E = n_w = 21 points per momentum: 13 + 8 electrons and 18 + 3 phonons under the default budget, and
-    # 2 + ... + 1 of both under a budget of two points of the larger (electron) kind, whose band has a corner of
-    # 8 rows; a chunk that started or ended one point off would solve the wrong energies or write them to the
-    # wrong slice
-    params = DESK32.replace(n_kz=2, n_qz=1, n_E=21, n_w=21)
+    # n_E = n_w = 45 points per momentum: 38 + 7 electrons and 28 + 17 phonons under the default budget, and
+    # 2 + ... + 1 of both under a budget of two points of the larger (phonon) kind; a chunk that started or
+    # ended one point off would solve the wrong energies or write them to the wrong slice
+    params = DESK32.replace(n_kz=2, n_qz=1, n_E=45, n_w=45)
     dev, nmap, grid, pi = _first_pass_pi(params)
     if budget is not None:
-        edge = params.n_A // params.bnum * params.n_orb
-        electron_point = 16 * params.bnum * edge * (edge + 2 * 8 + 2 * edge)  # its band and G^<>'s blocks
-        monkeypatch.setattr(gf, "RGF_BUDGET", budget * electron_point)
+        # desk-32's recursion runs over 8 phonon blocks of 12 rows with a corner of 6 (and 16 electron blocks of
+        # 8 rows with a corner of 8, 80 KiB a point): a phonon point holds its band and source band, 108 KiB
+        phonon_point = 3 * 16 * 8 * 12 * (12 + 2 * 6)
+        monkeypatch.setattr(gf, "RGF_BUDGET", budget * phonon_point)
     rng = np.random.default_rng(21)
     sigma = GreensTensor(*(0.1 * (rng.standard_normal(params.electron_shape)
                                   + 1j * rng.standard_normal(params.electron_shape)) for _ in range(2)))
@@ -699,8 +754,8 @@ def test_rgf_chunks_match_the_dense_references(monkeypatch, budget):
         lengths = [len(c) for c in chunks if c[0].startswith(kind)]
         assert max(lengths) > 1 and len(set(lengths)) > 1  # several points per chunk, and a shorter last one
     assert [c for chunk in chunks for c in chunk] == [
-        *(f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for kz, i_e in np.ndindex(2, 21)),
-        *(f"phonon point (qz=0, iw={i_w}, omega={grid.frequency_value(i_w):g})" for i_w in range(21)),
+        *(f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for kz, i_e in np.ndindex(2, params.n_E)),
+        *(f"phonon point (qz=0, iw={i_w}, omega={grid.frequency_value(i_w):g})" for i_w in range(params.n_w)),
     ]
     assert np.max(np.abs(pi.greater - pi.lesser)) > 0  # a nonzero Pi^R enters the band
     sig_r, pi_r = retarded_from_lesser_greater(sigma), retarded_from_lesser_greater(pi)
@@ -746,8 +801,8 @@ def test_rgf_reports_a_failing_point_mid_chunk(monkeypatch, smallest, kz, i_e, f
 
 
 def test_rgf_derives_each_momentums_corner_once(monkeypatch):
-    # 7 energies per k_z in chunks of 3 + 3 + 1 at gf-long's blocks: one corner per momentum, not per chunk
-    params = GF_LONG.replace(n_kz=2, n_E=7)
+    # 25 energies per k_z in chunks of 12 + 12 + 1 at gf-long's blocks: one corner per momentum, not per chunk
+    params = GF_LONG.replace(n_kz=2, n_E=25)
     dev, nmap = synthesize(params, seed=1)
     sigma, pi = seeded_self_energies(params, 0.1)
     corners, derive = [], gf._coupling_corner
@@ -767,26 +822,29 @@ GF_LONG_BLOCKS = GF_LONG.replace(n_kz=1, n_E=8)  # gf-long's 16 blocks of 8 atom
 
 
 def test_rgf_chunks_hold_three_gf_long_energies(monkeypatch):
-    # a gf-long electron point holds its band [16, 32, 4 + 32 + 4] and G^<>'s diagonal blocks [2, 16, 32, 32],
-    # 0.85 MB, so the budget takes three energies (full bands and placed sources of 1.31 MB took two)
+    # a gf-long electron point holds its band [64, 8, 4 + 8 + 4] and G^<>'s diagonal blocks [2, 64, 8, 8],
+    # 0.26 MB, so the budget takes twelve of gf-long's 32 energies (three while the recursion ran over bnum's
+    # 16 blocks of 32 rows, 0.85 MB a point; two with full bands and placed sources of 1.31 MB)
     assert gf.RGF_BUDGET == 3 << 20
-    params = GF_LONG_BLOCKS
+    params = GF_LONG_BLOCKS.replace(n_E=32)
     dev, nmap = synthesize(params, seed=1)
     sigma, pi = seeded_self_energies(params, 0.1)
     chunks = _spy_chunks(monkeypatch)
     gf_phase(dev, sigma, pi, params, default_grid(params), nmap, solver="rgf")
     lengths = [len(c) for c in chunks if c[0].startswith("electron")]
     assert sum(lengths) == params.n_E and min(lengths[:-1]) >= 3
+    assert lengths == [12, 12, 8]
 
 
 def test_rgf_gf_phase_transient_memory_at_gf_long_blocks():
     # One RGF gf_phase holds at most
     #     RGF_BUDGET + SLACK  bytes
-    # above its outputs (tracemalloc peak less what the call still holds).  The chunks (three points of 0.85 MB)
-    # fit RGF_BUDGET; SLACK covers what does not scale with the budget: the momentum's S and H bands (2 x 320 KiB
-    # at a corner of 4) and the chunk's temporaries (Sigma^R, g_i Q_i, the backward update's products, the
-    # block solves and the picked G^<> blocks, about 0.8 MiB).  It measured 0.85 MiB above RGF_BUDGET with
-    # numpy 2.4 (the full bands and placed sources of two points, 2.2 MiB); SLACK = 1 MiB.
+    # above its outputs (tracemalloc peak less what the call still holds).  The chunk (the momentum's eight
+    # energies, 0.26 MB each over 64 blocks of 8 rows) fits RGF_BUDGET; SLACK covers what does not scale with the
+    # budget: the momentum's S and H bands (2 x 128 KiB at a corner of 4) and the chunk's temporaries (Sigma^R,
+    # g_i Q_i, the backward update's products, the block solves and the picked G^<> blocks, about 0.8 MiB).  It
+    # measured 3.16 MB with numpy 2.4 (4.04 MB over bnum's 16 blocks of 32 rows, 0.85 MiB above RGF_BUDGET;
+    # the full bands and placed sources of two points, 2.2 MiB); SLACK = 1 MiB.
     params = GF_LONG_BLOCKS
     dev, nmap = synthesize(params, seed=1)
     sigma, pi = seeded_self_energies(params, 0.1)
