@@ -61,19 +61,28 @@ class NeighborMap:
         return hits.argmax(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceMatrices:
-    """Per-momentum device matrices plus the coupling derivative blocks.
+    """Per-momentum device matrices plus the coupling derivative blocks; one device, never edited.
 
     H, S: ``[n_kz, n_A*n_orb, n_A*n_orb]``; Phi: ``[n_qz, n_A*n_3D, n_A*n_3D]``;
     dH: ``[n_A, n_B, n_3D, n_orb, n_orb]``.  All complex128, Hermitian where
     the physics requires it, block-tridiagonal under the ``bnum`` partition.
+    H, S and Phi are marked read-only on construction (the arrays passed in,
+    not copies; a view's writable base can still change them), because
+    ``gf`` keeps an RGF plan derived from them with each device; an edited
+    device is a new one, e.g. ``dataclasses.replace(dev, H=edited)``.
+    ``eq=False``: a device compares and hashes by identity.
     """
 
     H: Array
     S: Array
     Phi: Array
     dH: Array
+
+    def __post_init__(self):
+        for matrices in (self.H, self.S, self.Phi):
+            matrices.setflags(write=False)
 
     @property
     def n_3D(self) -> int:

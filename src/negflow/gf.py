@@ -6,11 +6,15 @@ transpose of the retarded one; every solver takes it from ``_advanced``.
 Phonon points solve the analogous system with ``omega^2 I`` in place of
 ``E S``.
 
-``gf_phase`` reads each momentum's S, H or Phi once, whole (solver
-``"dense"``) or as its ``_tridiagonal_band`` (``"rgf"``); every point's
-system is assembled from them in one place, ``point_system``.  The loop
-keeps only the atom-diagonal blocks of G^<> and the self/neighbor slots of
-D^<>, so its three point solves form nothing else:
+``gf_phase`` reads each momentum's S, H or Phi whole (solver ``"dense"``),
+or runs on the device's RGF plan (``"rgf"``, ``_rgf_plan``): built by the
+first RGF phase for a (device, ``bnum``, neighbor map) and kept with the
+device, it holds each kind's sub-block count and slot index and every
+momentum's corner and ``_tridiagonal_band``, so later phases read no S, H or
+Phi entry (``DeviceMatrices`` keeps them read-only).  Every point's system is
+assembled in one place, ``point_system``.  The loop keeps only the
+atom-diagonal blocks of G^<> and the self/neighbor slots of D^<>, so its
+three point solves form nothing else:
 
 - ``solve_point_dense_diag`` (dense electrons) forms only the diagonal
   blocks of G^R Sigma^<> (G^R)^T, O(n^2 n_orb) each.
@@ -25,7 +29,7 @@ D^<>, so its three point solves form nothing else:
   16 of 32 and 24), since the recursion's work per point grows as the
   square of the block edge.  The couplings reach only a few atoms across a
   block boundary, so every coupling block is zero outside a c x c corner
-  (4 of 8 rows on gf-long's electrons), derived once per momentum
+  (4 of 8 rows on gf-long's electrons), derived once per momentum and plan
   (``_coupling_corner``).  The band
   (``_tridiagonal_band``) holds, per block, the diagonal block and the c
   columns on either side that hold the corners, and every product with a
@@ -35,7 +39,8 @@ D^<>, so its three point solves form nothing else:
   D^<>'s neighbor blocks, where its slots across a block boundary lie.
   ``gf_phase`` passes the RGF points of one momentum in chunks, a leading
   batch axis sized by ``RGF_BUDGET``, and the recursion works in the
-  chunk's band (and phonon source band).  A gf-long phonon chunk of two
+  chunk's band (and phonon source band); the chunk's G^<> blocks are copied
+  from the recursion's straight into the output.  A gf-long phonon chunk of two
   points takes about 6 ms (8 ms over ``bnum``'s blocks, side by side),
   against 58 ms for one dense point (one BLAS thread).
 
@@ -51,11 +56,13 @@ Every lesser/greater pair is one ``GreensTensor``, stored as one ``[2, ...]``
 array, and the loop's solvers take and return their pair stacked the same
 way, so each pair operation is written once over the pair axis.  Every
 solve, each RGF block solve included, is residual-checked and raises
-``SingularSystemError`` naming its point.
+``SingularSystemError`` naming its point; the RGF recursion checks all of a
+chunk's blocks in one check after its forward sweep.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -278,6 +285,22 @@ def pick_slots(target: Array, index: SlotIndex) -> Array:
     return blocks[..., rows, cols, :, :]
 
 
+def _defect_sums(a: Array, inverse: Array, out: Array | None = None) -> Array:
+    """sum |a a^-1 - I|^2 of every matrix of a stack [..., n, n], as complex [...] (into ``out`` if given).
+
+    The residual ||a a^-1 - I||_F / ||I||_F is the square root of its real
+    part over n.
+    """
+    n = a.shape[-1]
+    defect = (a @ inverse).reshape(*a.shape[:-2], n * n)
+    defect[..., :: n + 1] -= 1.0
+    return np.vecdot(defect, defect, out=out)  # without a temporary of |defect|^2
+
+
+def _residual_error(name: str, residual: float) -> SingularSystemError:
+    return SingularSystemError(f"{name}: solve residual {residual:.3e} too large (eta too small?)")
+
+
 def _solve_system(a: Array, context: str | Sequence[str]) -> Array:
     """Inverse of ``a`` [n, n], or of every matrix of a stack [P, n, n] with one ``context`` per matrix.
 
@@ -293,14 +316,11 @@ def _solve_system(a: Array, context: str | Sequence[str]) -> Array:
         for matrix, name in zip(a, context):  # the stack's first singular (or failing) matrix raises
             _solve_system(matrix, name)
         raise
-    defect = (a @ g_r).reshape(*a.shape[:-2], n * n)
-    defect[..., :: n + 1] -= 1.0
-    residual = np.sqrt(np.vecdot(defect, defect).real / n)  # sum |defect|^2 without a temporary
+    residual = np.sqrt(_defect_sums(a, g_r).real / n)
     failing = np.flatnonzero(~(residual <= _RESIDUAL_LIMIT))  # NaN fails too
     if failing.size:
         p = failing[0]
-        name = context if a.ndim == 2 else context[p]
-        raise SingularSystemError(f"{name}: solve residual {residual.flat[p]:.3e} too large (eta too small?)")
+        raise _residual_error(context if a.ndim == 2 else context[p], residual.flat[p])
     return g_r
 
 
@@ -411,9 +431,10 @@ def _tridiagonal_band(mat: Array, bnum: int, corner: int | None = None) -> Array
     last c of block (i, i-1) before it and the first c of block (i, i+1) after
     it, zero outside the matrix; ``_rgf_pass`` reads only the c x c corners
     of those side columns, in the first and the last c rows.  ``corner`` is
-    c, the matrix's own smallest (``_coupling_corner``) unless given.
-    ``gf_phase`` reads each momentum's S, H or Phi through it once, with one
-    corner for the momentum, so no RGF point builds an n x n matrix.
+    c, the matrix's own smallest (``_coupling_corner``) unless given.  The
+    RGF plan (``_rgf_plan``) cuts each momentum's S, H or Phi through it
+    once, with one corner for the momentum, so no RGF point builds an n x n
+    matrix.
     """
     n = mat.shape[-1]
     if n % bnum != 0:
@@ -443,7 +464,7 @@ def _coupling_corner(matrices: Sequence[Array], bnum: int, index: SlotIndex | No
     (Pi's slots, ``slot_index``) must fit too: its slots across a block
     boundary widen c, which is then rounded up to whole atoms so that they
     have blocks to go to.  Full coupling blocks give c = m, and one block
-    (bnum = 1) gives 0.  ``gf_phase`` derives c once per momentum.
+    (bnum = 1) gives 0.  The RGF plan derives c once per momentum.
     """
     n = matrices[0].shape[-1]
     m = n // bnum
@@ -512,10 +533,17 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
     of a block on its diagonal), or a band ``[2, P, bnum, m, c + m + c]``
     (phonons) that holds Pi's blocks on and across the block boundaries.  The
     forward sweep builds the left-connected blocks g_i and their lesser/greater
-    XL_i by Schur complements, each block solve residual-checked at every
-    point; the backward sweep, with W = g_i U_i, forms the diagonal blocks of
-    X and of X Q X^T, and for a band source also the corners of its neighbor
-    blocks.
+    XL_i by Schur complements; the backward sweep, with W = g_i U_i, forms the
+    diagonal blocks of X and of X Q X^T, and for a band source also the
+    corners of its neighbor blocks.
+
+    Every block solve is residual-checked at every point, as ``_solve_system``
+    checks, but in one check after the forward sweep: each block's residual
+    sums are kept, and the first block that fails raises, at its first failing
+    point.  A singular block i raises on the spot, after blocks 0..i-1 are
+    checked, so a failure is named as a check at every block would name it.
+    The error text, ``RGF forward pass, block i (context)``, is formed only
+    then.
 
     Each product with a coupling block runs on its corner: the Schur
     complement and the inflow change only a c x c corner of block i, and W,
@@ -534,6 +562,16 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
     """
     n_points, bnum, m = a.shape[:3]
     c = (a.shape[-1] - m) // 2
+    defects = np.empty((bnum, n_points), np.complex128)  # each block's sum |a a^-1 - I|^2 at every point
+
+    def check(blocks: int) -> None:
+        """Raise for the first of the first ``blocks`` blocks whose residual fails, at its first failing point."""
+        residual = np.sqrt(defects[:blocks].real / m)
+        failing = np.argwhere(~(residual <= _RESIDUAL_LIMIT))  # block by block, point by point; NaN fails too
+        if failing.size:
+            i, p = failing[0]
+            raise _residual_error(f"RGF forward pass, block {i} ({contexts[p]})", residual[i, p])
+
     tridiagonal = q.ndim == a.ndim + 1
     head, tail = slice(None, c), slice(m - c, None)  # a block's first and last c rows or columns
     x_r = _diagonal_blocks(a)  # system blocks, then g_i, then X's
@@ -555,7 +593,14 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
             inflow = d @ x_lg[:, :, i - 1, tail, tail] @ _advanced(d)
             if tridiagonal:  # Q's neighbor blocks: -D g_{i-1} Q_{i-1,i} - Q_{i,i-1} (D g_{i-1})^T
                 inflow -= dg @ q_up[:, :, i - 1] + q_down[:, :, i] @ _advanced(dg)
-        g = _solve_system(block, [f"RGF forward pass, block {i} ({context})" for context in contexts])
+        try:
+            g = np.linalg.inv(block)  # the same LU solve as _solve_system's
+        except np.linalg.LinAlgError:
+            check(i)  # a block before i fails first
+            for matrix, context in zip(block, contexts):  # block i's first singular (or failing) point raises
+                _solve_system(matrix, f"RGF forward pass, block {i} ({context})")
+            raise
+        _defect_sums(block, g, out=defects[i])
         x_r[:, i] = g
         if tridiagonal:
             if i > 0:
@@ -568,6 +613,7 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
             if i > 0:
                 g_q[..., head] += g[..., head] @ inflow
             np.matmul(g_q, _advanced(g), out=x_lg[:, :, i])
+    check(bnum)
 
     for i in range(bnum - 2, -1, -1):
         g, g_lg = x_r[:, i], x_lg[:, :, i]  # g_i and XL_i, replaced last
@@ -597,19 +643,80 @@ def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: Sequenc
     ``self_lg`` as ``[2, P, ...]`` and one context per point (a single point
     is a chunk of one).  Electrons pass Sigma as ``[2, P, bnum, n_A/bnum, 1,
     o, o]`` with the index of one block's atoms: the recursion reads those
-    blocks as its source, and the index picks G^<>'s atom blocks out of the
-    diagonal blocks of the result.  Phonons pass Pi's slots with
-    ``slot_index(nmap.partners, bnum)``: they are added onto a zero source
-    band of ``a``'s corner and picked back out of the result, across the
-    block boundaries from its corners.  The recursion overwrites ``a``.  Returns
-    the diagonal blocks of the retarded solution ``[P, bnum, m, m]``, a view
-    of ``a``, and the lesser/greater slots in ``self_lg``'s layout.
+    blocks as its source, and G^<>'s atom blocks, the same slots of the
+    result's diagonal blocks, come back as a view of those blocks, not a copy.
+    Phonons pass Pi's slots with ``slot_index(nmap.partners, bnum)``: they are
+    added onto a zero source band of ``a``'s corner and picked back out of the
+    result, across the block boundaries from its corners.  The recursion
+    overwrites ``a``.  Returns the diagonal blocks of the retarded solution
+    ``[P, bnum, m, m]``, a view of ``a``, and the lesser/greater slots in
+    ``self_lg``'s layout.
     """
     if len(index.layout) == 2:
         x_r, x_lg = _rgf_pass(a, self_lg[..., 0, :, :], context)
+        k, o = index.layout[0], self_lg.shape[-1]
+        # the atom-diagonal blocks of X Q X^T's diagonal blocks, as pick_slots picks them but without a copy
+        return x_r, np.einsum("...aiaj->...aij", x_lg.reshape(*x_lg.shape[:-2], k, o, k, o))[..., None, :, :]
     else:
         x_r, x_lg = _rgf_pass(a, add_slots(np.zeros((2, *a.shape), np.complex128), self_lg, index), context)
     return x_r, pick_slots(x_lg, index)
+
+
+class _Layout(NamedTuple):
+    """How one particle kind's points are solved on a device: its blocks, its slot index and its momenta's matrices.
+
+    ``blocks`` is the number of blocks its recursion runs over (1 for dense),
+    ``index`` the ``slot_index`` its self-energy goes in by, and
+    ``matrices[k]`` momentum k's (S, H) or (Phi,): whole for dense, and for
+    RGF as bands of the momentum's corner (``_tridiagonal_band``,
+    ``_coupling_corner``), read-only.
+    """
+
+    blocks: int
+    index: SlotIndex
+    matrices: tuple[tuple[Array, ...], ...]
+
+
+# Each device's RGF layouts of both particle kinds, by (bnum, the neighbor map), kept for the device's lifetime.
+# gf_phase takes the device, not a plan (ROADMAP item 15), so the plans live here, keyed by the device itself
+# (DeviceMatrices hashes by identity), never by an id() that a new object may reuse.
+_RGF_PLANS: weakref.WeakKeyDictionary[DeviceMatrices, dict[tuple, tuple[_Layout, _Layout]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _rgf_plan(dev: DeviceMatrices, bnum: int, nmap: NeighborMap) -> tuple[_Layout, _Layout]:
+    """The electron and phonon RGF layouts of ``dev`` under ``bnum`` blocks and ``nmap``'s slots, derived once.
+
+    The first call for a (device, ``bnum``, neighbor map) cuts each kind's
+    blocks (``_rgf_blocks``), which raises ``ValueError`` for S, H or Phi
+    coupling atoms more than one block apart, builds its slot index
+    (``slot_index``: ``ValueError`` unless Pi is block-tridiagonal), and
+    derives every momentum's corner and bands.  Later calls read no S, H or
+    Phi entry: the device's matrices are read-only (``DeviceMatrices``), so
+    the plan cannot go stale.
+    """
+    plans = _RGF_PLANS.setdefault(dev, {})
+    key = (bnum, nmap.idx.shape, nmap.idx.tobytes())
+    if key not in plans:
+        # the blocks of each kind's recursion, both cut (and checked) before any band is read
+        e_blocks = _rgf_blocks({"S": dev.S, "H": dev.H}, nmap.n_A, bnum)
+        ph_blocks = _rgf_blocks({"Phi": dev.Phi}, nmap.n_A, bnum, nmap.max_reach)
+        ph_index = slot_index(nmap.partners, ph_blocks)
+
+        def bands(matrices: Sequence[Array], blocks: int, index: SlotIndex | None = None) -> tuple[Array, ...]:
+            corner = _coupling_corner(matrices, blocks, index)
+            cut = tuple(_tridiagonal_band(mat, blocks, corner) for mat in matrices)
+            for band in cut:
+                band.setflags(write=False)
+            return cut
+
+        plans[key] = (
+            _Layout(e_blocks, slot_index(np.arange(nmap.n_A // e_blocks)[:, None]),
+                    tuple(bands(pair, e_blocks) for pair in zip(dev.S, dev.H))),
+            _Layout(ph_blocks, ph_index, tuple(bands((phi,), ph_blocks, ph_index) for phi in dev.Phi)),
+        )
+    return plans[key]
 
 
 def gf_phase(
@@ -625,44 +732,38 @@ def gf_phase(
 
     ``solver`` picks the path of both particle kinds, ``"dense"`` or
     ``"rgf"`` (see the module docstring); both produce the same atom-diagonal
-    G blocks and D slots.  Each momentum's matrices are read once, and one
-    ``SlotIndex`` per particle kind, built once, serves all of its points.
-    ``"rgf"`` cuts each of the ``params.bnum`` blocks into sub-blocks once
-    per particle kind (``_rgf_blocks``) and runs the recursion over those.
-    It raises ``ValueError`` before any solve when S, H or Phi couples atoms
-    more than one ``bnum`` block apart (``_rgf_blocks``) or Pi is not
-    block-tridiagonal under ``params.bnum`` blocks (``slot_index``), and
-    derives each momentum's corner c once (``_coupling_corner``: from S and
-    H, or from Phi and Pi's slots).  A dense chunk is one point; an RGF chunk
-    is as many consecutive energies (or frequencies) as ``RGF_BUDGET`` holds
-    of what the chunk holds per point: its band, and the diagonal blocks of
-    G^<> (electrons) or its source band (phonons).  It is assembled, solved
-    and picked as one batch.  Points are independent: each (k_z, E) and
-    (q_z, omega) solve writes a disjoint tensor slice, so evaluation order
-    cannot change the result.  Retarded self-energies are always derived
-    from the lesser/greater pair, one chunk at a time.  A failing solve names
-    its point once: k_z, iE and E, or q_z, iw and omega; a chunk names the
-    first of its points that fails at the first failing block.
+    G blocks and D slots.  One ``SlotIndex`` per particle kind serves all of
+    its points.  ``"rgf"`` runs on the device's plan (``_rgf_plan``), built
+    on the first RGF call for the device, ``params.bnum`` and ``nmap`` and
+    kept with the device: each kind's sub-blocks of the ``params.bnum``
+    blocks (``_rgf_blocks``), its slot index and each momentum's corner and
+    bands.  Building it raises ``ValueError`` before any solve when S, H or
+    Phi couples atoms more than one ``bnum`` block apart (``_rgf_blocks``)
+    or Pi is not block-tridiagonal under ``params.bnum`` blocks
+    (``slot_index``); later calls read no S, H or Phi entry.  The dense path
+    builds no plan and reads each momentum's matrices whole.  A dense chunk
+    is one point; an RGF chunk is as many consecutive energies (or
+    frequencies) as ``RGF_BUDGET`` holds of what the chunk holds per point:
+    its band, and the diagonal blocks of G^<> (electrons) or its source band
+    (phonons).  It is assembled, solved and copied into the output as one
+    batch.  Points are independent: each (k_z, E) and (q_z, omega) solve
+    writes a disjoint tensor slice, so evaluation order cannot change the
+    result.  Retarded self-energies are always derived from the
+    lesser/greater pair, one chunk at a time.  A failing solve names its
+    point once: k_z, iE and E, or q_z, iw and omega; a chunk names the first
+    of its points that fails at the first failing block.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     rgf = solver == "rgf"
     o, eta = params.n_orb, params.eta
-    # the blocks of each kind's recursion, both cut (and checked) before any solve; one block stands for dense
-    e_blocks = _rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) if rgf else 1
-    ph_blocks = _rgf_blocks({"Phi": dev.Phi}, params.n_A, params.bnum, nmap.max_reach) if rgf else None
-    phonon_index = slot_index(nmap.partners, ph_blocks)
-    atoms = params.n_A // e_blocks  # the atoms of one RGF diagonal block, or all
-    electron_index = slot_index(np.arange(atoms)[:, None])
-    electron_slots = (e_blocks, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
-
-    def read(matrices: Sequence[Array], blocks: int, index: SlotIndex | None = None) -> tuple[list[Array], int]:
-        """A momentum's matrices, as bands of one corner for RGF, and the bytes of one point's band (0 for dense)."""
-        if not rgf:
-            return list(matrices), 0
-        corner = _coupling_corner(matrices, blocks, index)
-        bands = [_tridiagonal_band(mat, blocks, corner) for mat in matrices]
-        return bands, bands[0].nbytes
+    if rgf:
+        electrons, phonons = _rgf_plan(dev, params.bnum, nmap)
+    else:
+        electrons = _Layout(1, slot_index(np.arange(params.n_A)[:, None]), tuple(zip(dev.S, dev.H)))
+        phonons = _Layout(1, slot_index(nmap.partners), tuple(zip(dev.Phi)))
+    atoms = params.n_A // electrons.blocks  # the atoms of one RGF diagonal block, or all
+    electron_slots = (electrons.blocks, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
 
     def chunks(n_points: int, point_bytes: int) -> list[range]:
         """Runs of consecutive points: one point for dense, as many as fit in ``RGF_BUDGET`` for RGF."""
@@ -673,37 +774,40 @@ def gf_phase(
     g_ph = GreensTensor.zeros(params.phonon_shape)
 
     for kz in range(params.n_kz):
-        (s, h), band_bytes = read((dev.S[kz], dev.H[kz]), e_blocks)
+        s, h = electrons.matrices[kz]
         edge = atoms * o
-        for run in chunks(params.n_E, band_bytes + 2 * 16 * e_blocks * edge * edge):  # the band and G^<>'s blocks
+        for run in chunks(params.n_E, s.nbytes + 2 * 16 * electrons.blocks * edge * edge):  # band, G^<>'s blocks
             points = slice(run.start, run.stop)
             contexts = [f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for i_e in run]
             sig_lg = sigma.data[:, kz, points]
-            # the chunk's Sigma^R only: a whole momentum's (1 MiB on gf-long, made through as large a temporary)
-            # would stay alive beside the chunk's band and G^<> and raise the phase's peak
+            # the chunk's Sigma^R only, and freed once it is in the system, not held through the recursion: a whole
+            # momentum's (1 MiB on gf-long) would stay alive beside the chunk's band and G^<> and raise the phase's peak
             sig_r = retarded_from_lesser_greater(GreensTensor.wrap(sig_lg[:, None]))[0]
-            a = point_system(grid.values[points], s, h, sig_r.reshape(-1, *electron_slots), electron_index, eta)
+            a = point_system(grid.values[points], s, h, sig_r.reshape(-1, *electron_slots), electrons.index, eta)
+            del sig_r
             if rgf:
-                g_lg = solve_point_rgf(a, sig_lg.reshape(2, -1, *electron_slots), electron_index, contexts)[1]
+                g_lg = solve_point_rgf(a, sig_lg.reshape(2, -1, *electron_slots), electrons.index, contexts)[1]
             else:
                 g_lg = solve_point_dense_diag(a[0], sig_lg[:, 0], contexts[0])
-            g_e.data[:, kz, points] = g_lg.reshape(2, len(run), -1, o, o)
+            # straight into g_e: RGF's blocks are a view of the recursion's G^<> blocks, with no picked copy
+            target = g_e.data[:, kz, points].reshape(2, len(run), *electron_slots, copy=False)
+            target[...] = g_lg.reshape(target.shape)
             del a, g_lg  # not held into the next chunk's assembly
 
     for qz in range(params.n_qz):
-        (phi,), band_bytes = read((dev.Phi[qz],), ph_blocks, phonon_index)
-        for run in chunks(params.n_w, 3 * band_bytes):  # the band and the lesser/greater source band
+        (phi,) = phonons.matrices[qz]
+        for run in chunks(params.n_w, 3 * phi.nbytes):  # the band and the lesser/greater source band
             points = slice(run.start, run.stop)
             omegas = [grid.frequency_value(i_w) for i_w in run]
             contexts = [f"phonon point (qz={qz}, iw={i_w}, omega={omega:g})" for i_w, omega in zip(run, omegas)]
             pi_lg = pi.data[:, qz, points]
             pi_r = retarded_from_lesser_greater(GreensTensor.wrap(pi_lg[:, None]))[0]
-            a = point_system(np.array([omega**2 for omega in omegas]), None, phi, pi_r, phonon_index, eta)
+            a = point_system(np.array([omega**2 for omega in omegas]), None, phi, pi_r, phonons.index, eta)
             if rgf:
-                g_ph.data[:, qz, points] = solve_point_rgf(a, pi_lg, phonon_index, contexts)[1]
+                g_ph.data[:, qz, points] = solve_point_rgf(a, pi_lg, phonons.index, contexts)[1]
             else:
                 # the retarded solution is dropped at once rather than held into the next solve
-                d_lg = solve_phonon_point(a[0], place_slots(pi_lg[:, 0], phonon_index), nmap, contexts[0])[1]
+                d_lg = solve_phonon_point(a[0], place_slots(pi_lg[:, 0], phonons.index), nmap, contexts[0])[1]
                 g_ph.data[:, qz, points] = d_lg[:, None]
             del a
     for pair in (g_e, g_ph):

@@ -1,7 +1,10 @@
 """Green's function solvers: dense oracle, RGF equivalence, phase assembly."""
 
+import dataclasses
+import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from negflow.gf import (
     solve_point_rgf,
 )
 from negflow.params import SimParams, default_grid
-from negflow.sse import seeded_self_energies, sse_pi
+from negflow.sse import seeded_self_energies, self_consistent_loop, sse_pi
 
 TINY = SimParams(n_kz=3, n_qz=2, n_E=4, n_w=2, n_A=8, n_B=2, n_orb=2, bnum=4)
 GF_LONG = SimParams(n_kz=3, n_qz=1, n_E=32, n_w=2, n_A=128, n_B=2, n_orb=4, bnum=16, eta=0.05)
@@ -572,9 +575,10 @@ def test_rgf_refuses_a_coupling_beyond_one_block(monkeypatch, name):
     # (its band would drop the coupling, and G would differ from the dense solve's), and dense takes it
     params = TINY.replace(n_kz=1, n_qz=1, n_A=8, n_B=2, bnum=4, eta=0.05)
     dev, nmap = synthesize(params, seed=3)
-    mat = getattr(dev, name)
+    mat = getattr(dev, name).copy()
     atom = mat.shape[-1] // params.n_A
     mat[:, :atom, 5 * atom:6 * atom] = mat[:, 5 * atom:6 * atom, :atom] = 0.01
+    dev = dataclasses.replace(dev, **{name: mat})
     grid = default_grid(params)
     sigma, pi = seeded_self_energies(params, 0.1)
     assert all(x.all_finite() for x in gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense"))
@@ -693,7 +697,9 @@ def test_rgf_blocks_cover_a_coupling_inside_a_block():
     assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 8
     rng = np.random.default_rng(8)
     coupling = 0.05 * (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
-    dev.H[:, 4:8, 16:20], dev.H[:, 16:20, 4:8] = coupling, coupling.conj().swapaxes(-1, -2)
+    h = dev.H.copy()
+    h[:, 4:8, 16:20], h[:, 16:20, 4:8] = coupling, coupling.conj().swapaxes(-1, -2)
+    dev = dataclasses.replace(dev, H=h)
     assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 4
     sigma, pi = seeded_self_energies(params, 0.1)
     grid = default_grid(params)
@@ -784,7 +790,9 @@ def test_rgf_reports_a_failing_point_mid_chunk(monkeypatch, smallest, kz, i_e, f
     _, nmap = synthesize(params, seed=6)
     rng = np.random.default_rng(5)
     coupling = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    dev.H[:, 6:8, 8:10], dev.H[:, 8:10, 6:8] = coupling, coupling.conj().T
+    h = dev.H.copy()
+    h[:, 6:8, 8:10], h[:, 8:10, 6:8] = coupling, coupling.conj().T
+    dev = dataclasses.replace(dev, H=h)
     grid = default_grid(params)
     energy = grid.values[i_e]
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -818,7 +826,7 @@ def test_rgf_derives_each_momentums_corner_once(monkeypatch):
     assert corners == [4, 4, 3]  # reach * n_orb for each k_z, reach * 3 for the q_z
 
 
-GF_LONG_BLOCKS = GF_LONG.replace(n_kz=1, n_E=8)  # gf-long's 16 blocks of 8 atoms and one momentum of each kind
+GF_LONG_BLOCKS = GF_LONG.replace(n_kz=1)  # gf-long's 16 blocks of 8 atoms, 32 energies and one momentum of each kind
 
 
 def test_rgf_chunks_hold_three_gf_long_energies(monkeypatch):
@@ -826,7 +834,7 @@ def test_rgf_chunks_hold_three_gf_long_energies(monkeypatch):
     # 0.26 MB, so the budget takes twelve of gf-long's 32 energies (three while the recursion ran over bnum's
     # 16 blocks of 32 rows, 0.85 MB a point; two with full bands and placed sources of 1.31 MB)
     assert gf.RGF_BUDGET == 3 << 20
-    params = GF_LONG_BLOCKS.replace(n_E=32)
+    params = GF_LONG_BLOCKS
     dev, nmap = synthesize(params, seed=1)
     sigma, pi = seeded_self_energies(params, 0.1)
     chunks = _spy_chunks(monkeypatch)
@@ -839,12 +847,13 @@ def test_rgf_chunks_hold_three_gf_long_energies(monkeypatch):
 def test_rgf_gf_phase_transient_memory_at_gf_long_blocks():
     # One RGF gf_phase holds at most
     #     RGF_BUDGET + SLACK  bytes
-    # above its outputs (tracemalloc peak less what the call still holds).  The chunk (the momentum's eight
-    # energies, 0.26 MB each over 64 blocks of 8 rows) fits RGF_BUDGET; SLACK covers what does not scale with the
-    # budget: the momentum's S and H bands (2 x 128 KiB at a corner of 4) and the chunk's temporaries (Sigma^R,
-    # g_i Q_i, the backward update's products, the block solves and the picked G^<> blocks, about 0.8 MiB).  It
-    # measured 3.16 MB with numpy 2.4 (4.04 MB over bnum's 16 blocks of 32 rows, 0.85 MiB above RGF_BUDGET;
-    # the full bands and placed sources of two points, 2.2 MiB); SLACK = 1 MiB.
+    # above its outputs (tracemalloc peak less what the call still holds), over all 32 of gf-long's energies, in
+    # chunks of 12, 12 and 8.  A chunk (0.26 MB a point over 64 blocks of 8 rows) fits RGF_BUDGET; SLACK covers
+    # what does not scale with the budget, and what does but stays small: the chunk's Sigma^R while its system is
+    # assembled (0.39 MB at 12 points), g_i Q_i, the backward update's products and the block solves.  The
+    # momentum's S and H bands belong to the device's plan, built by the first call.  It measured 3.33 MB with
+    # numpy 2.4 (4.60 MB while each chunk also held its Sigma^R through the recursion, the picked G^<> blocks and
+    # the bands, 1.4 MB; 3.16 MB at 8 energies, one chunk); SLACK = 1 MiB.
     params = GF_LONG_BLOCKS
     dev, nmap = synthesize(params, seed=1)
     sigma, pi = seeded_self_energies(params, 0.1)
@@ -857,3 +866,92 @@ def test_rgf_gf_phase_transient_memory_at_gf_long_blocks():
     finally:
         tracemalloc.stop()
     assert peak - held <= gf.RGF_BUDGET + (1 << 20), peak - held
+
+
+def test_rgf_builds_one_plan_per_device(monkeypatch):
+    # a 3-iteration loop and one more phase on the same device cut its blocks, derive its corners and cut its
+    # bands as often as one phase does: 2 block cuts, a corner per momentum, S and H bands per k_z, Phi per q_z
+    params = TINY.replace(eta=0.05)
+    dev, nmap = synthesize(params, seed=1)
+    sigma, pi = seeded_self_energies(params, 0.1)
+    grid = default_grid(params)
+    calls = dict.fromkeys(("_rgf_blocks", "_coupling_corner", "_tridiagonal_band"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(gf, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(gf, name, counted)
+    once = {"_rgf_blocks": 2, "_coupling_corner": params.n_kz + params.n_qz,
+            "_tridiagonal_band": 2 * params.n_kz + params.n_qz}
+    result = self_consistent_loop(dev, nmap, params, grid, max_iter=3, tol=-1.0, solver="rgf",
+                                  initial_sigma=sigma, initial_pi=pi)
+    assert result.iterations == 3 and not result.diverged
+    g_e, _ = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
+    assert calls == once
+    # an edited device is a new device with a plan of its own, and the device itself cannot be edited
+    h = dev.H.copy()
+    h[:, 0, 0] += 0.1
+    edited = dataclasses.replace(dev, H=h)
+    g_edited, _ = gf_phase(edited, sigma, pi, params, grid, nmap, solver="rgf")
+    assert calls == {name: 2 * count for name, count in once.items()}
+    assert not np.allclose(g_edited.data, g_e.data)
+    for name in ("H", "S", "Phi"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dev, name)[0, 0, 0] = 1.0
+    # the plan goes with its device
+    gone = weakref.ref(edited)
+    del edited
+    gc.collect()
+    assert gone() is None
+
+
+def _blockwise_failures(params, failures):
+    """Sigma^> whose Sigma^R = (Sigma^> - Sigma^<)/2 leaves atom a's block of the system at point iE as given.
+
+    ``failures`` maps (iE, atom) to that block; on a device with H = 0 and S = I the RGF blocks are
+    independent, so each block solve sees exactly its atoms' blocks.
+    """
+    grid = default_grid(params)
+    greater = np.zeros(params.electron_shape, complex)
+    for (i_e, atom), system in failures.items():
+        greater[0, i_e, atom] = 2 * ((grid.values[i_e] + 1j * params.eta) * np.eye(params.n_orb) - system)
+    return grid, GreensTensor(lesser=np.zeros_like(greater), greater=greater)
+
+
+def test_rgf_names_the_first_failing_block_before_a_later_singular_one(monkeypatch):
+    # 8 atoms of 2 orbitals in 4 RGF blocks of 2 atoms: block 1's residual fails at iE=2 (singular values 1 and
+    # 1e-15 on atom 3), and block 2 is exactly singular at iE=0 (atom 4's block zero); the check of every block
+    # is one check after the sweep, and the singular block raises at once, yet block 1 is named
+    params = TINY.replace(n_kz=1, n_E=4, n_qz=1, n_A=8, n_B=2, n_orb=2, bnum=4, eta=0.05)
+    dev = _free_device(params)
+    _, nmap = synthesize(params, seed=6)
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    grid, sigma = _blockwise_failures(params, {(2, 3): u @ np.diag([1.0, 1e-15]) @ u.conj().T,
+                                               (0, 4): np.zeros((2, 2))})
+    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 4
+    chunks = _spy_chunks(monkeypatch)
+    point = re.escape(f"electron point (kz=0, iE=2, E={grid.values[2]:g})")
+    with pytest.raises(SingularSystemError, match=rf"^RGF forward pass, block 1 \({point}\): solve residual .* too large") as err:
+        gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap, solver="rgf")
+    assert len(chunks) == 1 and len(chunks[0]) == params.n_E  # both points in one chunk
+    assert str(err.value).count("point") == 1 and str(err.value).count("block") == 1
+    # block 2's singular point alone raises as a singular system
+    grid, sigma = _blockwise_failures(params, {(0, 4): np.zeros((2, 2))})
+    point = re.escape(f"electron point (kz=0, iE=0, E={grid.values[0]:g})")
+    with pytest.raises(SingularSystemError, match=rf"^RGF forward pass, block 2 \({point}\): singular system"):
+        gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap, solver="rgf")
+
+
+def test_rgf_names_the_first_block_and_point_of_a_nan_in_sigma():
+    # NaN in Sigma^< at iE=3 on atom 5 (block 2) and at iE=1 on atom 7 (block 3): block 2 fails first, at iE=3
+    params = TINY.replace(n_kz=1, n_E=4, n_qz=1, n_A=8, n_B=2, n_orb=2, bnum=4, eta=0.05)
+    dev = _free_device(params)
+    _, nmap = synthesize(params, seed=6)
+    grid = default_grid(params)
+    sigma, _ = seeded_self_energies(params, 0.1)
+    sigma.lesser[0, 3, 5, 0, 0] = sigma.lesser[0, 1, 7, 1, 1] = np.nan
+    point = re.escape(f"electron point (kz=0, iE=3, E={grid.values[3]:g})")
+    with pytest.raises(SingularSystemError, match=rf"^RGF forward pass, block 2 \({point}\): ") as err:
+        gf_phase(dev, sigma, GreensTensor.zeros(params.phonon_shape), params, grid, nmap, solver="rgf")
+    assert str(err.value).count("point") == 1 and str(err.value).count("block") == 1
