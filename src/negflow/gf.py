@@ -8,10 +8,10 @@ Phonon points solve the analogous system with ``omega^2 I`` in place of
 
 ``gf_phase`` reads each momentum's S, H or Phi whole (solver ``"dense"``),
 or runs on the device's RGF plan (``"rgf"``, ``_rgf_plan``): built by the
-first RGF phase for a (device, ``bnum``, neighbor map) and kept with the
-device, it holds each kind's sub-block count and slot index and every
-momentum's corner and ``_tridiagonal_band``, so later phases read no S, H or
-Phi entry (``DeviceMatrices`` keeps them read-only).  Every point's system is
+first RGF phase for a (device, ``bnum``, neighbor map) from one scan of each
+matrix (``_extents``) and kept with the device, it holds each kind's slot
+index and every momentum's ``_tridiagonal_band``, so later phases read no S,
+H or Phi entry (``DeviceMatrices`` keeps them read-only).  Every point's system is
 assembled in one place, ``point_system``.  The loop keeps only the
 atom-diagonal blocks of G^<> and the self/neighbor slots of D^<>, so its
 three point solves form nothing else:
@@ -29,8 +29,8 @@ three point solves form nothing else:
   16 of 32 and 24), since the recursion's work per point grows as the
   square of the block edge.  The couplings reach only a few atoms across a
   block boundary, so every coupling block is zero outside a c x c corner
-  (4 of 8 rows on gf-long's electrons), derived once per momentum and plan
-  (``_coupling_corner``).  The band
+  of whole atoms (4 of 8 rows on gf-long's electrons), derived once per
+  momentum and plan (``_coupling_corner``).  The band
   (``_tridiagonal_band``) holds, per block, the diagonal block and the c
   columns on either side that hold the corners, and every product with a
   coupling block runs on its corner.  Sigma's atom blocks stay the source,
@@ -49,8 +49,11 @@ n x n solve and two full n^3 triple products.
 
 Every per-atom block moves into or out of a block matrix through one
 ``SlotIndex`` and three primitives, ``add_slots``, ``place_slots`` and
-``pick_slots``: the atom-diagonal blocks of G and Sigma, the phonon slots of
-D and Pi, in the full matrix, in the RGF band and in its diagonal blocks.
+``pick_slots``: the atom-diagonal blocks of G and Sigma and the phonon slots
+of D and Pi, in the full matrix and in the RGF band alike (the full matrix
+is the band of one block without a corner).  ``slot_index`` derives an
+index once, and ``_depth`` is the one rule that turns its slots, and the
+scan's row extents, into corners.
 
 Every lesser/greater pair is one ``GreensTensor``, stored as one ``[2, ...]``
 array, and the loop's solvers take and return their pair stacked the same
@@ -168,9 +171,14 @@ class GreensTensor:
         return diff, diff / scale
 
 
+def _retarded(lg: Array) -> Array:
+    """Elementwise (greater - lesser) / 2 of a stacked pair ``[2, ...]`` (0 = lesser, 1 = greater)."""
+    return (lg[1] - lg[0]) / 2.0
+
+
 def retarded_from_lesser_greater(se: GreensTensor) -> Array:
     """Elementwise (greater - lesser) / 2."""
-    return (se.greater - se.lesser) / 2.0
+    return _retarded(se.data)
 
 
 def _advanced(x: Array) -> Array:
@@ -179,20 +187,33 @@ def _advanced(x: Array) -> Array:
 
 
 class SlotIndex(NamedTuple):
-    """Where every slot sits in a target layout of blocks (``slot_index``).
+    """Where every slot sits in a target of ``blocks`` block rows (``slot_index``).
 
-    With the block edge m, the full matrix is viewed as [..., n_A, m, n_A, m];
-    slot (a, s) is its block (``row[a, s]``, ``col[a, s]``), and ``layout`` is
-    ``(n_A, n_A)``.  A band index has ``layout`` ``(bnum, 3, n_A/bnum,
-    n_A/bnum)``: ``row`` is (3 i + side) n_A/bnum + the atom's place in block
-    i, with side 0, 1, 2 for blocks (i, i-1), (i, i), (i, i+1), and ``col`` the
-    partner's place in its block; ``_slot_blocks`` finds these in a band of
-    any corner.
+    Slot (a, s) couples atom ``row[a, s]`` = a to the atom ``col[a, s]``
+    atoms after the first atom of a's block row: negative in the block row's
+    left neighbor, past its atoms in its right one.  ``blocks`` is None for
+    the full matrix, the band of one block with no corner, where ``col`` is
+    the partner itself.  ``depth`` is how many atoms from a block boundary
+    the deepest slot lies (``_depth``), so a band of that corner holds them.
     """
 
     row: Array
     col: Array
-    layout: tuple[int, ...]
+    blocks: int | None
+    depth: int
+
+
+def _depth(local: Array, first: Array, last: Array, size: int) -> Array:
+    """How deep into a coupling block's corner each row or atom reaches, 0 inside its block.
+
+    ``local`` is its place in its block of ``size``, and ``first`` and
+    ``last`` its farthest partners counted from the block's start.  A partner
+    in the block before needs a corner ``local + 1`` deep and ``-first``
+    back; one in the block after, ``size - local`` deep and ``last - size +
+    1`` into it.  Row extents (``_extents``) and slots share this one rule.
+    """
+    return np.maximum(np.where(first < 0, np.maximum(local + 1, -first), 0),
+                      np.where(last >= size, np.maximum(size - local, last - size + 1), 0))
 
 
 def slot_index(partners: Array, bnum: int | None = None) -> SlotIndex:
@@ -205,58 +226,39 @@ def slot_index(partners: Array, bnum: int | None = None) -> SlotIndex:
     atom's block or an adjacent one, i.e. the slots are block-tridiagonal.
     """
     n_a = partners.shape[0]
-    rows = np.broadcast_to(np.arange(n_a)[:, None], partners.shape)
-    if bnum is None:
-        return SlotIndex(rows, partners, (n_a, n_a))
-    if n_a % bnum != 0:
+    if n_a % (bnum or 1) != 0:
         raise ValueError(f"{n_a} atoms not divisible into {bnum} blocks")
-    per_block = n_a // bnum
+    per_block = n_a // (bnum or 1)
+    rows = np.broadcast_to(np.arange(n_a)[:, None], partners.shape)
     reach = int(np.max(np.abs(partners - rows)))
     if reach > per_block:
         raise ValueError(
             f"neighbor reach {reach} exceeds the {per_block} atoms of a block: "
             f"Pi is not block-tridiagonal under {bnum} blocks"
         )
-    block = rows // per_block
-    side = partners // per_block - block + 1  # 0, 1, 2 = left, diagonal, right
-    return SlotIndex((3 * block + side) * per_block + rows % per_block, partners % per_block,
-                     (bnum, 3, per_block, per_block))
-
-
-def _band_places(index: SlotIndex) -> tuple[Array, Array, Array]:
-    """Every slot of a band index: its block's side, its atom row in the band, and its depth in its coupling block.
-
-    The depth is how many atoms from the block boundary the corner must reach
-    to hold the slot (its row and its partner's column alike); 0 for a slot
-    inside its block.
-    """
-    per_block = index.layout[-1]
-    side, local = index.row // per_block % 3, index.row % per_block
-    depth = np.where(side == 0, np.maximum(local + 1, per_block - index.col),
-                     np.where(side == 2, np.maximum(per_block - local, index.col + 1), 0))
-    return side, index.row // (3 * per_block) * per_block + local, depth
+    local = rows % per_block
+    offset = partners - rows + local
+    return SlotIndex(rows, offset, bnum, int(np.max(_depth(local, offset, offset, per_block), initial=0)))
 
 
 def _slot_blocks(target: Array, index: SlotIndex) -> tuple[Array, Array, Array]:
-    """``target`` as a view [..., rows, cols, m, m] of its blocks, and the row and column of every slot in it.
+    """``target`` as a view [..., n_A, cols, m, m] of its blocks, and the row and column of every slot in it.
 
-    A band ``[..., bnum, e, c + e + c]`` (``_tridiagonal_band``) is viewed as
-    its block rows' atoms against the c/m atoms before each diagonal block,
-    its e/m and the c/m after it; ``ValueError`` unless every slot across a
-    block boundary lies in its coupling block's c x c corner.
+    A band ``[..., blocks, e, c + e + c]`` (``_tridiagonal_band``) is viewed
+    as its block rows' atoms against the c/m atoms before each diagonal
+    block, its e/m and the c/m after it, and the full matrix as the band of
+    one block with c = 0; ``ValueError`` unless every slot across a block
+    boundary lies in its coupling block's c x c corner.
     """
-    m = target.shape[-2] // index.layout[-2]
-    if len(index.layout) == 2:
-        lead, rows, cols, n_cols = target.shape[:-2], index.row, index.col, index.layout[-1]
-    else:
-        per_block = index.layout[-1]
-        corner, rest = divmod(target.shape[-1] - target.shape[-2], 2 * m)  # the corner in atoms
-        side, rows, depth = _band_places(index)
-        if rest or np.any(depth > corner):
-            raise ValueError(f"a band corner of {(target.shape[-1] - target.shape[-2]) // 2} rows does not hold "
-                             f"every slot in whole atoms of {m}: a slot reaches {int(np.max(depth))} atoms deep")
-        lead, cols, n_cols = target.shape[:-3], index.col + (side - 1) * per_block + corner, per_block + 2 * corner
-    return target.reshape(*lead, -1, m, n_cols, m, copy=False).swapaxes(-3, -2), rows, cols
+    n_a = index.row.shape[0]
+    m = target.shape[-2] * (index.blocks or 1) // n_a
+    gap = target.shape[-1] - target.shape[-2]
+    corner, rest = divmod(gap, 2 * m)  # the corner in atoms
+    if rest or index.depth > corner:
+        raise ValueError(f"a band corner of {gap // 2} rows does not hold every slot in whole atoms of {m}: "
+                         f"a slot reaches {index.depth} atoms deep")
+    lead = target.shape[: -2 if index.blocks is None else -3]
+    return target.reshape(*lead, n_a, m, -1, m, copy=False).swapaxes(-3, -2), index.row, index.col + corner
 
 
 def add_slots(target: Array, slots: Array, index: SlotIndex) -> Array:
@@ -274,9 +276,8 @@ def add_slots(target: Array, slots: Array, index: SlotIndex) -> Array:
 
 def place_slots(slots: Array, index: SlotIndex) -> Array:
     """``slots`` [..., n_A, S, m, m] in a zero full matrix [..., n, n]."""
-    m = slots.shape[-1]
-    rows, cols = index.layout
-    return add_slots(np.zeros((*slots.shape[:-4], rows * m, cols * m), np.complex128), slots, index)
+    n = slots.shape[-4] * slots.shape[-1]
+    return add_slots(np.zeros((*slots.shape[:-4], n, n), np.complex128), slots, index)
 
 
 def pick_slots(target: Array, index: SlotIndex) -> Array:
@@ -356,8 +357,7 @@ def point_system(
     matrices or bands of one corner (``_tridiagonal_band``).  A scalar
     ``shift`` gives one system in the layout of ``stiffness``; a shift per
     point [P] gives P of them, [P, ...], and ``self_r`` then leads with the
-    same P.  ``self_r`` goes onto the target ``index`` describes: the matrix,
-    the band, or (an index of one block's atoms) the band's diagonal blocks.
+    same P.  ``self_r`` goes onto the matrix or the band by ``index``.
     """
     lead = np.shape(shift)  # () for one point, (P,) for a batch
     if mass is None:
@@ -365,12 +365,10 @@ def point_system(
     else:
         a = np.reshape(shift, lead + (1,) * stiffness.ndim) * mass
         a -= stiffness
-    band = stiffness.ndim == 3
-    blocks = _diagonal_blocks(a) if band else a[..., None, :, :]  # the blocks that hold the diagonal
-    diagonal = np.einsum("...ii->...i", blocks)  # a view, writable, of the band's strided blocks too
+    diagonal = np.einsum("...ii->...i", _diagonal_blocks(a))  # a view, writable, of the band's strided blocks too
     if mass is None:
-        diagonal += np.reshape(shift, lead + (1, 1))
-    add_slots(blocks if band and len(index.layout) == 2 else a, -self_r, index)
+        diagonal += np.reshape(shift, lead + (1,) * (stiffness.ndim - 1))
+    add_slots(a, -self_r, index)
     diagonal += 1j * eta
     return a
 
@@ -424,92 +422,94 @@ def solve_phonon_point(a: Array, pi_lg: Array, nmap: NeighborMap, context: str) 
     return d_r, slots
 
 
-def _tridiagonal_band(mat: Array, bnum: int, corner: int | None = None) -> Array:
+def _tridiagonal_band(mat: Array, bnum: int, corner: int) -> Array:
     """The block rows ``[bnum, m, c + m + c]`` of an n x n matrix under ``bnum`` blocks, cut to a corner c.
 
     Row i holds diagonal block (i, i) between c columns on either side: the
     last c of block (i, i-1) before it and the first c of block (i, i+1) after
     it, zero outside the matrix; ``_rgf_pass`` reads only the c x c corners
-    of those side columns, in the first and the last c rows.  ``corner`` is
-    c, the matrix's own smallest (``_coupling_corner``) unless given.  The
-    RGF plan (``_rgf_plan``) cuts each momentum's S, H or Phi through it
-    once, with one corner for the momentum, so no RGF point builds an n x n
-    matrix.
+    of those side columns, in the first and the last c rows.  The RGF plan
+    (``_rgf_plan``) cuts each momentum's S, H or Phi through it once, with
+    the momentum's corner (``_coupling_corner``), so no RGF point builds an
+    n x n matrix.
     """
     n = mat.shape[-1]
     if n % bnum != 0:
         raise ValueError(f"matrix edge {n} not divisible into {bnum} blocks")
     m = n // bnum
-    c = _coupling_corner((mat,), bnum) if corner is None else corner
-    band = np.zeros((bnum, m, m + 2 * c), np.complex128)
+    band = np.zeros((bnum, m, m + 2 * corner), np.complex128)
     for i in range(bnum):
-        start, stop = max(i * m - c, 0), min((i + 1) * m + c, n)  # the columns of row i inside the matrix
-        band[i, :, start - (i * m - c) : stop - (i * m - c)] = mat[i * m : (i + 1) * m, start:stop]
+        start, stop = max(i * m - corner, 0), min((i + 1) * m + corner, n)  # the columns of row i inside the matrix
+        band[i, :, start - (i * m - corner) : stop - (i * m - corner)] = mat[i * m : (i + 1) * m, start:stop]
     return band
 
 
 def _diagonal_blocks(band: Array) -> Array:
-    """The diagonal blocks ``[..., bnum, m, m]`` of bands ``[..., bnum, m, c + m + c]``, as a view."""
+    """The diagonal blocks ``[..., bnum, m, m]`` of bands ``[..., bnum, m, c + m + c]``, as a view.
+
+    A full matrix, the band of one block with c = 0, is its own.
+    """
     m = band.shape[-2]
     c = (band.shape[-1] - m) // 2
     return band[..., c : c + m]
 
 
-def _coupling_corner(matrices: Sequence[Array], bnum: int, index: SlotIndex | None = None) -> int:
-    """The smallest corner edge c that holds every nonzero of the coupling blocks of ``matrices`` under ``bnum`` blocks.
+def _extents(mat: Array) -> Array:
+    """The first and the last nonzero column of every row of an n x n matrix, ``[2, n]``; (n, -1) for a zero row.
 
-    ``matrices`` are one momentum's n x n S and H, or its Phi.  Block
-    (i, i+1) must be zero outside its last c rows and first c columns, block
-    (i+1, i) outside its first c rows and last c columns.  A band ``index``
-    (Pi's slots, ``slot_index``) must fit too: its slots across a block
-    boundary widen c, which is then rounded up to whole atoms so that they
-    have blocks to go to.  Full coupling blocks give c = m, and one block
-    (bnum = 1) gives 0.  The RGF plan derives c once per momentum.
+    The RGF plan scans each momentum's S, H and Phi through this once, and
+    derives both the sub-blocks (``_rgf_blocks``) and the corners
+    (``_coupling_corner``) from what it returns.
     """
-    n = matrices[0].shape[-1]
-    m = n // bnum
-    upper, lower = (np.arange(bnum - 1), np.arange(1, bnum)), (np.arange(1, bnum), np.arange(bnum - 1))
-    rows, cols = np.zeros(m, bool), np.zeros(m, bool)  # nonzero in blocks (i, i+1), or in (i+1, i) reversed
-    for mat in matrices:
-        blocks = mat.reshape(bnum, m, bnum, m).swapaxes(1, 2)
-        couplings = np.concatenate((blocks[upper], blocks[lower][:, ::-1, ::-1]))
-        # real and imaginary parts apart, as floats: far faster to test than complex entries
-        nonzero = (couplings.view(np.float64) != 0).reshape(-1, m, m, 2).any(axis=(0, 3))
-        rows |= nonzero.any(axis=1)
-        cols |= nonzero.any(axis=0)
-    corner = max(m - np.argmax(rows) if rows.any() else 0, m - np.argmax(cols[::-1]) if cols.any() else 0)
-    if index is None:
-        return int(corner)
-    atom = n // (bnum * index.layout[-1])
-    atoms = max(-(-corner // atom), int(np.max(_band_places(index)[2], initial=0)))
-    return atoms * atom
+    n = mat.shape[-1]
+    # real and imaginary parts apart, as floats: far faster to test than complex entries
+    nonzero = mat.view(np.float64) != 0
+    first, last = np.argmax(nonzero, axis=1), 2 * n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    extents = np.stack((first, last)) // 2
+    extents[:, ~nonzero[np.arange(n), first]] = ((n,), (-1,))  # argmax finds no nonzero in a zero row
+    return extents
 
 
-def _rgf_blocks(stacks: dict[str, Array], n_a: int, bnum: int, reach: int = 0) -> int:
+def _coupling_corner(extents: Sequence[Array], blocks: int, atom: int, depth: int = 0) -> int:
+    """The smallest corner edge c, in whole atoms of ``atom`` rows, that holds every coupling nonzero and slot.
+
+    ``extents`` are one momentum's row extents (``_extents``) of S and H, or
+    of Phi, under ``blocks`` blocks.  Block (i, i+1) must be zero outside its
+    last c rows and first c columns, block (i+1, i) outside its first c rows
+    and last c columns (``_depth`` of each row), and slots ``depth`` atoms
+    deep (``SlotIndex``) need that many atoms.  Full coupling blocks give
+    c = m, and one block gives 0.  The RGF plan derives c once per momentum.
+    """
+    n = extents[0].shape[-1]
+    rows = np.arange(n)
+    local = rows % (n // blocks)
+    rows_deep = max(int(np.max(_depth(local, first - rows + local, last - rows + local, n // blocks)))
+                    for first, last in extents)
+    return max(-(-rows_deep // atom), depth) * atom
+
+
+def _rgf_blocks(extents: dict[str, Sequence[Array]], n_a: int, bnum: int, reach: int = 0) -> int:
     """The number of blocks the RGF recursion runs over: each of ``bnum``'s blocks cut into equal sub-blocks of r atoms.
 
-    ``stacks`` names every momentum's matrices of one particle kind, ``{"S":
-    S, "H": H}`` or ``{"Phi": Phi}`` (``[n_k, n, n]`` each), and ``reach`` is
-    the atom reach of Pi's slots.  r is the smallest divisor of n_A / bnum
-    that is at least the largest atom distance of any nonzero of the
-    matrices, couplings inside a block included, and of ``reach``, and whose
-    blocks have at least ``RGF_MIN_EDGE`` rows; the sub-blocks are then
-    block-tridiagonal too.  Without such a divisor the blocks are not cut.
-    ``ValueError`` if a matrix couples atoms more than one block apart, which
-    no band of ``bnum`` blocks holds.
+    ``extents`` names the row extents (``_extents``) of every momentum's
+    matrices of one particle kind, ``{"S": ..., "H": ...}`` or ``{"Phi":
+    ...}``, and ``reach`` is the atom reach of Pi's slots.  r is the smallest
+    divisor of n_A / bnum that is at least the largest atom distance of any
+    nonzero of the matrices, couplings inside a block included, and of
+    ``reach``, and whose blocks have at least ``RGF_MIN_EDGE`` rows; the
+    sub-blocks are then block-tridiagonal too.  Without such a divisor the
+    blocks are not cut.  ``ValueError`` if a matrix couples atoms more than
+    one block apart, which no band of ``bnum`` blocks holds.
     """
     per_block = n_a // bnum
     block = np.arange(n_a) // per_block
-    for name, stack in stacks.items():
-        atom = stack.shape[-1] // n_a
-        # the nonzero columns of each atom's rows at any momentum, real and imaginary parts apart (as in
-        # _coupling_corner); an atom's farthest partners on either side are its first and its last
-        nonzero = np.zeros((n_a, 2 * stack.shape[-1]), bool)
-        for mat in stack:
-            nonzero |= (mat.view(np.float64) != 0).reshape(n_a, atom, -1).any(axis=1)
-        rows = np.flatnonzero(nonzero.any(axis=1))  # an all-zero atom has no partner
-        first, last = np.argmax(nonzero[rows], axis=1), np.argmax(nonzero[rows, ::-1], axis=1)
-        rows, cols = np.tile(rows, 2), np.concatenate((first, nonzero.shape[1] - 1 - last)) // (2 * atom)
+    for name, scans in extents.items():
+        atom = scans[0].shape[-1] // n_a
+        # an atom's farthest partners on either side, at any momentum, are its rows' first and last
+        first = np.min([scan[0] for scan in scans], axis=0).reshape(n_a, atom).min(axis=1) // atom
+        last = np.max([scan[1] for scan in scans], axis=0).reshape(n_a, atom).max(axis=1) // atom
+        rows = np.flatnonzero(first <= last)  # an all-zero atom has no partner
+        rows, cols = np.tile(rows, 2), np.concatenate((first[rows], last[rows]))
         apart = np.abs(block[rows] - block[cols])
         if np.any(apart > 1):
             far = np.argmax(apart)
@@ -640,39 +640,36 @@ def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: Sequenc
     """RGF pass over the bands ``a`` of a chunk of points, with the stacked lesser/greater ``self_lg`` as source.
 
     A chunk of P points passes ``a`` as ``[P, bnum, m, c + m + c]``,
-    ``self_lg`` as ``[2, P, ...]`` and one context per point (a single point
-    is a chunk of one).  Electrons pass Sigma as ``[2, P, bnum, n_A/bnum, 1,
-    o, o]`` with the index of one block's atoms: the recursion reads those
-    blocks as its source, and G^<>'s atom blocks, the same slots of the
-    result's diagonal blocks, come back as a view of those blocks, not a copy.
-    Phonons pass Pi's slots with ``slot_index(nmap.partners, bnum)``: they are
-    added onto a zero source band of ``a``'s corner and picked back out of the
-    result, across the block boundaries from its corners.  The recursion
-    overwrites ``a``.  Returns the diagonal blocks of the retarded solution
-    ``[P, bnum, m, m]``, a view of ``a``, and the lesser/greater slots in
-    ``self_lg``'s layout.
+    ``self_lg`` as ``[2, P, n_A, S, o, o]`` slots of ``index`` and one
+    context per point (a single point is a chunk of one).  One slot per atom
+    (S = 1) is Sigma's atom-diagonal blocks: the recursion reads them as its
+    source, and G^<>'s atom blocks, the same blocks of the result's diagonal
+    blocks, come back as a view ``[2, P, bnum, n_A/bnum, 1, o, o]`` of the
+    recursion's blocks, not a copy.  Pi's slots (S > 1) are added onto a zero
+    source band of ``a``'s corner and picked back out of the result, across
+    the block boundaries from its corners.  The recursion overwrites ``a``.
+    Returns the diagonal blocks of the retarded solution ``[P, bnum, m, m]``,
+    a view of ``a``, and the lesser/greater slots.
     """
-    if len(index.layout) == 2:
-        x_r, x_lg = _rgf_pass(a, self_lg[..., 0, :, :], context)
-        k, o = index.layout[0], self_lg.shape[-1]
+    if self_lg.shape[-3] == 1:
+        n_points, bnum, m = a.shape[:3]
+        o = self_lg.shape[-1]
+        x_r, x_lg = _rgf_pass(a, self_lg.reshape(2, n_points, bnum, -1, o, o, copy=False), context)
         # the atom-diagonal blocks of X Q X^T's diagonal blocks, as pick_slots picks them but without a copy
-        return x_r, np.einsum("...aiaj->...aij", x_lg.reshape(*x_lg.shape[:-2], k, o, k, o))[..., None, :, :]
-    else:
-        x_r, x_lg = _rgf_pass(a, add_slots(np.zeros((2, *a.shape), np.complex128), self_lg, index), context)
+        return x_r, np.einsum("...aiaj->...aij", x_lg.reshape(2, n_points, bnum, m // o, o, m // o, o))[..., None, :, :]
+    x_r, x_lg = _rgf_pass(a, add_slots(np.zeros((2, *a.shape), np.complex128), self_lg, index), context)
     return x_r, pick_slots(x_lg, index)
 
 
 class _Layout(NamedTuple):
-    """How one particle kind's points are solved on a device: its blocks, its slot index and its momenta's matrices.
+    """How one particle kind's points are solved on a device: its slot index and its momenta's matrices.
 
-    ``blocks`` is the number of blocks its recursion runs over (1 for dense),
-    ``index`` the ``slot_index`` its self-energy goes in by, and
+    ``index`` is the ``slot_index`` its self-energy goes in by, and
     ``matrices[k]`` momentum k's (S, H) or (Phi,): whole for dense, and for
     RGF as bands of the momentum's corner (``_tridiagonal_band``,
-    ``_coupling_corner``), read-only.
+    ``_coupling_corner``) over ``index.blocks`` blocks, read-only.
     """
 
-    blocks: int
     index: SlotIndex
     matrices: tuple[tuple[Array, ...], ...]
 
@@ -688,34 +685,36 @@ _RGF_PLANS: weakref.WeakKeyDictionary[DeviceMatrices, dict[tuple, tuple[_Layout,
 def _rgf_plan(dev: DeviceMatrices, bnum: int, nmap: NeighborMap) -> tuple[_Layout, _Layout]:
     """The electron and phonon RGF layouts of ``dev`` under ``bnum`` blocks and ``nmap``'s slots, derived once.
 
-    The first call for a (device, ``bnum``, neighbor map) cuts each kind's
-    blocks (``_rgf_blocks``), which raises ``ValueError`` for S, H or Phi
-    coupling atoms more than one block apart, builds its slot index
-    (``slot_index``: ``ValueError`` unless Pi is block-tridiagonal), and
-    derives every momentum's corner and bands.  Later calls read no S, H or
+    The first call for a (device, ``bnum``, neighbor map) scans each
+    momentum's S, H and Phi once (``_extents``), cuts each kind's blocks
+    (``_rgf_blocks``), which raises ``ValueError`` for S, H or Phi coupling
+    atoms more than one block apart, builds its slot index (``slot_index``:
+    ``ValueError`` unless Pi is block-tridiagonal), and derives every
+    momentum's corner and bands from the scan.  Later calls read no S, H or
     Phi entry: the device's matrices are read-only (``DeviceMatrices``), so
     the plan cannot go stale.
     """
     plans = _RGF_PLANS.setdefault(dev, {})
     key = (bnum, nmap.idx.shape, nmap.idx.tobytes())
     if key not in plans:
+        n_a = nmap.n_A
+        scans = {name: [_extents(mat) for mat in getattr(dev, name)] for name in ("S", "H", "Phi")}
         # the blocks of each kind's recursion, both cut (and checked) before any band is read
-        e_blocks = _rgf_blocks({"S": dev.S, "H": dev.H}, nmap.n_A, bnum)
-        ph_blocks = _rgf_blocks({"Phi": dev.Phi}, nmap.n_A, bnum, nmap.max_reach)
-        ph_index = slot_index(nmap.partners, ph_blocks)
+        e_blocks = _rgf_blocks({"S": scans["S"], "H": scans["H"]}, n_a, bnum)
+        ph_blocks = _rgf_blocks({"Phi": scans["Phi"]}, n_a, bnum, nmap.max_reach)
 
-        def bands(matrices: Sequence[Array], blocks: int, index: SlotIndex | None = None) -> tuple[Array, ...]:
-            corner = _coupling_corner(matrices, blocks, index)
-            cut = tuple(_tridiagonal_band(mat, blocks, corner) for mat in matrices)
+        def bands(names: tuple[str, ...], k: int, index: SlotIndex) -> tuple[Array, ...]:
+            mats = [getattr(dev, name)[k] for name in names]
+            corner = _coupling_corner([scans[name][k] for name in names], index.blocks, mats[0].shape[-1] // n_a,
+                                      index.depth)
+            cut = tuple(_tridiagonal_band(mat, index.blocks, corner) for mat in mats)
             for band in cut:
                 band.setflags(write=False)
             return cut
 
-        plans[key] = (
-            _Layout(e_blocks, slot_index(np.arange(nmap.n_A // e_blocks)[:, None]),
-                    tuple(bands(pair, e_blocks) for pair in zip(dev.S, dev.H))),
-            _Layout(ph_blocks, ph_index, tuple(bands((phi,), ph_blocks, ph_index) for phi in dev.Phi)),
-        )
+        e_index, ph_index = slot_index(np.arange(n_a)[:, None], e_blocks), slot_index(nmap.partners, ph_blocks)
+        plans[key] = (_Layout(e_index, tuple(bands(("S", "H"), k, e_index) for k in range(len(dev.S)))),
+                      _Layout(ph_index, tuple(bands(("Phi",), q, ph_index) for q in range(len(dev.Phi)))))
     return plans[key]
 
 
@@ -755,15 +754,12 @@ def gf_phase(
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    rgf = solver == "rgf"
-    o, eta = params.n_orb, params.eta
+    rgf, eta = solver == "rgf", params.eta
     if rgf:
         electrons, phonons = _rgf_plan(dev, params.bnum, nmap)
     else:
-        electrons = _Layout(1, slot_index(np.arange(params.n_A)[:, None]), tuple(zip(dev.S, dev.H)))
-        phonons = _Layout(1, slot_index(nmap.partners), tuple(zip(dev.Phi)))
-    atoms = params.n_A // electrons.blocks  # the atoms of one RGF diagonal block, or all
-    electron_slots = (electrons.blocks, atoms, 1, o, o) if rgf else (atoms, 1, o, o)
+        electrons = _Layout(slot_index(np.arange(params.n_A)[:, None]), tuple(zip(dev.S, dev.H)))
+        phonons = _Layout(slot_index(nmap.partners), tuple(zip(dev.Phi)))
 
     def chunks(n_points: int, point_bytes: int) -> list[range]:
         """Runs of consecutive points: one point for dense, as many as fit in ``RGF_BUDGET`` for RGF."""
@@ -775,23 +771,21 @@ def gf_phase(
 
     for kz in range(params.n_kz):
         s, h = electrons.matrices[kz]
-        edge = atoms * o
-        for run in chunks(params.n_E, s.nbytes + 2 * 16 * electrons.blocks * edge * edge):  # band, G^<>'s blocks
+        for run in chunks(params.n_E, s.nbytes + 2 * _diagonal_blocks(s).nbytes):  # band, G^<>'s blocks
             points = slice(run.start, run.stop)
             contexts = [f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for i_e in run]
-            sig_lg = sigma.data[:, kz, points]
+            sig_lg = sigma.data[:, kz, points, :, None]  # one slot per atom, [2, P, n_A, 1, o, o]
             # the chunk's Sigma^R only, and freed once it is in the system, not held through the recursion: a whole
             # momentum's (1 MiB on gf-long) would stay alive beside the chunk's band and G^<> and raise the phase's peak
-            sig_r = retarded_from_lesser_greater(GreensTensor.wrap(sig_lg[:, None]))[0]
-            a = point_system(grid.values[points], s, h, sig_r.reshape(-1, *electron_slots), electrons.index, eta)
+            sig_r = _retarded(sig_lg)
+            a = point_system(grid.values[points], s, h, sig_r, electrons.index, eta)
             del sig_r
             if rgf:
-                g_lg = solve_point_rgf(a, sig_lg.reshape(2, -1, *electron_slots), electrons.index, contexts)[1]
+                g_lg = solve_point_rgf(a, sig_lg, electrons.index, contexts)[1]
             else:
-                g_lg = solve_point_dense_diag(a[0], sig_lg[:, 0], contexts[0])
+                g_lg = solve_point_dense_diag(a[0], sig_lg[:, 0, :, 0], contexts[0])
             # straight into g_e: RGF's blocks are a view of the recursion's G^<> blocks, with no picked copy
-            target = g_e.data[:, kz, points].reshape(2, len(run), *electron_slots, copy=False)
-            target[...] = g_lg.reshape(target.shape)
+            g_e.data[:, kz, points].reshape(g_lg.shape, copy=False)[...] = g_lg
             del a, g_lg  # not held into the next chunk's assembly
 
     for qz in range(params.n_qz):
@@ -801,8 +795,7 @@ def gf_phase(
             omegas = [grid.frequency_value(i_w) for i_w in run]
             contexts = [f"phonon point (qz={qz}, iw={i_w}, omega={omega:g})" for i_w, omega in zip(run, omegas)]
             pi_lg = pi.data[:, qz, points]
-            pi_r = retarded_from_lesser_greater(GreensTensor.wrap(pi_lg[:, None]))[0]
-            a = point_system(np.array([omega**2 for omega in omegas]), None, phi, pi_r, phonons.index, eta)
+            a = point_system(np.array([omega**2 for omega in omegas]), None, phi, _retarded(pi_lg), phonons.index, eta)
             if rgf:
                 g_ph.data[:, qz, points] = solve_point_rgf(a, pi_lg, phonons.index, contexts)[1]
             else:

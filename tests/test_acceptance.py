@@ -219,11 +219,14 @@ def test_criterion_6_rgf_against_dense_oracle():
         atoms, blocks = slot_index(np.arange(params.n_A)[:, None]), slot_index(np.arange(params.bnum)[:, None])
         full = [place_slots(x[:, None], atoms) for x in (sigma_r, sigma_l, sigma_g)]
         g_r, g_l, g_g = solve_point_dense(dev, *full, energy, 0, params.eta)
-        # the loop's RGF assembly and recursion, each diagonal block of the band one slot
-        whole = slot_index(np.zeros((1, 1), int))
-        sr_b, sl_b, sg_b = (pick_slots(x, blocks)[:, None] for x in full)
-        s_band, h_band = (gf._tridiagonal_band(x[0], params.bnum) for x in (dev.S, dev.H))
-        a = point_system(energy, s_band, h_band, sr_b, whole, params.eta)
+        # the loop's RGF assembly and recursion: Sigma^R by atom blocks, the source one block per diagonal block
+        sl_b, sg_b = (pick_slots(x, blocks) for x in full[1:])
+        mats = (dev.S[0], dev.H[0])
+        corner = gf._coupling_corner([gf._extents(x) for x in mats], params.bnum, params.n_orb)
+        s_band, h_band = (gf._tridiagonal_band(x, params.bnum, corner) for x in mats)
+        band_atoms = slot_index(np.arange(params.n_A)[:, None], params.bnum)
+        a = point_system(energy, s_band, h_band, sigma_r[:, None], band_atoms, params.eta)
+        whole = slot_index(np.arange(params.bnum)[:, None], params.bnum)
         b_r, b_lg = solve_point_rgf(a[None], np.stack((sl_b, sg_b))[:, None], whole, [f"seed {seed}"])
         b_r, (b_l, b_g) = b_r[0], b_lg[:, 0, :, 0, 0]
         step = n // params.bnum

@@ -81,27 +81,40 @@ def _phonon_matrix(slots, nmap):
     return place_slots(slots, slot_index(nmap.partners))
 
 
+def _scans(dev, *names):
+    """Every momentum's row extents of the named matrices of ``dev``, as the RGF plan scans them."""
+    return {name: [gf._extents(mat) for mat in getattr(dev, name)] for name in names}
+
+
+def _bands(mats, bnum, atom, depth=0):
+    """One momentum's bands under ``bnum`` blocks, cut to their corner in whole atoms of ``atom`` rows."""
+    corner = gf._coupling_corner([gf._extents(mat) for mat in mats], bnum, atom, depth)
+    return [gf._tridiagonal_band(mat, bnum, corner) for mat in mats]
+
+
 def _rgf_electron(dev, sr, sl, sg, energy, kz, eta, bnum):
     """Diagonal blocks [bnum, e, e] of G^R, G^< and G^> of one electron point, through the loop's RGF path.
 
-    Each diagonal block of the band is one slot, so the whole blocks of G^<> come back out, not only the
-    atom-diagonal ones the loop keeps.
+    Sigma^R goes in by its atom blocks.  The source passes each diagonal block of the band as one block, so the
+    whole blocks of G^<> come back out, not only the atom-diagonal ones the loop keeps.
     """
-    whole = slot_index(np.zeros((1, 1), int))
+    n_a, o = sr.shape[0], sr.shape[-1]
+    s, h = _bands((dev.S[kz], dev.H[kz]), bnum, o)
+    a = point_system(energy, s, h, sr[:, None], slot_index(np.arange(n_a)[:, None], bnum), eta)
 
     def blocks(atom_blocks):
-        return _block_diag(atom_blocks.reshape(bnum, -1, *atom_blocks.shape[-2:]))[:, None, None]
+        return _block_diag(atom_blocks.reshape(bnum, -1, o, o))[:, None]
 
-    s, h = (gf._tridiagonal_band(x[kz], bnum) for x in (dev.S, dev.H))
-    a = point_system(energy, s, h, blocks(sr), whole, eta)
+    whole = slot_index(np.arange(bnum)[:, None], bnum)
     b_r, b_lg = solve_point_rgf(a[None], np.stack((blocks(sl), blocks(sg)))[:, None], whole, [f"kz={kz}, E={energy:g}"])
     return b_r[0], b_lg[0, 0, :, 0, 0], b_lg[1, 0, :, 0, 0]
 
 
 def _phonon_system(dev, pr, omega, qz, eta, nmap, bnum=None):
     """The system of one phonon point through the loop's assembly: the full matrix, or the band under ``bnum``."""
-    phi = dev.Phi[qz] if bnum is None else gf._tridiagonal_band(dev.Phi[qz], bnum)
-    return point_system(omega**2, None, phi, pr, slot_index(nmap.partners, bnum), eta)
+    index = slot_index(nmap.partners, bnum)
+    phi = dev.Phi[qz] if bnum is None else _bands((dev.Phi[qz],), bnum, dev.n_3D, index.depth)[0]
+    return point_system(omega**2, None, phi, pr, index, eta)
 
 
 def _phonon_inverse(dev, pr, omega, qz, eta, nmap):
@@ -487,8 +500,8 @@ def test_phonon_rgf_slots_match_the_dense_solve(params):
     dev, nmap, grid, pi = _first_pass_pi(params)
     index = slot_index(nmap.partners, params.bnum)
     # the cases the band scatter and gather must get right are all present:
-    sides = index.row // (params.n_A // params.bnum) % 3
-    assert np.any(sides == 0) and np.any(sides == 2)  # slots that cross a block boundary, both ways
+    # slots that cross a block boundary, both ways
+    assert np.any(index.col < 0) and np.any(index.col >= params.n_A // params.bnum)
     for row in (0, params.n_A - 1):  # chain ends list their first neighbor twice, and Pi's two slots differ there
         assert nmap.idx[row, 0] == nmap.idx[row, 1]
         assert np.max(np.abs(pi.data[:, :, :, row, 1] - pi.data[:, :, :, row, 2])) > 0
@@ -569,6 +582,17 @@ def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
             add_slots(_band_of(full, bnum, (reach - 1) * m), slots, index)
 
 
+def _spy_solves(monkeypatch):
+    """Record the contexts of every solve: each dense or singular-block ``_solve_system`` and each RGF recursion."""
+    solves = []
+    for name in ("_solve_system", "_rgf_pass"):
+        def spy(*args, _real=getattr(gf, name)):
+            solves.append(args[-1])
+            return _real(*args)
+        monkeypatch.setattr(gf, name, spy)
+    return solves
+
+
 @pytest.mark.parametrize("name", ["S", "H", "Phi"])
 def test_rgf_refuses_a_coupling_beyond_one_block(monkeypatch, name):
     # atoms 0 and 5 lie in blocks 0 and 2 of 4, which no band of 4 blocks couples: RGF refuses before any solve
@@ -582,8 +606,7 @@ def test_rgf_refuses_a_coupling_beyond_one_block(monkeypatch, name):
     grid = default_grid(params)
     sigma, pi = seeded_self_energies(params, 0.1)
     assert all(x.all_finite() for x in gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense"))
-    solves = []
-    monkeypatch.setattr(gf, "_solve_system", lambda a, context: solves.append(context))
+    solves = _spy_solves(monkeypatch)
     with pytest.raises(ValueError, match=rf"^{name} couples atoms 0 and 5, 2 blocks apart: .*not block-tridiagonal"):
         gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
     assert solves == []
@@ -595,8 +618,7 @@ def test_rgf_refuses_a_neighbor_reach_beyond_one_block(monkeypatch):
     assert nmap.max_reach > params.n_A // params.bnum
     grid = default_grid(params)
     sigma, pi = GreensTensor.zeros(params.electron_shape), GreensTensor.zeros(params.phonon_shape)
-    solves = []
-    monkeypatch.setattr(gf, "_solve_system", lambda a, context: solves.append(context))
+    solves = _spy_solves(monkeypatch)
     with pytest.raises(ValueError, match="not block-tridiagonal"):
         gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
     assert solves == []
@@ -665,14 +687,18 @@ def test_rgf_corner_is_the_coupling_reach(params):
     dev, nmap = synthesize(params.replace(n_kz=1, n_qz=1, n_E=2, n_w=2), seed=1)
     reach, per_block = nmap.max_reach, params.n_A // params.bnum
     assert reach < per_block
-    assert gf._coupling_corner((dev.S[0], dev.H[0]), params.bnum) == reach * params.n_orb
+    scans = _scans(dev, "S", "H", "Phi")
+    for atom in (1, params.n_orb):  # the rows the couplings reach are whole atoms already
+        assert gf._coupling_corner([scans["S"][0], scans["H"][0]], params.bnum, atom) == reach * params.n_orb
     index = slot_index(nmap.partners, params.bnum)
-    assert gf._coupling_corner((dev.Phi[0],), params.bnum, index) == reach * params.n_3D
-    # a band whose coupling blocks are full needs the whole block, and one without couplings none
+    assert gf._coupling_corner(scans["Phi"], params.bnum, params.n_3D, index.depth) == reach * params.n_3D
+    # a band whose coupling blocks are full needs the whole block, and one without couplings none (atoms of one row)
     rng = np.random.default_rng(1)
     full = _rand_atom_blocks(rng, 1, 20)[0]
-    assert gf._coupling_corner((full,), 4) == 5
-    assert gf._coupling_corner((dev.H[0],), 1) == 0
+    block = np.arange(20) // 5
+    full[np.abs(block[:, None] - block) > 1] = 0  # block-tridiagonal, as the RGF plan checks before any corner
+    assert gf._coupling_corner([gf._extents(full)], 4, 1) == 5
+    assert gf._coupling_corner([scans["H"][0]], 1, params.n_orb) == 0
 
 
 @pytest.mark.parametrize(
@@ -685,8 +711,8 @@ def test_rgf_blocks_are_the_thinnest_the_couplings_allow(params, electron_blocks
     # gf-long 2 atoms of 4 orbitals and 4 atoms of 3 phonon rows; desk-32 2 and 4; orb-12 2 atoms of 12 orbitals;
     # tiny's 2-atom blocks (4 and 6 rows) have no smaller divisor of 8 rows or more, so they are not cut
     dev, nmap = synthesize(params.replace(n_kz=1, n_qz=1, n_E=2, n_w=2), seed=1)
-    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == electron_blocks
-    assert gf._rgf_blocks({"Phi": dev.Phi}, params.n_A, params.bnum, nmap.max_reach) == phonon_blocks
+    assert gf._rgf_blocks(_scans(dev, "S", "H"), params.n_A, params.bnum) == electron_blocks
+    assert gf._rgf_blocks(_scans(dev, "Phi"), params.n_A, params.bnum, nmap.max_reach) == phonon_blocks
 
 
 def test_rgf_blocks_cover_a_coupling_inside_a_block():
@@ -694,13 +720,13 @@ def test_rgf_blocks_cover_a_coupling_inside_a_block():
     # the recursion runs over blocks of 4 atoms, the smallest divisor of 8 that covers the 3-atom reach
     params = SimParams(n_kz=2, n_qz=1, n_E=4, n_w=2, n_A=16, n_B=2, n_orb=4, bnum=2, eta=0.05)
     dev, nmap = synthesize(params, seed=5)
-    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 8
+    assert gf._rgf_blocks(_scans(dev, "S", "H"), params.n_A, params.bnum) == 8
     rng = np.random.default_rng(8)
     coupling = 0.05 * (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
     h = dev.H.copy()
     h[:, 4:8, 16:20], h[:, 16:20, 4:8] = coupling, coupling.conj().swapaxes(-1, -2)
     dev = dataclasses.replace(dev, H=h)
-    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 4
+    assert gf._rgf_blocks(_scans(dev, "S", "H"), params.n_A, params.bnum) == 4
     sigma, pi = seeded_self_energies(params, 0.1)
     grid = default_grid(params)
     dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
@@ -715,14 +741,122 @@ def test_rgf_corner_covers_the_source_couplings():
     zero = np.zeros((n_a * atom, n_a * atom), complex)
     partners = np.repeat(np.arange(n_a)[:, None], 2, axis=1)
     partners[4, 1] = 2  # atom 4 (block 1's first) to atom 2 (block 0's third): 2 atoms deep into block (1, 0)
-    assert gf._coupling_corner((zero,), bnum, slot_index(partners, bnum)) == 2 * atom
+    assert gf._coupling_corner([gf._extents(zero)], bnum, atom, slot_index(partners, bnum).depth) == 2 * atom
     own = slot_index(np.arange(n_a)[:, None], bnum)
-    assert gf._coupling_corner((zero,), bnum, own) == 0  # slots inside their blocks need no corner
-    # block (1, 0) nonzero at its row 0 and column m - 4 needs a corner of 4 rows; slots round it to 2 atoms
+    assert gf._coupling_corner([gf._extents(zero)], bnum, atom, own.depth) == 0  # slots inside their blocks need none
+    # block (1, 0) nonzero at its row 0 and column m - 4 needs a corner of 4 rows (atoms of one row); whole atoms of
+    # 3 rows round it to 2 atoms
     mat = zero.copy()
     mat[12, 12 - 4] = 1e-3
-    assert gf._coupling_corner((mat,), bnum) == 4
-    assert gf._coupling_corner((mat,), bnum, own) == 2 * atom
+    assert gf._coupling_corner([gf._extents(mat)], bnum, 1) == 4
+    assert gf._coupling_corner([gf._extents(mat)], bnum, atom, own.depth) == 2 * atom
+
+
+def _loop_extents(mat):
+    """Every row's first and last nonzero column, by a loop over every nonzero; (n, -1) for a zero row."""
+    n = mat.shape[-1]
+    extents = np.array([[n] * n, [-1] * n])
+    for i, j in zip(*np.nonzero(mat)):
+        extents[:, i] = min(extents[0, i], j), max(extents[1, i], j)
+    return extents
+
+
+def _loop_depth(pairs, size):
+    """The deepest (row, column) pair into a coupling block's corner, blocks of ``size``: 0 inside a block."""
+    depth = 0
+    for i, j in pairs:
+        if j // size == i // size + 1:
+            depth = max(depth, size - i % size, j % size + 1)
+        elif j // size == i // size - 1:
+            depth = max(depth, i % size + 1, size - j % size)
+    return depth
+
+
+def _loop_blocks(stacks, n_a, bnum, reach):
+    """The RGF sub-block count by a loop over every nonzero: the atom reach sets the thinnest divisor of a block."""
+    per_block = n_a // bnum
+    for mats in stacks.values():
+        atom = mats[0].shape[-1] // n_a
+        for mat in mats:
+            reach = max([reach, *(abs(i // atom - j // atom) for i, j in zip(*np.nonzero(mat)))])
+    thin = [r for r in range(1, per_block) if per_block % r == 0 and r >= reach and r * atom >= gf.RGF_MIN_EDGE]
+    return n_a // (thin[0] if thin else per_block)
+
+
+def _loop_refusal(stacks, n_a, bnum):
+    """The refusal of a coupling more than one block apart, by a loop over every nonzero, or None.
+
+    Each atom's leftmost and rightmost partner at any momentum are listed, the leftmost ones first in atom order,
+    and the first of the pairs the most blocks apart is named.
+    """
+    per_block = n_a // bnum
+    for name, mats in stacks.items():
+        atom = mats[0].shape[-1] // n_a
+        left, right = {}, {}
+        for mat in mats:
+            for i, j in zip(*np.nonzero(mat)):
+                a, b = i // atom, j // atom
+                left[a], right[a] = min(left.get(a, b), b), max(right.get(a, b), b)
+        pairs = [(a, left[a]) for a in sorted(left)] + [(a, right[a]) for a in sorted(right)]
+        apart = [abs(a // per_block - b // per_block) for a, b in pairs]
+        if max(apart, default=0) > 1:
+            a, b = sorted(pairs[apart.index(max(apart))])
+            return f"{name} couples atoms {a} and {b}, {max(apart)} blocks apart: {name} is not block-tridiagonal " \
+                   f"under {bnum} blocks"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rgf_scan_matches_a_loop_over_every_nonzero(seed):
+    # random sparse block-tridiagonal S and H at two momenta, with zero rows and nonzeros at any row and column of an
+    # atom, under bnum 1-4 blocks of atoms of 1-3 rows, and Pi slots on both sides of a block boundary: the one scan
+    # per matrix gives the sub-block count and each momentum's corner that a loop over every nonzero gives
+    rng = np.random.default_rng(seed)
+    bnum, atom, per_block = 1 + seed % 4, 1 + seed // 4 % 3, int(rng.choice([2, 4, 6, 8, 12]))
+    n_a = bnum * per_block
+    n = n_a * atom
+    row, block = np.arange(n), np.arange(n) // (n // bnum)
+    width = int(rng.integers(0, n // bnum + 1))  # how far from the diagonal nonzeros lie, in rows
+
+    def sparse():
+        keep = (np.abs(row[:, None] - row) <= width) & (np.abs(block[:, None] - block) <= 1)
+        keep &= rng.random((n, n)) < 0.3
+        mat = np.where(keep, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0)
+        mat[rng.random(n) < 0.2] = 0  # zero rows
+        return mat
+
+    stacks = {"S": [sparse(), sparse()], "H": [sparse(), sparse()]}
+    atoms = np.arange(n_a)
+    reach = int(rng.integers(1, per_block + 1))
+    partners = np.stack((atoms, atoms - rng.integers(0, reach + 1, n_a), atoms + rng.integers(0, reach + 1, n_a)), 1)
+    partners = np.clip(partners, 0, n_a - 1)
+    if bnum > 1:  # block 1's first atom to block 0's last, and back
+        partners[per_block, 1], partners[per_block - 1, 2] = per_block - 1, per_block
+    for mats in stacks.values():
+        for mat in mats:
+            assert np.array_equal(gf._extents(mat), _loop_extents(mat))
+    scans = {name: [gf._extents(mat) for mat in mats] for name, mats in stacks.items()}
+    reach = int(np.max(np.abs(partners - atoms[:, None])))
+    blocks = gf._rgf_blocks(scans, n_a, bnum, reach)
+    assert blocks == _loop_blocks(stacks, n_a, bnum, reach)
+    index = slot_index(partners, blocks)
+    for k in range(2):
+        mats = [stacks[name][k] for name in ("S", "H")]
+        rows = _loop_depth((pair for mat in mats for pair in zip(*np.nonzero(mat))), n // blocks)
+        slots = _loop_depth(((a, b) for a, b in zip(np.repeat(atoms, 3), partners.ravel())), n_a // blocks)
+        want = max(-(-rows // atom), slots) * atom
+        assert gf._coupling_corner([scans["S"][k], scans["H"][k]], blocks, atom, index.depth) == want
+    if bnum >= 3:  # couplings two blocks apart, from any row of block 0 to any column of block 2, and back
+        far = stacks[str(rng.choice(["S", "H"]))][int(rng.integers(2))]
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = int(rng.integers(n // bnum)), int(rng.integers(2 * n // bnum, 3 * n // bnum))
+            far[i, j] = far[j, i] = 1.0
+        want = _loop_refusal(stacks, n_a, bnum)
+        assert want is not None
+        scans = {name: [gf._extents(mat) for mat in mats] for name, mats in stacks.items()}
+        with pytest.raises(ValueError) as err:
+            gf._rgf_blocks(scans, n_a, bnum, reach)
+        assert str(err.value) == want
 
 
 def test_rgf_single_block_phase_matches_dense():
@@ -730,8 +864,8 @@ def test_rgf_single_block_phase_matches_dense():
     # one block is not cut and both recursions run on it without a coupling corner
     params = TINY.replace(n_A=4, n_B=2, n_orb=2, bnum=1, eta=0.05)
     dev, nmap, grid, pi = _first_pass_pi(params)
-    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, 1) == 1
-    assert gf._rgf_blocks({"Phi": dev.Phi}, params.n_A, 1, nmap.max_reach) == 1
+    assert gf._rgf_blocks(_scans(dev, "S", "H"), params.n_A, 1) == 1
+    assert gf._rgf_blocks(_scans(dev, "Phi"), params.n_A, 1, nmap.max_reach) == 1
     sigma, _ = seeded_self_energies(params, 0.1)
     dense = gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
     rgf = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
@@ -869,19 +1003,20 @@ def test_rgf_gf_phase_transient_memory_at_gf_long_blocks():
 
 
 def test_rgf_builds_one_plan_per_device(monkeypatch):
-    # a 3-iteration loop and one more phase on the same device cut its blocks, derive its corners and cut its
-    # bands as often as one phase does: 2 block cuts, a corner per momentum, S and H bands per k_z, Phi per q_z
+    # a 3-iteration loop and one more phase on the same device scan its matrices, cut its blocks, derive its corners
+    # and cut its bands as often as one phase does: one scan of each S[k_z], H[k_z] and Phi[q_z], 2 block cuts, a
+    # corner per momentum, S and H bands per k_z, Phi per q_z
     params = TINY.replace(eta=0.05)
     dev, nmap = synthesize(params, seed=1)
     sigma, pi = seeded_self_energies(params, 0.1)
     grid = default_grid(params)
-    calls = dict.fromkeys(("_rgf_blocks", "_coupling_corner", "_tridiagonal_band"), 0)
+    calls = dict.fromkeys(("_extents", "_rgf_blocks", "_coupling_corner", "_tridiagonal_band"), 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(gf, name)):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(gf, name, counted)
-    once = {"_rgf_blocks": 2, "_coupling_corner": params.n_kz + params.n_qz,
+    once = {"_extents": 2 * params.n_kz + params.n_qz, "_rgf_blocks": 2, "_coupling_corner": params.n_kz + params.n_qz,
             "_tridiagonal_band": 2 * params.n_kz + params.n_qz}
     result = self_consistent_loop(dev, nmap, params, grid, max_iter=3, tol=-1.0, solver="rgf",
                                   initial_sigma=sigma, initial_pi=pi)
@@ -929,7 +1064,7 @@ def test_rgf_names_the_first_failing_block_before_a_later_singular_one(monkeypat
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     grid, sigma = _blockwise_failures(params, {(2, 3): u @ np.diag([1.0, 1e-15]) @ u.conj().T,
                                                (0, 4): np.zeros((2, 2))})
-    assert gf._rgf_blocks({"S": dev.S, "H": dev.H}, params.n_A, params.bnum) == 4
+    assert gf._rgf_blocks(_scans(dev, "S", "H"), params.n_A, params.bnum) == 4
     chunks = _spy_chunks(monkeypatch)
     point = re.escape(f"electron point (kz=0, iE=2, E={grid.values[2]:g})")
     with pytest.raises(SingularSystemError, match=rf"^RGF forward pass, block 1 \({point}\): solve residual .* too large") as err:
