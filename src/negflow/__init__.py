@@ -21,7 +21,7 @@ from .sse import (
     sse_sigma,
 )
 from .distsim import MessageLedger, run_omen_scheme, run_tiled_scheme
-from .flops import FlopCounter, sse_flops_dace, sse_flops_fully_hoisted, sse_flops_omen
+from .flops import FlopCounter, sse_flops_dace, sse_flops_omen
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "solve_point_dense_diag",
     "solve_point_rgf",
     "sse_flops_dace",
-    "sse_flops_fully_hoisted",
     "sse_flops_omen",
     "sse_pi",
     "sse_sigma",

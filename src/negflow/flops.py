@@ -60,13 +60,3 @@ def sse_flops_dace(params: SimParams) -> int:
     """Flop count after redundancy removal of the momentum/frequency-invariant stage."""
     common = params.n_A * params.n_B * params.n_3D * params.n_kz * params.n_E * params.n_orb**3
     return 32 * common * params.n_qz * params.n_w + 32 * common
-
-
-def sse_flops_fully_hoisted(params: SimParams) -> int:
-    """Flop count with both of Pi's dH G factors hoisted out of the (q, omega) loop.
-
-    Batched-fused Sigma plus the default Pi form: only Sigma's accumulation
-    still scales with N_qz N_w.
-    """
-    common = params.n_A * params.n_B * params.n_3D * params.n_kz * params.n_E * params.n_orb**3
-    return 16 * common * params.n_qz * params.n_w + 48 * common

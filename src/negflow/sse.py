@@ -12,12 +12,12 @@ trace chains of the same blocks over (k_z, E).  Five algorithmically
 equivalent arrangements of the Sigma kernel trace the optimization chain
 from the straightforward map to the batched, fused form (the three middle
 ones share one staged kernel, :func:`_sigma_staged`), and Pi comes in
-three forms that differ in which dH G factors are hoisted.  The default
-forms run in chunks of at most ``BUDGET`` transient bytes, batched-fused
-Sigma over blocks of atoms and the default Pi over (atom, neighbor) pairs,
-and apply the momentum/energy shift to a product rather than to G:
-batched-fused Sigma shifts dHG Xi, the default Pi rolls its trailing factor
-in momentum.  All of them take every shift from one cached plan,
+three forms that differ in which work is hoisted out of the (q_z, omega)
+loop.  The default forms run in chunks of at most ``BUDGET`` transient
+bytes, both over blocks of atoms.  Batched-fused Sigma applies the
+momentum/energy shift to a product (it shifts dHG Xi); the default Pi
+applies both shifts to G, in one window of each atom's G that all its
+neighbors share.  All of them take every shift from one cached plan,
 :func:`_shift_plan`, so they agree by construction on how momentum wraps
 and how off-grid energy offsets drop out.  Both kernels take a (k_z, E)
 point mask, as the distributed ranks use: Sigma is produced, and Pi's
@@ -63,9 +63,9 @@ DEFAULT_VARIANT = SseVariant.BATCHED_FUSED
 DIVERGENCE_PASSES = 3
 
 
-# Transient bytes one chunk of a default kernel may hold: Pi runs as many (atom, neighbor) pairs, and
-# Sigma as many atoms, per chunk as fit (at least one).  Larger chunks save per-call overhead on small
-# orbital blocks, but past about this size the batched GEMMs and gathers slow down (sweep in CHANGES.md).
+# Transient bytes one chunk of a default kernel may hold: each runs as many atoms per chunk as fit (at
+# least one).  Larger chunks save per-call overhead on small orbital blocks, but past about this size the
+# batched GEMMs and gathers slow down (sweep in CHANGES.md).
 BUDGET = 1 << 20
 
 
@@ -253,13 +253,6 @@ def _sigma_staged(variant, g, dc, dh, nmap, grid, counter, atoms: range) -> Gree
     return sigma
 
 
-def _row_slots(rows: Array, n_rows: int) -> Array:
-    """The position in ``rows`` of each of ``n_rows`` grid rows, and of one more; ``rows.size`` where it is absent."""
-    slots = np.full(n_rows + 1, rows.size)
-    slots[rows] = np.arange(rows.size)
-    return slots
-
-
 def _rows_read(index: Array, before: int, n_pad: int, n_e: int, points: Array, every: bool) -> tuple[Array, Array]:
     """The grid rows a default kernel forms, for a padded gather ``index[..., k, E]`` of :func:`_shift_plan`.
 
@@ -278,7 +271,9 @@ def _rows_read(index: Array, before: int, n_pad: int, n_e: int, points: Array, e
     read = np.full(points.size + 1, every)
     read[flat] = True
     rows = np.flatnonzero(read[:-1])
-    return rows, _row_slots(rows, points.size)[flat]
+    slots = np.full(points.size + 1, rows.size)
+    slots[rows] = np.arange(rows.size)
+    return rows, slots[flat]
 
 
 def _take_rows(g_arr: Array, rows: Array, atoms: Array, out: Array) -> None:
@@ -423,87 +418,82 @@ def sse_sigma(
     return sigma
 
 
-def _fully_hoisted_chains(
+def _per_atom_chains(
     g: GreensTensor, dh: Array, nmap: NeighborMap, grid: EnergyGrid, n_qz: int, counter: FlopCounter,
     mask: Array, atoms: range,
 ) -> GreensTensor:
-    """Unweighted [q, w, a, s, i, j] trace chains of ``atoms``, both dH G factors computed once per pair.
+    """Unweighted [q, w, a, s, i, j] trace chains of ``atoms``, from one window of G1 per atom.
 
-    The (atom, neighbor) pairs of ``atoms``, flattened, run in chunks of at
-    most ``BUDGET`` transient bytes.  Per chunk, m1 = dH_i G1[a] and
-    m2 = dH_j G2[b] each take one batched GEMM over the pairs.  Substituting
-    k -> k - q moves the momentum shift onto m2, whose n_qz k-rolled copies
-    stand side by side as GEMM columns; the energy shift stays on m1, since
-    it commutes with left multiplication.  One gather then takes m1's omega
-    windows, one m2's rolled copies, and one batched
-    (3 n_w) x (n_kz n_E n_orb^2) x (n_qz 3) GEMM per pair forms the traces,
-    an orb^2-class step that is not tallied.  m2 is formed at the rows of
-    the point ``mask``, and the traces run over the rows ((k + q) mod n_kz,
-    E) its rolled copies reach.  m1 is formed at the rows
-    :func:`_rows_read` picks for the mask: every row when it holds every
-    point, else the rows the traces' omega windows read.
+    By the cyclic trace, chain = sum_{S,Q} dH_i[S, Q] D[Q, S], where D sums
+    G1[(k + q) mod n_kz, E + off(w), a] m2 over the masked points (k, E) and
+    m2 = dH_j G2[k, E, f(a, s)].  The atoms run in chunks of at most
+    ``BUDGET`` transient bytes.  Per chunk, m2 takes one batched GEMM over
+    the (atom, neighbor) pairs at the masked rows.  Both shifts go onto G1:
+    one gather takes an atom's G1 at the rows :func:`_rows_read` picks for
+    the mask (every row when it holds every point, else the in-grid rows its
+    points read) and a second its window W[(Q, q, w), (t, M)] at every
+    masked point t, one zero row standing in for off-grid energies.  That
+    window serves all the atom's neighbors and (i, j), in one
+    (3 n_B n_orb) x (n_t n_orb) x (n_qz n_w n_orb) GEMM per atom that forms D.
+    The dH_i contraction then takes one (3 x n_orb^2) x (n_orb^2 x 3 n_qz n_w)
+    GEMM per pair, an orb^2-class step that is not tallied.
     """
     n_kz, n_e, n_a, n_orb, _ = g.shape
-    n_b, n_w = nmap.n_B, grid.n_w
-    n_pts, cols, block = n_kz * n_e, 3 * n_orb, n_orb**2
-    # m2 rows: the masked ones, then a zero row; to_m2[q, (k, E)] is the m2 row at [(k - q) mod n_kz, E],
-    # the zero row where that point is not masked
-    to_m2 = _shift_plan(n_kz, n_e, (0,), range(n_qz))[2].reshape(n_qz, -1)
+    n_b, n_qw, block = nmap.n_B, n_qz * grid.n_w, n_orb**2
+    # m2 rows t: the masked points; G1 rows: the rows rule's for the mask, then a zero row, and
+    # windows_at[(q, w), t] is the G1 row at ((k + q) mod n_kz, E + off(w)) of point t
     m2_read = np.flatnonzero(mask)
-    to_m2 = _row_slots(m2_read, n_pts)[to_m2]
-    traced = (to_m2 < m2_read.size).any(axis=0).reshape(n_kz, n_e)  # the trace rows t
-    # roll[(t, P, M), q] is the entry of m2, laid out as rows [row, P, M], that trace row t takes for q
-    roll = (to_m2[:, traced.reshape(-1)].T[:, None] * block + np.arange(block)[:, None]).reshape(-1, n_qz)
-    # m1 rows: the rows rule's, keyed on the call's mask (a partial mask may trace every row), then a zero
-    # row; windows_at[w, t] is the m1 row at [t + off(w)]
-    before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), (0,))
-    m1_read, windows_at = _rows_read(shift[0], before, n_pad, n_e, traced, mask.all())
-    n_t, n_m1, n_m2 = windows_at.shape[1], m1_read.size, m2_read.size
-    chains = GreensTensor.zeros((n_qz, n_w, n_a, n_b, 3, 3))
-    pairs = range(atoms.start * n_b, atoms.stop * n_b)  # p = a n_B + s
-    # per-chunk buffers, reused across chunks and both chains; per pair, its G (as taken, then as GEMM
-    # rows) and later the omega windows and rolled m2 share one: the G is dead once m1 and m2 are formed.
-    # The gather of G's rows builds an int64 index unless it takes every row.
-    g_size = max(n_m1, n_m2) * block
-    per_pair = max(2 * g_size, 3 * (n_w + n_qz) * n_t * block)
-    rows_size = 3 * (2 * n_m1 + n_m2 + 2) * block  # m1, padded m1 and m2
-    taken = -(-max(n_m1, n_m2) // 2)
-    chunk = _chunk(per_pair + rows_size + taken + 2 * cols * n_orb + 9 * n_w * n_qz, len(pairs))
-    scratch = np.empty(chunk * per_pair, dtype=np.complex128)
-    m1 = np.empty((chunk, n_m1, n_orb, 3, n_orb), dtype=np.complex128)
-    m2 = np.zeros((chunk, (n_m2 + 1) * block, 3), dtype=np.complex128)
-    padded = np.zeros((chunk, 3, n_m1 + 1, n_orb, n_orb), dtype=np.complex128)  # m1 as the windows read it
-    traces = np.empty((chunk, 3, n_w, n_qz, 3), dtype=np.complex128)
-    dh_pairs = dh.reshape(-1, 3, n_orb, n_orb)
-    for lo in range(pairs.start, pairs.stop, chunk):
-        hi = min(lo + chunk, pairs.stop)
+    before, n_pad, shift = _shift_plan(n_kz, n_e, tuple(-off for off in grid.offsets), range(0, -n_qz, -1))
+    g1_read, windows_at = _rows_read(shift, before, n_pad, n_e, mask, mask.all())
+    n_t, n_g1 = m2_read.size, g1_read.size
+    windows_at = windows_at.reshape(n_qw, n_t)
+    # per-chunk buffers, reused across chunks and both chains.  Per atom, the first region holds its
+    # neighbors' G2 as taken, then m2 as formed, then its G1 as taken and its window; the second holds
+    # G2 as GEMM rows, then m2 as the trace GEMM reads it.  The gathers of G's rows build an int64 index
+    # unless they take every row, and m2's GEMM columns are a copy of dH.
+    slab = n_b * n_t * block  # one atom's neighbors' G2 at the masked rows
+    first, second = max(3 * slab, (n_g1 + n_qw * n_t) * block), 3 * slab
+    taken = -(-max(n_b * n_t, n_g1) // 2)
+    d_size = 3 * n_b * block * n_qw
+    chunk = _chunk(first + second + (n_g1 + 1) * block + 2 * d_size + 9 * n_b * n_qw + 3 * n_b * block + taken, len(atoms))
+    scratch = np.empty(chunk * (first + second), dtype=np.complex128)
+    g1_cols = np.zeros((chunk, n_orb, n_g1 + 1, n_orb), dtype=np.complex128)  # [a, Q, row, M], the zero row last
+    d = np.empty((chunk, n_b, 3, n_orb, n_orb * n_qw), dtype=np.complex128)  # D^T [a, s, j, S, (Q, q, w)]
+    d_pairs = np.empty((chunk, n_b, block, 3 * n_qw), dtype=np.complex128)  # [a, s, (S, Q), (j, q, w)]
+    traces = np.empty((chunk, n_b, 3, 3, n_qw), dtype=np.complex128)
+    dh_rows = dh.reshape(-1, n_b, 3, block)  # [a, s, i, (S, Q)]
+    chains = GreensTensor.zeros((n_qz, grid.n_w, n_a, n_b, 3, 3))
+    for lo in range(atoms.start, atoms.stop, chunk):
+        hi = min(lo + chunk, atoms.stop)
         u = hi - lo
-        m1_cols = dh_pairs[lo:hi].transpose(0, 3, 1, 2).reshape(u, n_orb, cols)  # [p, Q, (i, P)] = dH[p, i][P, Q]
-        m2_cols = dh_pairs[lo:hi].transpose(0, 3, 2, 1).reshape(u, n_orb, cols)  # [p, Q, (M, j)] = dH[p, j][M, Q]
-        own, neighbors = np.arange(lo, hi) // n_b, nmap.idx.reshape(-1)[lo:hi]  # a and f(a, s) of each pair
-        windows = _carve(scratch, 0, (u, 3) + windows_at.shape + (n_orb, n_orb))
-        rolled = _carve(scratch, u * 3 * n_w * n_t * block, (u,) + roll.shape + (3,))
-        # per factor: its rows and atoms, dH as GEMM columns, its GEMM output, and its G as taken and as GEMM
-        # rows; m1[p, row, M, i, P] = (dH[a, s, i] G1[row, a])[P, M], m2[p, (row, P, M), j] = (dH[a, s, j] G2[row, f(a, s)])[M, P]
-        factors = []
-        for read, atom, dh_cols, dest in ((m1_read, own, m1_cols, m1[:u]), (m2_read, neighbors, m2_cols, m2[:u, : n_m2 * block])):
-            g_nb = _carve(scratch, 0, (read.size, u, n_orb, n_orb))
-            g_rows = _carve(scratch, u * g_size, (u, read.size, n_orb, n_orb))
-            factors.append((read, atom, dh_cols, dest.reshape(u, read.size * n_orb, cols), g_nb, g_rows))
+        g2_nb = _carve(scratch, 0, (n_t, u, n_b, n_orb, n_orb))
+        formed = _carve(scratch, 0, (u, n_b, n_orb, n_t, 3, n_orb))  # [a, s, S, t, j, M]
+        g1_nb = _carve(scratch, 0, (n_g1, u, n_orb, n_orb))
+        windows = _carve(scratch, g1_nb.size, (u, n_orb, n_qw, n_t, n_orb))  # [a, Q, (q, w), t, M]
+        g2_rows = _carve(scratch, u * first, (u, n_b, n_orb, n_t, n_orb))  # [a, s, S, t, N]
+        m2 = _carve(scratch, u * first, (u, n_b, 3, n_orb, n_t, n_orb))  # [a, s, j, S, t, M]
+        m2_cols = dh[lo:hi].transpose(0, 1, 4, 2, 3).reshape(u, n_b, n_orb, 3 * n_orb)  # [a, s, N, (j, M)]
         # the greater chain's first factor is the greater G, its trailing one the lesser G, and vice versa
         for g1_arr, g2_arr, out in zip(g.data[::-1], g.data, chains.data[::-1]):
-            for g_arr, (read, atom, dh_cols, dest, g_nb, g_rows) in zip((g1_arr, g2_arr), factors):
-                _take_rows(g_arr, read, atom, g_nb)
-                np.copyto(g_rows, g_nb.transpose(1, 0, 3, 2))
-                np.matmul(g_rows.reshape(u, -1, n_orb), dh_cols, out=dest)
-            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_m1 * 3 * u, stage="pi.m1")
-            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_m2 * 3 * u, stage="pi.m2")
-            # windows [p, i, w, (t, P, M)] hold m1 at [t + off(w)]; rolled [p, (t, P, M), q, j] holds m2 at t - q
-            np.copyto(padded[:u, :, :n_m1], m1[:u].transpose(0, 3, 1, 4, 2))
-            np.take(padded[:u].reshape(u, 3, -1, n_orb, n_orb), windows_at, axis=2, out=windows, mode="clip")
-            np.take(m2[:u], roll, axis=1, out=rolled, mode="clip")
-            np.matmul(windows.reshape(u, 3 * n_w, -1), rolled.reshape(u, -1, n_qz * 3), out=traces[:u].reshape(u, 3 * n_w, -1))
-            np.copyto(out.reshape(n_qz, n_w, -1, 3, 3)[:, :, lo:hi], traces[:u].transpose(3, 2, 0, 1, 4))
+            # m2[a, s, j, S, t, M] = (dH[a, s, j] G2[t, f(a, s)])[M, S]
+            _take_rows(g2_arr, m2_read, nmap.idx[lo:hi], g2_nb)
+            np.copyto(g2_rows, g2_nb.transpose(1, 2, 4, 0, 3))
+            np.matmul(g2_rows.reshape(u, n_b, -1, n_orb), m2_cols, out=formed.reshape(u, n_b, -1, 3 * n_orb))
+            np.copyto(m2, formed.transpose(0, 1, 4, 2, 3, 5))
+            # windows[a, Q, (q, w), t, M] = G1[(k + q) mod n_kz, E + off(w), a][Q, M] at point t
+            _take_rows(g1_arr, g1_read, np.arange(lo, hi), g1_nb)
+            np.copyto(g1_cols[:u, :, :n_g1], g1_nb.transpose(1, 2, 0, 3))
+            np.take(g1_cols[:u], windows_at, axis=2, out=windows, mode="clip")
+            # D^T[a, (s, j, S), (Q, q, w)] = sum_{t, M} m2[a, s, j, S, t, M] windows[a, Q, (q, w), t, M]
+            np.matmul(m2.reshape(u, 3 * n_b * n_orb, -1), windows.reshape(u, n_orb * n_qw, -1).transpose(0, 2, 1),
+                      out=d[:u].reshape(u, 3 * n_b * n_orb, -1))
+            counter.add_matmul(n_orb, n_orb, n_orb, repeat=n_t * 3 * n_b * u, stage="pi.m2")
+            counter.add_matmul(3 * n_b * n_orb, n_t * n_orb, n_qw * n_orb, repeat=u, stage="pi.trace")
+            # traces[a, s, i, j, (q, w)] = sum_{S, Q} dH[a, s, i][S, Q] D^T[a, s, j, S, Q, (q, w)]
+            np.copyto(d_pairs[:u].reshape(u, n_b, n_orb, n_orb, 3, n_qw),
+                      d[:u].reshape(u, n_b, 3, n_orb, n_orb, n_qw).transpose(0, 1, 3, 4, 2, 5))
+            np.matmul(dh_rows[lo:hi], d_pairs[:u], out=traces[:u].reshape(u, n_b, 3, -1))
+            np.copyto(out.reshape(n_qw, n_a, n_b, 3, 3)[:, lo:hi], traces[:u].transpose(4, 0, 1, 2, 3))
     return chains
 
 
@@ -531,10 +521,11 @@ def sse_pi_chains(
     ``False`` recomputes both dH G factors for every (q, omega), the
     arrangement of the straightforward flop model.  ``True`` computes the
     momentum/frequency-independent dH_j G factor once per (a,b), the
-    arrangement of the reduced model.  The default ``None`` hoists the first
-    factor as well (:func:`_fully_hoisted_chains`), the arrangement of
-    :func:`negflow.flops.sse_flops_fully_hoisted`.  ``counter`` tallies
-    the GEMMs; a new one is used when none is given.
+    arrangement of the reduced model.  The default ``None``
+    (:func:`_per_atom_chains`) forms no dH_i G factor: it contracts one
+    window of G1 per atom with dH_j G2 in one GEMM, then with dH_i, and
+    tallies the reduced model's Pi count.  ``counter`` tallies the GEMMs; a
+    new one is used when none is given.
     """
     if g.kind != "electron":
         raise ValueError("sse_pi_chains expects the electron Green's tensor")
@@ -544,7 +535,7 @@ def sse_pi_chains(
     atoms = _atom_range(atom_range, nmap, n_a)
     mask = _point_mask(point_mask, (n_kz, n_e))
     if hoist_invariant is None:
-        chains = _fully_hoisted_chains(g, dh, nmap, grid, n_qz, counter, mask, atoms)
+        chains = _per_atom_chains(g, dh, nmap, grid, n_qz, counter, mask, atoms)
     else:
         chains = GreensTensor.zeros((n_qz, n_w, n_a, nmap.n_B, 3, 3))
         for a, s in product(atoms, range(nmap.n_B)):
@@ -648,7 +639,7 @@ def self_consistent_loop(
     loop as non-converged and ``diverged``.  The retarded inputs of
     every GF pass are derived from the lesser/greater pair.  Sigma runs in
     ``variant`` (by default the batched-fused arrangement, the fastest that
-    passes the equivalence tests) and Pi in its default, fully hoisted form.
+    passes the equivalence tests) and Pi in its default, per-atom form.
     """
     grid = grid if grid is not None else default_grid(params)
     sigma = initial_sigma if initial_sigma is not None else GreensTensor.zeros(params.electron_shape)

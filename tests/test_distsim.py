@@ -250,8 +250,8 @@ def test_omen_ranks_see_only_the_energy_hull_of_their_points(monkeypatch, proces
 def test_omen_ranks_form_their_factors_only_at_the_rows_their_points_read(monkeypatch):
     # At P=8 each omen rank owns 6 of the 48 (k, E) points, on an energy hull of 10 to 16 energies at
     # every k.  Its Sigma stage 1 forms dH G only at the rows ((k - q) mod n_kz, E - off) its points
-    # read, its Pi m1 only at the (k + q, E + off) its traces read, and m2 at its own points: 128, 128
-    # and 48 rows over the 8 ranks, where a whole hull is 312.
+    # read, and its Pi forms m2 and runs its trace GEMM at its own points only: 128 and 48 rows over
+    # the 8 ranks, where a whole hull is 312.
     grid, dev, nmap, g, d = _instance(17, P8)
     ref_sigma, ref_pi = _reference(P8, grid, dev, nmap, g, d)
     counter = FlopCounter()
@@ -263,10 +263,27 @@ def test_omen_ranks_form_their_factors_only_at_the_rows_their_points_read(monkey
     assert _rel_dev(pi, ref_pi) <= 1e-10
     row = 2 * P8.n_A * P8.n_B * 3 * P8.n_orb**3  # one row of a dH G stage: both tensors, every pair, 3 directions
     assert counter.stages == {"sigma.dhg": 128 * row, "sigma.accumulate": 128 * row * P8.n_qz * P8.n_w,
-                              "pi.m1": 128 * row, "pi.m2": 48 * row}
+                              "pi.m2": 48 * row, "pi.trace": 48 * row * P8.n_qz * P8.n_w}
     sigma, pi, _ = run_tiled_scheme(g, d, dev.dH, nmap, grid, P8, 2, 4)
     assert _rel_dev(sigma, ref_sigma) <= 1e-10
     assert _rel_dev(pi, ref_pi) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme, partition", [("omen", (1,)), ("omen", (2,)), ("omen", (4,)), ("omen", (8,)),
+                                               ("tiled", (2, 4)), ("tiled", (4, 2))],
+                         ids=["omen-1", "omen-2", "omen-4", "omen-8", "tiled-2x4", "tiled-4x2"])
+def test_ranks_sum_to_one_single_node_pi_pass(monkeypatch, scheme, partition):
+    # A rank's Pi forms m2 and runs its trace GEMM only at its owned (k, E) points and atoms, and the
+    # ranks' owned points times atoms partition the grid, so their summed Pi tally is one single-node pass
+    grid, dev, nmap, g, d = _instance(18, P8)
+    single = FlopCounter()
+    sse_pi(g, dev.dH, nmap, grid, P8.n_qz, counter=single)
+    counter = FlopCounter()
+    kernel = distsim.sse_pi_chains
+    monkeypatch.setattr(distsim, "sse_pi_chains", lambda *args, **kwargs: kernel(*args, counter=counter, **kwargs))
+    run = run_omen_scheme if scheme == "omen" else run_tiled_scheme
+    run(g, d, dev.dH, nmap, grid, P8, *partition)
+    assert counter.stages == single.stages
 
 
 def test_idle_ranks_run_no_kernel(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from negflow.device import NeighborMap, build_neighbor_map, synthesize
 from negflow.distsim import run_omen_scheme, run_tiled_scheme
-from negflow.flops import FlopCounter, sse_flops_fully_hoisted
+from negflow.flops import FlopCounter, sse_flops_dace
 from negflow.gf import SOLVERS, GreensTensor, gf_phase
 from negflow.params import EnergyGrid, SimParams, default_grid
 from negflow import sse
@@ -386,22 +386,25 @@ def _stage_cmuladds(params, n_atoms, points=None):
 
 
 def _masked_rows(params, grid, mask):
-    """The (k_z, E) rows a masked default-kernel call forms its factors at: Sigma's stage 1, Pi's m1 and m2.
+    """The (k_z, E) rows a masked default-kernel call runs its GEMMs at: Sigma's stages, and Pi's m2 and trace.
 
     Sigma reads ((k - q) mod n_kz, E - off) of each masked point; Pi forms m2
-    at the masked points, traces over their ((k + q) mod n_kz, E), and forms
-    m1 at the in-grid (k, E + off) of those.  A mask of every point (or none)
-    forms every row.
+    at the masked points and its trace GEMM runs over them.  A mask of every
+    point (or none) forms every row.
     """
     n_kz, n_e = params.n_kz, params.n_E
     if mask is None or mask.all():
-        return {"sigma": n_kz * n_e, "pi.m1": n_kz * n_e, "pi.m2": n_kz * n_e}
+        return {"sigma": n_kz * n_e, "pi": n_kz * n_e}
     owned = list(zip(*np.nonzero(mask)))
     momenta, offsets = range(params.n_qz), grid.offsets
     read = {((k - q) % n_kz, e - off) for k, e in owned for q in momenta for off in offsets if 0 <= e - off < n_e}
-    traced = {((k + q) % n_kz, e) for k, e in owned for q in momenta}
-    m1 = {(k, e + off) for k, e in traced for off in offsets if 0 <= e + off < n_e}
-    return {"sigma": len(read), "pi.m1": len(m1), "pi.m2": len(owned)}
+    return {"sigma": len(read), "pi": len(owned)}
+
+
+def _pi_stages(params, n_atoms, points=None):
+    """Closed form of the default Pi's tally over both tensors: m2 is one dH G stage, the trace n_qz n_w of them."""
+    m2 = 2 * _stage_cmuladds(params, n_atoms, points)
+    return {"pi.m2": m2, "pi.trace": m2 * params.n_qz * params.n_w}
 
 
 @pytest.mark.parametrize("shape", list(EDGE_SHAPES))
@@ -437,15 +440,17 @@ P8 = SimParams(n_kz=3, n_qz=2, n_E=16, n_w=4, n_A=32, n_B=4, n_orb=2, bnum=4)
 
 
 def test_default_kernels_transient_memory_is_bounded():
-    # At this shape one (atom, neighbor) pair of Pi, and one atom of Sigma, holds more than half of
-    # sse.BUDGET, so both kernels run one unit per chunk (pinned by the next test), and each call holds
-    # at most
+    # At this shape one atom of either default kernel holds more than half of sse.BUDGET, so both run
+    # one atom per chunk (pinned by the next test), and each call holds at most
     #     2 W + 3 A  bytes
-    # above its outputs (tracemalloc peak less what the call still holds), with
-    #     W = 3 n_w n_kz n_E n_orb^2 complex: one pair's omega-window stack of a dH G factor,
-    #     A = 3 n_B n_kz n_E n_orb^2 complex: one atom's dH G factor over all its neighbors.
-    # One unit per chunk fits; batching over atoms (n_A A), over every neighbor's windows (n_B W) or over
-    # every neighbor's k-rolled Pi factor (n_qz A) does not.
+    # above its outputs (tracemalloc peak less what the call still holds), with, in slabs of
+    # n_kz n_E n_orb^2 complex,
+    #     W = 3 n_w slabs: three omega windows of one G block, 12 slabs here,
+    #     A = 3 n_B slabs: one atom's dH G factor over all its neighbors, 12 slabs here.
+    # A Pi atom holds its m2 twice (2 A: as formed and as the trace GEMM reads it), and in the region
+    # of the first its G1 (1 slab) and its n_qz n_w-slab window; with its D and index that is about
+    # 27.4 of the bound's 60 slabs.  A Sigma atom holds about 26.  One atom per chunk fits; batching
+    # over the n_A atoms does not.
     params = SimParams(n_kz=3, n_qz=2, n_E=32, n_w=4, n_A=8, n_B=4, n_orb=4, bnum=2)
     _, grid, nmap, g, d, dh = _instance(40, params)
     dc = preprocess_D(d, nmap)
@@ -467,7 +472,8 @@ def test_default_kernels_transient_memory_is_bounded():
 
 
 def test_default_kernel_chunk_lengths(monkeypatch):
-    # one unit per chunk at the shape of the 2 W + 3 A bound above; several on distsim-p8's small blocks
+    # one atom per chunk at the shape of the 2 W + 3 A bound above; several (Pi 10, Sigma 11) on
+    # distsim-p8's small blocks
     memory_shape = SimParams(n_kz=3, n_qz=2, n_E=32, n_w=4, n_A=8, n_B=4, n_orb=4, bnum=2)
     seen = _spy_chunks(monkeypatch)
     for params, fits in ((memory_shape, lambda length: length == 1), (P8, lambda length: length >= 4)):
@@ -479,8 +485,8 @@ def test_default_kernel_chunk_lengths(monkeypatch):
 
 
 def test_default_kernels_transient_memory_at_a_chunked_shape():
-    # At the distsim-p8 shape several units fit sse.BUDGET (pinned above), masked or not; a chunk's
-    # length times its per-unit bytes is at most BUDGET, so each call holds at most
+    # At the distsim-p8 shape several atoms fit sse.BUDGET (pinned above), masked or not; a chunk's
+    # length times its per-atom bytes is at most BUDGET, so each call holds at most
     #     BUDGET + SLACK  bytes
     # above its outputs.  SLACK covers what does not scale with the chunk: the call's gather plans and
     # dH layouts (about 25 KiB here) and the buffers numpy's broadcast ufunc loops allocate, at most
@@ -511,9 +517,9 @@ def test_default_kernels_transient_memory_at_a_chunked_shape():
 
 @pytest.mark.parametrize("ranged", [False, True])
 def test_chunk_boundaries_are_value_neutral(monkeypatch, ranged):
-    # The default kernels at one unit per chunk, at 5 units (dividing neither the atoms nor their
-    # (atom, neighbor) pairs, so the last chunk is short) and at every unit in one chunk; ranged, with
-    # the atom range and (k_z, E) point mask of a tiled distsim rank.
+    # The default kernels at one atom per chunk, at 5 atoms (dividing neither the 32 atoms nor the
+    # ranged 26, so the last chunk is short) and at every atom in one chunk; ranged, with the atom
+    # range and (k_z, E) point mask of a tiled distsim rank.
     params, grid, nmap, g, d, dh = _instance(42, P8)
     dc = preprocess_D(d, nmap)
     atom_range = mask = None
@@ -524,14 +530,13 @@ def test_chunk_boundaries_are_value_neutral(monkeypatch, ranged):
     kernels = {
         "sigma": (n_atoms, lambda counter: sse_sigma(
             sse.DEFAULT_VARIANT, g, dc, dh, nmap, grid, counter=counter, atom_range=atom_range, point_mask=mask)),
-        "pi": (n_atoms * params.n_B, lambda counter: sse_pi_chains(
+        "pi": (n_atoms, lambda counter: sse_pi_chains(
             g, dh, nmap, grid, params.n_qz, counter=counter, point_mask=mask, atom_range=atom_range)),
     }
     rows = _masked_rows(params, grid, mask)
     sigma_rows = _stage_cmuladds(params, n_atoms, rows["sigma"])
     closed = {"sigma.dhg": 2 * sigma_rows, "sigma.accumulate": 2 * sigma_rows * params.n_qz * params.n_w,
-              "pi.m1": 2 * _stage_cmuladds(params, n_atoms, rows["pi.m1"]),
-              "pi.m2": 2 * _stage_cmuladds(params, n_atoms, rows["pi.m2"])}
+              **_pi_stages(params, n_atoms, rows["pi"])}
     seen = _spy_chunks(monkeypatch)
     units, outs = {}, {}
     for chunking in ("one", "tail", "all"):
@@ -547,7 +552,7 @@ def test_chunk_boundaries_are_value_neutral(monkeypatch, ranged):
             outs[chunking, name] = (out.lesser, out.greater)
         assert counter.stages == closed, chunking
         if not ranged:
-            assert counter.flops() == sse_flops_fully_hoisted(params)
+            assert counter.flops() == sse_flops_dace(params)
     for (chunking, name), pair in outs.items():
         for got, want in zip(pair, outs["one", name]):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (chunking, name)
@@ -686,12 +691,11 @@ def test_default_pi_matches_unhoisted(seed, shape):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), kwargs
         lo, hi = kwargs.get("atom_range", (0, params.n_A))
         rows = _masked_rows(params, grid, kwargs.get("point_mask"))
-        assert counter.stages == {stage: 2 * _stage_cmuladds(params, hi - lo, rows[stage])
-                                  for stage in ("pi.m1", "pi.m2")}, kwargs
+        assert counter.stages == _pi_stages(params, hi - lo, rows["pi"]), kwargs
 
 
 def test_default_pi_point_masks_match_unhoisted():
-    # and tallies m1 and m2 at exactly the rows the masked points read; under the mask of every point it
+    # and tallies m2 and the trace at exactly the masked rows; under the mask of every point it
     # returns the unmasked call's bits
     params, grid, nmap, g, _, dh = _instance(35, MASKED)
     for atom_range in (None, (1, 4)):
@@ -709,8 +713,7 @@ def test_default_pi_point_masks_match_unhoisted():
             if not mask.any():
                 assert not np.any(default.data), (name, atom_range)
             rows = _masked_rows(params, grid, mask)
-            assert counter.stages == {stage: 2 * _stage_cmuladds(params, hi - lo, rows[stage])
-                                      for stage in ("pi.m1", "pi.m2")}, (name, atom_range)
+            assert counter.stages == _pi_stages(params, hi - lo, rows["pi"]), (name, atom_range)
 
 
 def test_reference_dhg_counter_is_qw_multiple_of_batched():
