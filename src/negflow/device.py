@@ -144,19 +144,24 @@ def _expand_mask(mask: Array, block: int) -> Array:
     return np.kron(mask, np.ones((block, block), dtype=bool))
 
 
-def _random_hermitian(rng: np.random.Generator, n: int) -> Array:
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (x + x.conj().T) / 2.0
-
-
 def _decay_profile(n_A: int, block: int) -> Array:
     a = np.arange(n_A)
     decay = 1.0 / (1.0 + np.abs(a[:, None] - a[None, :]) ** 2)
     return np.kron(decay, np.ones((block, block)))
 
 
-def _spectral_radius(h: Array) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+def _random_coupling(rng: np.random.Generator, mask: Array, profile: Array | None, radius: float) -> Array:
+    """A random Hermitian matrix times ``profile`` (if given), zero outside ``mask``, scaled to spectral ``radius``."""
+    n = mask.shape[0]
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = (x + x.conj().T) / 2.0
+    if profile is not None:
+        x *= profile
+    x[~mask] = 0.0
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(x))))
+    if norm > 0:
+        x *= radius / norm
+    return x
 
 
 def synthesize(params: SimParams, seed: int, coupling: float = 0.05) -> tuple[DeviceMatrices, NeighborMap]:
@@ -177,35 +182,17 @@ def synthesize(params: SimParams, seed: int, coupling: float = 0.05) -> tuple[De
     n_e = n_a * n_orb
     h = np.empty((params.n_kz, n_e, n_e), dtype=np.complex128)
     s = np.empty_like(h)
-    for k in range(params.n_kz):
-        hk = _random_hermitian(rng, n_e) * e_decay
-        hk[~e_mask] = 0.0
-        radius = _spectral_radius(hk)
-        if radius > 0:
-            hk *= 0.8 / radius
-        h[k] = hk
-
-        pk = _random_hermitian(rng, n_e)
-        pk[~e_mask] = 0.0
-        norm = _spectral_radius(pk)
-        if norm > 0:
-            pk *= 0.4 / norm
-        s[k] = np.eye(n_e) + pk
+    for k in range(params.n_kz):  # H, then S's perturbation, per k_z: the draw order the seed fixes
+        h[k] = _random_coupling(rng, e_mask, e_decay, 0.8)
+        s[k] = np.eye(n_e) + _random_coupling(rng, e_mask, None, 0.4)
 
     ph_mask = _expand_mask(mask, n_3d)
     ph_decay = _decay_profile(n_a, n_3d)
-    n_ph = n_a * n_3d
     # Lowest phonon frequency under the default grid convention (one step).
     omega_min = 2.0 / max(params.n_E - 1, 1)
-    phi_cap = 0.5 * omega_min**2
-    phi = np.empty((params.n_qz, n_ph, n_ph), dtype=np.complex128)
+    phi = np.empty((params.n_qz, n_a * n_3d, n_a * n_3d), dtype=np.complex128)
     for q in range(params.n_qz):
-        pq = _random_hermitian(rng, n_ph) * ph_decay
-        pq[~ph_mask] = 0.0
-        radius = _spectral_radius(pq)
-        if radius > 0:
-            pq *= phi_cap / radius
-        phi[q] = pq
+        phi[q] = _random_coupling(rng, ph_mask, ph_decay, 0.5 * omega_min**2)
 
     dh = coupling * (
         rng.standard_normal((n_a, params.n_B, n_3d, n_orb, n_orb))

@@ -33,16 +33,16 @@ three point solves form nothing else:
   momentum and plan (``_coupling_corner``).  The band
   (``_tridiagonal_band``) holds, per block, the diagonal block and the c
   columns on either side that hold the corners, and every product with a
-  coupling block runs on its corner.  Sigma's atom blocks stay the source,
-  and the recursion forms g_i Sigma_i over them; Pi's slots go into a source
-  band of the same corner, so the recursion also forms the corners of
-  D^<>'s neighbor blocks, where its slots across a block boundary lie.
-  ``gf_phase`` passes the RGF points of one momentum in chunks, a leading
-  batch axis sized by ``RGF_BUDGET``, and the recursion works in the
-  chunk's band (and phonon source band); the chunk's G^<> blocks are copied
-  from the recursion's straight into the output.  A gf-long phonon chunk of two
-  points takes about 6 ms (8 ms over ``bnum``'s blocks, side by side),
-  against 58 ms for one dense point (one BLAS thread).
+  coupling block runs on its corner.  Both kinds' slots go into a zero
+  source by one rule (``_rgf_source``) and are picked back out of it:
+  Sigma's atom blocks into the diagonal blocks alone, and Pi's slots, some
+  across a block boundary, into a band of the same corner, so the
+  recursion also forms the corners of D^<>'s neighbor blocks where they
+  lie.  ``gf_phase`` passes the RGF points of one momentum in chunks, a
+  leading batch axis sized by ``RGF_BUDGET`` by the same rule, and the
+  recursion works in the chunk's band and source.  A gf-long phonon chunk
+  of two points takes about 6 ms (8 ms over ``bnum``'s blocks, side by
+  side), against 58 ms for one dense point (one BLAS thread).
 
 ``solve_point_dense``, the electron oracle, keeps its own assembly: one
 n x n solve and two full n^3 triple products.
@@ -65,6 +65,7 @@ chunk's blocks in one check after its forward sweep.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -79,7 +80,7 @@ Array = np.ndarray
 _RESIDUAL_LIMIT = 1e-8
 
 SOLVERS = ("dense", "rgf")
-# Bytes one chunk of RGF points holds (gf_phase): its bands, and G^<>'s diagonal blocks or the phonon source bands.
+# Bytes one chunk of RGF points holds (gf_phase): its bands and its lesser/greater sources (_rgf_source).
 RGF_BUDGET = 3 << 20
 # The fewest rows of a block the RGF recursion is cut to (_rgf_blocks): thinner blocks cost more numpy calls
 # than the flops they save (gf_phase on gf-long: 0.20 s at 4 rows, 0.15-0.16 s at 8, 0.27 s at 32; CHANGES.md).
@@ -265,19 +266,27 @@ def add_slots(target: Array, slots: Array, index: SlotIndex) -> Array:
     """Add ``slots`` [..., n_A, S, m, m] onto their blocks of ``target``, in place; returns ``target``.
 
     A block that two slots share (a chain end lists a neighbor twice) gets
-    only the last of them: numpy applies repeated fancy-index writes in
-    order, though it does not promise to.  This line is the one place the
-    duplicate rule lives (ROADMAP item 1 (d)).
+    only the last of them, here and in ``place_slots``: both write through
+    one fancy index of ``_slot_blocks``, and numpy applies repeated
+    fancy-index writes in order, though it does not promise to.  These two
+    writes are where the duplicate rule lives (ROADMAP item 1 (d)).
     """
     blocks, rows, cols = _slot_blocks(target, index)
     blocks[..., rows, cols, :, :] += slots
     return target
 
 
-def place_slots(slots: Array, index: SlotIndex) -> Array:
-    """``slots`` [..., n_A, S, m, m] in a zero full matrix [..., n, n]."""
+def place_slots(slots: Array, index: SlotIndex, shape: tuple[int, ...] | None = None) -> Array:
+    """``slots`` [..., n_A, S, m, m] written into a new zero target: a band of ``shape``, or the full matrix [..., n, n].
+
+    They land as ``add_slots`` adds them, but writing gathers no copy of the
+    zeros first, as an add onto them would.
+    """
     n = slots.shape[-4] * slots.shape[-1]
-    return add_slots(np.zeros((*slots.shape[:-4], n, n), np.complex128), slots, index)
+    target = np.zeros(shape or (*slots.shape[:-4], n, n), np.complex128)
+    blocks, rows, cols = _slot_blocks(target, index)
+    blocks[..., rows, cols, :, :] = slots
+    return target
 
 
 def pick_slots(target: Array, index: SlotIndex) -> Array:
@@ -522,20 +531,30 @@ def _rgf_blocks(extents: dict[str, Sequence[Array]], n_a: int, bnum: int, reach:
     return n_a // r
 
 
+def _rgf_source(band_shape: tuple[int, ...], index: SlotIndex) -> tuple[int, ...]:
+    """The shape of one tensor of the RGF source that ``index``'s slots go into, over bands of ``band_shape``.
+
+    The band's own shape when a slot lies across a block boundary
+    (``index.depth > 0``: Pi's), else its diagonal blocks ``[..., blocks, m,
+    m]`` (Sigma's).  ``solve_point_rgf`` builds and ``gf_phase`` sizes by it.
+    """
+    return band_shape if index.depth else (*band_shape[:-1], band_shape[-2])
+
+
 def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array]:
     """One forward/backward recursion over the blocks of ``a X = I`` with source ``X Q X^T``, for P points at once.
 
     ``a`` stacks the points' bands ``[P, bnum, m, c + m + c]`` of one corner
     c (``_tridiagonal_band``): every coupling block of ``a`` and ``q`` is zero
     outside its c x c corner, and the recursion reads nothing else of it.
-    ``contexts`` names each point.  ``q`` stacks the lesser/greater source:
-    Sigma's atom blocks ``[2, P, bnum, k, o, o]`` (electrons; k o = m, atom j
-    of a block on its diagonal), or a band ``[2, P, bnum, m, c + m + c]``
-    (phonons) that holds Pi's blocks on and across the block boundaries.  The
-    forward sweep builds the left-connected blocks g_i and their lesser/greater
-    XL_i by Schur complements; the backward sweep, with W = g_i U_i, forms the
-    diagonal blocks of X and of X Q X^T, and for a band source also the
-    corners of its neighbor blocks.
+    ``contexts`` names each point.  ``q`` stacks the lesser/greater source
+    (``_rgf_source``): its diagonal blocks ``[2, P, bnum, m, m]``, or a band
+    ``[2, P, bnum, m, c + m + c]`` that also holds blocks across the block
+    boundaries.  The forward sweep builds the left-connected blocks g_i and
+    their lesser/greater XL_i = g_i (Q_i + inflow) g_i^T by Schur
+    complements; the backward sweep, with W = g_i U_i, forms the diagonal
+    blocks of X and of X Q X^T, and for a band source also the corners of
+    its neighbor blocks.
 
     Every block solve is residual-checked at every point, as ``_solve_system``
     checks, but in one check after the forward sweep: each block's residual
@@ -547,18 +566,15 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
 
     Each product with a coupling block runs on its corner: the Schur
     complement and the inflow change only a c x c corner of block i, and W,
-    G_{i+1} D_{i+1} and their product keep c columns.  Electrons form
-    g_i Sigma_i over Sigma's o x o blocks and add the inflow's corner, so a
-    block costs its solve, its residual check and one m^3 product per tensor,
-    and O(m^2 (o + c)) besides; a phonon block forms g_i Q_i g_i^T whole.
+    G_{i+1} D_{i+1} and their product keep c columns.  A block costs its
+    solve, its residual check and two m^3 products per tensor, and O(m^2 c)
+    besides; the source's corner terms run for a band source only.
 
-    The recursion works in ``a`` and a band ``q``: the diagonal blocks of
-    ``a`` become g_i and then X's, and ``q`` becomes X Q X^T in its own
-    layout.  A source block is read before the block of X Q X^T that replaces
-    it is written.  Sigma's blocks are only read, and XL_i and then X Q X^T's
-    diagonal blocks go into a new ``[2, P, bnum, m, m]``.  Returns X's
-    diagonal blocks (the view ``_diagonal_blocks(a)``) and X Q X^T: those
-    blocks, or the band ``q``.
+    The recursion works in ``a`` and ``q``: the diagonal blocks of ``a``
+    become g_i and then X's, and ``q`` becomes X Q X^T in its own layout.
+    A source block is read before the block of X Q X^T that replaces it is
+    written.  Returns X's diagonal blocks (the view ``_diagonal_blocks(a)``)
+    and X Q X^T (``q``).
     """
     n_points, bnum, m = a.shape[:3]
     c = (a.shape[-1] - m) // 2
@@ -572,17 +588,11 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
             i, p = failing[0]
             raise _residual_error(f"RGF forward pass, block {i} ({contexts[p]})", residual[i, p])
 
-    tridiagonal = q.ndim == a.ndim + 1
+    corners = q.shape[-1] > m
     head, tail = slice(None, c), slice(m - c, None)  # a block's first and last c rows or columns
-    x_r = _diagonal_blocks(a)  # system blocks, then g_i, then X's
+    x_r, x_lg = _diagonal_blocks(a), _diagonal_blocks(q)  # system and source blocks, then g_i and XL_i, then X's
     up, down = a[..., tail, c + m :], a[..., head, :c]  # corners of blocks (i, i+1) and (i, i-1)
-    if tridiagonal:
-        x_lg = _diagonal_blocks(q)  # source blocks, then XL_i, then X Q X^T's
-        q_up, q_down = q[..., tail, c + m :], q[..., head, :c]
-    else:
-        x_lg = np.empty((2, n_points, bnum, m, m), np.complex128)  # XL_i, then X Q X^T's
-        k, o = q.shape[-3], q.shape[-1]
-        g_q = np.empty((2, n_points, m, m), np.complex128)  # g_i Q_i
+    q_up, q_down = q[..., tail, c + m :], q[..., head, :c]  # read only when the source has corners
 
     for i in range(bnum):
         block = x_r[:, i]
@@ -591,8 +601,9 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
             dg = d @ x_r[:, i - 1, tail, tail]  # D_i g_{i-1}, the corner that meets U_{i-1} and Q_{i-1,i}
             block[:, head, head] -= dg @ up[:, i - 1]
             inflow = d @ x_lg[:, :, i - 1, tail, tail] @ _advanced(d)
-            if tridiagonal:  # Q's neighbor blocks: -D g_{i-1} Q_{i-1,i} - Q_{i,i-1} (D g_{i-1})^T
+            if corners:  # Q's neighbor blocks: -D g_{i-1} Q_{i-1,i} - Q_{i,i-1} (D g_{i-1})^T
                 inflow -= dg @ q_up[:, :, i - 1] + q_down[:, :, i] @ _advanced(dg)
+            x_lg[:, :, i, head, head] += inflow
         try:
             g = np.linalg.inv(block)  # the same LU solve as _solve_system's
         except np.linalg.LinAlgError:
@@ -602,17 +613,7 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
             raise
         _defect_sums(block, g, out=defects[i])
         x_r[:, i] = g
-        if tridiagonal:
-            if i > 0:
-                x_lg[:, :, i, head, head] += inflow
-            x_lg[:, :, i] = g @ x_lg[:, :, i] @ _advanced(g)
-        else:
-            # g_i Q_i: g_i Sigma_i column block by column block, then g_i times the inflow's corner
-            np.matmul(g.reshape(n_points, m, k, o).swapaxes(1, 2), q[:, :, i],
-                      out=g_q.reshape(2, n_points, m, k, o).swapaxes(2, 3))
-            if i > 0:
-                g_q[..., head] += g[..., head] @ inflow
-            np.matmul(g_q, _advanced(g), out=x_lg[:, :, i])
+        x_lg[:, :, i] = g @ x_lg[:, :, i] @ _advanced(g)
     check(bnum)
 
     for i in range(bnum - 2, -1, -1):
@@ -623,7 +624,7 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
         v = w @ gd[..., head, :]  # W G_{i+1} D_{i+1}: its last c columns
         wx = w @ after_lg[..., head, head]  # W X_{i+1}: its first c columns
         update = wx @ _advanced(w) + v @ g_lg[..., tail, :] + g_lg[..., tail] @ _advanced(v)
-        if tridiagonal:
+        if corners:
             right = g[..., tail] @ q_up[:, :, i] @ _advanced(after[..., head, head])  # g_i Q_{i,i+1} G_{i+1}^T
             left = after[..., head, head] @ q_down[:, :, i + 1] @ _advanced(g[..., tail])  # G_{i+1} Q_{i+1,i} g_i^T
             update -= right @ _advanced(w) + w @ left  # right's first c columns, left's first c rows
@@ -633,7 +634,7 @@ def _rgf_pass(a: Array, q: Array, contexts: Sequence[str]) -> tuple[Array, Array
                                    - after_lg[..., head, head] @ _advanced(w[..., tail, :]))
         g_lg += update
         g += v @ g[..., tail, :]
-    return x_r, q if tridiagonal else x_lg
+    return x_r, q
 
 
 def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: Sequence[str]) -> tuple[Array, Array]:
@@ -641,23 +642,16 @@ def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: Sequenc
 
     A chunk of P points passes ``a`` as ``[P, bnum, m, c + m + c]``,
     ``self_lg`` as ``[2, P, n_A, S, o, o]`` slots of ``index`` and one
-    context per point (a single point is a chunk of one).  One slot per atom
-    (S = 1) is Sigma's atom-diagonal blocks: the recursion reads them as its
-    source, and G^<>'s atom blocks, the same blocks of the result's diagonal
-    blocks, come back as a view ``[2, P, bnum, n_A/bnum, 1, o, o]`` of the
-    recursion's blocks, not a copy.  Pi's slots (S > 1) are added onto a zero
-    source band of ``a``'s corner and picked back out of the result, across
-    the block boundaries from its corners.  The recursion overwrites ``a``.
-    Returns the diagonal blocks of the retarded solution ``[P, bnum, m, m]``,
-    a view of ``a``, and the lesser/greater slots.
+    context per point (a single point is a chunk of one).  Sigma's atom
+    blocks and Pi's slots alike are placed into a zero source
+    (``_rgf_source``: a band of ``a``'s corner only when a slot lies across
+    a block boundary) and picked back out of the result.  The recursion
+    overwrites ``a``.  Returns the diagonal blocks of the retarded solution
+    ``[P, bnum, m, m]``, a view of ``a``, and the lesser/greater slots
+    ``[2, P, n_A, S, o, o]``.
     """
-    if self_lg.shape[-3] == 1:
-        n_points, bnum, m = a.shape[:3]
-        o = self_lg.shape[-1]
-        x_r, x_lg = _rgf_pass(a, self_lg.reshape(2, n_points, bnum, -1, o, o, copy=False), context)
-        # the atom-diagonal blocks of X Q X^T's diagonal blocks, as pick_slots picks them but without a copy
-        return x_r, np.einsum("...aiaj->...aij", x_lg.reshape(2, n_points, bnum, m // o, o, m // o, o))[..., None, :, :]
-    x_r, x_lg = _rgf_pass(a, add_slots(np.zeros((2, *a.shape), np.complex128), self_lg, index), context)
+    source = place_slots(self_lg, index, (2, *_rgf_source(a.shape, index)))
+    x_r, x_lg = _rgf_pass(a, source, context)
     return x_r, pick_slots(x_lg, index)
 
 
@@ -743,8 +737,9 @@ def gf_phase(
     builds no plan and reads each momentum's matrices whole.  A dense chunk
     is one point; an RGF chunk is as many consecutive energies (or
     frequencies) as ``RGF_BUDGET`` holds of what the chunk holds per point:
-    its band, and the diagonal blocks of G^<> (electrons) or its source band
-    (phonons).  It is assembled, solved and copied into the output as one
+    its band and its lesser/greater source, by the rule the solve builds the
+    source by (``_rgf_source``: the diagonal blocks for electrons, a band
+    for phonons).  It is assembled, solved and copied into the output as one
     batch.  Points are independent: each (k_z, E) and (q_z, omega) solve
     writes a disjoint tensor slice, so evaluation order cannot change the
     result.  Retarded self-energies are always derived from the
@@ -761,8 +756,10 @@ def gf_phase(
         electrons = _Layout(slot_index(np.arange(params.n_A)[:, None]), tuple(zip(dev.S, dev.H)))
         phonons = _Layout(slot_index(nmap.partners), tuple(zip(dev.Phi)))
 
-    def chunks(n_points: int, point_bytes: int) -> list[range]:
-        """Runs of consecutive points: one point for dense, as many as fit in ``RGF_BUDGET`` for RGF."""
+    def chunks(n_points: int, band: Array, index: SlotIndex) -> list[range]:
+        """Runs of consecutive points: one for dense; for RGF as many as ``RGF_BUDGET`` holds of a point's band and
+        lesser/greater source (``_rgf_source``)."""
+        point_bytes = band.nbytes + 2 * band.itemsize * math.prod(_rgf_source(band.shape, index))
         step = max(1, RGF_BUDGET // point_bytes) if rgf else 1
         return [range(start, min(start + step, n_points)) for start in range(0, n_points, step)]
 
@@ -771,7 +768,7 @@ def gf_phase(
 
     for kz in range(params.n_kz):
         s, h = electrons.matrices[kz]
-        for run in chunks(params.n_E, s.nbytes + 2 * _diagonal_blocks(s).nbytes):  # band, G^<>'s blocks
+        for run in chunks(params.n_E, s, electrons.index):
             points = slice(run.start, run.stop)
             contexts = [f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for i_e in run]
             sig_lg = sigma.data[:, kz, points, :, None]  # one slot per atom, [2, P, n_A, 1, o, o]
@@ -781,16 +778,15 @@ def gf_phase(
             a = point_system(grid.values[points], s, h, sig_r, electrons.index, eta)
             del sig_r
             if rgf:
-                g_lg = solve_point_rgf(a, sig_lg, electrons.index, contexts)[1]
+                g_lg = solve_point_rgf(a, sig_lg, electrons.index, contexts)[1][..., 0, :, :]
             else:
-                g_lg = solve_point_dense_diag(a[0], sig_lg[:, 0, :, 0], contexts[0])
-            # straight into g_e: RGF's blocks are a view of the recursion's G^<> blocks, with no picked copy
-            g_e.data[:, kz, points].reshape(g_lg.shape, copy=False)[...] = g_lg
+                g_lg = solve_point_dense_diag(a[0], sig_lg[:, 0, :, 0], contexts[0])[:, None]
+            g_e.data[:, kz, points] = g_lg
             del a, g_lg  # not held into the next chunk's assembly
 
     for qz in range(params.n_qz):
         (phi,) = phonons.matrices[qz]
-        for run in chunks(params.n_w, 3 * phi.nbytes):  # the band and the lesser/greater source band
+        for run in chunks(params.n_w, phi, phonons.index):
             points = slice(run.start, run.stop)
             omegas = [grid.frequency_value(i_w) for i_w in run]
             contexts = [f"phonon point (qz={qz}, iw={i_w}, omega={omega:g})" for i_w, omega in zip(run, omegas)]

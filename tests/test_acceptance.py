@@ -228,7 +228,7 @@ def test_criterion_6_rgf_against_dense_oracle():
         a = point_system(energy, s_band, h_band, sigma_r[:, None], band_atoms, params.eta)
         whole = slot_index(np.arange(params.bnum)[:, None], params.bnum)
         b_r, b_lg = solve_point_rgf(a[None], np.stack((sl_b, sg_b))[:, None], whole, [f"seed {seed}"])
-        b_r, (b_l, b_g) = b_r[0], b_lg[:, 0, :, 0, 0]
+        b_r, (b_l, b_g) = b_r[0], b_lg[:, 0, :, 0]
         step = n // params.bnum
         for i in range(params.bnum):
             span = slice(i * step, (i + 1) * step)

@@ -107,7 +107,7 @@ def _rgf_electron(dev, sr, sl, sg, energy, kz, eta, bnum):
 
     whole = slot_index(np.arange(bnum)[:, None], bnum)
     b_r, b_lg = solve_point_rgf(a[None], np.stack((blocks(sl), blocks(sg)))[:, None], whole, [f"kz={kz}, E={energy:g}"])
-    return b_r[0], b_lg[0, 0, :, 0, 0], b_lg[1, 0, :, 0, 0]
+    return b_r[0], b_lg[0, 0, :, 0], b_lg[1, 0, :, 0]
 
 
 def _phonon_system(dev, pr, omega, qz, eta, nmap, bnum=None):
@@ -547,7 +547,10 @@ def _band_of(matrix, bnum, corner):
     return band
 
 
-@pytest.mark.parametrize("n_a, n_b, bnum", [(8, 4, 2), (12, 3, 3), (16, 4, 4), (6, 2, 1), (8, 4, 4)])
+# the last three are tiny's chain ends with n_B = 2 and 3 and gf-long's rows 0 and 127, which list one neighbor
+# two or three times
+@pytest.mark.parametrize("n_a, n_b, bnum", [(8, 4, 2), (12, 3, 3), (16, 4, 4), (6, 2, 1), (8, 4, 4),
+                                            (8, 2, 4), (8, 3, 4), (128, 2, 16)])
 def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
     nmap = build_neighbor_map(n_a, n_b)
     index = slot_index(nmap.partners, bnum)
@@ -558,12 +561,17 @@ def test_band_scatter_and_gather_match_the_full_matrix_blocks(n_a, n_b, bnum):
     for a in range(n_a):
         for s, b in enumerate([a, *nmap.idx[a]]):
             full[:, a * m:(a + 1) * m, b * m:(b + 1) * m] = slots[:, a, s]  # duplicate slots differ: the last wins
+    # placing writes what an add onto zeros adds, bit for bit, in the full matrix and (below) in every band
+    whole = slot_index(nmap.partners)
+    assert np.array_equal(place_slots(slots, whole), full)
+    assert np.array_equal(add_slots(np.zeros_like(full), slots, whole), full)
     # the smallest corner that holds the slots (the neighbor reach, none at bnum = 1), and whole coupling blocks
     reach = nmap.max_reach if bnum > 1 else 0
     for corner in (reach * m, edge):
         want = _band_of(full, bnum, corner)
         band = add_slots(np.zeros_like(want), slots, index)
         assert np.array_equal(band, want)
+        assert np.array_equal(place_slots(slots, index, want.shape), want)
         # the corners hold every slot across a block boundary: the side columns are zero outside them
         assert not np.any(want[..., corner:, :corner]) and not np.any(want[..., :edge - corner, edge + corner:])
         # adding in place onto a band adds the same blocks
@@ -964,7 +972,7 @@ GF_LONG_BLOCKS = GF_LONG.replace(n_kz=1)  # gf-long's 16 blocks of 8 atoms, 32 e
 
 
 def test_rgf_chunks_hold_three_gf_long_energies(monkeypatch):
-    # a gf-long electron point holds its band [64, 8, 4 + 8 + 4] and G^<>'s diagonal blocks [2, 64, 8, 8],
+    # a gf-long electron point holds its band [64, 8, 4 + 8 + 4] and its source, the diagonal blocks [2, 64, 8, 8],
     # 0.26 MB, so the budget takes twelve of gf-long's 32 energies (three while the recursion ran over bnum's
     # 16 blocks of 32 rows, 0.85 MB a point; two with full bands and placed sources of 1.31 MB)
     assert gf.RGF_BUDGET == 3 << 20
@@ -978,16 +986,41 @@ def test_rgf_chunks_hold_three_gf_long_energies(monkeypatch):
     assert lengths == [12, 12, 8]
 
 
+@pytest.mark.parametrize("params", [GF_LONG_BLOCKS, TINY.replace(eta=0.05)], ids=["gf-long", "tiny"])
+def test_rgf_sources_carry_corners_only_for_slots_across_block_boundaries(monkeypatch, params):
+    # Sigma's atom blocks never cross a block boundary, so an electron chunk's source is its diagonal blocks alone;
+    # Pi's neighbor slots do, so a phonon chunk's source is a band of the system's own corner
+    passes, recurse = [], gf._rgf_pass
+
+    def spy(a, q, contexts):
+        passes.append((contexts[0].split()[0], a.shape, q.shape))
+        return recurse(a, q, contexts)
+
+    monkeypatch.setattr(gf, "_rgf_pass", spy)
+    dev, nmap = synthesize(params, seed=1)
+    sigma, pi = seeded_self_energies(params, 0.1)
+    gf_phase(dev, sigma, pi, params, default_grid(params), nmap, solver="rgf")
+    kinds = [kind for kind, _, _ in passes]
+    assert "electron" in kinds and "phonon" in kinds
+    for kind, band, source in passes:
+        n_points, blocks, m, width = band
+        if kind == "electron":
+            assert width > m and source == (2, n_points, blocks, m, m)
+        else:
+            assert width > m and source == (2, *band)
+
+
 def test_rgf_gf_phase_transient_memory_at_gf_long_blocks():
     # One RGF gf_phase holds at most
     #     RGF_BUDGET + SLACK  bytes
     # above its outputs (tracemalloc peak less what the call still holds), over all 32 of gf-long's energies, in
     # chunks of 12, 12 and 8.  A chunk (0.26 MB a point over 64 blocks of 8 rows) fits RGF_BUDGET; SLACK covers
     # what does not scale with the budget, and what does but stays small: the chunk's Sigma^R while its system is
-    # assembled (0.39 MB at 12 points), g_i Q_i, the backward update's products and the block solves.  The
-    # momentum's S and H bands belong to the device's plan, built by the first call.  It measured 3.33 MB with
-    # numpy 2.4 (4.60 MB while each chunk also held its Sigma^R through the recursion, the picked G^<> blocks and
-    # the bands, 1.4 MB; 3.16 MB at 8 energies, one chunk); SLACK = 1 MiB.
+    # assembled (0.39 MB at 12 points), the G^<> slots picked out of the source (0.79 MB at 12 points), the
+    # products of g_i (Q_i + inflow) g_i^T and of the backward update, and the block solves.  The momentum's S and H
+    # bands belong to the device's plan, built by the first call.  It measured 3.94 MB with numpy 2.4, and
+    # 4.20 MB, past the bound, with sources built by an add onto zeros, which gathers a copy of them first (hence
+    # place_slots writes); SLACK = 1 MiB.
     params = GF_LONG_BLOCKS
     dev, nmap = synthesize(params, seed=1)
     sigma, pi = seeded_self_energies(params, 0.1)
