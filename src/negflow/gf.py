@@ -6,12 +6,15 @@ transpose of the retarded one; every solver takes it from ``_advanced``.
 Phonon points solve the analogous system with ``omega^2 I`` in place of
 ``E S``.
 
-``gf_phase`` reads each momentum's S, H or Phi whole (solver ``"dense"``),
-or runs on the device's RGF plan (``"rgf"``, ``_rgf_plan``): built by the
-first RGF phase for a (device, ``bnum``, neighbor map) from one scan of each
-matrix (``_extents``) and kept with the device, it holds each kind's slot
-index and every momentum's ``_tridiagonal_band``, so later phases read no S,
-H or Phi entry (``DeviceMatrices`` keeps them read-only).  Every point's system is
+The device holds S, H and Phi as diagonal bands (``DeviceMatrices``).
+``gf_phase`` rebuilds each momentum's S, H or Phi whole from its band, one
+momentum at a time (solver ``"dense"``), or runs on the device's RGF plan
+(``"rgf"``, ``_rgf_plan``): built by the first RGF phase for a (device,
+``bnum``, neighbor map) from one scan of each band (``_extents``) and kept
+with the device, it holds each kind's slot index and every momentum's
+``_tridiagonal_band``, cut from the band, so no RGF phase or plan builds an
+n x n matrix and later phases read no S, H or Phi entry (``DeviceMatrices``
+keeps them read-only).  Every point's system is
 assembled in one place, ``point_system``.  The loop keeps only the
 atom-diagonal blocks of G^<> and the self/neighbor slots of D^<>, so its
 three point solves form nothing else:
@@ -72,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceMatrices, NeighborMap
+from .device import DeviceMatrices, NeighborMap, band_window, from_band
 from .params import EnergyGrid, SimParams
 
 Array = np.ndarray
@@ -346,9 +349,10 @@ def solve_point_dense(
     """Dense solve of one electron (E, k_z) point; the full-matrix oracle.
 
     Returns full matrices (G^R, G^<, G^>) with G^<> = G^R Sigma^<> (G^R)^T.
+    S and H are rebuilt whole from the device's bands (``from_band``).
     """
     n = dev.H.shape[1]
-    a = energy * dev.S[kz] - dev.H[kz] - sigma_r + 1j * eta * np.eye(n)
+    a = energy * from_band(dev.S[kz]) - from_band(dev.H[kz]) - sigma_r + 1j * eta * np.eye(n)
     g_r = _solve_system(a, f"electron point (kz={kz}, E={energy:g})")
     g_a = _advanced(g_r)
     g_lesser = g_r @ sigma_lesser @ g_a
@@ -431,26 +435,24 @@ def solve_phonon_point(a: Array, pi_lg: Array, nmap: NeighborMap, context: str) 
     return d_r, slots
 
 
-def _tridiagonal_band(mat: Array, bnum: int, corner: int) -> Array:
+def _tridiagonal_band(band: Array, bnum: int, corner: int) -> Array:
     """The block rows ``[bnum, m, c + m + c]`` of an n x n matrix under ``bnum`` blocks, cut to a corner c.
 
+    The matrix comes as its diagonal band ``[n, 2w + 1]`` (``device.to_band``).
     Row i holds diagonal block (i, i) between c columns on either side: the
     last c of block (i, i-1) before it and the first c of block (i, i+1) after
-    it, zero outside the matrix; ``_rgf_pass`` reads only the c x c corners
-    of those side columns, in the first and the last c rows.  The RGF plan
-    (``_rgf_plan``) cuts each momentum's S, H or Phi through it once, with
-    the momentum's corner (``_coupling_corner``), so no RGF point builds an
-    n x n matrix.
+    it, zero outside the matrix and the band; ``_rgf_pass`` reads only the c x
+    c corners of those side columns, in the first and the last c rows.  The
+    RGF plan (``_rgf_plan``) cuts each momentum's S, H or Phi band through it
+    once, with the momentum's corner (``_coupling_corner``), so no RGF point
+    or plan builds an n x n matrix.
     """
-    n = mat.shape[-1]
+    n = band.shape[0]
     if n % bnum != 0:
         raise ValueError(f"matrix edge {n} not divisible into {bnum} blocks")
     m = n // bnum
-    band = np.zeros((bnum, m, m + 2 * corner), np.complex128)
-    for i in range(bnum):
-        start, stop = max(i * m - corner, 0), min((i + 1) * m + corner, n)  # the columns of row i inside the matrix
-        band[i, :, start - (i * m - corner) : stop - (i * m - corner)] = mat[i * m : (i + 1) * m, start:stop]
-    return band
+    # every row's columns from c before its block row's diagonal block to c after it
+    return band_window(band, np.arange(n) // m * m - corner, m + 2 * corner).reshape(bnum, m, m + 2 * corner)
 
 
 def _diagonal_blocks(band: Array) -> Array:
@@ -463,19 +465,22 @@ def _diagonal_blocks(band: Array) -> Array:
     return band[..., c : c + m]
 
 
-def _extents(mat: Array) -> Array:
-    """The first and the last nonzero column of every row of an n x n matrix, ``[2, n]``; (n, -1) for a zero row.
+def _extents(band: Array) -> Array:
+    """The first and the last nonzero column of every row of a matrix, ``[2, n]``; (n, -1) for a zero row.
 
-    The RGF plan scans each momentum's S, H and Phi through this once, and
-    derives both the sub-blocks (``_rgf_blocks``) and the corners
+    The matrix comes as its diagonal band ``[n, 2w + 1]`` (``device.to_band``).
+
+    The RGF plan scans each momentum's S, H and Phi band through this once,
+    and derives both the sub-blocks (``_rgf_blocks``) and the corners
     (``_coupling_corner``) from what it returns.
     """
-    n = mat.shape[-1]
+    n, width = band.shape
     # real and imaginary parts apart, as floats: far faster to test than complex entries
-    nonzero = mat.view(np.float64) != 0
-    first, last = np.argmax(nonzero, axis=1), 2 * n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    extents = np.stack((first, last)) // 2
-    extents[:, ~nonzero[np.arange(n), first]] = ((n,), (-1,))  # argmax finds no nonzero in a zero row
+    nonzero = band.view(np.float64) != 0
+    first, last = np.argmax(nonzero, axis=1), 2 * width - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    zero = ~nonzero[np.arange(n), first]  # argmax finds no nonzero in a zero row
+    extents = np.stack((first, last)) // 2 + np.arange(n) - width // 2  # band cells to columns
+    extents[:, zero] = ((n,), (-1,))
     return extents
 
 
@@ -658,14 +663,15 @@ def solve_point_rgf(a: Array, self_lg: Array, index: SlotIndex, context: Sequenc
 class _Layout(NamedTuple):
     """How one particle kind's points are solved on a device: its slot index and its momenta's matrices.
 
-    ``index`` is the ``slot_index`` its self-energy goes in by, and
-    ``matrices[k]`` momentum k's (S, H) or (Phi,): whole for dense, and for
-    RGF as bands of the momentum's corner (``_tridiagonal_band``,
-    ``_coupling_corner``) over ``index.blocks`` blocks, read-only.
+    ``index`` is the ``slot_index`` its self-energy goes in by, and for RGF
+    ``matrices[k]`` momentum k's (S, H) or (Phi,) as bands of the momentum's
+    corner (``_tridiagonal_band``, ``_coupling_corner``) over
+    ``index.blocks`` blocks, read-only; None for dense, which rebuilds each
+    momentum's matrices whole as it reaches them.
     """
 
     index: SlotIndex
-    matrices: tuple[tuple[Array, ...], ...]
+    matrices: tuple[tuple[Array, ...], ...] | None
 
 
 # Each device's RGF layouts of both particle kinds, by (bnum, the neighbor map), kept for the device's lifetime.
@@ -680,11 +686,12 @@ def _rgf_plan(dev: DeviceMatrices, bnum: int, nmap: NeighborMap) -> tuple[_Layou
     """The electron and phonon RGF layouts of ``dev`` under ``bnum`` blocks and ``nmap``'s slots, derived once.
 
     The first call for a (device, ``bnum``, neighbor map) scans each
-    momentum's S, H and Phi once (``_extents``), cuts each kind's blocks
+    momentum's S, H and Phi band once (``_extents``), cuts each kind's blocks
     (``_rgf_blocks``), which raises ``ValueError`` for S, H or Phi coupling
     atoms more than one block apart, builds its slot index (``slot_index``:
     ``ValueError`` unless Pi is block-tridiagonal), and derives every
-    momentum's corner and bands from the scan.  Later calls read no S, H or
+    momentum's corner and RGF bands from the scan, cut from the device's
+    bands; no n x n matrix is built.  Later calls read no S, H or
     Phi entry: the device's matrices are read-only (``DeviceMatrices``), so
     the plan cannot go stale.
     """
@@ -699,7 +706,7 @@ def _rgf_plan(dev: DeviceMatrices, bnum: int, nmap: NeighborMap) -> tuple[_Layou
 
         def bands(names: tuple[str, ...], k: int, index: SlotIndex) -> tuple[Array, ...]:
             mats = [getattr(dev, name)[k] for name in names]
-            corner = _coupling_corner([scans[name][k] for name in names], index.blocks, mats[0].shape[-1] // n_a,
+            corner = _coupling_corner([scans[name][k] for name in names], index.blocks, mats[0].shape[-2] // n_a,
                                       index.depth)
             cut = tuple(_tridiagonal_band(mat, index.blocks, corner) for mat in mats)
             for band in cut:
@@ -734,7 +741,8 @@ def gf_phase(
     Phi couples atoms more than one ``bnum`` block apart (``_rgf_blocks``)
     or Pi is not block-tridiagonal under ``params.bnum`` blocks
     (``slot_index``); later calls read no S, H or Phi entry.  The dense path
-    builds no plan and reads each momentum's matrices whole.  A dense chunk
+    builds no plan and rebuilds each momentum's matrices whole from the
+    device's bands, one momentum at a time.  A dense chunk
     is one point; an RGF chunk is as many consecutive energies (or
     frequencies) as ``RGF_BUDGET`` holds of what the chunk holds per point:
     its band and its lesser/greater source, by the rule the solve builds the
@@ -753,8 +761,8 @@ def gf_phase(
     if rgf:
         electrons, phonons = _rgf_plan(dev, params.bnum, nmap)
     else:
-        electrons = _Layout(slot_index(np.arange(params.n_A)[:, None]), tuple(zip(dev.S, dev.H)))
-        phonons = _Layout(slot_index(nmap.partners), tuple(zip(dev.Phi)))
+        electrons = _Layout(slot_index(np.arange(params.n_A)[:, None]), None)
+        phonons = _Layout(slot_index(nmap.partners), None)
 
     def chunks(n_points: int, band: Array, index: SlotIndex) -> list[range]:
         """Runs of consecutive points: one for dense; for RGF as many as ``RGF_BUDGET`` holds of a point's band and
@@ -767,7 +775,8 @@ def gf_phase(
     g_ph = GreensTensor.zeros(params.phonon_shape)
 
     for kz in range(params.n_kz):
-        s, h = electrons.matrices[kz]
+        # the plan's bands, or for dense the momentum's matrices rebuilt whole from the device's bands
+        s, h = electrons.matrices[kz] if rgf else (from_band(dev.S[kz]), from_band(dev.H[kz]))
         for run in chunks(params.n_E, s, electrons.index):
             points = slice(run.start, run.stop)
             contexts = [f"electron point (kz={kz}, iE={i_e}, E={grid.values[i_e]:g})" for i_e in run]
@@ -785,7 +794,7 @@ def gf_phase(
             del a, g_lg  # not held into the next chunk's assembly
 
     for qz in range(params.n_qz):
-        (phi,) = phonons.matrices[qz]
+        (phi,) = phonons.matrices[qz] if rgf else (from_band(dev.Phi[qz]),)
         for run in chunks(params.n_w, phi, phonons.index):
             points = slice(run.start, run.stop)
             omegas = [grid.frequency_value(i_w) for i_w in run]

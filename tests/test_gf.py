@@ -9,7 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from negflow.device import DeviceMatrices, build_neighbor_map, synthesize
+from negflow import device
+from negflow.device import DeviceMatrices, build_neighbor_map, from_band, synthesize, to_band
 from negflow import gf
 from negflow.gf import (
     SOLVERS,
@@ -39,9 +40,9 @@ def _free_device(params, n=None):
     n = n if n is not None else params.n_A * params.n_orb
     m = params.n_A * params.n_3D
     return DeviceMatrices(
-        H=np.zeros((params.n_kz, n, n), complex),
-        S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
-        Phi=np.zeros((params.n_qz, m, m), complex),
+        H=to_band(np.zeros((params.n_kz, n, n), complex)),
+        S=to_band(np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1))),
+        Phi=to_band(np.zeros((params.n_qz, m, m), complex)),
         dH=np.zeros((params.n_A, params.n_B, 3, params.n_orb, params.n_orb), complex),
     )
 
@@ -82,14 +83,15 @@ def _phonon_matrix(slots, nmap):
 
 
 def _scans(dev, *names):
-    """Every momentum's row extents of the named matrices of ``dev``, as the RGF plan scans them."""
-    return {name: [gf._extents(mat) for mat in getattr(dev, name)] for name in names}
+    """Every momentum's row extents of the named matrices of ``dev``, as the RGF plan scans their bands."""
+    return {name: [gf._extents(band) for band in getattr(dev, name)] for name in names}
 
 
-def _bands(mats, bnum, atom, depth=0):
-    """One momentum's bands under ``bnum`` blocks, cut to their corner in whole atoms of ``atom`` rows."""
-    corner = gf._coupling_corner([gf._extents(mat) for mat in mats], bnum, atom, depth)
-    return [gf._tridiagonal_band(mat, bnum, corner) for mat in mats]
+def _bands(bands, bnum, atom, depth=0):
+    """One momentum's RGF bands, cut from the device's bands under ``bnum`` blocks to their corner in whole atoms of
+    ``atom`` rows."""
+    corner = gf._coupling_corner([gf._extents(band) for band in bands], bnum, atom, depth)
+    return [gf._tridiagonal_band(band, bnum, corner) for band in bands]
 
 
 def _rgf_electron(dev, sr, sl, sg, energy, kz, eta, bnum):
@@ -113,14 +115,15 @@ def _rgf_electron(dev, sr, sl, sg, energy, kz, eta, bnum):
 def _phonon_system(dev, pr, omega, qz, eta, nmap, bnum=None):
     """The system of one phonon point through the loop's assembly: the full matrix, or the band under ``bnum``."""
     index = slot_index(nmap.partners, bnum)
-    phi = dev.Phi[qz] if bnum is None else _bands((dev.Phi[qz],), bnum, dev.n_3D, index.depth)[0]
+    phi = from_band(dev.Phi[qz]) if bnum is None else _bands((dev.Phi[qz],), bnum, dev.n_3D, index.depth)[0]
     return point_system(omega**2, None, phi, pr, index, eta)
 
 
 def _phonon_inverse(dev, pr, omega, qz, eta, nmap):
     """D^R as the inverse of the full omega^2 I - Phi - Pi^R + i eta I, with Pi^R from its slots ``pr``."""
-    m = dev.Phi.shape[-1]
-    return np.linalg.inv(omega**2 * np.eye(m) - dev.Phi[qz] - _phonon_matrix(pr, nmap) + 1j * eta * np.eye(m))
+    m = dev.Phi.shape[-2]
+    phi = from_band(dev.Phi[qz])
+    return np.linalg.inv(omega**2 * np.eye(m) - phi - _phonon_matrix(pr, nmap) + 1j * eta * np.eye(m))
 
 
 def test_free_particle_point():
@@ -141,7 +144,7 @@ def test_dense_matches_explicit_inverse():
     sr = np.zeros((n, n), complex)
     sl, sg = _rand_sigma(rng, n), _rand_sigma(rng, n)
     g_r, g_l, g_g = solve_point_dense(dev, sr, sl, sg, energy=0.3, kz=0, eta=params.eta)
-    a = 0.3 * dev.S[0] - dev.H[0] + 1e-3j * np.eye(n)
+    a = 0.3 * from_band(dev.S[0]) - from_band(dev.H[0]) + 1e-3j * np.eye(n)
     inverse = np.linalg.inv(a)
     assert np.linalg.norm(g_r - inverse) / np.linalg.norm(inverse) <= 1e-10
     residual = np.linalg.norm(a @ g_r - np.eye(n)) / np.linalg.norm(np.eye(n))
@@ -155,7 +158,7 @@ def test_dense_raises_on_singular_system():
     dev = _free_device(TINY)
     n = TINY.n_A * TINY.n_orb
     # sigma_r chosen to cancel the system matrix exactly
-    sr = 1.0 * dev.S[0] - dev.H[0] + 1e-3j * np.eye(n)
+    sr = 1.0 * from_band(dev.S[0]) - from_band(dev.H[0]) + 1e-3j * np.eye(n)
     zero = np.zeros((n, n), complex)
     with pytest.raises(SingularSystemError):
         solve_point_dense(dev, sr, zero, zero, energy=1.0, kz=0, eta=1e-3)
@@ -219,12 +222,12 @@ def test_rgf_matches_dense_blocks(seed, n_b):
 def test_rgf_decoupled_blocks_are_local_inverses():
     params = TINY.replace(n_A=4, n_B=1, bnum=2, n_orb=2)
     dev, _ = synthesize(params, seed=8)
-    h = dev.H.copy()
+    h = from_band(dev.H)
     n = params.n_A * params.n_orb
     half = n // 2
     h[:, :half, half:] = 0.0
     h[:, half:, :half] = 0.0
-    dev = DeviceMatrices(H=h, S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
+    dev = DeviceMatrices(H=to_band(h), S=to_band(np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1))),
                          Phi=dev.Phi, dH=dev.dH)
     zero = np.zeros((params.n_A, params.n_orb, params.n_orb), complex)
     b_r, _, _ = _rgf_electron(dev, zero, zero, zero, 0.4, 0, params.eta, 2)
@@ -351,9 +354,9 @@ def test_rgf_singular_leading_block():
     params = TINY.replace(n_A=4, n_orb=1, bnum=2)
     n = 4
     dev = DeviceMatrices(
-        H=np.zeros((params.n_kz, n, n), complex),
-        S=np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1)),
-        Phi=np.zeros((params.n_qz, 12, 12), complex),
+        H=to_band(np.zeros((params.n_kz, n, n), complex)),
+        S=to_band(np.tile(np.eye(n, dtype=complex), (params.n_kz, 1, 1))),
+        Phi=to_band(np.zeros((params.n_qz, 12, 12), complex)),
         dH=np.zeros((4, 2, 3, 1, 1), complex),
     )
     zero = np.zeros((4, 1, 1), complex)
@@ -426,7 +429,8 @@ def test_dense_diagonal_blocks_match_the_full_oracle(seed, n_a, n_orb, bnum):
     sr, sl, sg = (_rand_atom_blocks(rng, n_a, n_orb, scale=0.1) for _ in range(3))
     energy = float(rng.uniform(-0.9, 0.9))
     _, g_l, g_g = solve_point_dense(dev, *(_block_diag(x) for x in (sr, sl, sg)), energy, 0, params.eta)
-    a = point_system(energy, dev.S[0], dev.H[0], sr[:, None], slot_index(np.arange(n_a)[:, None]), params.eta)
+    a = point_system(energy, from_band(dev.S[0]), from_band(dev.H[0]), sr[:, None], slot_index(np.arange(n_a)[:, None]),
+                     params.eta)
     less, grt = solve_point_dense_diag(a, np.stack((sl, sg)), f"E={energy:g}")
     assert _rel(less, _diag_blocks(g_l, n_a)) <= 1e-12
     assert _rel(grt, _diag_blocks(g_g, n_a)) <= 1e-12
@@ -607,10 +611,11 @@ def test_rgf_refuses_a_coupling_beyond_one_block(monkeypatch, name):
     # (its band would drop the coupling, and G would differ from the dense solve's), and dense takes it
     params = TINY.replace(n_kz=1, n_qz=1, n_A=8, n_B=2, bnum=4, eta=0.05)
     dev, nmap = synthesize(params, seed=3)
-    mat = getattr(dev, name).copy()
+    mat = from_band(getattr(dev, name))
     atom = mat.shape[-1] // params.n_A
     mat[:, :atom, 5 * atom:6 * atom] = mat[:, 5 * atom:6 * atom, :atom] = 0.01
-    dev = dataclasses.replace(dev, **{name: mat})
+    dev = dataclasses.replace(dev, **{name: to_band(mat)})  # a wider band holds the far coupling
+    assert np.array_equal(from_band(getattr(dev, name)), mat)
     grid = default_grid(params)
     sigma, pi = seeded_self_energies(params, 0.1)
     assert all(x.all_finite() for x in gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense"))
@@ -705,7 +710,7 @@ def test_rgf_corner_is_the_coupling_reach(params):
     full = _rand_atom_blocks(rng, 1, 20)[0]
     block = np.arange(20) // 5
     full[np.abs(block[:, None] - block) > 1] = 0  # block-tridiagonal, as the RGF plan checks before any corner
-    assert gf._coupling_corner([gf._extents(full)], 4, 1) == 5
+    assert gf._coupling_corner([gf._extents(to_band(full))], 4, 1) == 5
     assert gf._coupling_corner([scans["H"][0]], 1, params.n_orb) == 0
 
 
@@ -731,9 +736,9 @@ def test_rgf_blocks_cover_a_coupling_inside_a_block():
     assert gf._rgf_blocks(_scans(dev, "S", "H"), params.n_A, params.bnum) == 8
     rng = np.random.default_rng(8)
     coupling = 0.05 * (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
-    h = dev.H.copy()
+    h = from_band(dev.H)
     h[:, 4:8, 16:20], h[:, 16:20, 4:8] = coupling, coupling.conj().swapaxes(-1, -2)
-    dev = dataclasses.replace(dev, H=h)
+    dev = dataclasses.replace(dev, H=to_band(h))
     assert gf._rgf_blocks(_scans(dev, "S", "H"), params.n_A, params.bnum) == 4
     sigma, pi = seeded_self_energies(params, 0.1)
     grid = default_grid(params)
@@ -749,15 +754,16 @@ def test_rgf_corner_covers_the_source_couplings():
     zero = np.zeros((n_a * atom, n_a * atom), complex)
     partners = np.repeat(np.arange(n_a)[:, None], 2, axis=1)
     partners[4, 1] = 2  # atom 4 (block 1's first) to atom 2 (block 0's third): 2 atoms deep into block (1, 0)
-    assert gf._coupling_corner([gf._extents(zero)], bnum, atom, slot_index(partners, bnum).depth) == 2 * atom
+    empty = gf._extents(to_band(zero))
+    assert gf._coupling_corner([empty], bnum, atom, slot_index(partners, bnum).depth) == 2 * atom
     own = slot_index(np.arange(n_a)[:, None], bnum)
-    assert gf._coupling_corner([gf._extents(zero)], bnum, atom, own.depth) == 0  # slots inside their blocks need none
+    assert gf._coupling_corner([empty], bnum, atom, own.depth) == 0  # slots inside their blocks need none
     # block (1, 0) nonzero at its row 0 and column m - 4 needs a corner of 4 rows (atoms of one row); whole atoms of
     # 3 rows round it to 2 atoms
     mat = zero.copy()
     mat[12, 12 - 4] = 1e-3
-    assert gf._coupling_corner([gf._extents(mat)], bnum, 1) == 4
-    assert gf._coupling_corner([gf._extents(mat)], bnum, atom, own.depth) == 2 * atom
+    assert gf._coupling_corner([gf._extents(to_band(mat))], bnum, 1) == 4
+    assert gf._coupling_corner([gf._extents(to_band(mat))], bnum, atom, own.depth) == 2 * atom
 
 
 def _loop_extents(mat):
@@ -842,8 +848,8 @@ def test_rgf_scan_matches_a_loop_over_every_nonzero(seed):
         partners[per_block, 1], partners[per_block - 1, 2] = per_block - 1, per_block
     for mats in stacks.values():
         for mat in mats:
-            assert np.array_equal(gf._extents(mat), _loop_extents(mat))
-    scans = {name: [gf._extents(mat) for mat in mats] for name, mats in stacks.items()}
+            assert np.array_equal(gf._extents(to_band(mat)), _loop_extents(mat))
+    scans = {name: [gf._extents(to_band(mat)) for mat in mats] for name, mats in stacks.items()}
     reach = int(np.max(np.abs(partners - atoms[:, None])))
     blocks = gf._rgf_blocks(scans, n_a, bnum, reach)
     assert blocks == _loop_blocks(stacks, n_a, bnum, reach)
@@ -861,7 +867,7 @@ def test_rgf_scan_matches_a_loop_over_every_nonzero(seed):
             far[i, j] = far[j, i] = 1.0
         want = _loop_refusal(stacks, n_a, bnum)
         assert want is not None
-        scans = {name: [gf._extents(mat) for mat in mats] for name, mats in stacks.items()}
+        scans = {name: [gf._extents(to_band(mat)) for mat in mats] for name, mats in stacks.items()}
         with pytest.raises(ValueError) as err:
             gf._rgf_blocks(scans, n_a, bnum, reach)
         assert str(err.value) == want
@@ -932,9 +938,9 @@ def test_rgf_reports_a_failing_point_mid_chunk(monkeypatch, smallest, kz, i_e, f
     _, nmap = synthesize(params, seed=6)
     rng = np.random.default_rng(5)
     coupling = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    h = dev.H.copy()
+    h = from_band(dev.H)
     h[:, 6:8, 8:10], h[:, 8:10, 6:8] = coupling, coupling.conj().T
-    dev = dataclasses.replace(dev, H=h)
+    dev = dataclasses.replace(dev, H=to_band(h))
     grid = default_grid(params)
     energy = grid.values[i_e]
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -1057,9 +1063,10 @@ def test_rgf_builds_one_plan_per_device(monkeypatch):
     g_e, _ = gf_phase(dev, sigma, pi, params, grid, nmap, solver="rgf")
     assert calls == once
     # an edited device is a new device with a plan of its own, and the device itself cannot be edited
-    h = dev.H.copy()
+    h = from_band(dev.H)
     h[:, 0, 0] += 0.1
-    edited = dataclasses.replace(dev, H=h)
+    edited = dataclasses.replace(dev, H=to_band(h))
+    assert np.array_equal(from_band(edited.H), h)
     g_edited, _ = gf_phase(edited, sigma, pi, params, grid, nmap, solver="rgf")
     assert calls == {name: 2 * count for name, count in once.items()}
     assert not np.allclose(g_edited.data, g_e.data)
@@ -1071,6 +1078,71 @@ def test_rgf_builds_one_plan_per_device(monkeypatch):
     del edited
     gc.collect()
     assert gone() is None
+
+
+def test_a_device_is_not_changed_through_the_arrays_it_was_built_from():
+    # the device copies its bands on construction: after its first RGF phase, writing into the full matrices it
+    # was built from, or into the bands passed in, changes neither the device nor a second phase
+    params = TINY.replace(eta=0.05)
+    synthesized, nmap = synthesize(params, seed=1)
+    full = {name: from_band(getattr(synthesized, name)) for name in ("H", "S", "Phi")}
+    bands = {name: to_band(mat) for name, mat in full.items()}
+    dev = DeviceMatrices(**bands, dH=synthesized.dH)
+    kept = {name: getattr(dev, name).tobytes() for name in bands}
+    sigma, pi = seeded_self_energies(params, 0.1)
+    grid = default_grid(params)
+
+    def phases():
+        return [x.data.tobytes() for solver in SOLVERS for x in gf_phase(dev, sigma, pi, params, grid, nmap, solver)]
+
+    first = phases()  # the RGF phase builds the device's plan
+    for name in bands:
+        full[name] += 1.0
+        bands[name][:, :, bands[name].shape[-1] // 2] += 1.0  # the diagonal
+    assert {name: getattr(dev, name).tobytes() for name in bands} == kept
+    assert phases() == first
+
+
+def test_rgf_never_rebuilds_a_full_matrix(monkeypatch):
+    # a 3-iteration RGF loop, its plan included, runs on the device's bands alone: it never rebuilds a matrix, and
+    # every window it cuts from a band is narrower than the matrix; the dense phase rebuilds one momentum's S, H or
+    # Phi at a time, each once
+    params = TINY.replace(eta=0.05)
+    dev, nmap = synthesize(params, seed=1)
+    sigma, pi = seeded_self_energies(params, 0.1)
+    grid = default_grid(params)
+    rebuilt, windows = [], []
+    for module in (device, gf):
+        def spy(band, _real=module.from_band):
+            rebuilt.append(band.shape)
+            return _real(band)
+
+        def window_spy(band, starts, width, _real=module.band_window):
+            windows.append((band.shape[-2], width))
+            return _real(band, starts, width)
+        monkeypatch.setattr(module, "from_band", spy)
+        monkeypatch.setattr(module, "band_window", window_spy)
+    result = self_consistent_loop(dev, nmap, params, grid, max_iter=3, tol=-1.0, solver="rgf",
+                                  initial_sigma=sigma, initial_pi=pi)
+    assert result.iterations == 3 and not result.diverged
+    assert rebuilt == []
+    assert len(windows) == 2 * params.n_kz + params.n_qz and all(width < n for n, width in windows)
+    gf_phase(dev, sigma, pi, params, grid, nmap, solver="dense")
+    assert rebuilt == [dev.S.shape[1:], dev.H.shape[1:]] * params.n_kz + [dev.Phi.shape[1:]] * params.n_qz
+
+
+@pytest.mark.parametrize("n, bnum, width", [(24, 4, 6), (24, 3, 0), (36, 3, 12), (16, 1, 15), (30, 5, 4)])
+def test_rgf_bands_cut_from_the_diagonal_band_match_the_full_matrix(n, bnum, width):
+    # block-tridiagonal matrices whose nonzeros lie up to ``width`` rows off the diagonal, cut at every corner up
+    # to the whole block: the cut from the diagonal band is the explicit column loop's cut of the full matrix
+    rng = np.random.default_rng(n + bnum + width)
+    rows, block = np.arange(n), np.arange(n) // (n // bnum)
+    keep = (np.abs(rows[:, None] - rows) <= width) & (np.abs(block[:, None] - block) <= 1)
+    matrix = np.where(keep, _rand_atom_blocks(rng, 1, n)[0], 0)
+    band = to_band(matrix)
+    assert band.shape == (n, 2 * min(width, 2 * n // bnum - 1) + 1)
+    for corner in range(n // bnum + 1):
+        assert np.array_equal(gf._tridiagonal_band(band, bnum, corner), _band_of(matrix, bnum, corner))
 
 
 def _blockwise_failures(params, failures):
